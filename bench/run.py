@@ -44,6 +44,7 @@ RUN_DIR = Path(__file__).resolve().parent / ".run"
 SETUP_REPS = 31       # set-up is timed this many times per run; the median is reported
 WARMUP_CYCLES = 50
 COUNT_CYCLES = 20     # cycles of the wire-counting pass
+SAMPLE_CAPACITY = 1 << 15  # cycle wall times kept per phase (see WallSamples)
 SIM_START_TIMEOUT_S = 30.0
 SIM_STOP_TIMEOUT_S = 10.0
 TOPOLOGY = "loopback, sim in separate process"
@@ -183,24 +184,54 @@ class Tally:
         self.failed += counts[1]
 
 
+class WallSamples:
+    """Cycle wall times in a buffer of fixed size, so that the benchmark's
+    memory does not grow with the number of cycles it runs.
+
+    When the buffer is full every other sample is dropped and from then on
+    only every second cycle is kept (then every fourth, ...), which leaves
+    an even subsample of the whole phase.
+    """
+
+    def __init__(self, capacity: int = SAMPLE_CAPACITY):
+        self.buf = array("q", bytes(8 * capacity))
+        self.kept = 0
+        self.stride = 1
+        self.count = 0  # cycles seen, kept or not
+
+    def add(self, ns: int) -> None:
+        if self.count % self.stride == 0:
+            if self.kept == len(self.buf):
+                self.kept = len(self.buf) // 2
+                self.buf[:self.kept] = self.buf[::2]
+                self.stride *= 2
+            self.buf[self.kept] = ns
+            self.kept += 1
+        self.count += 1
+
+    def values(self) -> array:
+        return self.buf[:self.kept]
+
+
 @dataclass
 class Phase:
     """Cycles of one measured phase."""
 
-    wall_ns: array = field(default_factory=lambda: array("q"))
+    wall_ns: WallSamples = field(default_factory=WallSamples)
     cpu_ns: int = 0
     cells: int = 0
     reconnects: int = 0
 
     @property
     def cycles(self) -> int:
-        return len(self.wall_ns)
+        return self.wall_ns.count
 
     def wall_ms(self, q: float) -> float:
         """Cycle wall time at quantile q (0.5 is the median)."""
+        values = self.wall_ns.values()
         if q == 0.5:
-            return statistics.median(self.wall_ns) / 1e6
-        return statistics.quantiles(self.wall_ns, n=100)[round(q * 100) - 1] / 1e6
+            return statistics.median(values) / 1e6
+        return statistics.quantiles(values, n=100)[round(q * 100) - 1] / 1e6
 
 
 def run_cycles(wl, tally: Tally, cycles: int | None = None, seconds: float | None = None) -> Phase:
@@ -222,7 +253,7 @@ def run_cycles(wl, tally: Tally, cycles: int | None = None, seconds: float | Non
             print(f"cycle failed: {exc}", file=sys.stderr)
         t1 = time.perf_counter_ns()
         phase.cpu_ns += time.process_time_ns() - cpu0
-        phase.wall_ns.append(t1 - t0)
+        phase.wall_ns.add(t1 - t0)
         attempted, failed = wl.check(started_wall)
         phase.cells += attempted
         tally.add((attempted, failed))
@@ -281,6 +312,8 @@ def run_workload(name: str, seed: int, seconds: float, trace: int) -> Run:
                     total_cycles += untraced.cycles + traced.cycles
                 else:
                     timed = run_cycles(wl, tally, seconds=seconds)
+                    # before any statistics, whose temporaries grow with the cycles run
+                    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
                     wire = count_wire(tracer)
                     run_cycles(wl, tally, cycles=COUNT_CYCLES)
                     tracer.restore()
@@ -302,7 +335,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: int) -> Run:
                 "round_trips_per_cycle": wire.round_trips / COUNT_CYCLES,
                 "wire_bytes_per_cycle": (wire.request_bytes + wire.reply_bytes) / COUNT_CYCLES,
                 "ok_share": 1.0 - tally.failed / tally.attempted,
-                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                "peak_rss_mb": peak_rss_mb,
             }
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -71,6 +71,16 @@ def test_self_time_is_span_minus_children():
     assert layer.inner is inner and layer.outer is outer
 
 
+def test_wall_samples_keep_an_even_subsample_in_fixed_memory():
+    samples = run.WallSamples(capacity=8)
+    size = samples.buf.buffer_info()
+    for ns in range(100):
+        samples.add(ns)
+    assert samples.count == 100 and samples.stride == 16
+    assert list(samples.values()) == list(range(0, 100, 16))
+    assert samples.buf.buffer_info() == size
+
+
 def test_benchmark_json_matches_metrics():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert {m["name"]: m["unit"] for m in spec["end_to_end"]} == run.END_TO_END
