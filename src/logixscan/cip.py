@@ -270,8 +270,14 @@ class CipValue:
     elements: tuple
 
     def __init__(self, type: CipType, elements):
-        object.__setattr__(self, "type", CipType(type))
-        object.__setattr__(self, "elements", tuple(elements))
+        # coerce only what needs it: callers on the scan path pass a
+        # CipType and a tuple already
+        if type.__class__ is not CipType:
+            type = CipType(type)
+        if elements.__class__ is not tuple:
+            elements = tuple(elements)
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "elements", elements)
 
     def __len__(self) -> int:
         return len(self.elements)

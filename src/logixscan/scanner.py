@@ -1,13 +1,19 @@
 """Periodic tag scanning.
 
-Subscriptions are grouped into per-period scan lists.  Before each cycle a
-list is planned: array-element subscriptions are coalesced into one read
+Subscriptions are grouped into per-period scan lists.  Each subscription
+derives its wire address once, when its tag is set: the group it coalesces
+with, the element as transferred (the DINT word for a BOOL-array bit), the
+bit, and the symbol path up to the final subscript.  A list is planned
+before its first cycle and again after its membership or a discovered type
+changes: array-element subscriptions are coalesced into one read
 from the first to the highest requested element, BOOL-array bits ride on
 their underlying DINT words, and the resulting reads are packed greedily
 into Multi-Requests until either the encoded request or the estimated
-response would cross the PLC buffer limit.  Outputs are written on demand
-(whole-span when more than one element of a coalesced span is dirty) and
-read back every cycle with drift notifications when the PLC side changed.
+response would cross the PLC buffer limit.  The plan holds each transfer's
+request, built once, so a cycle only sends and fans the replies out.
+Outputs are written on demand (whole-span when more than one element of a
+coalesced span is dirty) and read back every cycle with drift
+notifications when the PLC side changed.
 """
 
 from __future__ import annotations
@@ -21,13 +27,16 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 
 from . import cip
-from .cip import CipRequest, CipType, CipValue
+from .cip import CipRequest, CipType, CipValue, Element, Epath
 from .client import PlcClient, PlcEndpoint, PlcError, Phase
-from .tags import TagRef, bool_remap, format_tag, parse_tag, to_epath
+from .tags import BITS_PER_DINT, TagRef, format_tag, parse_tag, to_epath
 
 log = logging.getLogger(__name__)
 
 UNKNOWN_TYPE_WIDTH = 4  # sizing assumption until the first read fixes the type
+
+# BOOL-array bit cells; values are frozen, so every bit cell shares these
+_BOOL_CELLS = (CipValue(CipType.BOOL, (False,)), CipValue(CipType.BOOL, (True,)))
 
 
 class Direction(enum.Enum):
@@ -71,7 +80,7 @@ class Subscription:
         on_drift=None,
     ):
         self.plc_name = plc_name
-        self.ref = ref
+        self.ref = ref  # the setter derives the wire address
         self.period_s = period_s
         self.direction = direction
         self.elem_type = elem_type
@@ -88,9 +97,33 @@ class Subscription:
     def __repr__(self):
         return f"<Subscription {self.plc_name}:{format_tag(self.ref)} @{self.period_s}s>"
 
+    @property
+    def ref(self) -> TagRef:
+        return self._ref
+
+    @ref.setter
+    def ref(self, ref: TagRef) -> None:
+        """Set the tag and derive its wire address, once per tag."""
+        self._ref = ref
+        base = ref.base()
+        # coalescing group: the chain without its final subscript
+        self.group = format_tag(base)
+        self._base_segments = to_epath(base).segments
+        # element as transferred: BOOL-array bits ride on DINT words
+        self.element: int | None = ref.final_element
+        self.bit: int | None = None
+        if ref.bool_array:
+            self.element, self.bit = divmod(self.element, BITS_PER_DINT)
+
+    def wire_path(self, element: int | None) -> Epath:
+        """Path to one element of this subscription's group (None: unindexed)."""
+        if element is None:
+            return Epath(self._base_segments)
+        return Epath(self._base_segments + (Element(element),))
+
     def wire_type(self) -> CipType | None:
         """Element type as transferred: DINT words for BOOL-array bits."""
-        if self.ref.bool_array:
+        if self.bit is not None:
             return CipType.DINT
         return self.elem_type
 
@@ -113,6 +146,8 @@ class ReadOp:
 class ScanPlan:
     transfers: list[list[ReadOp]]
     unplannable: list[Subscription]
+    # what each transfer sends: its single read, or a Multi-Request of them
+    requests: list[CipRequest]
 
 
 @dataclass
@@ -138,24 +173,11 @@ class _PlcUnit:
         self.running = False
 
 
-def _group_base(sub: Subscription) -> str:
-    return format_tag(sub.ref.base())
-
-
-def _read_element(sub: Subscription) -> int:
-    """Element index as transferred (DINT word index for BOOL-array bits)."""
-    if sub.ref.bool_array:
-        dint_ref, _bit = bool_remap(sub.ref)
-        return dint_ref.final_element
-    element = sub.ref.final_element
-    if element is None:
-        raise ValueError(f"{format_tag(sub.ref)} has no element index")
-    return element
-
-
-def _read_bit(sub: Subscription) -> int | None:
-    if sub.ref.bool_array:
-        return bool_remap(sub.ref)[1]
+def _group_key(sub: Subscription) -> tuple[str, CipType] | None:
+    """The span a subscription coalesces into, for reads and writes alike."""
+    wire_type = sub.wire_type()
+    if sub.coalesce and sub.element is not None and wire_type is not None:
+        return sub.group, wire_type
     return None
 
 
@@ -306,31 +328,24 @@ class TagScanner:
         solo: list[Subscription] = []
 
         for sub in sl.members:
-            wire_type = sub.wire_type()
-            indexed = sub.ref.bool_array or sub.ref.final_element is not None
-            if sub.coalesce and indexed and wire_type is not None:
-                groups.setdefault((_group_base(sub), wire_type), []).append(sub)
+            key = _group_key(sub)
+            if key is not None:
+                groups.setdefault(key, []).append(sub)
             else:
                 solo.append(sub)
 
         for (base, wire_type), subs in groups.items():
-            elements = [_read_element(s) for s in subs]
+            elements = [s.element for s in subs]
             first, high = min(elements), max(elements)
             count = high - first + 1
-            start_ref = subs[0].ref
-            if start_ref.bool_array:
-                start_ref = bool_remap(start_ref)[0]
-            read_ref = start_ref.with_final_element(first)
-            request = cip.build_read_request(to_epath(read_ref), count)
+            request = cip.build_read_request(subs[0].wire_path(first), count)
             inner = len(cip.encode_request(request))
             estimate = cip.estimate_response_size(wire_type, count)
             if (
                 cip.wrapped_request_size(inner) <= limit
                 and estimate <= limit
             ):
-                targets = [
-                    (s, e - first, _read_bit(s)) for s, e in zip(subs, elements)
-                ]
+                targets = [(s, s.element - first, s.bit) for s in subs]
                 ops.append(ReadOp(
                     request, inner, estimate, wire_type, targets,
                     cache_key=(sl.period_s, base, wire_type),
@@ -347,19 +362,20 @@ class TagScanner:
             else:
                 ops.append(op)
 
-        return ScanPlan(self._pack(ops, limit), unplannable)
+        transfers = self._pack(ops, limit)
+        requests = [
+            t[0].request if len(t) == 1
+            else cip.build_multi_request([op.request for op in t])
+            for t in transfers
+        ]
+        return ScanPlan(transfers, unplannable, requests)
 
     def _solo_op(
         self, unit: _PlcUnit, sl: ScanList, sub: Subscription, limit: int
     ) -> ReadOp | None:
         wire_type = sub.wire_type()
-        if sub.ref.bool_array:
-            read_ref = bool_remap(sub.ref)[0]
-            element = read_ref.final_element
-        else:
-            read_ref = sub.ref
-            element = sub.ref.final_element
-        request = cip.build_read_request(to_epath(read_ref), 1)
+        element = sub.element
+        request = cip.build_read_request(sub.wire_path(element), 1)
         inner = len(cip.encode_request(request))
         width = wire_type.width if wire_type is not None else UNKNOWN_TYPE_WIDTH
         estimate = 4 + 2 + width
@@ -367,10 +383,10 @@ class TagScanner:
             return None
         cache_key = None
         if element is not None and wire_type is not None:
-            cache_key = (sl.period_s, _group_base(sub), wire_type)
+            cache_key = (sl.period_s, sub.group, wire_type)
         return ReadOp(
             request, inner, estimate, wire_type,
-            [(sub, 0, _read_bit(sub))],
+            [(sub, 0, sub.bit)],
             cache_key=cache_key,
             start_element=element,
         )
@@ -430,23 +446,26 @@ class TagScanner:
                 sub.quality = Quality.ERROR
         started = time.monotonic()
         any_ok = False
-        for transfer in plan.transfers:
+        for i, (transfer, request) in enumerate(zip(plan.transfers, plan.requests)):
             try:
+                reply = unit.client.round_trip(request)
                 if len(transfer) == 1:
-                    responses = [unit.client.round_trip(transfer[0].request)]
+                    responses = [reply]
                 else:
-                    multi = cip.build_multi_request([op.request for op in transfer])
-                    reply = unit.client.round_trip(multi)
                     responses = cip.split_multi_response(reply, len(transfer))
             except (PlcError, cip.CipError) as exc:
                 log.debug("transfer failed on %s: %s", unit.name, exc)
+                # with the session gone, the transfers not yet sent fail too
+                gone = unit.client.phase is Phase.DISCONNECTED
+                failed = plan.transfers[i:] if gone else [transfer]
                 with self._cell_lock:
                     sl.stats.errors += 1
-                    for op in transfer:
-                        for sub, _off, _bit in op.targets:
-                            sub.quality = Quality.ERROR
-                if unit.client.phase is Phase.DISCONNECTED:
-                    break  # session gone; remaining transfers can't run
+                    for lost in failed:
+                        for op in lost:
+                            for sub, _off, _bit in op.targets:
+                                sub.quality = Quality.ERROR
+                if gone:
+                    break
                 continue
             for op, resp in zip(transfer, responses):
                 if self._absorb_read(unit, sl, op, resp, now):
@@ -482,32 +501,40 @@ class TagScanner:
                 op.expected_type.name, value.type.name,
             )
             return False
-        if op.cache_key is not None and op.start_element is not None:
-            cache = unit.span_cache.setdefault(op.cache_key, {})
-            for i, element in enumerate(value.elements):
-                cache[op.start_element + i] = element
+        elements, value_type = value.elements, value.type
+        count = len(elements)
+        start = op.start_element
+        if op.cache_key is not None and start is not None:
+            unit.span_cache.setdefault(op.cache_key, {}).update(
+                zip(range(start, start + count), elements)
+            )
         discovered = False
         with self._cell_lock:
             for sub, offset, bit in op.targets:
-                if offset >= len(value.elements):
+                if offset >= count:
                     sub.quality = Quality.ERROR
                     continue
-                raw = value.elements[offset]
+                raw = elements[offset]
                 if bit is not None:
-                    cell = CipValue(CipType.BOOL, (bool((raw >> bit) & 1),))
+                    cell = _BOOL_CELLS[(raw >> bit) & 1]
                 else:
-                    cell = CipValue(value.type, (raw,))
-                if sub.elem_type is None and bit is None:
-                    sub.elem_type = value.type
-                    discovered = True
-                self._apply_cell(sub, cell, now)
+                    cell = CipValue(value_type, (raw,))
+                    if sub.elem_type is None:
+                        sub.elem_type = value_type
+                        discovered = True
+                if sub.direction is Direction.INPUT:
+                    sub.value = cell
+                    sub.timestamp = now
+                    sub.quality = Quality.OK
+                else:
+                    self._apply_cell(sub, cell, now)
         if discovered:
             sl.plan = None
         return True
 
     def _apply_cell(self, sub: Subscription, cell: CipValue, now: float) -> None:
-        """Store a freshly read value; outputs get drift detection."""
-        if sub.direction is Direction.OUTPUT and sub.readback_seen:
+        """Store a freshly read output value, with drift detection."""
+        if sub.readback_seen:
             old = sub.value
             if old is not None and old.elements != cell.elements and not sub.dirty:
                 sub.value = cell
@@ -562,34 +589,32 @@ class TagScanner:
                             sub.quality = Quality.ERROR
             return
         for sl in unit.lists.values():
-            dirty = [s for s in sl.members if s.dirty]
-            if not dirty:
-                continue
             groups: dict[tuple[str, CipType], list[Subscription]] = {}
             singles: list[Subscription] = []
-            for sub in dirty:
-                wire_type = sub.wire_type()
-                indexed = sub.ref.bool_array or sub.ref.final_element is not None
-                if sub.coalesce and indexed and wire_type is not None:
-                    groups.setdefault((_group_base(sub), wire_type), []).append(sub)
+            for sub in sl.members:
+                if not sub.dirty:
+                    continue
+                key = _group_key(sub)
+                if key is not None:
+                    groups.setdefault(key, []).append(sub)
                 else:
                     singles.append(sub)
-            for (base, wire_type), subs in groups.items():
-                self._write_group(unit, sl, base, wire_type, subs)
+            for key, subs in groups.items():
+                self._write_group(unit, sl, key, subs)
             for sub in singles:
                 self._write_single(unit, sl, sub)
 
     def _write_single(self, unit: _PlcUnit, sl: ScanList, sub: Subscription) -> None:
-        if sub.ref.bool_array:
+        if sub.bit is not None:
             # read-modify-write of the word holding this bit
-            self._write_group(unit, sl, _group_base(sub), CipType.DINT, [sub])
+            self._write_group(unit, sl, (sub.group, CipType.DINT), [sub])
             return
         if sub.elem_type is None:
             discovered = self._discover_type(unit, sl, sub)
             if not discovered:
                 return
         value = CipValue(sub.elem_type, (sub.pending,))
-        request = cip.build_write_request(to_epath(sub.ref), value)
+        request = cip.build_write_request(sub.wire_path(sub.element), value)
         if self._send_write(unit, sl, request, [sub]):
             with self._cell_lock:
                 sub.value = value
@@ -602,106 +627,88 @@ class TagScanner:
         self,
         unit: _PlcUnit,
         sl: ScanList,
-        base: str,
-        wire_type: CipType,
+        key: tuple[str, CipType],
         dirty_subs: list[Subscription],
     ) -> None:
-        # all subscribed outputs of this span define first-to-highest
-        members = [
-            s for s in sl.members
-            if s.direction is Direction.OUTPUT and s.coalesce
-            and s.wire_type() is wire_type
-            and (s.ref.bool_array or s.ref.final_element is not None)
-            and _group_base(s) == base
-        ]
-        span_elements = sorted({_read_element(s) for s in members})
+        base, wire_type = key
+        path_of = dirty_subs[0].wire_path
         cache = unit.span_cache.setdefault((sl.period_s, base, wire_type), {})
 
         # fold pending values into per-element words
         pending: dict[int, object] = {}
         for sub in dirty_subs:
-            element = _read_element(sub)
-            if sub.ref.bool_array:
-                bit = _read_bit(sub)
-                word = pending.get(element)
-                if word is None:
-                    word = cache.get(element)
-                if word is None:
-                    word = self._fetch_element(unit, sl, sub, element, wire_type)
-                    if word is None:
-                        return
-                word = int(word) & 0xFFFFFFFF
-                if sub.pending:
-                    word |= 1 << bit
-                else:
-                    word &= ~(1 << bit) & 0xFFFFFFFF
-                if word >= 1 << 31:
-                    word -= 1 << 32
-                pending[element] = word
-            else:
+            element = sub.element
+            if sub.bit is None:
                 pending[element] = sub.pending
+                continue
+            word = pending.get(element)
+            if word is None:
+                word = cache.get(element)
+            if word is None:
+                if not self._read_before_write(
+                    unit, sl, path_of, element, 1, cache, dirty_subs
+                ):
+                    return
+                word = cache[element]
+            word = int(word) & 0xFFFFFFFF
+            if sub.pending:
+                word |= 1 << sub.bit
+            else:
+                word &= ~(1 << sub.bit) & 0xFFFFFFFF
+            if word >= 1 << 31:
+                word -= 1 << 32
+            pending[element] = word
 
         touched = sorted(pending)
-        read_ref = dirty_subs[0].ref
-        if read_ref.bool_array:
-            read_ref = bool_remap(read_ref)[0]
-
         if len(touched) == 1:
             element = touched[0]
             value = CipValue(wire_type, (pending[element],))
-            request = cip.build_write_request(
-                to_epath(read_ref.with_final_element(element)), value
-            )
+            request = cip.build_write_request(path_of(element), value)
             if self._send_write(unit, sl, request, dirty_subs):
                 cache[element] = value.elements[0]
                 self._settle_writes(dirty_subs, wire_type)
             return
 
         # more than one element dirty: write the whole first-to-highest span
-        first, high = span_elements[0], span_elements[-1]
-        first = min(first, touched[0])
-        high = max(high, touched[-1])
-        elements = []
-        for element in range(first, high + 1):
-            if element in pending:
-                elements.append(pending[element])
-            elif element in cache:
-                elements.append(cache[element])
-            else:
-                fetched = self._fetch_span(unit, sl, read_ref, first, high - first + 1, cache)
-                if fetched is None:
-                    return
-                elements = [
-                    pending.get(e, cache[e]) for e in range(first, high + 1)
-                ]
-                break
-        value = CipValue(wire_type, elements)
-        request = cip.build_write_request(
-            to_epath(read_ref.with_final_element(first)), value
-        )
-        limit = unit.client.endpoint.buffer_limit
-        if cip.wrapped_request_size(len(cip.encode_request(request))) > limit:
-            # span write won't fit; write the dirty elements one by one
+        # of the subscribed outputs, if that fits in one request
+        span = touched + [
+            s.element for s in sl.members
+            if s.direction is Direction.OUTPUT and _group_key(s) == key
+        ]
+        first, high = min(span), max(span)
+        count = high - first + 1
+        # service + path + type and count + data
+        size = 1 + len(cip.encode_epath(path_of(first))) + 4 + wire_type.width * count
+        if cip.wrapped_request_size(size) > unit.client.endpoint.buffer_limit:
+            # write the dirty elements one by one; settle only those that land
+            landed: list[Subscription] = []
             for element in touched:
+                subs = [s for s in dirty_subs if s.element == element]
                 single = CipValue(wire_type, (pending[element],))
-                request = cip.build_write_request(
-                    to_epath(read_ref.with_final_element(element)), single
-                )
-                if self._send_write(unit, sl, request, dirty_subs):
+                request = cip.build_write_request(path_of(element), single)
+                if self._send_write(unit, sl, request, subs):
                     cache[element] = pending[element]
-            self._settle_writes(dirty_subs, wire_type)
+                    landed += subs
+            self._settle_writes(landed, wire_type)
             return
+        span_range = range(first, high + 1)
+        if any(e not in pending and e not in cache for e in span_range):
+            if not self._read_before_write(
+                unit, sl, path_of, first, count, cache, dirty_subs
+            ):
+                return
+        elements = [pending[e] if e in pending else cache[e] for e in span_range]
+        request = cip.build_write_request(path_of(first), CipValue(wire_type, elements))
         if self._send_write(unit, sl, request, dirty_subs):
-            for i, element in enumerate(range(first, high + 1)):
-                cache[element] = elements[i]
+            cache.update(zip(span_range, elements))
             self._settle_writes(dirty_subs, wire_type)
 
     def _settle_writes(self, subs: list[Subscription], wire_type: CipType) -> None:
         now = time.time()
         with self._cell_lock:
             for sub in subs:
-                if sub.ref.bool_array:
-                    sub.value = CipValue(CipType.BOOL, (bool(sub.pending),))
+                if sub.bit is not None:
+                    sub.value = _BOOL_CELLS[bool(sub.pending)]
                 else:
                     sub.value = CipValue(wire_type, (sub.pending,))
                 sub.timestamp = now
@@ -723,47 +730,26 @@ class TagScanner:
                     sub.quality = Quality.ERROR
             return False
 
-    def _fetch_element(
-        self, unit: _PlcUnit, sl: ScanList, sub: Subscription, element: int,
-        wire_type: CipType,
-    ):
-        """Read one element so a bit write can modify the full word."""
-        read_ref = sub.ref
-        if read_ref.bool_array:
-            read_ref = bool_remap(read_ref)[0]
-        request = cip.build_read_request(
-            to_epath(read_ref.with_final_element(element)), 1
-        )
+    def _read_before_write(
+        self, unit: _PlcUnit, sl: ScanList, path_of, first: int, count: int,
+        cache: dict[int, object], subs: list[Subscription],
+    ) -> bool:
+        """Read elements into the span cache so a partial write keeps the rest."""
+        request = cip.build_read_request(path_of(first), count)
         try:
             value = cip.parse_read_response(unit.client.round_trip(request))
         except (PlcError, cip.CipError) as exc:
             log.warning("read-before-write failed on %s: %s", unit.name, exc)
             with self._cell_lock:
                 sl.stats.errors += 1
-                sub.quality = Quality.ERROR
-            return None
-        return value.elements[0]
-
-    def _fetch_span(
-        self, unit: _PlcUnit, sl: ScanList, read_ref: TagRef, first: int, count: int,
-        cache: dict[int, object],
-    ):
-        request = cip.build_read_request(
-            to_epath(read_ref.with_final_element(first)), count
-        )
-        try:
-            value = cip.parse_read_response(unit.client.round_trip(request))
-        except (PlcError, cip.CipError) as exc:
-            log.warning("read-before-write failed on %s: %s", unit.name, exc)
-            with self._cell_lock:
-                sl.stats.errors += 1
-            return None
-        for i, element in enumerate(value.elements):
-            cache[first + i] = element
-        return value
+                for sub in subs:
+                    sub.quality = Quality.ERROR
+            return False
+        cache.update(zip(range(first, first + len(value.elements)), value.elements))
+        return True
 
     def _discover_type(self, unit: _PlcUnit, sl: ScanList, sub: Subscription) -> bool:
-        request = cip.build_read_request(to_epath(sub.ref), 1)
+        request = cip.build_read_request(sub.wire_path(sub.element), 1)
         try:
             value = cip.parse_read_response(unit.client.round_trip(request))
         except (PlcError, cip.CipError) as exc:

@@ -1,6 +1,8 @@
 """Scan planning, batching, coalescing, writes, stats, config parsing."""
 
+import math
 import socket
+import struct
 import time
 
 import pytest
@@ -17,6 +19,7 @@ from logixscan.scanner import (
     apply_scan_config,
     parse_scan_config,
 )
+from logixscan.tags import bool_remap, parse_tag, to_epath
 
 from conftest import make_store
 
@@ -36,6 +39,27 @@ def wide_store():
     bits[5] = bits[160] = bits[191] = True
     store.define("bits", CipType.BOOL, bits)
     return store
+
+
+def planned(sc, period_s, plc="plc"):
+    """The plan of one list, planning it first if needed."""
+    sc.plan_info(plc, period_s)
+    return sc._units[plc].lists[period_s].plan
+
+
+def read_of(tag, count, bool_array=False):
+    """A read request built from tag text, independently of the scanner."""
+    ref = parse_tag(tag, bool_array=bool_array)
+    if bool_array:
+        ref = bool_remap(ref)[0]
+    return cip.build_read_request(to_epath(ref), count)
+
+
+def wire_bytes(requests):
+    """Encoded transfer: the single read, or a Multi-Request of several."""
+    if len(requests) == 1:
+        return cip.encode_request(requests[0])
+    return cip.encode_request(cip.build_multi_request(requests))
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +170,12 @@ def test_unknown_types_go_solo_then_coalesce_after_discovery(sim):
     assert sc.plan_info("plc", 1.0) == [2]  # two solo reads in one multi
     sc.scan_once("plc")
     assert a.elem_type is CipType.DINT and b.elem_type is CipType.DINT
-    # discovery invalidated the plan; the new one coalesces
+    # discovery invalidated the plan and its cached request
+    assert sc._units["plc"].lists[1.0].plan is None
+    # the new one coalesces into one read of both elements
     assert sc.plan_info("plc", 1.0) == [1]
+    plan = planned(sc, 1.0)
+    assert cip.encode_request(plan.requests[0]) == wire_bytes([read_of("counts[0]", 2)])
     assert sc.value_of(a) == 10 and sc.value_of(b) == 20
 
 
@@ -181,6 +209,164 @@ def test_replace_tag_rescans(sim):
     assert sub.quality is Quality.STALE
     sc.scan_once("plc")
     assert sc.value_of(sub) == 50
+
+
+def test_replace_tag_rederives_address_and_request():
+    with PlcSim(wide_store()) as sim:
+        sc = scanner_for(sim)
+        sub = sc.add_tag("plc", "bits[5]", 1.0, bool_array=True)
+        assert (sub.group, sub.element, sub.bit) == ("bits", 0, 5)
+        before = cip.encode_request(planned(sc, 1.0).requests[0])
+        assert before == wire_bytes([read_of("bits[5]", 1, bool_array=True)])
+        sc.scan_once("plc")
+        assert sc.value_of(sub) is True
+        sc.replace_tag(sub, "bits[160]")
+        assert (sub.group, sub.element, sub.bit) == ("bits", 5, 0)
+        after = cip.encode_request(planned(sc, 1.0).requests[0])
+        assert after == wire_bytes([read_of("bits[160]", 1, bool_array=True)])
+        assert after != before
+        sc.scan_once("plc")
+        assert sc.value_of(sub) is True
+        sc.replace_tag(sub, "bits[161]")
+        sc.scan_once("plc")
+        assert sc.value_of(sub) is False
+        sc.stop()
+
+
+def test_wire_address_matches_bool_remap():
+    sc = TagScanner()
+    sc.add_plc("plc", PlcEndpoint("127.0.0.1"))
+    for text in ("bits[0]", "bits[31]", "bits[32]", "a[2].flags[4099]"):
+        sub = sc.add_tag("plc", text, 1.0, bool_array=True)
+        word_ref, bit = bool_remap(sub.ref)
+        assert (sub.element, sub.bit) == (word_ref.final_element, bit)
+        assert sub.wire_path(sub.element) == to_epath(word_ref)
+    for text, element in (("counts[3]", 3), ("motor.speed", None), ("a[1].b[7]", 7)):
+        sub = sc.add_tag("plc", text, 1.0, elem_type=CipType.DINT)
+        assert (sub.element, sub.bit) == (element, None)
+        assert sub.group == str(sub.ref.base())
+        assert sub.wire_path(sub.element) == to_epath(sub.ref)
+
+
+def test_cached_requests_match_fresh_encoding_c06():
+    sc = TagScanner()
+    sc.add_plc("plc", PlcEndpoint("127.0.0.1"))
+    for i in range(352):
+        sc.add_tag("plc", f"binp[{i}]", 0.1, bool_array=True)
+    for name in ("ra", "rb", "rc"):
+        for i in range(40):
+            sc.add_tag("plc", f"{name}[{i}]", 0.5, elem_type=CipType.REAL)
+    expected = {
+        0.1: [[read_of("binp[0]", 11)]],
+        0.5: [[read_of("ra[0]", 40), read_of("rb[0]", 40)], [read_of("rc[0]", 40)]],
+    }
+    for period_s, transfers in expected.items():
+        plan = planned(sc, period_s)
+        assert [len(t) for t in plan.transfers] == [len(t) for t in transfers]
+        assert [cip.encode_request(r) for r in plan.requests] == [
+            wire_bytes(t) for t in transfers
+        ]
+
+
+def test_cached_requests_match_fresh_encoding_mixed_list():
+    names = [f"Tag_{i:02d}_23456789" for i in range(15)]
+    sc = TagScanner()
+    sc.add_plc("plc", PlcEndpoint("127.0.0.1"))
+    for name in names:
+        sc.add_tag("plc", name, 1.0, elem_type=CipType.DINT)
+    for i in range(100):
+        sc.add_tag("plc", f"rspan[{i}]", 1.0, elem_type=CipType.REAL)
+    for i in range(352):
+        sc.add_tag("plc", f"bits[{i}]", 1.0, bool_array=True)
+    assert sc.plan_info("plc", 1.0) == [4, 13]
+    scalars = [read_of(name, 1) for name in names]
+    expected = [
+        [read_of("rspan[0]", 100), read_of("bits[0]", 11)] + scalars[:2],
+        scalars[2:],
+    ]
+    plan = planned(sc, 1.0)
+    assert [cip.encode_request(r) for r in plan.requests] == [
+        wire_bytes(t) for t in expected
+    ]
+
+
+def test_bit_31_of_negative_word_reads_true():
+    store = make_store()
+    bits = [False] * 64
+    bits[31] = bits[63] = bits[32] = True
+    store.define("bits", CipType.BOOL, bits)
+    with PlcSim(store) as sim:
+        assert all(word < 0 for word in sim.store.get_tag("bits").elements)
+        sc = scanner_for(sim)
+        subs = {
+            i: sc.add_tag("plc", f"bits[{i}]", 1.0, bool_array=True)
+            for i in (0, 30, 31, 32, 62, 63)
+        }
+        sc.scan_once("plc")
+        values = {i: sc.value_of(s) for i, s in subs.items()}
+        assert values == {0: False, 30: False, 31: True, 32: True, 62: False, 63: True}
+        assert all(s.value.type is CipType.BOOL for s in subs.values())
+        sc.stop()
+
+
+def test_real_negative_zero_and_nan_pass_through():
+    store = make_store()
+    store.define("reals", CipType.REAL, [-0.0, math.nan, 1.5])
+    with PlcSim(store) as sim:
+        sc = scanner_for(sim)
+        zero, nan, plain = (
+            sc.add_tag("plc", f"reals[{i}]", 1.0, elem_type=CipType.REAL)
+            for i in range(3)
+        )
+        sc.scan_once("plc")
+        assert sc.value_of(zero) == 0.0 and math.copysign(1.0, sc.value_of(zero)) == -1.0
+        assert math.isnan(sc.value_of(nan))
+        assert sc.value_of(plain) == 1.5
+        assert all(s.quality is Quality.OK for s in (zero, nan, plain))
+        sc.stop()
+
+
+def test_short_reply_marks_only_the_missing_cell_error(sim):
+    sc = scanner_for(sim)
+    near = sc.add_tag("plc", "counts[0]", 1.0, elem_type=CipType.DINT)
+    far = sc.add_tag("plc", "counts[4]", 1.0, elem_type=CipType.DINT)
+    (op,) = planned(sc, 1.0).transfers[0]
+    assert [offset for _s, offset, _b in op.targets] == [0, 4]
+    # a reply carrying three of the five requested elements
+    payload = struct.pack("<H", CipType.DINT) + cip.pack_elements(CipType.DINT, [7, 8, 9])
+    short = cip.CipResponse(cip.READ_DATA | cip.REPLY_FLAG, cip.STATUS_OK, (), payload)
+    unit = sc._units["plc"]
+    now = time.time()
+    assert sc._absorb_read(unit, unit.lists[1.0], op, short, now)
+    assert (near.value.elements, near.timestamp, near.quality) == ((7,), now, Quality.OK)
+    assert far.quality is Quality.ERROR and far.value is None
+
+
+def test_session_drop_mid_cycle_marks_unsent_transfers_error(sim):
+    sc = TagScanner(batching=False)
+    sc.add_plc("plc", PlcEndpoint(
+        "127.0.0.1", port=sim.port, request_timeout=2.0, reconnect_period=0.2
+    ))
+    subs = [
+        sc.add_tag("plc", f"counts[{i}]", 1.0, elem_type=CipType.DINT, coalesce=False)
+        for i in range(3)
+    ]
+    assert sc.plan_info("plc", 1.0) == [1, 1, 1]
+    sc.scan_once("plc")  # data requests 1-3 on this session
+    assert all(s.quality is Quality.OK for s in subs)
+    first_stamps = [s.timestamp for s in subs]
+    # next cycle: the first transfer lands, the session drops on the second
+    sim.faults.drop_after = 5
+    started = time.time()
+    sc.scan_once("plc")
+    assert sc.connection_phase("plc") is Phase.DISCONNECTED
+    assert subs[0].quality is Quality.OK and subs[0].timestamp >= started
+    assert subs[1].quality is Quality.ERROR
+    # never sent this cycle: its value was not refreshed, so it is not OK
+    assert subs[2].quality is Quality.ERROR
+    assert subs[2].timestamp == first_stamps[2]
+    assert sc.stats("plc", 1.0).errors == 1
+    sc.stop()
 
 
 def test_declared_type_mismatch_is_error(sim):
@@ -280,6 +466,48 @@ def test_span_write_uses_scan_cache(sim):
     sc.flush("plc")
     assert sim.store.service_counts[cip.READ_DATA] == reads_before  # no extra read
     assert sim.store.get_tag("counts").elements == (7, 20, 30, 40, 8)
+
+
+def test_oversize_span_write_falls_back_to_element_writes():
+    store = make_store()
+    store.define("big", CipType.DINT, list(range(126)))
+    with PlcSim(store) as sim:
+        sc = scanner_for(sim)
+        lo = sc.add_tag("plc", "big[0]", 1.0, direction="out", elem_type=CipType.DINT)
+        hi = sc.add_tag("plc", "big[125]", 1.0, direction="out", elem_type=CipType.DINT)
+        reads_before = sim.store.service_counts[cip.READ_DATA]
+        writes_before = sim.store.service_counts[cip.WRITE_DATA]
+        sc.write(lo, -1, immediate=False)
+        sc.write(hi, -2, immediate=False)
+        sc.flush("plc")
+        # a 126-DINT span write exceeds the 500-byte limit: no gap read,
+        # one write per dirty element
+        assert sim.store.service_counts[cip.READ_DATA] == reads_before
+        assert sim.store.service_counts[cip.WRITE_DATA] == writes_before + 2
+        assert sim.store.get_tag("big").elements == (-1,) + tuple(range(1, 125)) + (-2,)
+        for sub, value in ((lo, -1), (hi, -2)):
+            assert not sub.dirty and sub.quality is Quality.OK
+            assert sc.value_of(sub) == value
+        assert sc.stats("plc", 1.0).errors == 0
+        sc.stop()
+
+
+def test_element_write_fallback_settles_only_what_landed():
+    store = make_store()
+    store.define("big", CipType.DINT, list(range(126)))
+    with PlcSim(store) as sim:
+        sc = scanner_for(sim)
+        lo = sc.add_tag("plc", "big[0]", 1.0, direction="out", elem_type=CipType.DINT)
+        # past the end of the array: the PLC rejects this element's write
+        off = sc.add_tag("plc", "big[200]", 1.0, direction="out", elem_type=CipType.DINT)
+        sc.write(lo, 42, immediate=False)
+        sc.write(off, 43, immediate=False)
+        sc.flush("plc")
+        assert sim.store.get_tag("big").elements[0] == 42
+        assert not lo.dirty and lo.quality is Quality.OK and sc.value_of(lo) == 42
+        assert off.dirty and off.quality is Quality.ERROR and off.value is None
+        assert sc.stats("plc", 1.0).errors == 1
+        sc.stop()
 
 
 def test_no_coalesce_writes_each_element(sim):
