@@ -9,6 +9,7 @@ wire bytes; the transport lives in `client`, the server side in `plcsim`.
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -260,6 +261,16 @@ _WIDTHS = {
 
 _INT_FORMATS = {CipType.SINT: "<b", CipType.INT: "<h", CipType.DINT: "<i"}
 _INT_BITS = {CipType.SINT: 8, CipType.INT: 16, CipType.DINT: 32}
+# struct codes for decoding; "?" reads any nonzero BOOL byte as True
+_UNPACK_CODES = {
+    CipType.BOOL: "?",
+    CipType.SINT: "b",
+    CipType.INT: "h",
+    CipType.DINT: "i",
+    CipType.REAL: "f",
+}
+_TYPES_BY_CODE = {int(t): t for t in CipType}
+_UNPACK_CACHE_SIZE = 128  # (type, size) layouts kept compiled
 
 
 @dataclass(frozen=True)
@@ -276,8 +287,10 @@ class CipValue:
             type = CipType(type)
         if elements.__class__ is not tuple:
             elements = tuple(elements)
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "elements", elements)
+        # what object.__setattr__ does for a frozen field, at a third the cost
+        fields = self.__dict__
+        fields["type"] = type
+        fields["elements"] = elements
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -308,15 +321,18 @@ def pack_elements(elem_type: CipType, elements) -> bytes:
     return bytes(out)
 
 
+@functools.lru_cache(maxsize=_UNPACK_CACHE_SIZE)
+def _elements_layout(elem_type: CipType, size: int) -> struct.Struct:
+    """The one struct that unpacks `size` data bytes of elem_type."""
+    width = _WIDTHS[elem_type]
+    count, extra = divmod(size, width)
+    if extra:
+        raise CipError(f"{size} data bytes not a multiple of {elem_type.name} width {width}")
+    return struct.Struct(f"<{count}{_UNPACK_CODES[elem_type]}")
+
+
 def unpack_elements(elem_type: CipType, data: bytes) -> tuple:
-    width = elem_type.width
-    if len(data) % width:
-        raise CipError(f"{len(data)} data bytes not a multiple of {elem_type.name} width {width}")
-    if elem_type is CipType.BOOL:
-        return tuple(b != 0 for b in data)
-    if elem_type is CipType.REAL:
-        return tuple(v[0] for v in struct.iter_unpack("<f", data))
-    return tuple(v[0] for v in struct.iter_unpack(_INT_FORMATS[elem_type], data))
+    return _elements_layout(elem_type, len(data)).unpack(data)
 
 
 def decode_typed_data(payload: bytes) -> CipValue:
@@ -324,14 +340,13 @@ def decode_typed_data(payload: bytes) -> CipValue:
     if len(payload) < 2:
         raise CipError("typed data shorter than its type code")
     (code,) = struct.unpack_from("<H", payload)
-    try:
-        elem_type = CipType(code)
-    except ValueError:
-        raise CipError(f"unknown type code 0x{code:04X}") from None
-    elements = unpack_elements(elem_type, payload[2:])
-    if not elements:
+    elem_type = _TYPES_BY_CODE.get(code)
+    if elem_type is None:
+        raise CipError(f"unknown type code 0x{code:04X}")
+    layout = _elements_layout(elem_type, len(payload) - 2)
+    if not layout.size:
         raise CipError("typed data carries no elements")
-    return CipValue(elem_type, elements)
+    return CipValue(elem_type, layout.unpack_from(payload, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +413,7 @@ def decode_response(data: bytes) -> CipResponse:
     end = 4 + 2 * ext_count
     if len(data) < end:
         raise CipError("extended status words truncated")
-    extended = tuple(
-        struct.unpack_from("<H", data, 4 + 2 * i)[0] for i in range(ext_count)
-    )
+    extended = struct.unpack_from(f"<{ext_count}H", data, 4) if ext_count else ()
     return CipResponse(service_reply, general, extended, data[end:])
 
 
@@ -551,8 +564,7 @@ def _split_offset_table(payload: bytes) -> list[bytes]:
     table_end = 2 + 2 * count
     if count < 1 or len(payload) < table_end:
         raise CipError(f"multi offset table inconsistent (count {count})")
-    offsets = [struct.unpack_from("<H", payload, 2 + 2 * i)[0] for i in range(count)]
-    bounds = offsets + [len(payload)]
+    bounds = struct.unpack_from(f"<{count}H", payload, 2) + (len(payload),)
     items = []
     for i in range(count):
         start, end = bounds[i], bounds[i + 1]

@@ -131,7 +131,13 @@ class PlcClient:
         log.debug("registered session 0x%08X with %s", self.session_handle, self.endpoint.host)
 
     def disconnect(self) -> None:
-        """Drop the session without waiting for the peer."""
+        """Close any open connection, then drop the session.
+
+        Forward_Close waits at most request_timeout for its reply; the
+        session is unregistered without waiting for the peer.
+        """
+        if self.grant is not None:
+            self._close_connection()
         if self._sock is not None and self.phase is not Phase.DISCONNECTED:
             try:
                 self._sock.sendall(encap.build_unregister_session(self.session_handle))
@@ -140,6 +146,17 @@ class PlcClient:
         self._drop_socket()
 
     close = disconnect
+
+    def _close_connection(self) -> None:
+        """Best-effort Forward_Close, so the controller frees the connection."""
+        request = cip.build_forward_close(self.endpoint.slot, self.grant.serial)
+        context = self._next_context()
+        packet = encap.build_rr_data(self.session_handle, cip.encode_request(request), context)
+        try:
+            self._exchange(packet, context, expect=encap.CMD_SEND_RR_DATA)
+        except PlcError as exc:
+            log.debug("Forward_Close failed: %s", exc)
+        self.grant = None
 
     def _drop_socket(self) -> None:
         if self._sock is not None:

@@ -3,17 +3,21 @@
 Subscriptions are grouped into per-period scan lists.  Each subscription
 derives its wire address once, when its tag is set: the group it coalesces
 with, the element as transferred (the DINT word for a BOOL-array bit), the
-bit, and the symbol path up to the final subscript.  A list is planned
-before its first cycle and again after its membership or a discovered type
-changes: array-element subscriptions are coalesced into one read
-from the first to the highest requested element, BOOL-array bits ride on
-their underlying DINT words, and the resulting reads are packed greedily
-into Multi-Requests until either the encoded request or the estimated
-response would cross the PLC buffer limit.  The plan holds each transfer's
-request, built once, so a cycle only sends and fans the replies out.
-Outputs are written on demand (whole-span when more than one element of a
-coalesced span is dirty) and read back every cycle with drift
-notifications when the PLC side changed.
+bit, and the symbol path up to the final subscript.  Its current value is
+one immutable (value, timestamp, quality) cell that every update replaces
+whole, so `snapshot()` reads a consistent triple without a lock.
+
+A list is planned before its first cycle and again after its membership
+or a discovered type changes: array-element subscriptions are coalesced
+into one read from the first to the highest requested element, BOOL-array
+bits ride on their underlying DINT words, and the resulting reads are
+packed greedily into Multi-Requests until either the encoded request or
+the estimated response would cross the PLC buffer limit.  The plan holds
+each transfer's request, built once, each read's routing of reply
+elements into cells, and each coalesced output span, so a cycle only
+sends, decodes and stores.  Outputs are written on demand (whole-span when
+more than one element of a coalesced span is dirty) and read back every
+cycle with drift notifications when the PLC side changed.
 """
 
 from __future__ import annotations
@@ -87,15 +91,34 @@ class Subscription:
         self.type_declared = elem_type is not None
         self.coalesce = coalesce
         self.on_drift = on_drift
-        self.value: CipValue | None = None
-        self.timestamp: float | None = None
-        self.quality = Quality.STALE
+        # (value, timestamp, quality), replaced whole on every update; one
+        # thread writes it (the PLC's worker, or the caller before start())
+        self.cell: tuple[CipValue | None, float | None, Quality] = (
+            None, None, Quality.STALE
+        )
         self.dirty = False
         self.pending = None
         self.readback_seen = False
 
     def __repr__(self):
         return f"<Subscription {self.plc_name}:{format_tag(self.ref)} @{self.period_s}s>"
+
+    @property
+    def value(self) -> CipValue | None:
+        return self.cell[0]
+
+    @property
+    def timestamp(self) -> float | None:
+        return self.cell[1]
+
+    @property
+    def quality(self) -> Quality:
+        return self.cell[2]
+
+    def fail(self) -> None:
+        """Mark the cell ERROR, keeping the last value and its timestamp."""
+        value, timestamp, _quality = self.cell
+        self.cell = (value, timestamp, Quality.ERROR)
 
     @property
     def ref(self) -> TagRef:
@@ -138,8 +161,31 @@ class ReadOp:
     expected_type: CipType | None
     # (subscription, element offset within the read, bit index or None)
     targets: list[tuple[Subscription, int, int | None]]
+    # span cache key; kept only when an output reads here, since the
+    # cache serves read-before-write alone
     cache_key: tuple[float, str, CipType] | None = None
     start_element: int | None = None
+    # targets split by how a reply element reaches the cell
+    bit_inputs: list[tuple[Subscription, int, int]] = field(init=False)
+    typed_inputs: list[tuple[Subscription, int]] = field(init=False)
+    # outputs (drift rules) and subscriptions whose type is still unknown
+    other_targets: list[tuple[Subscription, int, int | None]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        output = Direction.OUTPUT
+        bit_inputs, typed_inputs, other_targets = [], [], []
+        for target in self.targets:
+            sub, offset, bit = target
+            if sub.direction is output or sub.elem_type is None:
+                other_targets.append(target)
+            elif bit is not None:
+                bit_inputs.append(target)
+            else:
+                typed_inputs.append((sub, offset))
+        self.bit_inputs, self.typed_inputs = bit_inputs, typed_inputs
+        self.other_targets = other_targets
+        if not any(sub.direction is output for sub, _offset, _bit in other_targets):
+            self.cache_key = None
 
 
 @dataclass
@@ -148,6 +194,8 @@ class ScanPlan:
     unplannable: list[Subscription]
     # what each transfer sends: its single read, or a Multi-Request of them
     requests: list[CipRequest]
+    # coalescing group -> (first, highest) element of its output subscriptions
+    write_spans: dict[tuple[str, CipType], tuple[int, int]]
 
 
 @dataclass
@@ -192,7 +240,7 @@ class TagScanner:
         self.batching = batching
         self.on_sample = None  # fn(wall_ms, period_ms, transfer_ms)
         self._units: dict[str, _PlcUnit] = {}
-        self._cell_lock = threading.Lock()
+        self._stats_lock = threading.Lock()
         self._started = False
 
     # -- membership ----------------------------------------------------------
@@ -254,8 +302,7 @@ class TagScanner:
 
         def swap():
             sub.ref = new_ref
-            sub.quality = Quality.STALE
-            sub.value = None
+            sub.cell = (None, sub.timestamp, Quality.STALE)
             sub.readback_seen = False
             if not sub.type_declared:
                 sub.elem_type = None
@@ -269,8 +316,7 @@ class TagScanner:
 
     def snapshot(self, sub: Subscription):
         """Consistent (value, timestamp, quality) triple."""
-        with self._cell_lock:
-            return sub.value, sub.timestamp, sub.quality
+        return sub.cell
 
     def value_of(self, sub: Subscription):
         value, _ts, _q = self.snapshot(sub)
@@ -281,7 +327,7 @@ class TagScanner:
         sl = unit.lists.get(period_s)
         if sl is None:
             raise KeyError(f"no scan list with period {period_s} on {plc_name}")
-        with self._cell_lock:
+        with self._stats_lock:
             return replace(sl.stats)
 
     def stat_value(self, path: str):
@@ -326,6 +372,7 @@ class TagScanner:
         unplannable: list[Subscription] = []
         groups: dict[tuple[str, CipType], list[Subscription]] = {}
         solo: list[Subscription] = []
+        write_spans: dict[tuple[str, CipType], tuple[int, int]] = {}
 
         for sub in sl.members:
             key = _group_key(sub)
@@ -334,9 +381,13 @@ class TagScanner:
             else:
                 solo.append(sub)
 
-        for (base, wire_type), subs in groups.items():
+        for key, subs in groups.items():
+            base, wire_type = key
             elements = [s.element for s in subs]
             first, high = min(elements), max(elements)
+            outputs = [s.element for s in subs if s.direction is Direction.OUTPUT]
+            if outputs:
+                write_spans[key] = (min(outputs), max(outputs))
             count = high - first + 1
             request = cip.build_read_request(subs[0].wire_path(first), count)
             inner = len(cip.encode_request(request))
@@ -368,7 +419,7 @@ class TagScanner:
             else cip.build_multi_request([op.request for op in t])
             for t in transfers
         ]
-        return ScanPlan(transfers, unplannable, requests)
+        return ScanPlan(transfers, unplannable, requests, write_spans)
 
     def _solo_op(
         self, unit: _PlcUnit, sl: ScanList, sub: Subscription, limit: int
@@ -433,17 +484,16 @@ class TagScanner:
     def _scan_list(self, unit: _PlcUnit, sl: ScanList) -> None:
         now = time.time()
         if not unit.client.ensure_connected():
-            with self._cell_lock:
+            with self._stats_lock:
                 sl.stats.errors += 1
-                for sub in sl.members:
-                    sub.quality = Quality.ERROR
+            for sub in sl.members:
+                sub.fail()
             return
         if sl.plan is None:
             sl.plan = self._plan_list(unit, sl)
         plan = sl.plan
-        with self._cell_lock:
-            for sub in plan.unplannable:
-                sub.quality = Quality.ERROR
+        for sub in plan.unplannable:
+            sub.fail()
         started = time.monotonic()
         any_ok = False
         for i, (transfer, request) in enumerate(zip(plan.transfers, plan.requests)):
@@ -458,12 +508,11 @@ class TagScanner:
                 # with the session gone, the transfers not yet sent fail too
                 gone = unit.client.phase is Phase.DISCONNECTED
                 failed = plan.transfers[i:] if gone else [transfer]
-                with self._cell_lock:
+                with self._stats_lock:
                     sl.stats.errors += 1
-                    for lost in failed:
-                        for op in lost:
-                            for sub, _off, _bit in op.targets:
-                                sub.quality = Quality.ERROR
+                for lost in failed:
+                    for op in lost:
+                        self._fail_op(op)
                 if gone:
                     break
                 continue
@@ -472,7 +521,7 @@ class TagScanner:
                     any_ok = True
         duration = time.monotonic() - started
         if any_ok:
-            with self._cell_lock:
+            with self._stats_lock:
                 sl.stats.record(duration)
             if self.on_sample is not None:
                 self.on_sample(
@@ -486,70 +535,75 @@ class TagScanner:
             value = cip.parse_read_response(resp)
         except cip.CipError as exc:
             log.debug("read failed on %s: %s", unit.name, exc)
-            with self._cell_lock:
+            with self._stats_lock:
                 sl.stats.errors += 1
-                for sub, _off, _bit in op.targets:
-                    sub.quality = Quality.ERROR
-            return False
-        if op.expected_type is not None and value.type is not op.expected_type:
-            with self._cell_lock:
-                sl.stats.errors += 1
-                for sub, _off, _bit in op.targets:
-                    sub.quality = Quality.ERROR
-            log.warning(
-                "%s: expected %s, PLC sent %s", unit.name,
-                op.expected_type.name, value.type.name,
-            )
+            self._fail_op(op)
             return False
         elements, value_type = value.elements, value.type
+        if op.expected_type is not None and value_type is not op.expected_type:
+            with self._stats_lock:
+                sl.stats.errors += 1
+            self._fail_op(op)
+            log.warning(
+                "%s: expected %s, PLC sent %s", unit.name,
+                op.expected_type.name, value_type.name,
+            )
+            return False
         count = len(elements)
-        start = op.start_element
-        if op.cache_key is not None and start is not None:
+        if op.cache_key is not None:
+            start = op.start_element
             unit.span_cache.setdefault(op.cache_key, {}).update(
                 zip(range(start, start + count), elements)
             )
-        discovered = False
-        with self._cell_lock:
-            for sub, offset, bit in op.targets:
+        ok = Quality.OK
+        if op.bit_inputs:
+            bit_cells = ((_BOOL_CELLS[0], now, ok), (_BOOL_CELLS[1], now, ok))
+            for sub, offset, bit in op.bit_inputs:
                 if offset >= count:
-                    sub.quality = Quality.ERROR
+                    sub.fail()
                     continue
-                raw = elements[offset]
-                if bit is not None:
-                    cell = _BOOL_CELLS[(raw >> bit) & 1]
-                else:
-                    cell = CipValue(value_type, (raw,))
-                    if sub.elem_type is None:
-                        sub.elem_type = value_type
-                        discovered = True
-                if sub.direction is Direction.INPUT:
-                    sub.value = cell
-                    sub.timestamp = now
-                    sub.quality = Quality.OK
-                else:
-                    self._apply_cell(sub, cell, now)
-        if discovered:
-            sl.plan = None
+                sub.cell = bit_cells[(elements[offset] >> bit) & 1]
+        for sub, offset in op.typed_inputs:
+            if offset >= count:
+                sub.fail()
+                continue
+            sub.cell = (CipValue(value_type, (elements[offset],)), now, ok)
+        for sub, offset, bit in op.other_targets:
+            if offset >= count:
+                sub.fail()
+                continue
+            raw = elements[offset]
+            if bit is not None:
+                cell = _BOOL_CELLS[(raw >> bit) & 1]
+            else:
+                cell = CipValue(value_type, (raw,))
+                if sub.elem_type is None:
+                    sub.elem_type = value_type
+                    sl.plan = None  # the type now sizes and routes this read
+            if sub.direction is Direction.INPUT:
+                sub.cell = (cell, now, ok)
+            else:
+                self._apply_cell(sub, cell, now)
         return True
+
+    @staticmethod
+    def _fail_op(op: ReadOp) -> None:
+        for sub, _offset, _bit in op.targets:
+            sub.fail()
 
     def _apply_cell(self, sub: Subscription, cell: CipValue, now: float) -> None:
         """Store a freshly read output value, with drift detection."""
-        if sub.readback_seen:
-            old = sub.value
-            if old is not None and old.elements != cell.elements and not sub.dirty:
-                sub.value = cell
-                sub.timestamp = now
-                sub.quality = Quality.OK
+        old = sub.value
+        if sub.readback_seen and old is not None:
+            if old.elements == cell.elements:
+                sub.cell = (old, now, Quality.OK)
+                return
+            if not sub.dirty:
+                sub.cell = (cell, now, Quality.OK)
                 if sub.on_drift is not None:
                     self._notify_drift(sub, old, cell)
                 return
-            if old is not None and old.elements == cell.elements:
-                sub.timestamp = now
-                sub.quality = Quality.OK
-                return
-        sub.value = cell
-        sub.timestamp = now
-        sub.quality = Quality.OK
+        sub.cell = (cell, now, Quality.OK)
         sub.readback_seen = True
 
     def _notify_drift(self, sub: Subscription, old: CipValue, new: CipValue) -> None:
@@ -582,11 +636,10 @@ class TagScanner:
 
     def _flush_unit(self, unit: _PlcUnit) -> None:
         if not unit.client.ensure_connected():
-            with self._cell_lock:
-                for sl in unit.lists.values():
-                    for sub in sl.members:
-                        if sub.dirty:
-                            sub.quality = Quality.ERROR
+            for sl in unit.lists.values():
+                for sub in sl.members:
+                    if sub.dirty:
+                        sub.fail()
             return
         for sl in unit.lists.values():
             groups: dict[tuple[str, CipType], list[Subscription]] = {}
@@ -599,6 +652,8 @@ class TagScanner:
                     groups.setdefault(key, []).append(sub)
                 else:
                     singles.append(sub)
+            if groups and sl.plan is None:
+                sl.plan = self._plan_list(unit, sl)  # for the output spans
             for key, subs in groups.items():
                 self._write_group(unit, sl, key, subs)
             for sub in singles:
@@ -616,12 +671,9 @@ class TagScanner:
         value = CipValue(sub.elem_type, (sub.pending,))
         request = cip.build_write_request(sub.wire_path(sub.element), value)
         if self._send_write(unit, sl, request, [sub]):
-            with self._cell_lock:
-                sub.value = value
-                sub.timestamp = time.time()
-                sub.quality = Quality.OK
-                sub.dirty = False
-                sub.readback_seen = True
+            sub.cell = (value, time.time(), Quality.OK)
+            sub.dirty = False
+            sub.readback_seen = True
 
     def _write_group(
         self,
@@ -671,11 +723,8 @@ class TagScanner:
 
         # more than one element dirty: write the whole first-to-highest span
         # of the subscribed outputs, if that fits in one request
-        span = touched + [
-            s.element for s in sl.members
-            if s.direction is Direction.OUTPUT and _group_key(s) == key
-        ]
-        first, high = min(span), max(span)
+        first, high = sl.plan.write_spans[key]
+        first, high = min(first, touched[0]), max(high, touched[-1])
         count = high - first + 1
         # service + path + type and count + data
         size = 1 + len(cip.encode_epath(path_of(first))) + 4 + wire_type.width * count
@@ -705,16 +754,14 @@ class TagScanner:
 
     def _settle_writes(self, subs: list[Subscription], wire_type: CipType) -> None:
         now = time.time()
-        with self._cell_lock:
-            for sub in subs:
-                if sub.bit is not None:
-                    sub.value = _BOOL_CELLS[bool(sub.pending)]
-                else:
-                    sub.value = CipValue(wire_type, (sub.pending,))
-                sub.timestamp = now
-                sub.quality = Quality.OK
-                sub.dirty = False
-                sub.readback_seen = True
+        for sub in subs:
+            if sub.bit is not None:
+                value = _BOOL_CELLS[bool(sub.pending)]
+            else:
+                value = CipValue(wire_type, (sub.pending,))
+            sub.cell = (value, now, Quality.OK)
+            sub.dirty = False
+            sub.readback_seen = True
 
     def _send_write(
         self, unit: _PlcUnit, sl: ScanList, request: CipRequest, subs: list[Subscription]
@@ -724,10 +771,10 @@ class TagScanner:
             return True
         except (PlcError, cip.CipError) as exc:
             log.warning("write failed on %s: %s", unit.name, exc)
-            with self._cell_lock:
+            with self._stats_lock:
                 sl.stats.errors += 1
-                for sub in subs:
-                    sub.quality = Quality.ERROR
+            for sub in subs:
+                sub.fail()
             return False
 
     def _read_before_write(
@@ -740,10 +787,10 @@ class TagScanner:
             value = cip.parse_read_response(unit.client.round_trip(request))
         except (PlcError, cip.CipError) as exc:
             log.warning("read-before-write failed on %s: %s", unit.name, exc)
-            with self._cell_lock:
+            with self._stats_lock:
                 sl.stats.errors += 1
-                for sub in subs:
-                    sub.quality = Quality.ERROR
+            for sub in subs:
+                sub.fail()
             return False
         cache.update(zip(range(first, first + len(value.elements)), value.elements))
         return True
@@ -754,9 +801,9 @@ class TagScanner:
             value = cip.parse_read_response(unit.client.round_trip(request))
         except (PlcError, cip.CipError) as exc:
             log.warning("type discovery failed for %s: %s", format_tag(sub.ref), exc)
-            with self._cell_lock:
+            with self._stats_lock:
                 sl.stats.errors += 1
-                sub.quality = Quality.ERROR
+            sub.fail()
             return False
         sub.elem_type = value.type
         sl.plan = None
@@ -807,7 +854,7 @@ class TagScanner:
                 finished = time.monotonic()
                 if sl.next_tick <= finished:
                     missed = int((finished - sl.next_tick) // sl.period_s) + 1
-                    with self._cell_lock:
+                    with self._stats_lock:
                         sl.stats.overruns += missed
                     sl.next_tick += missed * sl.period_s
             if due:
@@ -826,7 +873,13 @@ class TagScanner:
                 future.set_exception(exc)
 
     def _submit(self, unit: _PlcUnit, fn):
-        if unit.thread is not None and unit.thread.is_alive():
+        """Run fn on the unit's worker; inline when there is none, or when
+        already on it (a callback calling back in must not wait on itself)."""
+        thread = unit.thread
+        if (
+            thread is not None and thread.is_alive()
+            and thread is not threading.current_thread()
+        ):
             future: Future = Future()
             unit.queue.put((fn, future))
             return future.result(timeout=60)

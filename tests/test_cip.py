@@ -192,6 +192,31 @@ def test_typed_data_rejects_garbage():
         cip.decode_typed_data(b"\xc4\x00")  # no elements
 
 
+def test_bool_decode_reads_any_nonzero_byte_as_true():
+    assert cip.unpack_elements(CipType.BOOL, b"\x02\x80\x00") == (True, True, False)
+    value = cip.decode_typed_data(b"\xc1\x00\x80")
+    assert value.type is CipType.BOOL and value.elements == (True,)
+
+
+def test_decode_different_counts_of_one_type_back_to_back():
+    three = cip.pack_elements(CipType.DINT, [1, -2, 3])
+    five = cip.pack_elements(CipType.DINT, [5, 6, -7, 8, 9])
+    assert cip.decode_typed_data(b"\xc4\x00" + three).elements == (1, -2, 3)
+    assert cip.decode_typed_data(b"\xc4\x00" + five).elements == (5, 6, -7, 8, 9)
+    assert cip.decode_typed_data(b"\xc4\x00" + three).elements == (1, -2, 3)
+
+
+def test_decode_beyond_the_compiled_layout_cache():
+    size = cip._UNPACK_CACHE_SIZE
+    # a count above the cache size, then more distinct counts than it holds
+    big = tuple(float(i) for i in range(size + 1))
+    assert cip.unpack_elements(CipType.REAL, cip.pack_elements(CipType.REAL, big)) == big
+    for n in range(1, size + 3):
+        values = tuple(range(n))
+        assert cip.unpack_elements(CipType.INT, cip.pack_elements(CipType.INT, values)) == values
+    assert cip.unpack_elements(CipType.INT, b"\x01\x00\xff\xff") == (1, -1)
+
+
 def test_fuzz_value_roundtrip():
     rng = random.Random(0x7A9)
     for _ in range(2000):

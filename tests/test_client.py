@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from logixscan import cip
+from logixscan import cip, plcsim
 from logixscan.cip import CipType, CipValue
 from logixscan.client import (
     Phase,
@@ -189,6 +189,51 @@ def test_prefer_connected_path(sim):
     assert c.phase is Phase.CONNECTED
     assert c.next_sequence == 2
     c.close()
+
+
+def record_connection_tables(monkeypatch) -> list[dict]:
+    """The sim's per-session connection tables, in session order."""
+    tables: list[dict] = []
+    setup = plcsim._SessionHandler.setup
+
+    def recording_setup(handler):
+        setup(handler)
+        tables.append(handler.connections)
+
+    monkeypatch.setattr(plcsim._SessionHandler, "setup", recording_setup)
+    return tables
+
+
+def test_close_sends_forward_close_for_an_open_connection(monkeypatch):
+    tables = record_connection_tables(monkeypatch)
+    with PlcSim(make_store()) as sim:
+        c = connect_to(sim)
+        c.open_connection()
+        assert [len(t) for t in tables] == [1]
+        c.close()
+        assert c.phase is Phase.DISCONNECTED
+        assert tables == [{}]
+        assert sim.store.service_counts[cip.FORWARD_CLOSE] == 1
+
+
+def test_close_without_connection_sends_no_forward_close(monkeypatch):
+    tables = record_connection_tables(monkeypatch)
+    with PlcSim(make_store()) as sim:
+        c = connect_to(sim)
+        c.close()
+        assert tables == [{}]
+        assert sim.store.service_counts[cip.FORWARD_CLOSE] == 0
+
+
+def test_close_swallows_a_failed_forward_close():
+    sim = PlcSim(make_store()).start()
+    c = connect_to(sim, request_timeout=0.5)
+    c.open_connection()
+    sim.stop()  # the peer is gone: the Forward_Close cannot land
+    started = time.monotonic()
+    c.close()
+    assert time.monotonic() - started < 2.0
+    assert c.phase is Phase.DISCONNECTED
 
 
 def test_sequence_number_wraps(sim):

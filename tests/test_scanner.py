@@ -1,8 +1,11 @@
 """Scan planning, batching, coalescing, writes, stats, config parsing."""
 
 import math
+import os
 import socket
 import struct
+import sys
+import threading
 import time
 
 import pytest
@@ -342,6 +345,32 @@ def test_short_reply_marks_only_the_missing_cell_error(sim):
     assert far.quality is Quality.ERROR and far.value is None
 
 
+def test_plan_routes_targets_by_kind_and_records_output_spans():
+    with PlcSim(wide_store()) as sim:
+        sc = scanner_for(sim)
+        typed_in = sc.add_tag("plc", "counts[0]", 1.0, elem_type=CipType.DINT)
+        out_lo = sc.add_tag("plc", "counts[2]", 1.0, direction="out", elem_type=CipType.DINT)
+        out_hi = sc.add_tag("plc", "counts[3]", 1.0, direction="out", elem_type=CipType.DINT)
+        far_in = sc.add_tag("plc", "counts[4]", 1.0, elem_type=CipType.DINT)
+        bit_in = sc.add_tag("plc", "bits[40]", 1.0, bool_array=True)
+        unknown = sc.add_tag("plc", "TEST", 1.0)
+        plan = planned(sc, 1.0)
+        ops = {op.targets[0][0]: op for transfer in plan.transfers for op in transfer}
+        counts, bits, solo = ops[typed_in], ops[bit_in], ops[unknown]
+        assert counts.typed_inputs == [(typed_in, 0), (far_in, 4)]
+        assert counts.other_targets == [(out_lo, 2, None), (out_hi, 3, None)]
+        assert counts.bit_inputs == [] and counts.cache_key is not None
+        # input-only reads leave the span cache alone: it serves writes only
+        assert bits.bit_inputs == [(bit_in, 0, 8)] and bits.cache_key is None
+        assert solo.other_targets == [(unknown, 0, None)] and solo.cache_key is None
+        # the write span covers the outputs only, not the inputs around them
+        assert plan.write_spans == {("counts", CipType.DINT): (2, 3)}
+        sc.scan_once("plc")
+        assert sc.value_of(bit_in) is False and sc.value_of(typed_in) == 10
+        assert sc._units["plc"].span_cache.keys() == {(1.0, "counts", CipType.DINT)}
+        sc.stop()
+
+
 def test_session_drop_mid_cycle_marks_unsent_transfers_error(sim):
     sc = TagScanner(batching=False)
     sc.add_plc("plc", PlcEndpoint(
@@ -674,6 +703,95 @@ def test_write_while_running(sim):
         assert sim.store.get_tag("counts[1]").scalar == -5
     finally:
         sc.stop()
+
+
+def test_drift_callback_may_write_back_while_running(sim):
+    # the callback runs on the worker thread, and write() submits to it
+    sc = scanner_for(sim)
+    restored = threading.Event()
+
+    def put_back(sub, old, new):
+        sc.write(sub, old.scalar)
+        restored.set()
+
+    sub = sc.add_tag(
+        "plc", "counts[2]", 0.05, direction="out", elem_type=CipType.DINT,
+        on_drift=put_back,
+    )
+    sc.start()
+    try:
+        deadline = time.monotonic() + 2.0
+        while not sub.readback_seen:
+            assert time.monotonic() < deadline, "no baseline readback"
+            time.sleep(0.01)
+        sim.store.set_tag("counts[2]", 77)
+        assert restored.wait(5.0), "write from the drift callback did not return"
+        assert sim.store.get_tag("counts[2]").scalar == 30
+        assert sc.value_of(sub) == 30
+    finally:
+        sc.stop()
+
+
+def test_snapshot_is_consistent_under_contention():
+    period = 0.002
+    with PlcSim(wide_store()) as sim:
+        sc = scanner_for(sim)
+        types = {}
+        for i in range(5):
+            types[sc.add_tag("plc", f"counts[{i}]", period, elem_type=CipType.DINT)] = CipType.DINT
+        for i in range(0, 60, 3):
+            types[sc.add_tag("plc", f"wide[{i}]", period, elem_type=CipType.REAL)] = CipType.REAL
+        for i in (0, 5, 31, 160, 191, 351):
+            types[sc.add_tag("plc", f"bits[{i}]", period, bool_array=True)] = CipType.BOOL
+        subs = list(types)
+        stop = threading.Event()
+        problems: list[str] = []
+        ok_reads = []
+
+        def read():
+            last: dict = {}
+            ok = 0
+            while not stop.is_set():
+                for sub in subs:
+                    value, stamp, quality = sc.snapshot(sub)
+                    if quality is Quality.OK:
+                        ok += 1
+                        if value is None or value.type is not types[sub]:
+                            problems.append(f"{sub}: OK with {value!r}")
+                        if stamp is None:
+                            problems.append(f"{sub}: OK without a timestamp")
+                    if stamp is not None:
+                        if stamp < last.get(sub, stamp):
+                            problems.append(f"{sub}: timestamp went back")
+                        last[sub] = stamp
+            ok_reads.append(ok)
+
+        readers = [
+            threading.Thread(target=read, daemon=True)
+            for _ in range(len(os.sched_getaffinity(0)) + 2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sc.start()
+            worker = sc._units["plc"].thread
+            deadline = time.monotonic() + 5.0
+            while sc.stats("plc", period).count == 0:
+                assert time.monotonic() < deadline, "no scan completed"
+                time.sleep(0.01)
+            for thread in readers:
+                thread.start()
+            time.sleep(1.0)
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=5.0)
+            sc.stop()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers + [worker])
+        assert problems == []
+        assert sc.stats("plc", period).count > 0
+        assert len(ok_reads) == len(readers) and all(n > 0 for n in ok_reads)
 
 
 # ---------------------------------------------------------------------------
