@@ -542,19 +542,26 @@ def parse_unconnected_send(req: CipRequest) -> tuple[bytes, PortLink]:
 # ---------------------------------------------------------------------------
 # Multi-Request
 
-def build_multi_request(requests: list[CipRequest]) -> CipRequest:
-    if not requests:
-        raise CipError("multi-request needs at least one inner request")
-    encoded = [encode_request(r) for r in requests]
-    n = len(encoded)
+def _offset_table(items: list[bytes]) -> bytes:
+    """Item count, offset table and items: a Multi-Request body or its reply's."""
+    n = len(items)
     offsets = []
     pos = 2 + 2 * n  # from the start of the count field
-    for item in encoded:
+    for item in items:
         offsets.append(pos)
         pos += len(item)
-    payload = struct.pack("<H", n) + b"".join(struct.pack("<H", o) for o in offsets)
-    payload += b"".join(encoded)
-    return CipRequest(MULTI_REQUEST, message_router_path(), payload)
+    return struct.pack(f"<{n + 1}H", n, *offsets) + b"".join(items)
+
+
+def build_multi_request(requests: list[CipRequest]) -> CipRequest:
+    return build_multi_request_encoded([encode_request(r) for r in requests])
+
+
+def build_multi_request_encoded(items: list[bytes]) -> CipRequest:
+    """A Multi-Request around inner requests that are already encoded."""
+    if not items:
+        raise CipError("multi-request needs at least one inner request")
+    return CipRequest(MULTI_REQUEST, message_router_path(), _offset_table(items))
 
 
 def _split_offset_table(payload: bytes) -> list[bytes]:
@@ -582,15 +589,7 @@ def split_multi_request(req: CipRequest) -> list[CipRequest]:
 
 
 def build_multi_response(replies: list[CipResponse]) -> CipResponse:
-    encoded = [encode_response(r) for r in replies]
-    n = len(encoded)
-    offsets = []
-    pos = 2 + 2 * n
-    for item in encoded:
-        offsets.append(pos)
-        pos += len(item)
-    payload = struct.pack("<H", n) + b"".join(struct.pack("<H", o) for o in offsets)
-    payload += b"".join(encoded)
+    payload = _offset_table([encode_response(r) for r in replies])
     general = STATUS_OK if all(r.ok for r in replies) else STATUS_EMBEDDED_SERVICE_ERROR
     return CipResponse(MULTI_REQUEST | REPLY_FLAG, general, (), payload)
 
@@ -755,10 +754,14 @@ def build_forward_close(slot: int, serial: int) -> CipRequest:
     return CipRequest(FORWARD_CLOSE, connection_manager_path(), body)
 
 
-def parse_forward_close_serial(req: CipRequest) -> int:
-    if req.service != FORWARD_CLOSE or len(req.payload) < 4:
+_FC_IDENTITY = struct.Struct("<HHI")
+
+
+def parse_forward_close(req: CipRequest) -> tuple[int, int, int]:
+    """Connection identity of a Forward_Close: (serial, vendor, originator serial)."""
+    if req.service != FORWARD_CLOSE or len(req.payload) < 2 + _FC_IDENTITY.size:
         raise CipError("malformed Forward_Close")
-    return struct.unpack_from("<H", req.payload, 2)[0]
+    return _FC_IDENTITY.unpack_from(req.payload, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -198,12 +198,13 @@ class _Connection:
     o_to_t_id: int
     t_to_o_id: int
     serial: int
+    vendor: int
+    originator_serial: int
     last_sequence: int | None = None
     last_used: float = field(default_factory=time.monotonic)
 
 
 _ids = itertools.count(0x1001)
-_serials = itertools.count(0x0101)
 
 
 def _error(service: int, general: int, extended: tuple[int, ...] = ()) -> CipResponse:
@@ -234,6 +235,9 @@ class CipEngine:
         except cip.CipError:
             service = data[0] if data else 0
             return _error(service, cip.STATUS_NOT_ENOUGH_DATA)
+        return self._serve(req, connections, depth)
+
+    def _serve(self, req: CipRequest, connections, depth: int) -> CipResponse:
         self.store.service_counts[req.service] += 1
         injected = self.faults.error_inject.get(req.service)
         if injected:
@@ -274,9 +278,9 @@ class CipEngine:
             items = cip.split_multi_request(req)
         except cip.CipError:
             return _error(req.service, cip.STATUS_NOT_ENOUGH_DATA)
-        # items already passed the limit check as part of their envelope
-        replies = [self._dispatch(cip.encode_request(item), connections, depth + 1)
-                   for item in items]
+        # items already passed the limit check as part of their envelope, and
+        # are served as decoded: every item decodes before any one runs
+        replies = [self._serve(item, connections, depth + 1) for item in items]
         return cip.build_multi_response(replies)
 
     def _get_attribute(self, req: CipRequest) -> CipResponse:
@@ -362,28 +366,30 @@ class CipEngine:
         conn = _Connection(
             o_to_t_id=next(_ids),
             t_to_o_id=parsed.t_to_o_id,
-            serial=next(_serials) & 0xFFFF,
+            serial=parsed.serial,  # a controller echoes the originator's serial
+            vendor=parsed.vendor,
+            originator_serial=parsed.originator_serial,
         )
         connections[conn.o_to_t_id] = conn
         return cip.build_forward_open_reply(
             conn.o_to_t_id,
             conn.t_to_o_id,
             conn.serial,
-            parsed.vendor,
-            parsed.originator_serial,
+            conn.vendor,
+            conn.originator_serial,
             parsed.update_interval_us,
         )
 
     def _forward_close(self, req: CipRequest, connections) -> CipResponse:
         try:
-            serial = cip.parse_forward_close_serial(req)
+            identity = cip.parse_forward_close(req)
         except cip.CipError:
             return _error(req.service, cip.STATUS_NOT_ENOUGH_DATA)
         if connections:
             for conn_id, conn in list(connections.items()):
-                if conn.serial == serial:
+                if (conn.serial, conn.vendor, conn.originator_serial) == identity:
                     del connections[conn_id]
-        payload = req.payload[:8] + bytes((0, 0))  # serial, vendor, originator serial
+        payload = req.payload[2:10] + bytes((0, 0))  # serial, vendor, originator serial
         return CipResponse(req.service | cip.REPLY_FLAG, cip.STATUS_OK, (), payload)
 
 

@@ -17,7 +17,10 @@ each transfer's request, built once, each read's routing of reply
 elements into cells, and each coalesced output span, so a cycle only
 sends, decodes and stores.  Outputs are written on demand (whole-span when
 more than one element of a coalesced span is dirty) and read back every
-cycle with drift notifications when the PLC side changed.
+cycle with drift notifications when the PLC side changed.  A flush builds
+all its writes first, then packs them in order into Multi-Requests under
+the same limit and sends them through the same transfer loop as reads;
+each embedded write lands and settles, or fails and stays dirty, alone.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .tags import BITS_PER_DINT, TagRef, format_tag, parse_tag, to_epath
 log = logging.getLogger(__name__)
 
 UNKNOWN_TYPE_WIDTH = 4  # sizing assumption until the first read fixes the type
+WRITE_REPLY_SIZE = 4  # a write reply is its status header alone
 
 # BOOL-array bit cells; values are frozen, so every bit cell shares these
 _BOOL_CELLS = (CipValue(CipType.BOOL, (False,)), CipValue(CipType.BOOL, (True,)))
@@ -156,7 +160,7 @@ class ReadOp:
     """One planned read and where its elements go."""
 
     request: CipRequest
-    inner_size: int
+    encoded: bytes
     response_estimate: int
     expected_type: CipType | None
     # (subscription, element offset within the read, bit index or None)
@@ -186,6 +190,32 @@ class ReadOp:
         self.other_targets = other_targets
         if not any(sub.direction is output for sub, _offset, _bit in other_targets):
             self.cache_key = None
+
+    def fail(self) -> None:
+        for sub, _offset, _bit in self.targets:
+            sub.fail()
+
+
+@dataclass(slots=True)
+class WriteOp:
+    """One write a flush built, and the subscriptions it settles on landing."""
+
+    request: CipRequest
+    encoded: bytes
+    subs: list[Subscription]
+    wire_type: CipType
+    # span-cache elements this write already set, so that later
+    # read-modify-writes of the same flush build on it (None: not cached)
+    cache: dict[int, object] | None
+    written: range
+    response_estimate = WRITE_REPLY_SIZE
+
+    def fail(self) -> None:
+        for sub in self.subs:
+            sub.fail()
+        if self.cache is not None:
+            for element in self.written:  # unknown on the PLC: read again first
+                self.cache.pop(element, None)
 
 
 @dataclass
@@ -229,11 +259,34 @@ def _group_key(sub: Subscription) -> tuple[str, CipType] | None:
     return None
 
 
+def _stage_write(
+    ops: list[WriteOp], path: Epath, value: CipValue, subs: list[Subscription],
+    cache: dict[int, object] | None = None, first: int = 0,
+) -> None:
+    """Add one write to a flush, its elements starting at `first`."""
+    request = cip.build_write_request(path, value)
+    written = range(first, first + len(value.elements))
+    ops.append(WriteOp(
+        request, cip.encode_request(request), subs, value.type, cache, written
+    ))
+    if cache is not None:
+        cache.update(zip(written, value.elements))
+
+
+def _requests(transfers: list[list]) -> list[CipRequest]:
+    """What each transfer sends: its one request bare, or a Multi-Request."""
+    return [
+        t[0].request if len(t) == 1
+        else cip.build_multi_request_encoded([op.encoded for op in t])
+        for t in transfers
+    ]
+
+
 class TagScanner:
     """Scan-list manager and executor for any number of PLCs.
 
-    With batching disabled every read is its own wire round trip; the
-    default packs reads into Multi-Requests under the buffer limit.
+    With batching disabled every read and write is its own wire round trip;
+    the default packs them into Multi-Requests under the buffer limit.
     """
 
     def __init__(self, batching: bool = True):
@@ -390,15 +443,15 @@ class TagScanner:
                 write_spans[key] = (min(outputs), max(outputs))
             count = high - first + 1
             request = cip.build_read_request(subs[0].wire_path(first), count)
-            inner = len(cip.encode_request(request))
+            encoded = cip.encode_request(request)
             estimate = cip.estimate_response_size(wire_type, count)
             if (
-                cip.wrapped_request_size(inner) <= limit
+                cip.wrapped_request_size(len(encoded)) <= limit
                 and estimate <= limit
             ):
                 targets = [(s, s.element - first, s.bit) for s in subs]
                 ops.append(ReadOp(
-                    request, inner, estimate, wire_type, targets,
+                    request, encoded, estimate, wire_type, targets,
                     cache_key=(sl.period_s, base, wire_type),
                     start_element=first,
                 ))
@@ -414,12 +467,7 @@ class TagScanner:
                 ops.append(op)
 
         transfers = self._pack(ops, limit)
-        requests = [
-            t[0].request if len(t) == 1
-            else cip.build_multi_request([op.request for op in t])
-            for t in transfers
-        ]
-        return ScanPlan(transfers, unplannable, requests, write_spans)
+        return ScanPlan(transfers, unplannable, _requests(transfers), write_spans)
 
     def _solo_op(
         self, unit: _PlcUnit, sl: ScanList, sub: Subscription, limit: int
@@ -427,29 +475,30 @@ class TagScanner:
         wire_type = sub.wire_type()
         element = sub.element
         request = cip.build_read_request(sub.wire_path(element), 1)
-        inner = len(cip.encode_request(request))
+        encoded = cip.encode_request(request)
         width = wire_type.width if wire_type is not None else UNKNOWN_TYPE_WIDTH
         estimate = 4 + 2 + width
-        if cip.wrapped_request_size(inner) > limit or estimate > limit:
+        if cip.wrapped_request_size(len(encoded)) > limit or estimate > limit:
             return None
         cache_key = None
         if element is not None and wire_type is not None:
             cache_key = (sl.period_s, sub.group, wire_type)
         return ReadOp(
-            request, inner, estimate, wire_type,
+            request, encoded, estimate, wire_type,
             [(sub, 0, sub.bit)],
             cache_key=cache_key,
             start_element=element,
         )
 
-    def _pack(self, ops: list[ReadOp], limit: int) -> list[list[ReadOp]]:
+    def _pack(self, ops: list, limit: int) -> list[list]:
+        """Group read or write ops, in order, into transfers under the limit."""
         if not self.batching:
             return [[op] for op in ops]
-        transfers: list[list[ReadOp]] = []
-        current: list[ReadOp] = []
+        transfers: list[list] = []
+        current: list = []
         for op in ops:
             if current:
-                inner_sizes = [o.inner_size for o in current] + [op.inner_size]
+                inner_sizes = [len(o.encoded) for o in current] + [len(op.encoded)]
                 responses = [o.response_estimate for o in current] + [op.response_estimate]
                 request_ok = (
                     cip.wrapped_request_size(cip.multi_request_size(inner_sizes))
@@ -496,29 +545,9 @@ class TagScanner:
             sub.fail()
         started = time.monotonic()
         any_ok = False
-        for i, (transfer, request) in enumerate(zip(plan.transfers, plan.requests)):
-            try:
-                reply = unit.client.round_trip(request)
-                if len(transfer) == 1:
-                    responses = [reply]
-                else:
-                    responses = cip.split_multi_response(reply, len(transfer))
-            except (PlcError, cip.CipError) as exc:
-                log.debug("transfer failed on %s: %s", unit.name, exc)
-                # with the session gone, the transfers not yet sent fail too
-                gone = unit.client.phase is Phase.DISCONNECTED
-                failed = plan.transfers[i:] if gone else [transfer]
-                with self._stats_lock:
-                    sl.stats.errors += 1
-                for lost in failed:
-                    for op in lost:
-                        self._fail_op(op)
-                if gone:
-                    break
-                continue
-            for op, resp in zip(transfer, responses):
-                if self._absorb_read(unit, sl, op, resp, now):
-                    any_ok = True
+        for op, resp in self._send(unit, sl, plan.transfers, plan.requests):
+            if self._absorb_read(unit, sl, op, resp, now):
+                any_ok = True
         duration = time.monotonic() - started
         if any_ok:
             with self._stats_lock:
@@ -527,6 +556,33 @@ class TagScanner:
                 self.on_sample(
                     int(now * 1000), round(sl.period_s * 1000), duration * 1000.0
                 )
+
+    def _send(
+        self, unit: _PlcUnit, sl: ScanList, transfers: list[list],
+        requests: list[CipRequest], level: int = logging.DEBUG,
+    ):
+        """Send transfers in order; yield (op, reply) for each op of each
+        transfer that got a reply, and fail the ops of each that did not."""
+        for i, (transfer, request) in enumerate(zip(transfers, requests)):
+            try:
+                reply = unit.client.round_trip(request)
+                if len(transfer) == 1:
+                    responses = [reply]
+                else:
+                    responses = cip.split_multi_response(reply, len(transfer))
+            except (PlcError, cip.CipError) as exc:
+                log.log(level, "transfer failed on %s: %s", unit.name, exc)
+                # with the session gone, the transfers not yet sent fail too
+                gone = unit.client.phase is Phase.DISCONNECTED
+                with self._stats_lock:
+                    sl.stats.errors += 1
+                for lost in transfers[i:] if gone else [transfer]:
+                    for op in lost:
+                        op.fail()
+                if gone:
+                    return
+                continue
+            yield from zip(transfer, responses)
 
     def _absorb_read(
         self, unit: _PlcUnit, sl: ScanList, op: ReadOp, resp: cip.CipResponse, now: float
@@ -537,13 +593,13 @@ class TagScanner:
             log.debug("read failed on %s: %s", unit.name, exc)
             with self._stats_lock:
                 sl.stats.errors += 1
-            self._fail_op(op)
+            op.fail()
             return False
         elements, value_type = value.elements, value.type
         if op.expected_type is not None and value_type is not op.expected_type:
             with self._stats_lock:
                 sl.stats.errors += 1
-            self._fail_op(op)
+            op.fail()
             log.warning(
                 "%s: expected %s, PLC sent %s", unit.name,
                 op.expected_type.name, value_type.name,
@@ -585,11 +641,6 @@ class TagScanner:
             else:
                 self._apply_cell(sub, cell, now)
         return True
-
-    @staticmethod
-    def _fail_op(op: ReadOp) -> None:
-        for sub, _offset, _bit in op.targets:
-            sub.fail()
 
     def _apply_cell(self, sub: Subscription, cell: CipValue, now: float) -> None:
         """Store a freshly read output value, with drift detection."""
@@ -654,26 +705,42 @@ class TagScanner:
                     singles.append(sub)
             if groups and sl.plan is None:
                 sl.plan = self._plan_list(unit, sl)  # for the output spans
+            # build every write first (prerequisite reads go out inline),
+            # then send them packed, in order: groups, then singles
+            ops: list[WriteOp] = []
             for key, subs in groups.items():
-                self._write_group(unit, sl, key, subs)
+                self._write_group(unit, sl, key, subs, ops)
             for sub in singles:
-                self._write_single(unit, sl, sub)
+                self._write_single(unit, sl, sub, ops)
+            transfers = self._pack(ops, unit.client.endpoint.buffer_limit)
+            for op, resp in self._send(
+                unit, sl, transfers, _requests(transfers), logging.WARNING
+            ):
+                try:
+                    cip.parse_write_response(resp)
+                except cip.CipError as exc:
+                    log.warning("write failed on %s: %s", unit.name, exc)
+                    with self._stats_lock:
+                        sl.stats.errors += 1
+                    op.fail()
+                    continue
+                self._settle_writes(op.subs, op.wire_type)
 
-    def _write_single(self, unit: _PlcUnit, sl: ScanList, sub: Subscription) -> None:
+    def _write_single(
+        self, unit: _PlcUnit, sl: ScanList, sub: Subscription, ops: list[WriteOp]
+    ) -> None:
         if sub.bit is not None:
             # read-modify-write of the word holding this bit
-            self._write_group(unit, sl, (sub.group, CipType.DINT), [sub])
+            self._write_group(unit, sl, (sub.group, CipType.DINT), [sub], ops)
             return
-        if sub.elem_type is None:
-            discovered = self._discover_type(unit, sl, sub)
-            if not discovered:
+        if sub.elem_type is None:  # discover the type
+            found = self._read_before_write(unit, sl, sub.wire_path(sub.element), 1, [sub])
+            if found is None:
                 return
+            sub.elem_type = found.type
+            sl.plan = None
         value = CipValue(sub.elem_type, (sub.pending,))
-        request = cip.build_write_request(sub.wire_path(sub.element), value)
-        if self._send_write(unit, sl, request, [sub]):
-            sub.cell = (value, time.time(), Quality.OK)
-            sub.dirty = False
-            sub.readback_seen = True
+        _stage_write(ops, sub.wire_path(sub.element), value, [sub])
 
     def _write_group(
         self,
@@ -681,6 +748,7 @@ class TagScanner:
         sl: ScanList,
         key: tuple[str, CipType],
         dirty_subs: list[Subscription],
+        ops: list[WriteOp],
     ) -> None:
         base, wire_type = key
         path_of = dirty_subs[0].wire_path
@@ -697,11 +765,10 @@ class TagScanner:
             if word is None:
                 word = cache.get(element)
             if word is None:
-                if not self._read_before_write(
-                    unit, sl, path_of, element, 1, cache, dirty_subs
-                ):
+                found = self._read_before_write(unit, sl, path_of(element), 1, dirty_subs)
+                if found is None:
                     return
-                word = cache[element]
+                word = cache[element] = found.elements[0]
             word = int(word) & 0xFFFFFFFF
             if sub.pending:
                 word |= 1 << sub.bit
@@ -715,10 +782,7 @@ class TagScanner:
         if len(touched) == 1:
             element = touched[0]
             value = CipValue(wire_type, (pending[element],))
-            request = cip.build_write_request(path_of(element), value)
-            if self._send_write(unit, sl, request, dirty_subs):
-                cache[element] = value.elements[0]
-                self._settle_writes(dirty_subs, wire_type)
+            _stage_write(ops, path_of(element), value, dirty_subs, cache, element)
             return
 
         # more than one element dirty: write the whole first-to-highest span
@@ -729,28 +793,21 @@ class TagScanner:
         # service + path + type and count + data
         size = 1 + len(cip.encode_epath(path_of(first))) + 4 + wire_type.width * count
         if cip.wrapped_request_size(size) > unit.client.endpoint.buffer_limit:
-            # write the dirty elements one by one; settle only those that land
-            landed: list[Subscription] = []
+            # write the dirty elements one by one; each settles on its own
             for element in touched:
                 subs = [s for s in dirty_subs if s.element == element]
-                single = CipValue(wire_type, (pending[element],))
-                request = cip.build_write_request(path_of(element), single)
-                if self._send_write(unit, sl, request, subs):
-                    cache[element] = pending[element]
-                    landed += subs
-            self._settle_writes(landed, wire_type)
+                value = CipValue(wire_type, (pending[element],))
+                _stage_write(ops, path_of(element), value, subs, cache, element)
             return
         span_range = range(first, high + 1)
         if any(e not in pending and e not in cache for e in span_range):
-            if not self._read_before_write(
-                unit, sl, path_of, first, count, cache, dirty_subs
-            ):
+            found = self._read_before_write(unit, sl, path_of(first), count, dirty_subs)
+            if found is None:
                 return
+            cache.update(zip(span_range, found.elements))
         elements = [pending[e] if e in pending else cache[e] for e in span_range]
-        request = cip.build_write_request(path_of(first), CipValue(wire_type, elements))
-        if self._send_write(unit, sl, request, dirty_subs):
-            cache.update(zip(span_range, elements))
-            self._settle_writes(dirty_subs, wire_type)
+        value = CipValue(wire_type, elements)
+        _stage_write(ops, path_of(first), value, dirty_subs, cache, first)
 
     def _settle_writes(self, subs: list[Subscription], wire_type: CipType) -> None:
         now = time.time()
@@ -763,51 +820,23 @@ class TagScanner:
             sub.dirty = False
             sub.readback_seen = True
 
-    def _send_write(
-        self, unit: _PlcUnit, sl: ScanList, request: CipRequest, subs: list[Subscription]
-    ) -> bool:
-        try:
-            cip.parse_write_response(unit.client.round_trip(request))
-            return True
-        except (PlcError, cip.CipError) as exc:
-            log.warning("write failed on %s: %s", unit.name, exc)
-            with self._stats_lock:
-                sl.stats.errors += 1
-            for sub in subs:
-                sub.fail()
-            return False
-
     def _read_before_write(
-        self, unit: _PlcUnit, sl: ScanList, path_of, first: int, count: int,
-        cache: dict[int, object], subs: list[Subscription],
-    ) -> bool:
-        """Read elements into the span cache so a partial write keeps the rest."""
-        request = cip.build_read_request(path_of(first), count)
+        self, unit: _PlcUnit, sl: ScanList, path: Epath, count: int,
+        subs: list[Subscription],
+    ) -> CipValue | None:
+        """A read the flush's writes depend on, sent ahead of them."""
         try:
-            value = cip.parse_read_response(unit.client.round_trip(request))
+            return cip.parse_read_response(
+                unit.client.round_trip(cip.build_read_request(path, count))
+            )
         except (PlcError, cip.CipError) as exc:
-            log.warning("read-before-write failed on %s: %s", unit.name, exc)
+            log.warning("read of %s before write failed on %s: %s",
+                        subs[0].group, unit.name, exc)
             with self._stats_lock:
                 sl.stats.errors += 1
             for sub in subs:
                 sub.fail()
-            return False
-        cache.update(zip(range(first, first + len(value.elements)), value.elements))
-        return True
-
-    def _discover_type(self, unit: _PlcUnit, sl: ScanList, sub: Subscription) -> bool:
-        request = cip.build_read_request(sub.wire_path(sub.element), 1)
-        try:
-            value = cip.parse_read_response(unit.client.round_trip(request))
-        except (PlcError, cip.CipError) as exc:
-            log.warning("type discovery failed for %s: %s", format_tag(sub.ref), exc)
-            with self._stats_lock:
-                sl.stats.errors += 1
-            sub.fail()
-            return False
-        sub.elem_type = value.type
-        sl.plan = None
-        return True
+            return None
 
     # -- worker threads ---------------------------------------------------------
 

@@ -418,7 +418,9 @@ def test_forward_open_reply_roundtrip():
 
 def test_forward_close_carries_serial():
     req = cip.build_forward_close(slot=2, serial=0xBEEF)
-    assert cip.parse_forward_close_serial(req) == 0xBEEF
+    assert cip.parse_forward_close(req) == (
+        0xBEEF, cip.ORIGINATOR_VENDOR, cip.ORIGINATOR_SERIAL
+    )
 
 
 # -- size estimates ---------------------------------------------------------

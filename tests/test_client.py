@@ -216,6 +216,27 @@ def test_close_sends_forward_close_for_an_open_connection(monkeypatch):
         assert sim.store.service_counts[cip.FORWARD_CLOSE] == 1
 
 
+def test_forward_close_with_another_serial_leaves_the_connection_open(monkeypatch):
+    tables = record_connection_tables(monkeypatch)
+    requested = []
+    build_forward_open = cip.build_forward_open
+    monkeypatch.setattr(
+        cip, "build_forward_open",
+        lambda params: requested.append(params.serial) or build_forward_open(params),
+    )
+    with PlcSim(make_store()) as sim:
+        c = connect_to(sim)
+        grant = c.open_connection()
+        assert grant.serial == requested[0]
+        stray = cip.build_forward_close(c.endpoint.slot, grant.serial ^ 0x1)
+        assert cip.decode_response(
+            sim.engine.handle(cip.encode_request(stray), tables[0])
+        ).ok
+        assert list(tables[0]) == [grant.o_to_t_id]
+        c.close()
+        assert tables == [{}]
+
+
 def test_close_without_connection_sends_no_forward_close(monkeypatch):
     tables = record_connection_tables(monkeypatch)
     with PlcSim(make_store()) as sim:

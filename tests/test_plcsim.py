@@ -250,6 +250,61 @@ def test_multi_request_partial_failure():
     assert inner[1].general_status == cip.STATUS_PATH_UNKNOWN
 
 
+def test_multi_request_items_decode_once(monkeypatch):
+    eng = engine()
+    decoded = []
+    decode_epath = cip.decode_epath
+    monkeypatch.setattr(cip, "decode_epath", lambda data: decoded.append(1) or decode_epath(data))
+    reads = [build_read_request(to_epath(parse_tag(t)), 1) for t in ("TEST", "counts", "flag")]
+    resp = decode_response(serve_cip(eng, cip.build_multi_request(reads)))
+    assert [r.ok for r in cip.split_multi_response(resp, 3)] == [True] * 3
+    assert len(decoded) == 1 + len(reads)  # the envelope's path, then each item's
+    assert eng.store.service_counts[cip.READ_DATA] == 3
+
+
+def test_multi_request_with_a_malformed_item_serves_none():
+    eng = engine(error_inject={cip.WRITE_DATA: cip.STATUS_PATH_UNKNOWN})
+    good = encode_request(build_read_request(to_epath(parse_tag("TEST")), 1))
+    truncated = bytes((cip.READ_DATA, 3, 0x91, 4)) + b"TE"
+    for items in ([good, truncated], [truncated, good]):
+        resp = decode_response(eng.handle(
+            encode_request(cip.build_multi_request_encoded(items)), {}
+        ))
+        assert resp.service_reply == cip.MULTI_REQUEST | cip.REPLY_FLAG
+        assert resp.general_status == cip.STATUS_NOT_ENOUGH_DATA
+    assert eng.store.service_counts[cip.READ_DATA] == 0
+    assert eng.store.service_counts[cip.MULTI_REQUEST] == 2
+    # error injection still applies to each embedded service alone
+    write = cip.build_write_request(to_epath(parse_tag("counts")), CipValue(CipType.DINT, (1,)))
+    multi = cip.build_multi_request([cip.decode_request(good), write])
+    inner = cip.split_multi_response(decode_response(serve_cip(eng, multi)), 2)
+    assert inner[0].ok and inner[1].general_status == cip.STATUS_PATH_UNKNOWN
+    assert eng.store.service_counts[cip.WRITE_DATA] == 1
+
+
+def test_forward_close_names_serial_vendor_and_originator():
+    eng = engine()
+    connections = {}
+    params = cip.ForwardOpenParams(slot=0, t_to_o_id=0xBEEF, serial=0x1234)
+    resp = decode_response(eng.handle(encode_request(cip.build_forward_open(params)), connections))
+    grant = cip.parse_forward_open_reply(resp)
+    assert grant.serial == 0x1234  # echoed, as a controller does
+    identity = (0x1234, cip.ORIGINATOR_VENDOR, cip.ORIGINATOR_SERIAL)
+    close = cip.build_forward_close(0, 0x1234)
+    for stray in (
+        cip.build_forward_close(0, 0x1235),
+        CipRequest(close.service, close.path,
+                   close.payload[:4] + b"\x4e\x00" + close.payload[6:]),  # vendor
+        CipRequest(close.service, close.path,
+                   close.payload[:6] + b"\x02\x00\xad\x13" + close.payload[10:]),
+    ):
+        assert decode_response(eng.handle(encode_request(stray), connections)).ok
+        assert list(connections) == [grant.o_to_t_id]
+    reply = decode_response(eng.handle(encode_request(close), connections))
+    assert connections == {}
+    assert struct.unpack("<HHIBB", reply.payload) == identity + (0, 0)
+
+
 def test_request_over_limit_rejected():
     eng = engine(limit=500)
     big = cip.build_write_request(

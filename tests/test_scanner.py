@@ -27,10 +27,28 @@ from logixscan.tags import bool_remap, parse_tag, to_epath
 from conftest import make_store
 
 
-def scanner_for(sim, name="plc", **endpoint_kwargs):
+_SCANNERS: list[TagScanner] = []
+
+
+@pytest.fixture(autouse=True)
+def stop_scanners():
+    """Stop every scanner a test made, so none leaves its socket open."""
+    yield
+    while _SCANNERS:
+        _SCANNERS.pop().stop()
+
+
+def new_scanner(**kwargs) -> TagScanner:
+    """A TagScanner that is stopped when the test ends."""
+    sc = TagScanner(**kwargs)
+    _SCANNERS.append(sc)
+    return sc
+
+
+def scanner_for(sim, name="plc", batching=True, **endpoint_kwargs):
     kwargs = dict(port=sim.port, request_timeout=2.0, reconnect_period=0.2)
     kwargs.update(endpoint_kwargs)
-    sc = TagScanner()
+    sc = new_scanner(batching=batching)
     sc.add_plc(name, PlcEndpoint("127.0.0.1", **kwargs))
     return sc
 
@@ -156,7 +174,7 @@ def test_no_coalesce_reads_each_element(sim):
 
 
 def test_batching_disabled_one_read_per_round_trip(sim):
-    sc = TagScanner(batching=False)
+    sc = new_scanner(batching=False)
     sc.add_plc("plc", PlcEndpoint("127.0.0.1", port=sim.port, request_timeout=2.0))
     for i in range(5):
         sc.add_tag("plc", f"counts[{i}]", 1.0, elem_type=CipType.DINT, coalesce=False)
@@ -237,7 +255,7 @@ def test_replace_tag_rederives_address_and_request():
 
 
 def test_wire_address_matches_bool_remap():
-    sc = TagScanner()
+    sc = new_scanner()
     sc.add_plc("plc", PlcEndpoint("127.0.0.1"))
     for text in ("bits[0]", "bits[31]", "bits[32]", "a[2].flags[4099]"):
         sub = sc.add_tag("plc", text, 1.0, bool_array=True)
@@ -251,19 +269,35 @@ def test_wire_address_matches_bool_remap():
         assert sub.wire_path(sub.element) == to_epath(sub.ref)
 
 
+def c06_reads():
+    """C06's planned transfers per period, as independently built reads."""
+    return {
+        0.1: [[read_of("binp[0]", 11)]],
+        0.5: [[read_of("ra[0]", 40), read_of("rb[0]", 40)], [read_of("rc[0]", 40)]],
+    }
+
+
+MIXED_NAMES = [f"Tag_{i:02d}_23456789" for i in range(15)]
+
+
+def mixed_reads():
+    """The [4, 13] mixed list's planned transfers, as independently built reads."""
+    scalars = [read_of(name, 1) for name in MIXED_NAMES]
+    return [
+        [read_of("rspan[0]", 100), read_of("bits[0]", 11)] + scalars[:2],
+        scalars[2:],
+    ]
+
+
 def test_cached_requests_match_fresh_encoding_c06():
-    sc = TagScanner()
+    sc = new_scanner()
     sc.add_plc("plc", PlcEndpoint("127.0.0.1"))
     for i in range(352):
         sc.add_tag("plc", f"binp[{i}]", 0.1, bool_array=True)
     for name in ("ra", "rb", "rc"):
         for i in range(40):
             sc.add_tag("plc", f"{name}[{i}]", 0.5, elem_type=CipType.REAL)
-    expected = {
-        0.1: [[read_of("binp[0]", 11)]],
-        0.5: [[read_of("ra[0]", 40), read_of("rb[0]", 40)], [read_of("rc[0]", 40)]],
-    }
-    for period_s, transfers in expected.items():
+    for period_s, transfers in c06_reads().items():
         plan = planned(sc, period_s)
         assert [len(t) for t in plan.transfers] == [len(t) for t in transfers]
         assert [cip.encode_request(r) for r in plan.requests] == [
@@ -272,25 +306,50 @@ def test_cached_requests_match_fresh_encoding_c06():
 
 
 def test_cached_requests_match_fresh_encoding_mixed_list():
-    names = [f"Tag_{i:02d}_23456789" for i in range(15)]
-    sc = TagScanner()
+    sc = new_scanner()
     sc.add_plc("plc", PlcEndpoint("127.0.0.1"))
-    for name in names:
+    for name in MIXED_NAMES:
         sc.add_tag("plc", name, 1.0, elem_type=CipType.DINT)
     for i in range(100):
         sc.add_tag("plc", f"rspan[{i}]", 1.0, elem_type=CipType.REAL)
     for i in range(352):
         sc.add_tag("plc", f"bits[{i}]", 1.0, bool_array=True)
     assert sc.plan_info("plc", 1.0) == [4, 13]
-    scalars = [read_of(name, 1) for name in names]
-    expected = [
-        [read_of("rspan[0]", 100), read_of("bits[0]", 11)] + scalars[:2],
-        scalars[2:],
-    ]
     plan = planned(sc, 1.0)
     assert [cip.encode_request(r) for r in plan.requests] == [
-        wire_bytes(t) for t in expected
+        wire_bytes(t) for t in mixed_reads()
     ]
+
+
+def offset_table(items):
+    """Item count, offsets and items, packed independently of cip."""
+    offsets, pos = [], 2 + 2 * len(items)
+    for item in items:
+        offsets.append(pos)
+        pos += len(item)
+    return struct.pack(f"<{1 + len(items)}H", len(items), *offsets) + b"".join(items)
+
+
+def test_multi_builders_lay_out_c06_and_mixed_list_byte_for_byte():
+    router = bytes((cip.MULTI_REQUEST, 2, 0x20, 0x02, 0x24, 0x01))
+    transfers = [t for ts in c06_reads().values() for t in ts] + mixed_reads()
+    for requests in transfers:
+        encoded = [cip.encode_request(r) for r in requests]
+        multi = cip.build_multi_request(requests)
+        assert multi == cip.build_multi_request_encoded(encoded)
+        assert cip.encode_request(multi) == router + offset_table(encoded)
+        replies = [
+            cip.CipResponse(
+                cip.READ_DATA | cip.REPLY_FLAG, 0, (),
+                struct.pack("<H", CipType.DINT) + bytes(4 * struct.unpack("<H", r.payload)[0]),
+            )
+            for r in requests
+        ]
+        replies[-1] = cip.CipResponse(cip.READ_DATA | cip.REPLY_FLAG, cip.STATUS_PATH_UNKNOWN)
+        header = bytes((cip.MULTI_REQUEST | cip.REPLY_FLAG, 0, cip.STATUS_EMBEDDED_SERVICE_ERROR, 0))
+        assert cip.encode_response(cip.build_multi_response(replies)) == header + offset_table(
+            [cip.encode_response(r) for r in replies]
+        )
 
 
 def test_bit_31_of_negative_word_reads_true():
@@ -372,7 +431,7 @@ def test_plan_routes_targets_by_kind_and_records_output_spans():
 
 
 def test_session_drop_mid_cycle_marks_unsent_transfers_error(sim):
-    sc = TagScanner(batching=False)
+    sc = new_scanner(batching=False)
     sc.add_plc("plc", PlcEndpoint(
         "127.0.0.1", port=sim.port, request_timeout=2.0, reconnect_period=0.2
     ))
@@ -421,7 +480,7 @@ def test_unreachable_plc_marks_all_error():
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
     probe.close()
-    sc = TagScanner()
+    sc = new_scanner()
     sc.add_plc("plc", PlcEndpoint(
         "127.0.0.1", port=port, request_timeout=0.2, reconnect_period=0.1
     ))
@@ -433,7 +492,7 @@ def test_unreachable_plc_marks_all_error():
 
 
 def test_scan_uses_connected_messaging_when_asked(sim):
-    sc = TagScanner()
+    sc = new_scanner()
     sc.add_plc(
         "plc",
         PlcEndpoint("127.0.0.1", port=sim.port, request_timeout=2.0),
@@ -575,6 +634,160 @@ def test_bool_write_is_read_modify_write():
         # clearing one bit leaves its neighbors alone
         sc.write(b3, False)
         assert sim.store.get_tag("bits").elements[0] == 1 << 0
+
+
+def bits_store():
+    store = make_store()
+    store.define("big", CipType.DINT, list(range(126)))
+    bits = [False] * 64
+    bits[0] = True
+    store.define("bits", CipType.BOOL, bits)
+    return store
+
+
+def test_flush_packs_span_bool_word_and_single_into_one_round_trip():
+    with PlcSim(bits_store()) as sim:
+        sc = scanner_for(sim)
+        lo = sc.add_tag("plc", "counts[0]", 1.0, direction="out", elem_type=CipType.DINT)
+        hi = sc.add_tag("plc", "counts[4]", 1.0, direction="out", elem_type=CipType.DINT)
+        bit = sc.add_tag("plc", "bits[3]", 1.0, direction="out", bool_array=True)
+        real = sc.add_tag(
+            "plc", "TEST", 1.0, direction="out", elem_type=CipType.REAL, coalesce=False
+        )
+        sc.scan_once("plc")  # warm span cache: the flush needs no reads
+        before = sim.store.round_trips
+        writes_before = sim.store.service_counts[cip.WRITE_DATA]
+        for sub, value in ((lo, 11), (hi, 55), (bit, True), (real, 2.5)):
+            sc.write(sub, value, immediate=False)
+        sc.flush("plc")
+        assert sim.store.round_trips == before + 1
+        assert sim.store.service_counts[cip.WRITE_DATA] == writes_before + 3
+        assert sim.store.get_tag("counts").elements == (11, 20, 30, 40, 55)
+        assert sim.store.get_tag("bits").elements[0] == (1 << 0) | (1 << 3)
+        assert sim.store.get_tag("TEST").scalar == 2.5
+        for sub, value in ((lo, 11), (hi, 55), (bit, True), (real, 2.5)):
+            assert not sub.dirty and sub.quality is Quality.OK
+            assert sc.value_of(sub) == value
+
+
+def test_packed_flush_settles_each_write_on_its_own():
+    with PlcSim(bits_store()) as sim:
+        sc = scanner_for(sim)
+        one = sc.add_tag("plc", "counts[1]", 1.0, direction="out", elem_type=CipType.DINT)
+        real = sc.add_tag(
+            "plc", "TEST", 1.0, direction="out", elem_type=CipType.REAL, coalesce=False
+        )
+        # past the end of the array: the PLC refuses this embedded write
+        off = sc.add_tag(
+            "plc", "big[200]", 1.0, direction="out",
+            elem_type=CipType.DINT, coalesce=False,
+        )
+        before = sim.store.round_trips
+        for sub, value in ((one, 21), (off, 7), (real, -1.5)):
+            sc.write(sub, value, immediate=False)
+        sc.flush("plc")
+        assert sim.store.round_trips == before + 1
+        assert sim.store.get_tag("counts").elements[1] == 21
+        assert sim.store.get_tag("TEST").scalar == -1.5
+        for sub, value in ((one, 21), (real, -1.5)):
+            assert not sub.dirty and sub.quality is Quality.OK
+            assert sc.value_of(sub) == value
+        assert off.dirty and off.quality is Quality.ERROR and off.value is None
+        assert sc.stats("plc", 1.0).errors == 1
+
+
+def test_writes_over_the_limit_split_into_transfers():
+    store = wide_store()
+    with PlcSim(store) as sim:
+        sc = scanner_for(sim)
+        subs = [
+            sc.add_tag(
+                "plc", f"wide[{i}]", 1.0, direction="out",
+                elem_type=CipType.REAL, coalesce=False,
+            )
+            for i in range(0, 120, 3)
+        ]
+        client = sc._units["plc"].client
+        sent = []
+        round_trip = client.round_trip
+        client.round_trip = lambda req: sent.append(req) or round_trip(req)
+        for sub in subs:
+            sc.write(sub, float(sub.element) + 0.5, immediate=False)
+        sc.flush("plc")
+        assert len(sent) >= 2
+        for req in sent:
+            assert cip.wrapped_request_size(len(cip.encode_request(req))) <= 500
+        assert sum(
+            len(cip.split_multi_request(req)) if req.service == cip.MULTI_REQUEST else 1
+            for req in sent
+        ) == len(subs)
+        elements = sim.store.get_tag("wide").elements
+        for sub in subs:
+            assert elements[sub.element] == sub.element + 0.5
+            assert not sub.dirty and sub.quality is Quality.OK
+
+
+def test_batching_disabled_one_write_per_round_trip(sim):
+    sc = scanner_for(sim, batching=False)
+    subs = [
+        sc.add_tag(
+            "plc", f"counts[{i}]", 1.0, direction="out",
+            elem_type=CipType.DINT, coalesce=False,
+        )
+        for i in range(3)
+    ]
+    before = sim.store.round_trips
+    for i, sub in enumerate(subs):
+        sc.write(sub, -i, immediate=False)
+    sc.flush("plc")
+    assert sim.store.round_trips == before + 3
+    assert sim.store.get_tag("counts").elements == (0, -1, -2, 40, 50)
+
+
+def test_session_drop_mid_flush_fails_unsent_writes_until_reconnect(sim):
+    sc = scanner_for(sim, batching=False)
+    subs = [
+        sc.add_tag(
+            "plc", f"counts[{i}]", 1.0, direction="out",
+            elem_type=CipType.DINT, coalesce=False,
+        )
+        for i in range(3)
+    ]
+    # the first write lands, the session drops on the second
+    sim.faults.drop_after = 2
+    for i, sub in enumerate(subs):
+        sc.write(sub, 100 + i, immediate=False)
+    sc.flush("plc")
+    assert sc.connection_phase("plc") is Phase.DISCONNECTED
+    assert not subs[0].dirty and subs[0].quality is Quality.OK
+    for sub in subs[1:]:
+        assert sub.dirty and sub.quality is Quality.ERROR
+    assert sim.store.get_tag("counts").elements == (100, 20, 30, 40, 50)
+    assert sc.stats("plc", 1.0).errors == 1
+    sim.faults.drop_after = None
+    time.sleep(0.3)  # past reconnect_period
+    sc.flush("plc")
+    assert sim.store.get_tag("counts").elements == (100, 101, 102, 40, 50)
+    for sub in subs:
+        assert not sub.dirty and sub.quality is Quality.OK
+
+
+def test_read_modify_writes_of_one_word_in_one_flush_keep_each_bit():
+    with PlcSim(bits_store()) as sim:
+        sc = scanner_for(sim)
+        grouped = sc.add_tag("plc", "bits[3]", 1.0, direction="out", bool_array=True)
+        solo = [
+            sc.add_tag(
+                "plc", f"bits[{i}]", 1.0, direction="out",
+                bool_array=True, coalesce=False,
+            )
+            for i in (5, 7)
+        ]
+        for sub in [grouped] + solo:
+            sc.write(sub, True, immediate=False)
+        sc.flush("plc")
+        assert sim.store.get_tag("bits").elements[0] == 0b10101001
+        assert all(not s.dirty and s.quality is Quality.OK for s in [grouped] + solo)
 
 
 def test_write_to_input_rejected(sim):
@@ -872,7 +1085,7 @@ def test_apply_config_expands_elements(sim):
         "tag plc counts[1] period=100 dir=in type=DINT elements=3\n"
         "tag plc TEST period=200 dir=in\n"
     )
-    sc = TagScanner()
+    sc = new_scanner()
     subs = apply_scan_config(sc, parse_scan_config(text))
     assert [str(s.ref) for s in subs] == ["counts[1]", "counts[2]", "counts[3]", "TEST"]
     sc.scan_once("plc")
@@ -885,7 +1098,7 @@ def test_apply_config_expands_unindexed_base(sim):
         f"plc plc 127.0.0.1:{sim.port} slot=0\n"
         "tag plc counts period=100 dir=in type=DINT elements=5\n"
     )
-    sc = TagScanner()
+    sc = new_scanner()
     subs = apply_scan_config(sc, parse_scan_config(text))
     assert [str(s.ref) for s in subs] == [f"counts[{i}]" for i in range(5)]
     sc.scan_once("plc")
