@@ -4,6 +4,8 @@ EPATH routing paths, typed tag values, the tag read/write services,
 Multi-Request packing, Connection Manager routing (Unconnected Send) and
 Forward_Open.  Everything here is a pure transform between dataclasses and
 wire bytes; the transport lives in `client`, the server side in `plcsim`.
+The per-round-trip encoders (`encode_unconnected_send`, `pack_elements`)
+build their bytes in one pass with precompiled structs.
 """
 
 from __future__ import annotations
@@ -259,8 +261,6 @@ _WIDTHS = {
     CipType.REAL: 4,
 }
 
-_INT_FORMATS = {CipType.SINT: "<b", CipType.INT: "<h", CipType.DINT: "<i"}
-_INT_BITS = {CipType.SINT: 8, CipType.INT: 16, CipType.DINT: 32}
 # struct codes for decoding; "?" reads any nonzero BOOL byte as True
 _UNPACK_CODES = {
     CipType.BOOL: "?",
@@ -303,22 +303,31 @@ class CipValue:
 
 
 def pack_elements(elem_type: CipType, elements) -> bytes:
-    """Pack element values; integers accept both signed and unsigned ranges."""
-    out = bytearray()
-    for v in elements:
-        if elem_type is CipType.BOOL:
-            out.append(0xFF if v else 0x00)
-        elif elem_type is CipType.REAL:
-            out += struct.pack("<f", float(v))
+    """Pack element values; integers accept both signed and unsigned ranges.
+
+    One cached struct packs the run.  If that fails, the elements are retried
+    one by one, so the error raised is the first offending element's.
+    """
+    if elem_type is CipType.BOOL:
+        return bytes([0xFF if v else 0x00 for v in elements])
+    elements = tuple(elements)
+    half = 1 << (8 * _WIDTHS[elem_type] - 1)
+    try:
+        if elem_type is CipType.REAL:
+            values = [float(v) for v in elements]
         else:
-            bits = _INT_BITS[elem_type]
-            v = int(v)
-            if not -(1 << (bits - 1)) <= v < (1 << bits):
-                raise CipError(f"{v} out of range for {elem_type.name}")
-            if v >= 1 << (bits - 1):
-                v -= 1 << bits
-            out += struct.pack(_INT_FORMATS[elem_type], v)
-    return bytes(out)
+            values = [int(v) for v in elements]
+            if values and not -half <= min(values) <= max(values) < half:
+                # the unsigned top range goes out as its two's complement
+                values = [v - 2 * half if half <= v < 2 * half else v for v in values]
+        return _elements_layout(elem_type, _WIDTHS[elem_type] * len(values)).pack(*values)
+    except (TypeError, ValueError, OverflowError, struct.error):
+        for v in elements:
+            if elem_type is CipType.REAL:
+                struct.pack("<f", float(v))
+            elif not -half <= (v := int(v)) < 2 * half:
+                raise CipError(f"{v} out of range for {elem_type.name}") from None
+        raise
 
 
 @functools.lru_cache(maxsize=_UNPACK_CACHE_SIZE)
@@ -496,19 +505,30 @@ def message_router_path() -> Epath:
     return Epath((ObjectClass(CLASS_MESSAGE_ROUTER), Instance(1)))
 
 
+# how every Unconnected Send starts: the service and the Connection Manager path
+_UNCONNECTED_SEND_HEAD = bytes((UNCONNECTED_SEND,)) + encode_epath(connection_manager_path())
+_UCMM_TIMING = struct.Struct("<BBH")  # priority/tick, timeout ticks, message size
+
+
+def encode_unconnected_send(message: bytes, slot: int) -> bytes:
+    """The encoded Unconnected Send routing an encoded request to the given slot."""
+    size = len(message)
+    if size > 0xFFFF:
+        raise CipError("embedded message exceeds 16-bit size field")
+    if not 0 <= slot <= 0xFF:
+        raise CipError(f"link {slot} out of 8-bit range")
+    # an odd message gets a pad byte its size leaves out; then the route:
+    # its size in words, a reserved byte, and the backplane port segment
+    route = bytes((0, 1, 0, BACKPLANE_PORT, slot) if size % 2 else (1, 0, BACKPLANE_PORT, slot))
+    timing = _UCMM_TIMING.pack(UCMM_PRIORITY_TICK, UCMM_TIMEOUT_TICKS, size)
+    return _UNCONNECTED_SEND_HEAD + timing + message + route
+
+
 def wrap_unconnected_send(inner: CipRequest, slot: int) -> CipRequest:
     """Embed a request for routing across the backplane to the given slot."""
-    message = encode_request(inner)
-    if len(message) > 0xFFFF:
-        raise CipError("embedded message exceeds 16-bit size field")
-    payload = bytearray((UCMM_PRIORITY_TICK, UCMM_TIMEOUT_TICKS))
-    payload += struct.pack("<H", len(message))
-    payload += message
-    if len(message) % 2:
-        payload.append(0x00)  # pad excluded from the declared size
-    payload += bytes((1, 0x00))  # route path words, reserved
-    payload += _encode_segment(PortLink(BACKPLANE_PORT, slot))
-    return CipRequest(UNCONNECTED_SEND, connection_manager_path(), bytes(payload))
+    wire = encode_unconnected_send(encode_request(inner), slot)
+    payload = wire[len(_UNCONNECTED_SEND_HEAD):]
+    return CipRequest(UNCONNECTED_SEND, connection_manager_path(), payload)
 
 
 def parse_unconnected_send(req: CipRequest) -> tuple[bytes, PortLink]:
@@ -766,11 +786,6 @@ def parse_forward_close(req: CipRequest) -> tuple[int, int, int]:
 
 # ---------------------------------------------------------------------------
 # size arithmetic for transfer planning
-
-def estimate_request_size(req: CipRequest) -> int:
-    """Exact encoded size of a request."""
-    return len(encode_request(req))
-
 
 def estimate_response_size(elem_type: CipType, element_count: int) -> int:
     """Upper bound on the encoded read reply: status header + type + data."""

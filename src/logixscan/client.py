@@ -5,6 +5,11 @@ request/reply round trips (unconnected by default, connected after an
 explicit open), and implements the disconnect-on-error plus paced-reconnect
 policy.  All traffic for one endpoint is expected to flow through one
 owning thread; the class itself does no locking.
+
+Each round trip frames its request in one pass and reads its reply into the
+one receive buffer the session owns, usually with one `recv_into`.  Bytes
+past the reply its header declares are a protocol error that drops the
+session, so they are never read as the start of the next reply.
 """
 
 from __future__ import annotations
@@ -92,6 +97,8 @@ class PlcClient:
         self._sock: socket.socket | None = None
         self._context_counter = 0
         self._last_connect_attempt: float | None = None
+        # the one receive buffer: a reply's header and its largest payload
+        self._rx = memoryview(bytearray(encap.HEADER_SIZE + encap.MAX_PAYLOAD))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -198,8 +205,7 @@ class PlcClient:
     def round_trip_unconnected(self, inner: CipRequest) -> CipResponse:
         """Send one routed request, return the unwrapped inner reply."""
         self._require_session()
-        wrapped = cip.wrap_unconnected_send(inner, self.endpoint.slot)
-        wire = cip.encode_request(wrapped)
+        wire = cip.encode_unconnected_send(cip.encode_request(inner), self.endpoint.slot)
         if len(wire) > self.endpoint.buffer_limit:
             raise RequestTooLarge(
                 f"request of {len(wire)} bytes exceeds limit {self.endpoint.buffer_limit}"
@@ -318,11 +324,22 @@ class PlcClient:
         sock = self._sock
         if sock is None:
             raise PlcError("not connected")
+        rx = self._rx
         try:
             sock.sendall(packet)
-            raw = self._recv_exact(sock, encap.HEADER_SIZE)
-            header = encap.decode_header(raw)
-            payload = self._recv_exact(sock, header.payload_length)
+            header = None
+            got, end = 0, encap.HEADER_SIZE
+            while got < end:
+                n = sock.recv_into(rx[got:])
+                if not n:
+                    raise OSError("connection closed by peer")
+                got += n
+                if header is None and got >= encap.HEADER_SIZE:
+                    header = encap.decode_header(rx)
+                    end += header.payload_length
+            if got > end:
+                raise encap.EncapError(f"{got - end} bytes past the declared reply")
+            payload = bytes(rx[encap.HEADER_SIZE:end])
         except socket.timeout:
             self._drop_socket()
             self.consecutive_errors += 1
@@ -353,13 +370,3 @@ class PlcClient:
                 context.hex(), header.sender_context.hex(),
             )
         return header, payload
-
-    @staticmethod
-    def _recv_exact(sock: socket.socket, n: int) -> bytes:
-        buf = bytearray()
-        while len(buf) < n:
-            chunk = sock.recv(n - len(buf))
-            if not chunk:
-                raise OSError("connection closed by peer")
-            buf += chunk
-        return bytes(buf)

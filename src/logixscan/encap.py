@@ -5,6 +5,11 @@ session registration and the Common Packet Format (CPF) carriers for
 unconnected (SendRRData) and connected (SendUnitData) CIP payloads live
 here.  All functions are pure byte-sequence transforms; every multi-byte
 integer on the wire is little-endian.
+
+Each carrier is framed in one pass: one precompiled struct packs the header,
+the CPF prefix and both item headers ahead of the CIP bytes, and one unpack
+checks a reply's fixed two-item layout.  Any other layout goes through
+`decode_cpf`, so what is accepted or rejected does not change.
 """
 
 from __future__ import annotations
@@ -40,6 +45,13 @@ STATUS_UNSUPPORTED_VERSION = 0x0069
 _HEADER = struct.Struct("<HHII8sI")
 _CPF_PREFIX = struct.Struct("<IHH")  # interface handle, timeout, item count
 _ITEM_HEADER = struct.Struct("<HH")
+# the carriers' fixed item layouts: CPF prefix with an item count of 2, the
+# address item (with the connection id, connected), the data item header
+# (with the sequence, connected)
+_RR_ITEMS = struct.Struct("<IHH HH HH")
+_UNIT_ITEMS = struct.Struct("<IHH HHI HHH")
+_RR_FRAME = struct.Struct(_HEADER.format + _RR_ITEMS.format[1:])
+_UNIT_FRAME = struct.Struct(_HEADER.format + _UNIT_ITEMS.format[1:])
 
 ZERO_CONTEXT = b"\x00" * 8
 
@@ -70,12 +82,16 @@ class CpfItem:
     data: bytes = b""
 
 
+def _check_frame(payload_length: int, sender_context: bytes) -> None:
+    if payload_length > MAX_PAYLOAD:
+        raise EncapError(f"payload of {payload_length} bytes exceeds 16-bit length field")
+    if len(sender_context) != 8:
+        raise EncapError("sender_context must be exactly 8 bytes")
+
+
 def encode_packet(header: EncapsHeader, payload: bytes = b"") -> bytes:
     """Frame a payload; the header's payload_length is rewritten to match."""
-    if len(payload) > MAX_PAYLOAD:
-        raise EncapError(f"payload of {len(payload)} bytes exceeds 16-bit length field")
-    if len(header.sender_context) != 8:
-        raise EncapError("sender_context must be exactly 8 bytes")
+    _check_frame(len(payload), header.sender_context)
     return _HEADER.pack(
         header.command,
         len(payload),
@@ -173,21 +189,23 @@ def build_rr_data(
     status: int = 0,
 ) -> bytes:
     """SendRRData packet carrying an unconnected CIP message."""
-    payload = encode_cpf([
-        CpfItem(ITEM_NULL_ADDRESS),
-        CpfItem(ITEM_UNCONNECTED_DATA, cip),
-    ])
-    header = EncapsHeader(
-        CMD_SEND_RR_DATA,
-        session_handle=session_handle,
-        status=status,
-        sender_context=sender_context,
-    )
-    return encode_packet(header, payload)
+    length = _RR_ITEMS.size + len(cip)
+    _check_frame(length, sender_context)
+    return _RR_FRAME.pack(
+        CMD_SEND_RR_DATA, length, session_handle, status, sender_context, 0,
+        0, 0, 2, ITEM_NULL_ADDRESS, 0, ITEM_UNCONNECTED_DATA, len(cip),
+    ) + cip
 
 
 def parse_rr_data(payload: bytes) -> bytes:
     """Extract the CIP bytes from a SendRRData payload."""
+    if len(payload) >= _RR_ITEMS.size:
+        _handle, _timeout, count, addr, addr_len, kind, size = _RR_ITEMS.unpack_from(payload)
+        if (
+            count == 2 and addr == ITEM_NULL_ADDRESS and addr_len == 0
+            and kind == ITEM_UNCONNECTED_DATA and size == len(payload) - _RR_ITEMS.size
+        ):
+            return payload[_RR_ITEMS.size:]
     items = decode_cpf(payload)
     if len(items) != 2:
         raise EncapError(f"unconnected carrier needs 2 CPF items, got {len(items)}")
@@ -207,20 +225,25 @@ def build_unit_data(
     sender_context: bytes = ZERO_CONTEXT,
 ) -> bytes:
     """SendUnitData packet: connected carrier with a 16-bit sequence prefix."""
-    payload = encode_cpf([
-        CpfItem(ITEM_CONNECTED_ADDRESS, struct.pack("<I", connection_id)),
-        CpfItem(ITEM_CONNECTED_DATA, struct.pack("<H", sequence & 0xFFFF) + cip),
-    ])
-    header = EncapsHeader(
-        CMD_SEND_UNIT_DATA,
-        session_handle=session_handle,
-        sender_context=sender_context,
-    )
-    return encode_packet(header, payload)
+    length = _UNIT_ITEMS.size + len(cip)
+    _check_frame(length, sender_context)
+    return _UNIT_FRAME.pack(
+        CMD_SEND_UNIT_DATA, length, session_handle, 0, sender_context, 0,
+        0, 0, 2, ITEM_CONNECTED_ADDRESS, 4, connection_id,
+        ITEM_CONNECTED_DATA, 2 + len(cip), sequence & 0xFFFF,
+    ) + cip
 
 
 def parse_unit_data(payload: bytes) -> tuple[int, int, bytes]:
     """Return (connection_id, sequence, cip bytes) from a SendUnitData payload."""
+    if len(payload) >= _UNIT_ITEMS.size:
+        (_handle, _timeout, count, addr, addr_len, connection_id,
+         kind, size, sequence) = _UNIT_ITEMS.unpack_from(payload)
+        if (
+            count == 2 and addr == ITEM_CONNECTED_ADDRESS and addr_len == 4
+            and kind == ITEM_CONNECTED_DATA and size == len(payload) - _UNIT_ITEMS.size + 2
+        ):
+            return connection_id, sequence, payload[_UNIT_ITEMS.size:]
     items = decode_cpf(payload)
     if len(items) != 2:
         raise EncapError(f"connected carrier needs 2 CPF items, got {len(items)}")

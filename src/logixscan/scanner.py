@@ -167,7 +167,7 @@ class ReadOp:
     targets: list[tuple[Subscription, int, int | None]]
     # span cache key; kept only when an output reads here, since the
     # cache serves read-before-write alone
-    cache_key: tuple[float, str, CipType] | None = None
+    cache_key: tuple[str, CipType] | None = None
     start_element: int | None = None
     # targets split by how a reply element reaches the cell
     bit_inputs: list[tuple[Subscription, int, int]] = field(init=False)
@@ -244,8 +244,9 @@ class _PlcUnit:
         self.name = name
         self.client = client
         self.lists: dict[float, ScanList] = {}
-        # (period, base chain, wire type) -> {element index: raw value}
-        self.span_cache: dict[tuple[float, str, CipType], dict[int, object]] = {}
+        # (base chain, wire type) -> {element index: raw value}, one per
+        # PLC so that every list's writes build on the others'
+        self.span_cache: dict[tuple[str, CipType], dict[int, object]] = {}
         self.queue: queue.Queue = queue.Queue()
         self.thread: threading.Thread | None = None
         self.running = False
@@ -435,7 +436,7 @@ class TagScanner:
                 solo.append(sub)
 
         for key, subs in groups.items():
-            base, wire_type = key
+            wire_type = key[1]
             elements = [s.element for s in subs]
             first, high = min(elements), max(elements)
             outputs = [s.element for s in subs if s.direction is Direction.OUTPUT]
@@ -452,7 +453,7 @@ class TagScanner:
                 targets = [(s, s.element - first, s.bit) for s in subs]
                 ops.append(ReadOp(
                     request, encoded, estimate, wire_type, targets,
-                    cache_key=(sl.period_s, base, wire_type),
+                    cache_key=key,
                     start_element=first,
                 ))
             else:
@@ -460,7 +461,7 @@ class TagScanner:
                 solo.extend(subs)
 
         for sub in solo:
-            op = self._solo_op(unit, sl, sub, limit)
+            op = self._solo_op(sub, limit)
             if op is None:
                 unplannable.append(sub)
             else:
@@ -469,9 +470,7 @@ class TagScanner:
         transfers = self._pack(ops, limit)
         return ScanPlan(transfers, unplannable, _requests(transfers), write_spans)
 
-    def _solo_op(
-        self, unit: _PlcUnit, sl: ScanList, sub: Subscription, limit: int
-    ) -> ReadOp | None:
+    def _solo_op(self, sub: Subscription, limit: int) -> ReadOp | None:
         wire_type = sub.wire_type()
         element = sub.element
         request = cip.build_read_request(sub.wire_path(element), 1)
@@ -480,13 +479,11 @@ class TagScanner:
         estimate = 4 + 2 + width
         if cip.wrapped_request_size(len(encoded)) > limit or estimate > limit:
             return None
-        cache_key = None
-        if element is not None and wire_type is not None:
-            cache_key = (sl.period_s, sub.group, wire_type)
+        known = element is not None and wire_type is not None
         return ReadOp(
             request, encoded, estimate, wire_type,
             [(sub, 0, sub.bit)],
-            cache_key=cache_key,
+            cache_key=(sub.group, wire_type) if known else None,
             start_element=element,
         )
 
@@ -740,7 +737,10 @@ class TagScanner:
             sub.elem_type = found.type
             sl.plan = None
         value = CipValue(sub.elem_type, (sub.pending,))
-        _stage_write(ops, sub.wire_path(sub.element), value, [sub])
+        cache, first = None, 0
+        if sub.element is not None:  # later span writes of its group build on it
+            cache, first = unit.span_cache.setdefault((sub.group, sub.elem_type), {}), sub.element
+        _stage_write(ops, sub.wire_path(sub.element), value, [sub], cache, first)
 
     def _write_group(
         self,
@@ -750,9 +750,9 @@ class TagScanner:
         dirty_subs: list[Subscription],
         ops: list[WriteOp],
     ) -> None:
-        base, wire_type = key
+        wire_type = key[1]
         path_of = dirty_subs[0].wire_path
-        cache = unit.span_cache.setdefault((sl.period_s, base, wire_type), {})
+        cache = unit.span_cache.setdefault(key, {})
 
         # fold pending values into per-element words
         pending: dict[int, object] = {}

@@ -10,9 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 
-from .cip import CipError, Element, Epath, Symbol
-
-MAX_SYMBOL_LEN = 40
+from .cip import MAX_SYMBOL_LEN, CipError, Element, Epath, Symbol
 
 # name, optionally subscripted; colon is an ordinary name character so
 # I/O-module tags like Local:1:I parse as a single symbol

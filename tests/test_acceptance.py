@@ -146,6 +146,8 @@ def test_c05_batching_economy():
             assert unbatched_wall > 0.150, (
                 f"unbatched scan took {unbatched_wall * 1000:.1f} ms"
             )
+            batched.stop()
+            unbatched.stop()
 
 
 def test_c06_sixty_second_scan_scenario():
@@ -242,6 +244,7 @@ def test_c07_coalescing_matches_element_reads():
                     expected = oracle.read_tag(f"{name}[{k}]").scalar
                     assert sc.value_of(sub) == expected, f"{name}[{k}]"
             oracle.close()
+            sc.stop()
         assert split_seen, "no case exercised the oversized-span split"
 
 
@@ -258,6 +261,7 @@ def test_c08_whole_span_write_caveat(sim):
         assert sim.store.service_counts[cip.WRITE_DATA] == writes_before + 1
         # the single transfer covered first-to-highest, carrying the gap values
         assert sim.store.get_tag("counts").elements == (111, 20, 30, 222, 50)
+        sc.stop()
 
         sim.store.set_tag("counts", [10, 20, 30, 40, 50])
         sc2 = TagScanner()
@@ -276,6 +280,7 @@ def test_c08_whole_span_write_caveat(sim):
         sc2.flush("plc")
         assert sim.store.service_counts[cip.WRITE_DATA] == writes_before + 2
         assert sim.store.get_tag("counts").elements == (5, 20, 30, 6, 50)
+        sc2.stop()
 
 
 def test_c09_reconnect_after_sim_restart():

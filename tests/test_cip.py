@@ -1,5 +1,6 @@
 """CIP codec: EPATH, typed values, services, routing, size arithmetic."""
 
+import math
 import random
 import struct
 
@@ -239,6 +240,69 @@ def test_fuzz_value_roundtrip():
         assert cip.unpack_elements(elem_type, packed) == values
 
 
+def pack_each(elem_type, elements):
+    """Reference packer: one element at a time."""
+    out = bytearray()
+    for v in elements:
+        if elem_type is CipType.BOOL:
+            out.append(0xFF if v else 0x00)
+        elif elem_type is CipType.REAL:
+            out += struct.pack("<f", float(v))
+        else:
+            bits = 8 * elem_type.width
+            v = int(v)
+            if not -(1 << (bits - 1)) <= v < (1 << bits):
+                raise CipError(f"{v} out of range for {elem_type.name}")
+            if v >= 1 << (bits - 1):
+                v -= 1 << bits
+            out += struct.pack({8: "<b", 16: "<h", 32: "<i"}[bits], v)
+    return bytes(out)
+
+
+def packed_or_error(elem_type, elements):
+    try:
+        return cip.pack_elements(elem_type, elements)
+    except Exception as exc:  # the error itself is compared
+        return type(exc), str(exc)
+
+
+def reference_or_error(elem_type, elements):
+    try:
+        return pack_each(elem_type, elements)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_pack_elements_matches_element_by_element_packing():
+    rng = random.Random(0x9AC4)
+    cases = {
+        CipType.BOOL: [[True, False], [1, 0, 2, "", "x", None, 0.0]],
+        CipType.REAL: [
+            [1.0, -0.0, math.nan, math.inf, -math.inf, 3, True],
+            [rng.uniform(-1e6, 1e6) for _ in range(100)],
+            [1e39], [1.0, 1e39, "x"], ["1.5", 2], [1.0, "x"], [None],
+        ],
+    }
+    for elem_type in (CipType.SINT, CipType.INT, CipType.DINT):
+        bits = 8 * elem_type.width
+        low, high, top = -(1 << (bits - 1)), (1 << (bits - 1)) - 1, (1 << bits) - 1
+        cases[elem_type] = [
+            [low, high, 0, -1, True],
+            [high + 1, top, low],               # the unsigned top range
+            [rng.randrange(low, top + 1) for _ in range(40)],
+            [0, top + 1, low - 1], [low - 1], [0, 1.9, -1.9, "12"],
+            [low - 1, "x"], [math.nan], [math.inf], [1, "x", top + 1], [None],
+        ]
+    for elem_type, runs in cases.items():
+        for elements in runs + [[]]:
+            expected = reference_or_error(elem_type, elements)
+            assert packed_or_error(elem_type, elements) == expected, (elem_type, elements)
+            assert packed_or_error(elem_type, iter(elements)) == expected
+    assert reference_or_error(CipType.DINT, [0, 1 << 32]) == (
+        CipError, f"{1 << 32} out of range for DINT"
+    )
+
+
 # -- requests / responses --------------------------------------------------
 
 def test_read_request_golden_bytes():
@@ -246,7 +310,7 @@ def test_read_request_golden_bytes():
     encoded = cip.encode_request(req)
     assert encoded == b"\x4c" + SYMBOL_TEST_PATH + b"\x01\x00"
     assert len(encoded) == 10
-    assert cip.estimate_request_size(req) == 10
+    assert len(cip.encode_request(req)) == 10
 
 
 def test_request_roundtrip_and_reply_flag_guard():
@@ -326,6 +390,35 @@ def test_unconnected_send_addressed_to_connection_manager():
     encoded = cip.encode_request(cip.wrap_unconnected_send(inner, slot=0))
     assert encoded[0] == 0x52
     assert encoded[1:6] == b"\x02\x20\x06\x24\x01"
+
+
+def unconnected_send_by_hand(message: bytes, slot: int) -> bytes:
+    """Service, Connection Manager path, timing, size, message, pad, route."""
+    out = bytearray(b"\x52\x02\x20\x06\x24\x01")
+    out += bytes((cip.UCMM_PRIORITY_TICK, cip.UCMM_TIMEOUT_TICKS))
+    out += struct.pack("<H", len(message)) + message
+    if len(message) % 2:
+        out.append(0)
+    out += bytes((1, 0, cip.BACKPLANE_PORT, slot))
+    return bytes(out)
+
+
+def test_encode_unconnected_send_matches_the_wrapped_request():
+    even = cip.build_read_request(Epath([Symbol("TEST")]), 1)
+    odd = CipRequest(cip.READ_DATA, Epath([Symbol("TEST")]), b"\x01")
+    for inner in (even, odd):
+        message = cip.encode_request(inner)
+        for slot in range(17):
+            wire = cip.encode_unconnected_send(message, slot)
+            assert wire == unconnected_send_by_hand(message, slot)
+            assert wire == cip.encode_request(cip.wrap_unconnected_send(inner, slot))
+            assert len(wire) == cip.wrapped_request_size(len(message))
+    assert len(cip.encode_request(odd)) % 2 == 1
+    with pytest.raises(CipError, match="16-bit size"):
+        cip.encode_unconnected_send(bytes(0x10000), 0)
+    for slot in (-1, 256):
+        with pytest.raises(CipError, match="8-bit range"):
+            cip.encode_unconnected_send(b"\x4c\x00", slot)
 
 
 # -- multi-request ----------------------------------------------------------

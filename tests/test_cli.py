@@ -199,4 +199,6 @@ def test_sim_subcommand_serves_clients(tmp_path):
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
     assert proc.returncode == 0

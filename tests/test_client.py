@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from logixscan import cip, plcsim
+from logixscan import cip, encap, plcsim
 from logixscan.cip import CipType, CipValue
 from logixscan.client import (
     Phase,
@@ -14,6 +14,7 @@ from logixscan.client import (
     PlcConnectError,
     PlcEndpoint,
     PlcError,
+    PlcProtocolError,
     PlcTimeout,
     RequestTooLarge,
 )
@@ -298,3 +299,72 @@ def test_recovery_after_sim_restart():
         c.close()
     finally:
         sim2.stop()
+
+
+# -- reply framing on the stream ----------------------------------------------
+
+def read_frame(sock) -> bytes:
+    """One whole encapsulation packet from a stream."""
+    data = b""
+    end = encap.HEADER_SIZE
+    while len(data) < end:
+        chunk = sock.recv(end - len(data))
+        if not chunk:
+            raise ConnectionError("peer closed")
+        data += chunk
+        if len(data) == encap.HEADER_SIZE:
+            end += encap.decode_header(data).payload_length
+    return data
+
+
+def relay(sim, deliver):
+    """A peer in front of the sim that hands each of its replies to
+    `deliver(sock, reply)`; returns its port and its thread."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with listener:
+            conn, _ = listener.accept()
+        with conn, socket.create_connection((sim.host, sim.port)) as upstream:
+            try:
+                while True:
+                    upstream.sendall(read_frame(conn))
+                    deliver(conn, read_frame(upstream))
+            except OSError:  # either side closed
+                pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname()[1], thread
+
+
+def test_reply_arriving_one_byte_at_a_time_completes_the_round_trip(sim):
+    def trickle(sock, reply):
+        for i in range(len(reply)):
+            sock.sendall(reply[i:i + 1])
+            time.sleep(0.0005)
+
+    port, thread = relay(sim, trickle)
+    c = PlcClient(PlcEndpoint("127.0.0.1", port=port, request_timeout=2.0))
+    c.connect()
+    assert c.read_tag("counts[1]").scalar == 20
+    assert c.phase is Phase.REGISTERED
+    c.close()
+    thread.join(timeout=5)
+
+
+def test_bytes_past_the_declared_reply_drop_the_session(sim):
+    def with_surplus(sock, reply):
+        if encap.decode_header(reply).command == encap.CMD_SEND_RR_DATA:
+            reply += b"\x00" * 4
+        sock.sendall(reply)
+
+    port, thread = relay(sim, with_surplus)
+    c = PlcClient(PlcEndpoint("127.0.0.1", port=port, request_timeout=2.0))
+    c.connect()
+    with pytest.raises(PlcProtocolError, match="4 bytes past the declared reply"):
+        c.read_tag("counts[1]")
+    assert c.phase is Phase.DISCONNECTED
+    assert c.consecutive_errors == 1
+    c.close()
+    thread.join(timeout=5)

@@ -174,3 +174,124 @@ def test_fuzz_mutated_packets_never_crash():
             encap.parse_rr_data(payload)
         except EncapError:
             pass
+
+
+# -- one-pass carriers against item-by-item framing ---------------------------
+
+RR_ITEMS_SIZE = 16    # CPF prefix + null address item + data item header
+UNIT_ITEMS_SIZE = 22  # CPF prefix + address item with its id + data item header + sequence
+
+
+def rr_by_items(session, cip_bytes, context, status=0):
+    header = EncapsHeader(
+        encap.CMD_SEND_RR_DATA, session_handle=session, status=status, sender_context=context
+    )
+    return encap.encode_packet(header, encap.encode_cpf([
+        CpfItem(encap.ITEM_NULL_ADDRESS), CpfItem(encap.ITEM_UNCONNECTED_DATA, cip_bytes),
+    ]))
+
+
+def unit_by_items(session, connection_id, sequence, cip_bytes, context):
+    header = EncapsHeader(encap.CMD_SEND_UNIT_DATA, session_handle=session, sender_context=context)
+    return encap.encode_packet(header, encap.encode_cpf([
+        CpfItem(encap.ITEM_CONNECTED_ADDRESS, connection_id.to_bytes(4, "little")),
+        CpfItem(encap.ITEM_CONNECTED_DATA, (sequence & 0xFFFF).to_bytes(2, "little") + cip_bytes),
+    ]))
+
+
+def outcome(fn, *args):
+    """What a call returns, or the EncapError class it raises."""
+    try:
+        return fn(*args)
+    except EncapError:
+        return EncapError
+
+
+def test_carriers_match_item_by_item_framing():
+    rng = random.Random(0xCA221E)
+    rr_max, unit_max = encap.MAX_PAYLOAD - RR_ITEMS_SIZE, encap.MAX_PAYLOAD - UNIT_ITEMS_SIZE
+    lengths = [0, 1, 2, 3, 11, 499, rr_max, unit_max] + [rng.randrange(600) for _ in range(200)]
+    for n in lengths:
+        cip_bytes = rng.randbytes(n)
+        session, context = rng.randrange(2**32), rng.randbytes(8)
+        status = rng.choice((0, rng.randrange(2**32)))
+        assert encap.build_rr_data(session, cip_bytes, context, status) == rr_by_items(
+            session, cip_bytes, context, status
+        )
+        if n <= unit_max:
+            connection_id, sequence = rng.randrange(2**32), rng.randrange(2**17)
+            assert encap.build_unit_data(
+                session, connection_id, sequence, cip_bytes, context
+            ) == unit_by_items(session, connection_id, sequence, cip_bytes, context)
+    # one byte past the 16-bit length field, and a short context, still refused
+    for build, args in (
+        (encap.build_rr_data, (1, bytes(rr_max + 1))),
+        (encap.build_unit_data, (1, 2, 3, bytes(unit_max + 1))),
+        (encap.build_rr_data, (1, b"", b"short")),
+        (encap.build_unit_data, (1, 2, 3, b"", b"short")),
+    ):
+        with pytest.raises(EncapError):
+            build(*args)
+
+
+def rr_by_cpf(payload):
+    """The SendRRData check done on decode_cpf alone."""
+    items = encap.decode_cpf(payload)
+    if len(items) != 2 or (items[0].item_type, items[1].item_type) != (
+        encap.ITEM_NULL_ADDRESS, encap.ITEM_UNCONNECTED_DATA
+    ):
+        raise EncapError("not an unconnected carrier")
+    return items[1].data
+
+
+def unit_by_cpf(payload):
+    """The SendUnitData check done on decode_cpf alone."""
+    items = encap.decode_cpf(payload)
+    if len(items) != 2 or (items[0].item_type, items[1].item_type) != (
+        encap.ITEM_CONNECTED_ADDRESS, encap.ITEM_CONNECTED_DATA
+    ):
+        raise EncapError("not a connected carrier")
+    addr, data = items[0].data, items[1].data
+    if len(addr) != 4 or len(data) < 2:
+        raise EncapError("connected item sizes")
+    return int.from_bytes(addr, "little"), int.from_bytes(data[:2], "little"), data[2:]
+
+
+def mutations(rng, payload):
+    """C11-style damage: bytes flipped, cut, appended, item fields rewritten."""
+    for _ in range(150):
+        mutated = bytearray(payload)
+        kind = rng.randrange(5)
+        if kind == 0:
+            for _ in range(rng.randrange(1, 4)):
+                mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+        elif kind == 1:
+            del mutated[rng.randrange(len(mutated)):]
+        elif kind == 2:
+            mutated += rng.randbytes(rng.randrange(1, 6))
+        else:
+            # item count, first item's type or length, second item's length
+            offset = rng.choice((6, 8, 10, 14 if len(mutated) > 15 else 6))
+            mutated[offset:offset + 2] = rng.randrange(5).to_bytes(2, "little")
+        yield bytes(mutated)
+
+
+def test_carrier_parsers_accept_and_reject_as_decode_cpf_does():
+    rng = random.Random(0xC11)
+    items = CpfItem(encap.ITEM_NULL_ADDRESS, b"xy"), CpfItem(encap.ITEM_UNCONNECTED_DATA, b"ab")
+    odd_layouts = [encap.encode_cpf(list(items)), encap.encode_cpf([items[1], items[0]])]
+    accepted = 0
+    for _ in range(40):
+        cip_bytes = rng.randbytes(rng.randrange(24))
+        rr = encap.build_rr_data(1, cip_bytes)[encap.HEADER_SIZE:]
+        unit = encap.build_unit_data(1, rng.randrange(2**32), rng.randrange(2**16), cip_bytes)
+        unit = unit[encap.HEADER_SIZE:]
+        for payload in [rr, *mutations(rng, rr), *odd_layouts]:
+            expected = outcome(rr_by_cpf, payload)
+            assert outcome(encap.parse_rr_data, payload) == expected, payload.hex()
+            accepted += expected is not EncapError
+        for payload in [unit, *mutations(rng, unit), *odd_layouts]:
+            expected = outcome(unit_by_cpf, payload)
+            assert outcome(encap.parse_unit_data, payload) == expected, payload.hex()
+            accepted += expected is not EncapError
+    assert accepted > 80  # the damage left some payloads well formed

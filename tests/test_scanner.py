@@ -426,7 +426,7 @@ def test_plan_routes_targets_by_kind_and_records_output_spans():
         assert plan.write_spans == {("counts", CipType.DINT): (2, 3)}
         sc.scan_once("plc")
         assert sc.value_of(bit_in) is False and sc.value_of(typed_in) == 10
-        assert sc._units["plc"].span_cache.keys() == {(1.0, "counts", CipType.DINT)}
+        assert sc._units["plc"].span_cache.keys() == {("counts", CipType.DINT)}
         sc.stop()
 
 
@@ -788,6 +788,42 @@ def test_read_modify_writes_of_one_word_in_one_flush_keep_each_bit():
         sc.flush("plc")
         assert sim.store.get_tag("bits").elements[0] == 0b10101001
         assert all(not s.dirty and s.quality is Quality.OK for s in [grouped] + solo)
+
+
+def test_read_modify_writes_from_two_scan_lists_keep_each_bit():
+    # one span cache per (group, wire type) on a PLC: the second list's
+    # read-modify-write builds on the word the first list just wrote
+    with PlcSim(bits_store()) as sim:
+        sc = scanner_for(sim)
+        fast = sc.add_tag("plc", "bits[3]", 1.0, direction="out", bool_array=True)
+        slow = sc.add_tag("plc", "bits[5]", 2.0, direction="out", bool_array=True)
+        sc.scan_once("plc")
+        sc.write(fast, True, immediate=False)
+        sc.write(slow, True, immediate=False)
+        sc.flush("plc")
+        assert sim.store.get_tag("bits").elements[0] == 0b101001
+        assert fast.quality is Quality.OK and slow.quality is Quality.OK
+        assert sc.value_of(fast) is True and sc.value_of(slow) is True
+
+
+def test_no_coalesce_write_updates_its_groups_span_cache():
+    store = make_store()
+    store.define("counts", CipType.DINT, [1, 2, 3, 4, 5])
+    with PlcSim(store) as sim:
+        sc = scanner_for(sim)
+        lo = sc.add_tag("plc", "counts[0]", 1.0, direction="out", elem_type=CipType.DINT)
+        hi = sc.add_tag("plc", "counts[4]", 1.0, direction="out", elem_type=CipType.DINT)
+        mid = sc.add_tag(
+            "plc", "counts[2]", 1.0, direction="out",
+            elem_type=CipType.DINT, coalesce=False,
+        )
+        sc.scan_once("plc")
+        sc.write(mid, 333)
+        sc.write(lo, 10, immediate=False)
+        sc.write(hi, 50, immediate=False)
+        sc.flush("plc")
+        assert sim.store.get_tag("counts").elements == (10, 2, 333, 4, 50)
+        assert sc.value_of(mid) == 333 and mid.quality is Quality.OK
 
 
 def test_write_to_input_rejected(sim):
