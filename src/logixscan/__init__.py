@@ -2,14 +2,16 @@
 
 Layers: `encap` (TCP framing and sessions), `cip` (service codec),
 `tags` (address parsing and BOOL-array remapping), `client` (session
-round trips), `scanner` (periodic batched scanning), `plcsim` (soft PLC),
-`cli` (command-line tool).
+round trips), `plan` (pure scan planning: which transfers a list sends),
+`scanner` (periodic batched scanning and writes), `config` (scan config
+files), `plcsim` (soft PLC), `cli` (command-line tool).
 """
 
 from .cip import CipError, CipStatusError, CipType, CipValue
 from .client import PlcClient, PlcEndpoint, PlcError, PlcTimeout
 from .encap import DEFAULT_PORT, EncapError
-from .scanner import Direction, Quality, TagScanner
+from .plan import Direction
+from .scanner import Quality, TagScanner
 from .tags import TagRef, bool_remap, dint_span_for_bools, parse_tag
 
 __version__ = "0.1.0"

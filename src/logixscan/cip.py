@@ -358,6 +358,22 @@ def decode_typed_data(payload: bytes) -> CipValue:
     return CipValue(elem_type, layout.unpack_from(payload, 2))
 
 
+_BOOL_LITERALS = {"1": True, "true": True, "on": True, "0": False, "false": False, "off": False}
+
+
+def parse_literal(elem_type: CipType, text: str):
+    """One element value from its text: a REAL as a float, a BOOL as
+    0/1/true/false/on/off in any case, an integer in any Python base."""
+    try:
+        if elem_type is CipType.REAL:
+            return float(text)
+        if elem_type is CipType.BOOL:
+            return _BOOL_LITERALS[text.lower()]
+        return int(text, 0)
+    except (KeyError, ValueError):
+        raise ValueError(f"bad {elem_type.name} {text!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # requests and responses
 
@@ -571,10 +587,6 @@ def _offset_table(items: list[bytes]) -> bytes:
         offsets.append(pos)
         pos += len(item)
     return struct.pack(f"<{n + 1}H", n, *offsets) + b"".join(items)
-
-
-def build_multi_request(requests: list[CipRequest]) -> CipRequest:
-    return build_multi_request_encoded([encode_request(r) for r in requests])
 
 
 def build_multi_request_encoded(items: list[bytes]) -> CipRequest:

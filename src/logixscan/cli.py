@@ -12,7 +12,7 @@ import sys
 import threading
 import time
 
-from . import plcsim
+from . import cip, plcsim
 from .cip import CipStatusError, CipType, CipValue
 from .client import (
     PlcClient,
@@ -22,12 +22,8 @@ from .client import (
     PlcTimeout,
 )
 from .encap import DEFAULT_PORT
-from .scanner import (
-    ConfigError,
-    TagScanner,
-    apply_scan_config,
-    parse_scan_config,
-)
+from .config import ConfigError, apply_scan_config, parse_scan_config
+from .scanner import TagScanner
 from .tags import TagError, parse_tag
 
 EXIT_OK = 0
@@ -149,21 +145,6 @@ def _format_element(elem_type: CipType, v) -> str:
     return str(v)
 
 
-def _parse_values(elem_type: CipType, texts: list[str]) -> list:
-    values = []
-    for text in texts:
-        if elem_type is CipType.REAL:
-            values.append(float(text))
-        elif elem_type is CipType.BOOL:
-            lowered = text.lower()
-            if lowered not in ("0", "1", "true", "false", "on", "off"):
-                raise ValueError(f"bad BOOL value {text!r}")
-            values.append(lowered in ("1", "true", "on"))
-        else:
-            values.append(int(text, 0))
-    return values
-
-
 def _cmd_info(args) -> int:
     client = _client(args, args.host)
     try:
@@ -189,7 +170,7 @@ def _cmd_write(args) -> int:
     client = _client(args, args.host)
     try:
         current = client.read_tag(ref, 1)  # the tag's type decides the encoding
-        values = _parse_values(current.type, args.values)
+        values = [cip.parse_literal(current.type, text) for text in args.values]
         client.write_tag(ref, CipValue(current.type, values))
     finally:
         client.close()

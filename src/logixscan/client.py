@@ -64,6 +64,10 @@ class PlcEndpoint:
     reconnect_period: float = 5.0
 
     def __post_init__(self):
+        if not self.host:
+            raise ValueError("host must not be empty")
+        if not 1 <= self.port <= 0xFFFF:
+            raise ValueError(f"port {self.port} outside [1, 65535]")
         if not MIN_BUFFER_LIMIT <= self.buffer_limit <= MAX_BUFFER_LIMIT:
             raise ValueError(
                 f"buffer_limit {self.buffer_limit} outside "
@@ -125,13 +129,11 @@ class PlcClient:
             raise
         except PlcError as exc:
             raise PlcConnectError(f"register failed: {exc}") from exc
-        if len(payload) >= 2 and struct.unpack_from("<H", payload)[0] != encap.PROTOCOL_VERSION:
+        try:
+            self.session_handle = encap.parse_register_reply(header, payload)
+        except encap.EncapError as exc:
             self._drop_socket()
-            raise PlcConnectError("protocol version mismatch in register reply")
-        if header.session_handle == 0:
-            self._drop_socket()
-            raise PlcConnectError("server assigned session handle 0")
-        self.session_handle = header.session_handle
+            raise PlcConnectError(f"register failed: {exc}") from exc
         self.phase = Phase.REGISTERED
         self.next_sequence = 1
         self.grant = None

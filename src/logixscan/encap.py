@@ -133,9 +133,8 @@ def build_register_session(sender_context: bytes = ZERO_CONTEXT) -> bytes:
     return encode_packet(EncapsHeader(CMD_REGISTER_SESSION, sender_context=sender_context), payload)
 
 
-def parse_register_reply(data: bytes) -> int:
+def parse_register_reply(header: EncapsHeader, payload: bytes) -> int:
     """Return the server-assigned session handle from a RegisterSession reply."""
-    header, payload = decode_packet(data)
     if header.command != CMD_REGISTER_SESSION:
         raise EncapError(f"expected RegisterSession reply, got command 0x{header.command:04X}")
     if header.status != 0:
@@ -151,15 +150,6 @@ def parse_register_reply(data: bytes) -> int:
 
 def build_unregister_session(session_handle: int) -> bytes:
     return encode_packet(EncapsHeader(CMD_UNREGISTER_SESSION, session_handle=session_handle))
-
-
-def encode_cpf(items: list[CpfItem]) -> bytes:
-    """Interface handle 0 + timeout 0 + item table."""
-    out = bytearray(_CPF_PREFIX.pack(0, 0, len(items)))
-    for item in items:
-        out += _ITEM_HEADER.pack(item.item_type, len(item.data))
-        out += item.data
-    return bytes(out)
 
 
 def decode_cpf(data: bytes) -> list[CpfItem]:

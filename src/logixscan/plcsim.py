@@ -649,7 +649,10 @@ def _parse_tag_line(line: str) -> tuple[str, CipType, tuple]:
     raw_values = [v.strip() for v in values_text.split(",") if v.strip()]
     if not raw_values:
         raise SimError("no values given")
-    values = [_parse_value(elem_type, v) for v in raw_values]
+    try:
+        values = [cip.parse_literal(elem_type, v) for v in raw_values]
+    except ValueError as exc:
+        raise SimError(str(exc)) from None
     if len(values) == 1 and length > 1:
         values = values * length
     if len(values) != length:
@@ -659,25 +662,6 @@ def _parse_tag_line(line: str) -> tuple[str, CipType, tuple]:
     except Exception as exc:
         raise SimError(str(exc)) from None
     return name, elem_type, tuple(values)
-
-
-def _parse_value(elem_type: CipType, text: str):
-    if elem_type is CipType.REAL:
-        try:
-            return float(text)
-        except ValueError:
-            raise SimError(f"bad REAL {text!r}") from None
-    if elem_type is CipType.BOOL:
-        lowered = text.lower()
-        if lowered in ("1", "true", "on"):
-            return True
-        if lowered in ("0", "false", "off"):
-            return False
-        raise SimError(f"bad BOOL {text!r}")
-    try:
-        return int(text, 0)
-    except ValueError:
-        raise SimError(f"bad {elem_type.name} {text!r}") from None
 
 
 def load_tag_file(store: TagStore, text: str) -> None:

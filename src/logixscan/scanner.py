@@ -1,4 +1,4 @@
-"""Periodic tag scanning.
+"""Periodic tag scanning: execution, the write path and the worker threads.
 
 Subscriptions are grouped into per-period scan lists.  Each subscription
 derives its wire address once, when its tag is set: the group it coalesces
@@ -7,20 +7,17 @@ bit, and the symbol path up to the final subscript.  Its current value is
 one immutable (value, timestamp, quality) cell that every update replaces
 whole, so `snapshot()` reads a consistent triple without a lock.
 
-A list is planned before its first cycle and again after its membership
-or a discovered type changes: array-element subscriptions are coalesced
-into one read from the first to the highest requested element, BOOL-array
-bits ride on their underlying DINT words, and the resulting reads are
-packed greedily into Multi-Requests until either the encoded request or
-the estimated response would cross the PLC buffer limit.  The plan holds
-each transfer's request, built once, each read's routing of reply
-elements into cells, and each coalesced output span, so a cycle only
-sends, decodes and stores.  Outputs are written on demand (whole-span when
-more than one element of a coalesced span is dirty) and read back every
-cycle with drift notifications when the PLC side changed.  A flush builds
-all its writes first, then packs them in order into Multi-Requests under
-the same limit and sends them through the same transfer loop as reads;
-each embedded write lands and settles, or fails and stays dirty, alone.
+A list is planned by `plan.plan_list` before its first cycle and again
+after its membership or a discovered type changes.  The plan holds each
+transfer's request, built once, each read's routing of reply elements into
+cells, and each coalesced output span, so a cycle only sends, decodes and
+stores.  Outputs are written on demand (whole-span when more than one
+element of a coalesced span is dirty) and read back every cycle with drift
+notifications when the PLC side changed.  A flush groups its dirty outputs
+by the planner's rule, builds all its writes first, then packs them in
+order with the planner's packer and sends them through the same transfer
+loop as reads; each embedded write lands and settles, or fails and stays
+dirty, alone.  Scan config files are parsed and applied by `config`.
 """
 
 from __future__ import annotations
@@ -34,22 +31,15 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 
 from . import cip
-from .cip import CipRequest, CipType, CipValue, Element, Epath
+from .cip import CipType, CipValue, Element, Epath
 from .client import PlcClient, PlcEndpoint, PlcError, Phase
+from .plan import Direction, ReadOp, ScanPlan, WriteOp, group, pack, plan_list
 from .tags import BITS_PER_DINT, TagRef, format_tag, parse_tag, to_epath
 
 log = logging.getLogger(__name__)
 
-UNKNOWN_TYPE_WIDTH = 4  # sizing assumption until the first read fixes the type
-WRITE_REPLY_SIZE = 4  # a write reply is its status header alone
-
 # BOOL-array bit cells; values are frozen, so every bit cell shares these
 _BOOL_CELLS = (CipValue(CipType.BOOL, (False,)), CipValue(CipType.BOOL, (True,)))
-
-
-class Direction(enum.Enum):
-    INPUT = "in"
-    OUTPUT = "out"
 
 
 class Quality(enum.Enum):
@@ -156,79 +146,6 @@ class Subscription:
 
 
 @dataclass
-class ReadOp:
-    """One planned read and where its elements go."""
-
-    request: CipRequest
-    encoded: bytes
-    response_estimate: int
-    expected_type: CipType | None
-    # (subscription, element offset within the read, bit index or None)
-    targets: list[tuple[Subscription, int, int | None]]
-    # span cache key; kept only when an output reads here, since the
-    # cache serves read-before-write alone
-    cache_key: tuple[str, CipType] | None = None
-    start_element: int | None = None
-    # targets split by how a reply element reaches the cell
-    bit_inputs: list[tuple[Subscription, int, int]] = field(init=False)
-    typed_inputs: list[tuple[Subscription, int]] = field(init=False)
-    # outputs (drift rules) and subscriptions whose type is still unknown
-    other_targets: list[tuple[Subscription, int, int | None]] = field(init=False)
-
-    def __post_init__(self) -> None:
-        output = Direction.OUTPUT
-        bit_inputs, typed_inputs, other_targets = [], [], []
-        for target in self.targets:
-            sub, offset, bit = target
-            if sub.direction is output or sub.elem_type is None:
-                other_targets.append(target)
-            elif bit is not None:
-                bit_inputs.append(target)
-            else:
-                typed_inputs.append((sub, offset))
-        self.bit_inputs, self.typed_inputs = bit_inputs, typed_inputs
-        self.other_targets = other_targets
-        if not any(sub.direction is output for sub, _offset, _bit in other_targets):
-            self.cache_key = None
-
-    def fail(self) -> None:
-        for sub, _offset, _bit in self.targets:
-            sub.fail()
-
-
-@dataclass(slots=True)
-class WriteOp:
-    """One write a flush built, and the subscriptions it settles on landing."""
-
-    request: CipRequest
-    encoded: bytes
-    subs: list[Subscription]
-    wire_type: CipType
-    # span-cache elements this write already set, so that later
-    # read-modify-writes of the same flush build on it (None: not cached)
-    cache: dict[int, object] | None
-    written: range
-    response_estimate = WRITE_REPLY_SIZE
-
-    def fail(self) -> None:
-        for sub in self.subs:
-            sub.fail()
-        if self.cache is not None:
-            for element in self.written:  # unknown on the PLC: read again first
-                self.cache.pop(element, None)
-
-
-@dataclass
-class ScanPlan:
-    transfers: list[list[ReadOp]]
-    unplannable: list[Subscription]
-    # what each transfer sends: its single read, or a Multi-Request of them
-    requests: list[CipRequest]
-    # coalescing group -> (first, highest) element of its output subscriptions
-    write_spans: dict[tuple[str, CipType], tuple[int, int]]
-
-
-@dataclass
 class ScanList:
     period_s: float
     members: list[Subscription] = field(default_factory=list)
@@ -252,14 +169,6 @@ class _PlcUnit:
         self.running = False
 
 
-def _group_key(sub: Subscription) -> tuple[str, CipType] | None:
-    """The span a subscription coalesces into, for reads and writes alike."""
-    wire_type = sub.wire_type()
-    if sub.coalesce and sub.element is not None and wire_type is not None:
-        return sub.group, wire_type
-    return None
-
-
 def _stage_write(
     ops: list[WriteOp], path: Epath, value: CipValue, subs: list[Subscription],
     cache: dict[int, object] | None = None, first: int = 0,
@@ -272,15 +181,6 @@ def _stage_write(
     ))
     if cache is not None:
         cache.update(zip(written, value.elements))
-
-
-def _requests(transfers: list[list]) -> list[CipRequest]:
-    """What each transfer sends: its one request bare, or a Multi-Request."""
-    return [
-        t[0].request if len(t) == 1
-        else cip.build_multi_request_encoded([op.encoded for op in t])
-        for t in transfers
-    ]
 
 
 class TagScanner:
@@ -411,105 +311,16 @@ class TagScanner:
         unit = self._unit(plc_name)
 
         def inspect():
-            sl = unit.lists[period_s]
-            if sl.plan is None:
-                sl.plan = self._plan_list(unit, sl)
-            return [len(transfer) for transfer in sl.plan.transfers]
+            plan = self._plan(unit, unit.lists[period_s])
+            return [len(ops) for ops, _request in plan.transfers]
 
         return self._submit(unit, inspect)
 
-    # -- planning ----------------------------------------------------------------
-
-    def _plan_list(self, unit: _PlcUnit, sl: ScanList) -> ScanPlan:
-        limit = unit.client.endpoint.buffer_limit
-        ops: list[ReadOp] = []
-        unplannable: list[Subscription] = []
-        groups: dict[tuple[str, CipType], list[Subscription]] = {}
-        solo: list[Subscription] = []
-        write_spans: dict[tuple[str, CipType], tuple[int, int]] = {}
-
-        for sub in sl.members:
-            key = _group_key(sub)
-            if key is not None:
-                groups.setdefault(key, []).append(sub)
-            else:
-                solo.append(sub)
-
-        for key, subs in groups.items():
-            wire_type = key[1]
-            elements = [s.element for s in subs]
-            first, high = min(elements), max(elements)
-            outputs = [s.element for s in subs if s.direction is Direction.OUTPUT]
-            if outputs:
-                write_spans[key] = (min(outputs), max(outputs))
-            count = high - first + 1
-            request = cip.build_read_request(subs[0].wire_path(first), count)
-            encoded = cip.encode_request(request)
-            estimate = cip.estimate_response_size(wire_type, count)
-            if (
-                cip.wrapped_request_size(len(encoded)) <= limit
-                and estimate <= limit
-            ):
-                targets = [(s, s.element - first, s.bit) for s in subs]
-                ops.append(ReadOp(
-                    request, encoded, estimate, wire_type, targets,
-                    cache_key=key,
-                    start_element=first,
-                ))
-            else:
-                # span too large for one transfer: separate element reads
-                solo.extend(subs)
-
-        for sub in solo:
-            op = self._solo_op(sub, limit)
-            if op is None:
-                unplannable.append(sub)
-            else:
-                ops.append(op)
-
-        transfers = self._pack(ops, limit)
-        return ScanPlan(transfers, unplannable, _requests(transfers), write_spans)
-
-    def _solo_op(self, sub: Subscription, limit: int) -> ReadOp | None:
-        wire_type = sub.wire_type()
-        element = sub.element
-        request = cip.build_read_request(sub.wire_path(element), 1)
-        encoded = cip.encode_request(request)
-        width = wire_type.width if wire_type is not None else UNKNOWN_TYPE_WIDTH
-        estimate = 4 + 2 + width
-        if cip.wrapped_request_size(len(encoded)) > limit or estimate > limit:
-            return None
-        known = element is not None and wire_type is not None
-        return ReadOp(
-            request, encoded, estimate, wire_type,
-            [(sub, 0, sub.bit)],
-            cache_key=(sub.group, wire_type) if known else None,
-            start_element=element,
-        )
-
-    def _pack(self, ops: list, limit: int) -> list[list]:
-        """Group read or write ops, in order, into transfers under the limit."""
-        if not self.batching:
-            return [[op] for op in ops]
-        transfers: list[list] = []
-        current: list = []
-        for op in ops:
-            if current:
-                inner_sizes = [len(o.encoded) for o in current] + [len(op.encoded)]
-                responses = [o.response_estimate for o in current] + [op.response_estimate]
-                request_ok = (
-                    cip.wrapped_request_size(cip.multi_request_size(inner_sizes))
-                    <= limit
-                )
-                response_ok = cip.multi_response_size(responses) <= limit
-                if request_ok and response_ok:
-                    current.append(op)
-                    continue
-                transfers.append(current)
-            current = [op]
-        if current:
-            transfers.append(current)
-        return transfers
+    def _plan(self, unit: _PlcUnit, sl: ScanList) -> ScanPlan:
+        """The list's plan, planned again after membership or a type changed."""
+        if sl.plan is None:
+            sl.plan = plan_list(sl.members, unit.client.endpoint.buffer_limit, self.batching)
+        return sl.plan
 
     # -- scanning -------------------------------------------------------------
 
@@ -535,14 +346,12 @@ class TagScanner:
             for sub in sl.members:
                 sub.fail()
             return
-        if sl.plan is None:
-            sl.plan = self._plan_list(unit, sl)
-        plan = sl.plan
+        plan = self._plan(unit, sl)
         for sub in plan.unplannable:
             sub.fail()
         started = time.monotonic()
         any_ok = False
-        for op, resp in self._send(unit, sl, plan.transfers, plan.requests):
+        for op, resp in self._send(unit, sl, plan.transfers):
             if self._absorb_read(unit, sl, op, resp, now):
                 any_ok = True
         duration = time.monotonic() - started
@@ -555,31 +364,31 @@ class TagScanner:
                 )
 
     def _send(
-        self, unit: _PlcUnit, sl: ScanList, transfers: list[list],
-        requests: list[CipRequest], level: int = logging.DEBUG,
+        self, unit: _PlcUnit, sl: ScanList, transfers: list,
+        level: int = logging.DEBUG,
     ):
         """Send transfers in order; yield (op, reply) for each op of each
         transfer that got a reply, and fail the ops of each that did not."""
-        for i, (transfer, request) in enumerate(zip(transfers, requests)):
+        for i, (ops, request) in enumerate(transfers):
             try:
                 reply = unit.client.round_trip(request)
-                if len(transfer) == 1:
+                if len(ops) == 1:
                     responses = [reply]
                 else:
-                    responses = cip.split_multi_response(reply, len(transfer))
+                    responses = cip.split_multi_response(reply, len(ops))
             except (PlcError, cip.CipError) as exc:
                 log.log(level, "transfer failed on %s: %s", unit.name, exc)
                 # with the session gone, the transfers not yet sent fail too
                 gone = unit.client.phase is Phase.DISCONNECTED
                 with self._stats_lock:
                     sl.stats.errors += 1
-                for lost in transfers[i:] if gone else [transfer]:
+                for lost, _request in transfers[i:] if gone else [(ops, request)]:
                     for op in lost:
                         op.fail()
                 if gone:
                     return
                 continue
-            yield from zip(transfer, responses)
+            yield from zip(ops, responses)
 
     def _absorb_read(
         self, unit: _PlcUnit, sl: ScanList, op: ReadOp, resp: cip.CipResponse, now: float
@@ -690,18 +499,9 @@ class TagScanner:
                         sub.fail()
             return
         for sl in unit.lists.values():
-            groups: dict[tuple[str, CipType], list[Subscription]] = {}
-            singles: list[Subscription] = []
-            for sub in sl.members:
-                if not sub.dirty:
-                    continue
-                key = _group_key(sub)
-                if key is not None:
-                    groups.setdefault(key, []).append(sub)
-                else:
-                    singles.append(sub)
-            if groups and sl.plan is None:
-                sl.plan = self._plan_list(unit, sl)  # for the output spans
+            groups, singles = group([sub for sub in sl.members if sub.dirty])
+            if groups:
+                self._plan(unit, sl)  # for the output spans
             # build every write first (prerequisite reads go out inline),
             # then send them packed, in order: groups, then singles
             ops: list[WriteOp] = []
@@ -709,10 +509,8 @@ class TagScanner:
                 self._write_group(unit, sl, key, subs, ops)
             for sub in singles:
                 self._write_single(unit, sl, sub, ops)
-            transfers = self._pack(ops, unit.client.endpoint.buffer_limit)
-            for op, resp in self._send(
-                unit, sl, transfers, _requests(transfers), logging.WARNING
-            ):
+            transfers = pack(ops, unit.client.endpoint.buffer_limit, self.batching)
+            for op, resp in self._send(unit, sl, transfers, logging.WARNING):
                 try:
                     cip.parse_write_response(resp)
                 except cip.CipError as exc:
@@ -919,189 +717,3 @@ class TagScanner:
             return self._units[plc_name]
         except KeyError:
             raise KeyError(f"unknown plc {plc_name!r}") from None
-
-
-# ---------------------------------------------------------------------------
-# scan configuration files
-
-class ConfigError(ValueError):
-    """Scan config line that does not follow the grammar."""
-
-
-@dataclass
-class PlcSpec:
-    name: str
-    host: str
-    port: int
-    slot: int
-    limit: int
-    connected: bool
-
-
-@dataclass
-class TagSpec:
-    plc: str
-    tag: str
-    period_ms: float
-    direction: Direction
-    elem_type: CipType | None
-    elements: int
-    coalesce: bool
-    bool_array: bool
-
-
-@dataclass
-class ScanConfig:
-    plcs: list[PlcSpec] = field(default_factory=list)
-    tags: list[TagSpec] = field(default_factory=list)
-
-
-def parse_scan_config(text: str) -> ScanConfig:
-    """Parse the line-oriented scan config.
-
-    plc <name> <host>[:<port>] slot=<n> [limit=<bytes>] [connected]
-    tag <plcname> <tagref> period=<ms> dir=<in|out> [type=<T>]
-        [elements=<n>] [no-coalesce] [bool-array]
-    """
-    config = ScanConfig()
-    names: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        words = line.split()
-        kind, args = words[0], words[1:]
-        try:
-            if kind == "plc":
-                spec = _parse_plc_line(args)
-                if spec.name in names:
-                    raise ConfigError(f"plc {spec.name!r} defined twice")
-                names.add(spec.name)
-                config.plcs.append(spec)
-            elif kind == "tag":
-                spec = _parse_tag_line(args)
-                if spec.plc not in names:
-                    raise ConfigError(f"tag references undefined plc {spec.plc!r}")
-                config.tags.append(spec)
-            else:
-                raise ConfigError(f"unknown directive {kind!r}")
-        except ConfigError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
-    return config
-
-
-def _parse_plc_line(args: list[str]) -> PlcSpec:
-    if len(args) < 2:
-        raise ConfigError("plc needs a name and a host")
-    name, host = args[0], args[1]
-    port = 0xAF12
-    if ":" in host:
-        host, _, port_text = host.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise ConfigError(f"bad port {port_text!r}") from None
-    slot = None
-    limit = 500
-    connected = False
-    for word in args[2:]:
-        if word == "connected":
-            connected = True
-        elif word.startswith("slot="):
-            slot = _int_option(word)
-        elif word.startswith("limit="):
-            limit = _int_option(word)
-        else:
-            raise ConfigError(f"unknown plc option {word!r}")
-    if slot is None:
-        raise ConfigError("plc line missing slot=<n>")
-    return PlcSpec(name, host, port, slot, limit, connected)
-
-
-def _parse_tag_line(args: list[str]) -> TagSpec:
-    if len(args) < 2:
-        raise ConfigError("tag needs a plc name and a tag reference")
-    plc, tag = args[0], args[1]
-    period_ms = None
-    direction = None
-    elem_type = None
-    elements = 1
-    coalesce = True
-    bool_array = False
-    for word in args[2:]:
-        if word == "no-coalesce":
-            coalesce = False
-        elif word == "bool-array":
-            bool_array = True
-        elif word.startswith("period="):
-            period_ms = _float_option(word)
-        elif word.startswith("dir="):
-            value = word.split("=", 1)[1]
-            try:
-                direction = Direction(value)
-            except ValueError:
-                raise ConfigError(f"dir must be in or out, not {value!r}") from None
-        elif word.startswith("type="):
-            value = word.split("=", 1)[1]
-            try:
-                elem_type = CipType[value.upper()]
-            except KeyError:
-                raise ConfigError(f"unknown type {value!r}") from None
-        elif word.startswith("elements="):
-            elements = _int_option(word)
-            if elements < 1:
-                raise ConfigError("elements must be at least 1")
-        else:
-            raise ConfigError(f"unknown tag option {word!r}")
-    if period_ms is None or period_ms <= 0:
-        raise ConfigError("tag line missing period=<ms>")
-    if direction is None:
-        raise ConfigError("tag line missing dir=<in|out>")
-    try:
-        parse_tag(tag)
-    except Exception as exc:
-        raise ConfigError(f"bad tag {tag!r}: {exc}") from None
-    if bool_array and elem_type not in (None, CipType.BOOL):
-        raise ConfigError("bool-array tags must be type BOOL")
-    return TagSpec(plc, tag, period_ms, direction, elem_type, elements, coalesce, bool_array)
-
-
-def _int_option(word: str) -> int:
-    key, _, value = word.partition("=")
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key} needs an integer, not {value!r}") from None
-
-
-def _float_option(word: str) -> float:
-    key, _, value = word.partition("=")
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key} needs a number, not {value!r}") from None
-
-
-def apply_scan_config(scanner: TagScanner, config: ScanConfig) -> list[Subscription]:
-    """Create the PLCs and subscriptions a parsed config describes."""
-    subs = []
-    for plc in config.plcs:
-        endpoint = PlcEndpoint(
-            host=plc.host, port=plc.port, slot=plc.slot, buffer_limit=plc.limit
-        )
-        scanner.add_plc(plc.name, endpoint, connected=plc.connected)
-    for spec in config.tags:
-        base = parse_tag(spec.tag, bool_array=spec.bool_array)
-        period_s = spec.period_ms / 1000.0
-        if spec.elements == 1:
-            refs = [base]
-        else:
-            start = base.final_element if base.final_element is not None else 0
-            refs = [base.with_final_element(start + i) for i in range(spec.elements)]
-        for ref in refs:
-            subs.append(scanner.add_tag(
-                spec.plc, ref, period_s, spec.direction,
-                elem_type=spec.elem_type, coalesce=spec.coalesce,
-                bool_array=spec.bool_array,
-            ))
-    return subs

@@ -428,7 +428,9 @@ def read_req(name: str) -> CipRequest:
 
 
 def test_multi_request_offsets_golden():
-    multi = cip.build_multi_request([read_req("A"), read_req("B")])
+    multi = cip.build_multi_request_encoded(
+        [cip.encode_request(read_req("A")), cip.encode_request(read_req("B"))]
+    )
     count = struct.unpack_from("<H", multi.payload)[0]
     offsets = list(struct.unpack_from("<HH", multi.payload, 2))
     assert count == 2
@@ -442,7 +444,7 @@ def test_multi_request_split_identity():
             read_req("tag" + "".join(rng.choice("ABC") for _ in range(rng.randrange(1, 10))))
             for _ in range(rng.randrange(1, 20))
         ]
-        multi = cip.build_multi_request(inner)
+        multi = cip.build_multi_request_encoded([cip.encode_request(r) for r in inner])
         assert cip.split_multi_request(multi) == inner
 
 
@@ -452,7 +454,7 @@ def test_multi_fifteen_reads_fits_in_limit():
     requests = [read_req(n) for n in names]
     sizes = [len(cip.encode_request(r)) for r in requests]
     assert sizes == [22] * 15
-    multi = cip.build_multi_request(requests)
+    multi = cip.build_multi_request_encoded([cip.encode_request(r) for r in requests])
     encoded = cip.encode_request(multi)
     assert len(encoded) == 38 + 15 * 22 == 368
     assert cip.multi_request_size(sizes) == 368
@@ -522,3 +524,25 @@ def test_response_size_estimates():
     assert cip.estimate_response_size(CipType.REAL, 40) == 166
     assert cip.estimate_response_size(CipType.DINT, 11) == 50
     assert cip.estimate_response_size(CipType.INT, 1) == 8
+
+
+@pytest.mark.parametrize("elem_type,text,value", [
+    (CipType.REAL, "-2.5", -2.5),
+    (CipType.REAL, "1e3", 1000.0),
+    (CipType.BOOL, "ON", True),
+    (CipType.BOOL, "false", False),
+    (CipType.BOOL, "1", True),
+    (CipType.DINT, "-12", -12),
+    (CipType.DINT, "0x1F", 31),
+    (CipType.SINT, "0b101", 5),
+])
+def test_parse_literal(elem_type, text, value):
+    assert cip.parse_literal(elem_type, text) == value
+
+
+@pytest.mark.parametrize("elem_type,text", [
+    (CipType.REAL, "--"), (CipType.BOOL, "maybe"), (CipType.BOOL, "2"), (CipType.INT, "1.5"),
+])
+def test_parse_literal_rejects_bad_text(elem_type, text):
+    with pytest.raises(ValueError, match=f"bad {elem_type.name} {text!r}"):
+        cip.parse_literal(elem_type, text)

@@ -1,6 +1,8 @@
 """Session client: lifecycle, round trips, error policy, paced reconnect."""
 
+import dataclasses
 import socket
+import struct
 import threading
 import time
 
@@ -34,6 +36,13 @@ def test_endpoint_validation():
         PlcEndpoint("h", slot=17)
     with pytest.raises(ValueError):
         PlcEndpoint("h", request_timeout=0)
+    PlcEndpoint("h", port=1)
+    PlcEndpoint("h", port=65535)
+    for port in (0, -1, 65536):
+        with pytest.raises(ValueError, match=f"port {port} outside"):
+            PlcEndpoint("h", port=port)
+    with pytest.raises(ValueError, match="host must not be empty"):
+        PlcEndpoint("")
 
 
 def test_connect_registers_session(client):
@@ -368,3 +377,27 @@ def test_bytes_past_the_declared_reply_drop_the_session(sim):
     assert c.consecutive_errors == 1
     c.close()
     thread.join(timeout=5)
+
+
+@pytest.mark.parametrize("field,value,fragment", [
+    ("session_handle", 0, "session handle 0"),
+    ("version", 2, "protocol version mismatch"),
+])
+def test_bad_register_reply_drops_the_socket(sim, field, value, fragment):
+    def rewrite(sock, reply):
+        header, payload = encap.decode_packet(reply)
+        if header.command == encap.CMD_REGISTER_SESSION:
+            if field == "version":
+                payload = struct.pack("<H", value) + payload[2:]
+            else:
+                header = dataclasses.replace(header, session_handle=value)
+            reply = encap.encode_packet(header, payload)
+        sock.sendall(reply)
+
+    port, thread = relay(sim, rewrite)
+    c = PlcClient(PlcEndpoint("127.0.0.1", port=port, request_timeout=2.0))
+    with pytest.raises(PlcConnectError, match=fragment):
+        c.connect()
+    assert c.phase is Phase.DISCONNECTED and c._sock is None
+    thread.join(timeout=5)
+    assert not thread.is_alive()

@@ -1,11 +1,22 @@
 """Encapsulation framing: header layout, session packets, CPF items."""
 
 import random
+import struct
 
 import pytest
 
 from logixscan import encap
 from logixscan.encap import CpfItem, EncapError, EncapsHeader
+
+
+def encode_cpf(items: list[CpfItem]) -> bytes:
+    """Item-by-item CPF framing: interface handle 0, timeout 0, item table.
+    The reference the one-pass carriers are compared against."""
+    out = bytearray(struct.pack("<IHH", 0, 0, len(items)))
+    for item in items:
+        out += struct.pack("<HH", item.item_type, len(item.data))
+        out += item.data
+    return bytes(out)
 
 
 def decode_header_by_hand(data: bytes) -> dict:
@@ -55,20 +66,20 @@ def test_register_reply_roundtrip():
         EncapsHeader(encap.CMD_REGISTER_SESSION, session_handle=0x1234),
         b"\x01\x00\x00\x00",
     )
-    assert encap.parse_register_reply(reply) == 0x1234
+    assert encap.parse_register_reply(*encap.decode_packet(reply)) == 0x1234
 
 
 def test_register_reply_rejects_zero_handle_and_bad_status():
     ok_payload = b"\x01\x00\x00\x00"
     zero = encap.encode_packet(EncapsHeader(encap.CMD_REGISTER_SESSION), ok_payload)
     with pytest.raises(EncapError):
-        encap.parse_register_reply(zero)
+        encap.parse_register_reply(*encap.decode_packet(zero))
     refused = encap.encode_packet(
         EncapsHeader(encap.CMD_REGISTER_SESSION, session_handle=1, status=0x0002),
         ok_payload,
     )
     with pytest.raises(EncapError) as err:
-        encap.parse_register_reply(refused)
+        encap.parse_register_reply(*encap.decode_packet(refused))
     assert "0x0002" in str(err.value)
 
 
@@ -97,14 +108,14 @@ def test_cpf_roundtrip_and_prefix():
         CpfItem(encap.ITEM_NULL_ADDRESS),
         CpfItem(encap.ITEM_UNCONNECTED_DATA, b"\x0e\x02\x20\x01\x24\x01"),
     ]
-    body = encap.encode_cpf(items)
+    body = encode_cpf(items)
     # interface handle 0 (4 bytes) + timeout 0 (2) + item count 2 (2)
     assert body[:8] == b"\x00\x00\x00\x00\x00\x00\x02\x00"
     assert encap.decode_cpf(body) == items
 
 
 def test_cpf_rejects_trailing_bytes():
-    body = encap.encode_cpf([CpfItem(encap.ITEM_NULL_ADDRESS)])
+    body = encode_cpf([CpfItem(encap.ITEM_NULL_ADDRESS)])
     with pytest.raises(EncapError):
         encap.decode_cpf(body + b"\x00")
 
@@ -121,7 +132,7 @@ def test_rr_data_roundtrip():
 def test_rr_data_rejects_wrong_items():
     items = [CpfItem(encap.ITEM_NULL_ADDRESS), CpfItem(encap.ITEM_CONNECTED_DATA, b"x")]
     with pytest.raises(EncapError):
-        encap.parse_rr_data(encap.encode_cpf(items))
+        encap.parse_rr_data(encode_cpf(items))
 
 
 def test_unit_data_roundtrip_and_sequence_mask():
@@ -139,7 +150,7 @@ def test_unit_data_rejects_bad_address_item():
         CpfItem(encap.ITEM_CONNECTED_DATA, b"\x01\x00x"),
     ]
     with pytest.raises(EncapError):
-        encap.parse_unit_data(encap.encode_cpf(items))
+        encap.parse_unit_data(encode_cpf(items))
 
 
 def test_fuzz_header_roundtrip():
@@ -186,14 +197,14 @@ def rr_by_items(session, cip_bytes, context, status=0):
     header = EncapsHeader(
         encap.CMD_SEND_RR_DATA, session_handle=session, status=status, sender_context=context
     )
-    return encap.encode_packet(header, encap.encode_cpf([
+    return encap.encode_packet(header, encode_cpf([
         CpfItem(encap.ITEM_NULL_ADDRESS), CpfItem(encap.ITEM_UNCONNECTED_DATA, cip_bytes),
     ]))
 
 
 def unit_by_items(session, connection_id, sequence, cip_bytes, context):
     header = EncapsHeader(encap.CMD_SEND_UNIT_DATA, session_handle=session, sender_context=context)
-    return encap.encode_packet(header, encap.encode_cpf([
+    return encap.encode_packet(header, encode_cpf([
         CpfItem(encap.ITEM_CONNECTED_ADDRESS, connection_id.to_bytes(4, "little")),
         CpfItem(encap.ITEM_CONNECTED_DATA, (sequence & 0xFFFF).to_bytes(2, "little") + cip_bytes),
     ]))
@@ -279,7 +290,7 @@ def mutations(rng, payload):
 def test_carrier_parsers_accept_and_reject_as_decode_cpf_does():
     rng = random.Random(0xC11)
     items = CpfItem(encap.ITEM_NULL_ADDRESS, b"xy"), CpfItem(encap.ITEM_UNCONNECTED_DATA, b"ab")
-    odd_layouts = [encap.encode_cpf(list(items)), encap.encode_cpf([items[1], items[0]])]
+    odd_layouts = [encode_cpf(list(items)), encode_cpf([items[1], items[0]])]
     accepted = 0
     for _ in range(40):
         cip_bytes = rng.randbytes(rng.randrange(24))

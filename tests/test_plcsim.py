@@ -226,9 +226,9 @@ def test_route_depth_guard():
 
 def test_multi_request_dispatch():
     eng = engine()
-    multi = cip.build_multi_request([
-        build_read_request(to_epath(parse_tag("TEST")), 1),
-        build_read_request(to_epath(parse_tag("counts")), 5),
+    multi = cip.build_multi_request_encoded([
+        cip.encode_request(build_read_request(to_epath(parse_tag("TEST")), 1)),
+        cip.encode_request(build_read_request(to_epath(parse_tag("counts")), 5)),
     ])
     resp = decode_response(serve_cip(eng, multi))
     assert resp.ok
@@ -239,9 +239,9 @@ def test_multi_request_dispatch():
 
 def test_multi_request_partial_failure():
     eng = engine()
-    multi = cip.build_multi_request([
-        build_read_request(to_epath(parse_tag("TEST")), 1),
-        build_read_request(to_epath(parse_tag("missing")), 1),
+    multi = cip.build_multi_request_encoded([
+        cip.encode_request(build_read_request(to_epath(parse_tag("TEST")), 1)),
+        cip.encode_request(build_read_request(to_epath(parse_tag("missing")), 1)),
     ])
     resp = decode_response(serve_cip(eng, multi))
     assert resp.general_status == cip.STATUS_EMBEDDED_SERVICE_ERROR
@@ -256,7 +256,8 @@ def test_multi_request_items_decode_once(monkeypatch):
     decode_epath = cip.decode_epath
     monkeypatch.setattr(cip, "decode_epath", lambda data: decoded.append(1) or decode_epath(data))
     reads = [build_read_request(to_epath(parse_tag(t)), 1) for t in ("TEST", "counts", "flag")]
-    resp = decode_response(serve_cip(eng, cip.build_multi_request(reads)))
+    multi = cip.build_multi_request_encoded([cip.encode_request(r) for r in reads])
+    resp = decode_response(serve_cip(eng, multi))
     assert [r.ok for r in cip.split_multi_response(resp, 3)] == [True] * 3
     assert len(decoded) == 1 + len(reads)  # the envelope's path, then each item's
     assert eng.store.service_counts[cip.READ_DATA] == 3
@@ -276,7 +277,7 @@ def test_multi_request_with_a_malformed_item_serves_none():
     assert eng.store.service_counts[cip.MULTI_REQUEST] == 2
     # error injection still applies to each embedded service alone
     write = cip.build_write_request(to_epath(parse_tag("counts")), CipValue(CipType.DINT, (1,)))
-    multi = cip.build_multi_request([cip.decode_request(good), write])
+    multi = cip.build_multi_request_encoded([good, cip.encode_request(write)])
     inner = cip.split_multi_response(decode_response(serve_cip(eng, multi)), 2)
     assert inner[0].ok and inner[1].general_status == cip.STATUS_PATH_UNKNOWN
     assert eng.store.service_counts[cip.WRITE_DATA] == 1
@@ -378,7 +379,7 @@ def open_session(sim):
     sock = socket.create_connection((sim.host, sim.port), timeout=3)
     sock.sendall(encap.build_register_session())
     header, payload = read_packet(sock)
-    handle = encap.parse_register_reply(encap.encode_packet(header, payload))
+    handle = encap.parse_register_reply(header, payload)
     return sock, handle
 
 

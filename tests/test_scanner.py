@@ -13,15 +13,9 @@ import pytest
 from logixscan import cip
 from logixscan.cip import CipType, CipValue
 from logixscan.client import Phase, PlcEndpoint
+from logixscan.config import ConfigError, apply_scan_config, parse_scan_config
 from logixscan.plcsim import FaultPlan, PlcSim, TagStore
-from logixscan.scanner import (
-    ConfigError,
-    Direction,
-    Quality,
-    TagScanner,
-    apply_scan_config,
-    parse_scan_config,
-)
+from logixscan.scanner import Direction, Quality, TagScanner
 from logixscan.tags import bool_remap, parse_tag, to_epath
 
 from conftest import make_store
@@ -78,9 +72,15 @@ def read_of(tag, count, bool_array=False):
 
 def wire_bytes(requests):
     """Encoded transfer: the single read, or a Multi-Request of several."""
-    if len(requests) == 1:
-        return cip.encode_request(requests[0])
-    return cip.encode_request(cip.build_multi_request(requests))
+    encoded = [cip.encode_request(r) for r in requests]
+    if len(encoded) == 1:
+        return encoded[0]
+    return cip.encode_request(cip.build_multi_request_encoded(encoded))
+
+
+def sent(plan):
+    """What each transfer of a plan sends, encoded."""
+    return [cip.encode_request(request) for _ops, request in plan.transfers]
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def test_unknown_types_go_solo_then_coalesce_after_discovery(sim):
     # the new one coalesces into one read of both elements
     assert sc.plan_info("plc", 1.0) == [1]
     plan = planned(sc, 1.0)
-    assert cip.encode_request(plan.requests[0]) == wire_bytes([read_of("counts[0]", 2)])
+    assert sent(plan) == [wire_bytes([read_of("counts[0]", 2)])]
     assert sc.value_of(a) == 10 and sc.value_of(b) == 20
 
 
@@ -237,13 +237,13 @@ def test_replace_tag_rederives_address_and_request():
         sc = scanner_for(sim)
         sub = sc.add_tag("plc", "bits[5]", 1.0, bool_array=True)
         assert (sub.group, sub.element, sub.bit) == ("bits", 0, 5)
-        before = cip.encode_request(planned(sc, 1.0).requests[0])
+        (before,) = sent(planned(sc, 1.0))
         assert before == wire_bytes([read_of("bits[5]", 1, bool_array=True)])
         sc.scan_once("plc")
         assert sc.value_of(sub) is True
         sc.replace_tag(sub, "bits[160]")
         assert (sub.group, sub.element, sub.bit) == ("bits", 5, 0)
-        after = cip.encode_request(planned(sc, 1.0).requests[0])
+        (after,) = sent(planned(sc, 1.0))
         assert after == wire_bytes([read_of("bits[160]", 1, bool_array=True)])
         assert after != before
         sc.scan_once("plc")
@@ -299,10 +299,8 @@ def test_cached_requests_match_fresh_encoding_c06():
             sc.add_tag("plc", f"{name}[{i}]", 0.5, elem_type=CipType.REAL)
     for period_s, transfers in c06_reads().items():
         plan = planned(sc, period_s)
-        assert [len(t) for t in plan.transfers] == [len(t) for t in transfers]
-        assert [cip.encode_request(r) for r in plan.requests] == [
-            wire_bytes(t) for t in transfers
-        ]
+        assert [len(ops) for ops, _request in plan.transfers] == [len(t) for t in transfers]
+        assert sent(plan) == [wire_bytes(t) for t in transfers]
 
 
 def test_cached_requests_match_fresh_encoding_mixed_list():
@@ -316,9 +314,7 @@ def test_cached_requests_match_fresh_encoding_mixed_list():
         sc.add_tag("plc", f"bits[{i}]", 1.0, bool_array=True)
     assert sc.plan_info("plc", 1.0) == [4, 13]
     plan = planned(sc, 1.0)
-    assert [cip.encode_request(r) for r in plan.requests] == [
-        wire_bytes(t) for t in mixed_reads()
-    ]
+    assert sent(plan) == [wire_bytes(t) for t in mixed_reads()]
 
 
 def offset_table(items):
@@ -335,8 +331,7 @@ def test_multi_builders_lay_out_c06_and_mixed_list_byte_for_byte():
     transfers = [t for ts in c06_reads().values() for t in ts] + mixed_reads()
     for requests in transfers:
         encoded = [cip.encode_request(r) for r in requests]
-        multi = cip.build_multi_request(requests)
-        assert multi == cip.build_multi_request_encoded(encoded)
+        multi = cip.build_multi_request_encoded(encoded)
         assert cip.encode_request(multi) == router + offset_table(encoded)
         replies = [
             cip.CipResponse(
@@ -392,7 +387,7 @@ def test_short_reply_marks_only_the_missing_cell_error(sim):
     sc = scanner_for(sim)
     near = sc.add_tag("plc", "counts[0]", 1.0, elem_type=CipType.DINT)
     far = sc.add_tag("plc", "counts[4]", 1.0, elem_type=CipType.DINT)
-    (op,) = planned(sc, 1.0).transfers[0]
+    (op,), _request = planned(sc, 1.0).transfers[0]
     assert [offset for _s, offset, _b in op.targets] == [0, 4]
     # a reply carrying three of the five requested elements
     payload = struct.pack("<H", CipType.DINT) + cip.pack_elements(CipType.DINT, [7, 8, 9])
@@ -414,7 +409,7 @@ def test_plan_routes_targets_by_kind_and_records_output_spans():
         bit_in = sc.add_tag("plc", "bits[40]", 1.0, bool_array=True)
         unknown = sc.add_tag("plc", "TEST", 1.0)
         plan = planned(sc, 1.0)
-        ops = {op.targets[0][0]: op for transfer in plan.transfers for op in transfer}
+        ops = {op.targets[0][0]: op for transfer, _request in plan.transfers for op in transfer}
         counts, bits, solo = ops[typed_in], ops[bit_in], ops[unknown]
         assert counts.typed_inputs == [(typed_in, 0), (far_in, 4)]
         assert counts.other_targets == [(out_lo, 2, None), (out_hi, 3, None)]
@@ -1061,10 +1056,10 @@ tag aux raw period=1000 dir=in no-coalesce
 def test_parse_scan_config():
     config = parse_scan_config(GOOD_CONFIG)
     main, aux = config.plcs
-    assert (main.name, main.host, main.port) == ("main", "10.0.0.5", 0xAF12)
-    assert main.slot == 0 and main.limit == 480 and main.connected
-    assert (aux.host, aux.port, aux.slot) == ("10.0.0.6", 2222, 3)
-    assert not aux.connected and aux.limit == 500
+    assert (main.name, main.endpoint.host, main.endpoint.port) == ("main", "10.0.0.5", 0xAF12)
+    assert main.endpoint.slot == 0 and main.endpoint.buffer_limit == 480 and main.connected
+    assert (aux.endpoint.host, aux.endpoint.port, aux.endpoint.slot) == ("10.0.0.6", 2222, 3)
+    assert not aux.connected and aux.endpoint.buffer_limit == 500
 
     speed, counts, flags, raw = config.tags
     assert speed.elem_type is CipType.REAL
@@ -1079,6 +1074,11 @@ def test_parse_scan_config():
     ("plc main 1.2.3.4", "missing slot"),
     ("plc main 1.2.3.4:abc slot=0", "bad port"),
     ("plc main 1.2.3.4 slot=0 turbo", "unknown plc option"),
+    ("plc main 1.2.3.4:99999 slot=0", "port 99999 outside"),
+    ("plc main 1.2.3.4:-1 slot=0", "port -1 outside"),
+    ("plc main :44818 slot=0", "host must not be empty"),
+    ("plc main 1.2.3.4 slot=17", "slot 17 outside"),
+    ("plc main 1.2.3.4 slot=0 limit=20", "buffer_limit 20 outside"),
     ("tag main x period=100 dir=in", "undefined plc"),
     ("tag main", "tag needs"),
 ])
