@@ -34,19 +34,20 @@ EXIT_TIMEOUT = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--port", type=int, default=DEFAULT_PORT,
+    # each subcommand takes only the options it reads
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("--port", type=int, default=DEFAULT_PORT,
                         help=f"TCP port (default {DEFAULT_PORT})")
-    common.add_argument("--slot", type=int, default=0,
+    target.add_argument("--slot", type=int, default=0,
                         help="backplane slot of the processor (default 0)")
-    common.add_argument("--timeout-ms", type=int, default=3000,
-                        help="request timeout in milliseconds (default 3000)")
-    common.add_argument("--limit", type=int, default=500,
+    target.add_argument("--limit", type=int, default=500,
                         help="PLC buffer limit in bytes (default 500)")
-    common.add_argument("--connected", action="store_true",
-                        help="use a Forward_Open connection for data transfer")
-    common.add_argument("--no-coalesce", action="store_true",
-                        help="disable array-element coalescing")
+    session = argparse.ArgumentParser(add_help=False)
+    session.add_argument("--timeout-ms", type=int, default=3000,
+                         help="request timeout in milliseconds (default 3000)")
+    session.add_argument("--connected", action="store_true",
+                         help="use a Forward_Open connection for data transfer")
+    client_options = [target, session]
 
     parser = argparse.ArgumentParser(
         prog="logixscan",
@@ -54,32 +55,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("info", parents=[common], help="print the target's product name")
+    p = sub.add_parser("info", parents=client_options, help="print the target's product name")
     p.add_argument("host")
     p.set_defaults(fn=_cmd_info)
 
-    p = sub.add_parser("read", parents=[common], help="read a tag")
+    p = sub.add_parser("read", parents=client_options, help="read a tag")
     p.add_argument("host")
     p.add_argument("tag")
     p.add_argument("count", type=int, nargs="?", default=1,
                    help="element count (default 1)")
     p.set_defaults(fn=_cmd_read)
 
-    p = sub.add_parser("write", parents=[common], help="write a tag")
+    p = sub.add_parser("write", parents=client_options, help="write a tag")
     p.add_argument("host")
     p.add_argument("tag")
     p.add_argument("values", nargs="+", help="one value per element")
     p.set_defaults(fn=_cmd_write)
 
-    p = sub.add_parser("scan", parents=[common], help="run scan lists from a config file")
+    p = sub.add_parser("scan", help="run scan lists from a config file")
     p.add_argument("config", help="scan configuration file")
+    p.add_argument("--no-coalesce", action="store_true",
+                   help="disable array-element coalescing")
     p.add_argument("--duration", type=float, default=None,
                    help="seconds to run (default: until interrupted)")
     p.add_argument("--samples-out", default=None,
                    help="CSV file for per-cycle transfer times")
     p.set_defaults(fn=_cmd_scan)
 
-    p = sub.add_parser("sim", parents=[common], help="run the soft PLC")
+    p = sub.add_parser("sim", parents=[target], help="run the soft PLC")
     p.add_argument("tags", nargs="?", default=None, help="tag definition file")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--latency-ms", type=float, default=0.0,

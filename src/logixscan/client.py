@@ -6,10 +6,14 @@ explicit open), and implements the disconnect-on-error plus paced-reconnect
 policy.  All traffic for one endpoint is expected to flow through one
 owning thread; the class itself does no locking.
 
-Each round trip frames its request in one pass and reads its reply into the
-one receive buffer the session owns, usually with one `recv_into`.  Bytes
-past the reply its header declares are a protocol error that drops the
-session, so they are never read as the start of the next reply.
+Round trips take encoded CIP messages, built once by their callers.  Every
+SendRRData exchange (a routed request, Forward_Open, Forward_Close) goes
+through one helper that frames, exchanges, times and decodes it.  Each
+round trip frames its request in one pass and reads its reply into the one
+receive buffer the session owns, usually with one `recv_into`.  Bytes past
+the reply its header declares are a protocol error that drops the session,
+so they are never read as the start of the next reply; every fault that
+drops the session is counted and raised in one place, `_fail`.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from . import cip, encap
-from .cip import CipRequest, CipResponse, CipValue, ConnectionGrant
+from .cip import CipResponse, CipValue, ConnectionGrant
 from .tags import TagRef, parse_tag, to_epath
 
 log = logging.getLogger(__name__)
@@ -159,10 +163,8 @@ class PlcClient:
     def _close_connection(self) -> None:
         """Best-effort Forward_Close, so the controller frees the connection."""
         request = cip.build_forward_close(self.endpoint.slot, self.grant.serial)
-        context = self._next_context()
-        packet = encap.build_rr_data(self.session_handle, cip.encode_request(request), context)
         try:
-            self._exchange(packet, context, expect=encap.CMD_SEND_RR_DATA)
+            self._send_rr_data(cip.encode_request(request))
         except PlcError as exc:
             log.debug("Forward_Close failed: %s", exc)
         self.grant = None
@@ -204,26 +206,12 @@ class PlcClient:
 
     # -- round trips -------------------------------------------------------
 
-    def round_trip_unconnected(self, inner: CipRequest) -> CipResponse:
-        """Send one routed request, return the unwrapped inner reply."""
+    def round_trip_unconnected(self, message: bytes) -> CipResponse:
+        """Send one encoded request routed to the slot, return the reply."""
         self._require_session()
-        wire = cip.encode_unconnected_send(cip.encode_request(inner), self.endpoint.slot)
-        if len(wire) > self.endpoint.buffer_limit:
-            raise RequestTooLarge(
-                f"request of {len(wire)} bytes exceeds limit {self.endpoint.buffer_limit}"
-            )
-        context = self._next_context()
-        packet = encap.build_rr_data(self.session_handle, wire, context)
-        started = time.monotonic()
-        header, payload = self._exchange(packet, context, expect=encap.CMD_SEND_RR_DATA)
-        self.last_transfer_s = time.monotonic() - started
-        try:
-            reply_bytes = encap.parse_rr_data(payload)
-            resp = cip.decode_response(reply_bytes)
-        except (encap.EncapError, cip.CipError) as exc:
-            self._fail(f"malformed reply: {exc}")
-        self.consecutive_errors = 0
-        return resp
+        return self._send_rr_data(
+            self._fit(cip.encode_unconnected_send(message, self.endpoint.slot))
+        )
 
     def open_connection(self) -> ConnectionGrant:
         self._require_session()
@@ -232,31 +220,23 @@ class PlcClient:
             t_to_o_id=(self.session_handle ^ 0x5A5A0000) & 0xFFFFFFFF or 1,
             serial=(self.session_handle + self._context_counter) & 0xFFFF or 1,
         )
-        request = cip.build_forward_open(params)
-        context = self._next_context()
-        packet = encap.build_rr_data(self.session_handle, cip.encode_request(request), context)
-        header, payload = self._exchange(packet, context, expect=encap.CMD_SEND_RR_DATA)
+        resp = self._send_rr_data(cip.encode_request(cip.build_forward_open(params)))
         try:
-            resp = cip.decode_response(encap.parse_rr_data(payload))
             grant = cip.parse_forward_open_reply(resp)
         except cip.CipStatusError as exc:
             raise PlcConnectError(f"connection refused: {exc}") from exc
-        except (encap.EncapError, cip.CipError) as exc:
-            self._fail(f"malformed Forward_Open reply: {exc}")
+        except cip.CipError as exc:
+            self._fail(PlcProtocolError(f"malformed Forward_Open reply: {exc}"))
         self.grant = grant
         self.next_sequence = 1
         self.phase = Phase.CONNECTED
         return grant
 
-    def round_trip_connected(self, inner: CipRequest) -> CipResponse:
-        """Send one bare request over the open connection."""
+    def round_trip_connected(self, message: bytes) -> CipResponse:
+        """Send one encoded request bare over the open connection."""
         if self.phase is not Phase.CONNECTED or self.grant is None:
             raise PlcError("no open connection")
-        wire = cip.encode_request(inner)
-        if len(wire) > self.endpoint.buffer_limit:
-            raise RequestTooLarge(
-                f"request of {len(wire)} bytes exceeds limit {self.endpoint.buffer_limit}"
-            )
+        wire = self._fit(message)
         sequence = self.next_sequence
         self.next_sequence = (self.next_sequence + 1) & 0xFFFF
         context = self._next_context()
@@ -270,40 +250,41 @@ class PlcClient:
             conn_id, seq, reply_bytes = encap.parse_unit_data(payload)
             resp = cip.decode_response(reply_bytes)
         except (encap.EncapError, cip.CipError) as exc:
-            self._fail(f"malformed connected reply: {exc}")
+            self._fail(PlcProtocolError(f"malformed connected reply: {exc}"))
         if conn_id != self.grant.t_to_o_id:
-            self._fail(f"reply on unknown connection 0x{conn_id:08X}")
+            self._fail(PlcProtocolError(f"reply on unknown connection 0x{conn_id:08X}"))
         if seq != sequence:
-            self._fail(f"sequence mismatch: sent {sequence}, got {seq}")
+            self._fail(PlcProtocolError(f"sequence mismatch: sent {sequence}, got {seq}"))
         self.consecutive_errors = 0
         return resp
 
-    def round_trip(self, inner: CipRequest) -> CipResponse:
-        """Connected when preferred and open, otherwise unconnected."""
+    def round_trip(self, message: bytes) -> CipResponse:
+        """Send one encoded request: connected when preferred, opening the
+        connection first if needed, otherwise unconnected."""
         if self.prefer_connected:
             if self.phase is Phase.REGISTERED:
                 self.open_connection()
-            return self.round_trip_connected(inner)
-        return self.round_trip_unconnected(inner)
+            return self.round_trip_connected(message)
+        return self.round_trip_unconnected(message)
 
     # -- tag conveniences ---------------------------------------------------
 
     def read_tag(self, ref: TagRef | str, count: int = 1) -> CipValue:
         if isinstance(ref, str):
             ref = parse_tag(ref)
-        resp = self.round_trip(cip.build_read_request(to_epath(ref), count))
-        return cip.parse_read_response(resp)
+        request = cip.encode_request(cip.build_read_request(to_epath(ref), count))
+        return cip.parse_read_response(self.round_trip(request))
 
     def write_tag(self, ref: TagRef | str, value: CipValue) -> None:
         if isinstance(ref, str):
             ref = parse_tag(ref)
-        resp = self.round_trip(cip.build_write_request(to_epath(ref), value))
-        cip.parse_write_response(resp)
+        request = cip.encode_request(cip.build_write_request(to_epath(ref), value))
+        cip.parse_write_response(self.round_trip(request))
 
     def read_identity_name(self) -> str:
-        request = cip.build_get_attribute_single(
+        request = cip.encode_request(cip.build_get_attribute_single(
             cip.CLASS_IDENTITY, 1, cip.ATTR_PRODUCT_NAME
-        )
+        ))
         return cip.parse_short_string(self.round_trip_unconnected(request))
 
     # -- plumbing ------------------------------------------------------------
@@ -316,10 +297,34 @@ class PlcClient:
         self._context_counter += 1
         return struct.pack("<Q", self._context_counter)
 
-    def _fail(self, message: str) -> NoReturn:
+    def _fit(self, wire: bytes) -> bytes:
+        """The request as sent, if it fits the endpoint's buffer limit."""
+        if len(wire) > self.endpoint.buffer_limit:
+            raise RequestTooLarge(
+                f"request of {len(wire)} bytes exceeds limit {self.endpoint.buffer_limit}"
+            )
+        return wire
+
+    def _fail(self, error: PlcError) -> NoReturn:
+        """Drop the session, count the error and raise it."""
         self._drop_socket()
         self.consecutive_errors += 1
-        raise PlcProtocolError(message)
+        raise error
+
+    def _send_rr_data(self, message: bytes) -> CipResponse:
+        """Frame one unconnected message in SendRRData, exchange it, time it
+        and decode the reply."""
+        context = self._next_context()
+        packet = encap.build_rr_data(self.session_handle, message, context)
+        started = time.monotonic()
+        _header, payload = self._exchange(packet, context, expect=encap.CMD_SEND_RR_DATA)
+        self.last_transfer_s = time.monotonic() - started
+        try:
+            resp = cip.decode_response(encap.parse_rr_data(payload))
+        except (encap.EncapError, cip.CipError) as exc:
+            self._fail(PlcProtocolError(f"malformed reply: {exc}"))
+        self.consecutive_errors = 0
+        return resp
 
     def _exchange(self, packet: bytes, context: bytes, expect: int | None = None):
         """One request/reply exchange; any transport fault tears the session down."""
@@ -343,29 +348,17 @@ class PlcClient:
                 raise encap.EncapError(f"{got - end} bytes past the declared reply")
             payload = bytes(rx[encap.HEADER_SIZE:end])
         except socket.timeout:
-            self._drop_socket()
-            self.consecutive_errors += 1
-            raise PlcTimeout(
-                f"no reply within {self.endpoint.request_timeout} s"
-            ) from None
+            self._fail(PlcTimeout(f"no reply within {self.endpoint.request_timeout} s"))
         except OSError as exc:
-            self._drop_socket()
-            self.consecutive_errors += 1
-            raise PlcError(f"transport error: {exc}") from exc
+            self._fail(PlcError(f"transport error: {exc}"))
         except encap.EncapError as exc:
-            self._drop_socket()
-            self.consecutive_errors += 1
-            raise PlcProtocolError(f"bad frame: {exc}") from exc
+            self._fail(PlcProtocolError(f"bad frame: {exc}"))
         if header.status != encap.STATUS_OK:
-            self._drop_socket()
-            self.consecutive_errors += 1
-            raise PlcProtocolError(f"encapsulation status 0x{header.status:08X}")
+            self._fail(PlcProtocolError(f"encapsulation status 0x{header.status:08X}"))
         if expect is not None and header.command != expect:
-            self._drop_socket()
-            self.consecutive_errors += 1
-            raise PlcProtocolError(
+            self._fail(PlcProtocolError(
                 f"expected command 0x{expect:04X}, got 0x{header.command:04X}"
-            )
+            ))
         if header.sender_context != context:
             log.warning(
                 "sender context mismatch: sent %s, got %s",

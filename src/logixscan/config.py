@@ -53,6 +53,7 @@ def parse_scan_config(text: str) -> ScanConfig:
     """Parse the line-oriented scan config.
 
     plc <name> <host>[:<port>] slot=<n> [limit=<bytes>] [connected]
+        (an IPv6 host in brackets: [<addr>] or [<addr>]:<port>)
     tag <plcname> <tagref> period=<ms> dir=<in|out> [type=<T>]
         [elements=<n>] [no-coalesce] [bool-array]
     """
@@ -86,14 +87,8 @@ def parse_scan_config(text: str) -> ScanConfig:
 def _parse_plc_line(args: list[str]) -> PlcSpec:
     if len(args) < 2:
         raise ConfigError("plc needs a name and a host")
-    name, host = args[0], args[1]
-    port = DEFAULT_PORT
-    if ":" in host:
-        host, _, port_text = host.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise ConfigError(f"bad port {port_text!r}") from None
+    name = args[0]
+    host, port = _parse_address(args[1])
     slot = None
     limit = DEFAULT_BUFFER_LIMIT
     connected = False
@@ -113,6 +108,27 @@ def _parse_plc_line(args: list[str]) -> PlcSpec:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return PlcSpec(name, endpoint, connected)
+
+
+def _parse_address(text: str) -> tuple[str, int]:
+    """(host, port) of `host[:port]`, an IPv6 host in brackets."""
+    host, port_text = text, None
+    if text.startswith("["):
+        host, bracket, rest = text[1:].partition("]")
+        if not bracket or rest[:1] not in ("", ":"):
+            raise ConfigError(f"bad host {text!r}")
+        if rest:
+            port_text = rest[1:]
+    elif text.count(":") > 1:
+        raise ConfigError(f"IPv6 host {text!r} needs brackets, as [addr]:port")
+    elif ":" in text:
+        host, _, port_text = text.partition(":")
+    if port_text is None:
+        return host, DEFAULT_PORT
+    try:
+        return host, int(port_text)
+    except ValueError:
+        raise ConfigError(f"bad port {port_text!r}") from None
 
 
 def _parse_tag_line(args: list[str]) -> TagSpec:

@@ -7,15 +7,16 @@ here.  All functions are pure byte-sequence transforms; every multi-byte
 integer on the wire is little-endian.
 
 Each carrier is framed in one pass: one precompiled struct packs the header,
-the CPF prefix and both item headers ahead of the CIP bytes, and one unpack
-checks a reply's fixed two-item layout.  Any other layout goes through
-`decode_cpf`, so what is accepted or rejected does not change.
+the CPF prefix and both item headers ahead of the CIP bytes.  A reply's
+two-item layout is checked on one path, `_two_items`: an item count of 2,
+then an address item of any length, then a data item that ends the payload
+exactly; each carrier then checks its item types and sizes.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_PORT = 0xAF12  # 44818
 
@@ -43,11 +44,13 @@ STATUS_INVALID_LENGTH = 0x0065
 STATUS_UNSUPPORTED_VERSION = 0x0069
 
 _HEADER = struct.Struct("<HHII8sI")
-_CPF_PREFIX = struct.Struct("<IHH")  # interface handle, timeout, item count
+# CPF prefix (interface handle, timeout, item count) and the first item's
+# header; then the second item's header
+_FIRST_ITEM = struct.Struct("<IHH HH")
 _ITEM_HEADER = struct.Struct("<HH")
-# the carriers' fixed item layouts: CPF prefix with an item count of 2, the
-# address item (with the connection id, connected), the data item header
-# (with the sequence, connected)
+# the carriers' fixed item layouts as sent: CPF prefix with an item count of
+# 2, the address item (with the connection id, connected), the data item
+# header (with the sequence, connected)
 _RR_ITEMS = struct.Struct("<IHH HH HH")
 _UNIT_ITEMS = struct.Struct("<IHH HHI HHH")
 _RR_FRAME = struct.Struct(_HEADER.format + _RR_ITEMS.format[1:])
@@ -74,12 +77,6 @@ class EncapsHeader:
     status: int = 0
     sender_context: bytes = ZERO_CONTEXT
     options: int = 0
-
-
-@dataclass
-class CpfItem:
-    item_type: int
-    data: bytes = b""
 
 
 def _check_frame(payload_length: int, sender_context: bytes) -> None:
@@ -152,24 +149,22 @@ def build_unregister_session(session_handle: int) -> bytes:
     return encode_packet(EncapsHeader(CMD_UNREGISTER_SESSION, session_handle=session_handle))
 
 
-def decode_cpf(data: bytes) -> list[CpfItem]:
-    if len(data) < _CPF_PREFIX.size:
-        raise EncapError("CPF prefix truncated")
-    _handle, _timeout, count = _CPF_PREFIX.unpack_from(data)
-    offset = _CPF_PREFIX.size
-    items: list[CpfItem] = []
-    for _ in range(count):
-        if len(data) < offset + _ITEM_HEADER.size:
-            raise EncapError(f"CPF truncated: {len(items)} of {count} items")
-        item_type, length = _ITEM_HEADER.unpack_from(data, offset)
-        offset += _ITEM_HEADER.size
-        if len(data) < offset + length:
-            raise EncapError("CPF item data truncated")
-        items.append(CpfItem(item_type, data[offset:offset + length]))
-        offset += length
-    if offset != len(data):
-        raise EncapError(f"{len(data) - offset} trailing bytes after CPF items")
-    return items
+def _two_items(payload: bytes) -> tuple[int, int, int, int]:
+    """(address item type, address item length, data item type, data offset)
+    of a CPF payload of exactly two items, the second ending the payload."""
+    if len(payload) < _FIRST_ITEM.size:
+        raise EncapError("CPF truncated")
+    _handle, _timeout, count, addr_type, addr_len = _FIRST_ITEM.unpack_from(payload)
+    if count != 2:
+        raise EncapError(f"carrier needs 2 CPF items, got {count}")
+    offset = _FIRST_ITEM.size + addr_len
+    if len(payload) < offset + _ITEM_HEADER.size:
+        raise EncapError("CPF truncated")
+    data_type, data_len = _ITEM_HEADER.unpack_from(payload, offset)
+    offset += _ITEM_HEADER.size
+    if offset + data_len != len(payload):
+        raise EncapError(f"data item of {data_len} bytes in {len(payload) - offset}")
+    return addr_type, addr_len, data_type, offset
 
 
 def build_rr_data(
@@ -188,23 +183,12 @@ def build_rr_data(
 
 
 def parse_rr_data(payload: bytes) -> bytes:
-    """Extract the CIP bytes from a SendRRData payload."""
-    if len(payload) >= _RR_ITEMS.size:
-        _handle, _timeout, count, addr, addr_len, kind, size = _RR_ITEMS.unpack_from(payload)
-        if (
-            count == 2 and addr == ITEM_NULL_ADDRESS and addr_len == 0
-            and kind == ITEM_UNCONNECTED_DATA and size == len(payload) - _RR_ITEMS.size
-        ):
-            return payload[_RR_ITEMS.size:]
-    items = decode_cpf(payload)
-    if len(items) != 2:
-        raise EncapError(f"unconnected carrier needs 2 CPF items, got {len(items)}")
-    if items[0].item_type != ITEM_NULL_ADDRESS or items[1].item_type != ITEM_UNCONNECTED_DATA:
-        raise EncapError(
-            "unconnected carrier item types 0x%04X/0x%04X"
-            % (items[0].item_type, items[1].item_type)
-        )
-    return items[1].data
+    """Extract the CIP bytes from a SendRRData payload (a null address item
+    of any length, then the unconnected data item)."""
+    addr_type, _addr_len, data_type, offset = _two_items(payload)
+    if addr_type != ITEM_NULL_ADDRESS or data_type != ITEM_UNCONNECTED_DATA:
+        raise EncapError(f"unconnected carrier item types 0x{addr_type:04X}/0x{data_type:04X}")
+    return payload[offset:]
 
 
 def build_unit_data(
@@ -226,26 +210,13 @@ def build_unit_data(
 
 def parse_unit_data(payload: bytes) -> tuple[int, int, bytes]:
     """Return (connection_id, sequence, cip bytes) from a SendUnitData payload."""
-    if len(payload) >= _UNIT_ITEMS.size:
-        (_handle, _timeout, count, addr, addr_len, connection_id,
-         kind, size, sequence) = _UNIT_ITEMS.unpack_from(payload)
-        if (
-            count == 2 and addr == ITEM_CONNECTED_ADDRESS and addr_len == 4
-            and kind == ITEM_CONNECTED_DATA and size == len(payload) - _UNIT_ITEMS.size + 2
-        ):
-            return connection_id, sequence, payload[_UNIT_ITEMS.size:]
-    items = decode_cpf(payload)
-    if len(items) != 2:
-        raise EncapError(f"connected carrier needs 2 CPF items, got {len(items)}")
-    addr, data = items
-    if addr.item_type != ITEM_CONNECTED_ADDRESS or data.item_type != ITEM_CONNECTED_DATA:
-        raise EncapError(
-            "connected carrier item types 0x%04X/0x%04X" % (addr.item_type, data.item_type)
-        )
-    if len(addr.data) != 4:
+    addr_type, addr_len, data_type, offset = _two_items(payload)
+    if addr_type != ITEM_CONNECTED_ADDRESS or data_type != ITEM_CONNECTED_DATA:
+        raise EncapError(f"connected carrier item types 0x{addr_type:04X}/0x{data_type:04X}")
+    if addr_len != 4:
         raise EncapError("connected address item must carry a 32-bit connection id")
-    if len(data.data) < 2:
+    if len(payload) < offset + 2:
         raise EncapError("connected data item missing sequence prefix")
-    (connection_id,) = struct.unpack("<I", addr.data)
-    (sequence,) = struct.unpack_from("<H", data.data)
-    return connection_id, sequence, data.data[2:]
+    (connection_id,) = struct.unpack_from("<I", payload, _FIRST_ITEM.size)
+    (sequence,) = struct.unpack_from("<H", payload, offset)
+    return connection_id, sequence, payload[offset + 2:]

@@ -9,7 +9,8 @@ large for one transfer falls back to one read per member, and a member
 whose single read cannot fit is reported unplannable.  The reads are then
 packed, in order, into Multi-Requests until either the wrapped request or
 the estimated reply would cross the limit; a flush packs its writes with
-the same packer.
+the same packer.  Every request is encoded once, when its op is built, and
+each transfer is planned as the bytes it sends.
 
 A member needs only its addressing: `group`, `element`, `bit`,
 `wire_type()`, `wire_path()`, `coalesce`, `direction` and `elem_type`.
@@ -21,11 +22,10 @@ import enum
 from dataclasses import dataclass, field
 
 from . import cip
-from .cip import CipRequest, CipType
+from .cip import CipType
 
 # sizes a read until the first reply fixes its type (4 bytes, as DINT)
 UNKNOWN_TYPE_SIZING = CipType.DINT
-WRITE_REPLY_SIZE = 4  # a write reply is its status header alone
 
 GroupKey = tuple[str, CipType]
 
@@ -39,7 +39,6 @@ class Direction(enum.Enum):
 class ReadOp:
     """One planned read and where its elements go."""
 
-    request: CipRequest
     encoded: bytes
     response_estimate: int
     expected_type: CipType | None
@@ -76,31 +75,9 @@ class ReadOp:
             sub.fail()
 
 
-@dataclass(slots=True)
-class WriteOp:
-    """One write a flush built, and the subscriptions it settles on landing."""
-
-    request: CipRequest
-    encoded: bytes
-    subs: list
-    wire_type: CipType
-    # span-cache elements this write already set, so that later
-    # read-modify-writes of the same flush build on it (None: not cached)
-    cache: dict[int, object] | None
-    written: range
-    response_estimate = WRITE_REPLY_SIZE
-
-    def fail(self) -> None:
-        for sub in self.subs:
-            sub.fail()
-        if self.cache is not None:
-            for element in self.written:  # unknown on the PLC: read again first
-                self.cache.pop(element, None)
-
-
-# a transfer: its ops, and what it sends (the one op's request bare, or a
-# Multi-Request of them)
-Transfer = tuple[list, CipRequest]
+# a transfer: its ops, and the encoded message it sends (the one op's
+# request bare, or a Multi-Request of them)
+Transfer = tuple[list, bytes]
 
 
 @dataclass
@@ -130,8 +107,7 @@ def read_op(subs: list, first: int | None, count: int, limit: int) -> ReadOp | N
     (a lone unindexed member: `first` None), or None if it cannot fit."""
     head = subs[0]
     wire_type = head.wire_type()
-    request = cip.build_read_request(head.wire_path(first), count)
-    encoded = cip.encode_request(request)
+    encoded = cip.encode_request(cip.build_read_request(head.wire_path(first), count))
     sizing = UNKNOWN_TYPE_SIZING if wire_type is None else wire_type
     estimate = cip.estimate_response_size(sizing, count)
     if cip.wrapped_request_size(len(encoded)) > limit or estimate > limit:
@@ -139,7 +115,7 @@ def read_op(subs: list, first: int | None, count: int, limit: int) -> ReadOp | N
     targets = [(s, 0 if first is None else s.element - first, s.bit) for s in subs]
     known = first is not None and wire_type is not None
     return ReadOp(
-        request, encoded, estimate, wire_type, targets,
+        encoded, estimate, wire_type, targets,
         cache_key=(head.group, wire_type) if known else None,
         start_element=first,
     )
@@ -172,8 +148,9 @@ def plan_list(members: list, limit: int, batching: bool) -> ScanPlan:
 
 
 def pack(ops: list, limit: int, batching: bool) -> list[Transfer]:
-    """Group read or write ops, in order, into transfers under the limit;
-    without batching, every op is its own transfer."""
+    """Group read or write ops (anything with `encoded` and
+    `response_estimate`), in order, into transfers under the limit; without
+    batching, every op is its own transfer."""
     packed: list[list] = []
     for op in ops:
         if packed and batching and _fits(packed[-1] + [op], limit):
@@ -181,8 +158,9 @@ def pack(ops: list, limit: int, batching: bool) -> list[Transfer]:
         else:
             packed.append([op])
     return [
-        (t, t[0].request if len(t) == 1
-         else cip.build_multi_request_encoded([op.encoded for op in t]))
+        (t, t[0].encoded if len(t) == 1 else cip.encode_request(
+            cip.build_multi_request_encoded([op.encoded for op in t])
+        ))
         for t in packed
     ]
 

@@ -9,15 +9,16 @@ whole, so `snapshot()` reads a consistent triple without a lock.
 
 A list is planned by `plan.plan_list` before its first cycle and again
 after its membership or a discovered type changes.  The plan holds each
-transfer's request, built once, each read's routing of reply elements into
-cells, and each coalesced output span, so a cycle only sends, decodes and
-stores.  Outputs are written on demand (whole-span when more than one
-element of a coalesced span is dirty) and read back every cycle with drift
-notifications when the PLC side changed.  A flush groups its dirty outputs
-by the planner's rule, builds all its writes first, then packs them in
-order with the planner's packer and sends them through the same transfer
-loop as reads; each embedded write lands and settles, or fails and stays
-dirty, alone.  Scan config files are parsed and applied by `config`.
+transfer as the bytes it sends, encoded once, each read's routing of reply
+elements into cells, and each coalesced output span, so a cycle only sends,
+decodes and stores.  Outputs are written on demand (whole-span when more
+than one element of a coalesced span is dirty) and read back every cycle
+with drift notifications when the PLC side changed.  A flush groups its
+dirty outputs by the planner's rule, a lone output being a group of one,
+builds all its writes with one builder, then packs them in order with the
+planner's packer and sends them through the same transfer loop as reads;
+each embedded write lands and settles, or fails and stays dirty, alone.
+Scan config files are parsed and applied by `config`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from . import cip
 from .cip import CipType, CipValue, Element, Epath
 from .client import PlcClient, PlcEndpoint, PlcError, Phase
-from .plan import Direction, ReadOp, ScanPlan, WriteOp, group, pack, plan_list
+from .plan import Direction, ReadOp, ScanPlan, group, pack, plan_list
 from .tags import BITS_PER_DINT, TagRef, format_tag, parse_tag, to_epath
 
 log = logging.getLogger(__name__)
@@ -92,7 +93,6 @@ class Subscription:
         )
         self.dirty = False
         self.pending = None
-        self.readback_seen = False
 
     def __repr__(self):
         return f"<Subscription {self.plc_name}:{format_tag(self.ref)} @{self.period_s}s>"
@@ -169,18 +169,46 @@ class _PlcUnit:
         self.running = False
 
 
+@dataclass(slots=True)
+class WriteOp:
+    """One write a flush built, and the subscriptions it settles on landing."""
+
+    encoded: bytes
+    subs: list[Subscription]
+    # span-cache elements this write already set, so that later
+    # read-modify-writes of the same flush build on it
+    cache: dict[int, object]
+    written: range
+    response_estimate = 4  # a write reply is its status header alone
+
+    def settle(self) -> None:
+        """The write landed: each subscription holds what it wrote, OK."""
+        now = time.time()
+        for sub in self.subs:
+            if sub.bit is not None:
+                value = _BOOL_CELLS[bool(sub.pending)]
+            else:
+                value = CipValue(sub.elem_type, (sub.pending,))
+            sub.cell = (value, now, Quality.OK)
+            sub.dirty = False
+
+    def fail(self) -> None:
+        for sub in self.subs:
+            sub.fail()
+        for element in self.written:  # unknown on the PLC: read again first
+            self.cache.pop(element, None)
+
+
 def _stage_write(
     ops: list[WriteOp], path: Epath, value: CipValue, subs: list[Subscription],
-    cache: dict[int, object] | None = None, first: int = 0,
+    cache: dict[int, object], first: int | None,
 ) -> None:
-    """Add one write to a flush, its elements starting at `first`."""
-    request = cip.build_write_request(path, value)
-    written = range(first, first + len(value.elements))
-    ops.append(WriteOp(
-        request, cip.encode_request(request), subs, value.type, cache, written
-    ))
-    if cache is not None:
-        cache.update(zip(written, value.elements))
+    """Add one write to a flush, its elements starting at `first` (None: an
+    unindexed tag, which the span cache does not hold)."""
+    written = range(0) if first is None else range(first, first + len(value.elements))
+    encoded = cip.encode_request(cip.build_write_request(path, value))
+    ops.append(WriteOp(encoded, subs, cache, written))
+    cache.update(zip(written, value.elements))
 
 
 class TagScanner:
@@ -257,7 +285,6 @@ class TagScanner:
         def swap():
             sub.ref = new_ref
             sub.cell = (None, sub.timestamp, Quality.STALE)
-            sub.readback_seen = False
             if not sub.type_declared:
                 sub.elem_type = None
             sl = unit.lists.get(sub.period_s)
@@ -369,9 +396,9 @@ class TagScanner:
     ):
         """Send transfers in order; yield (op, reply) for each op of each
         transfer that got a reply, and fail the ops of each that did not."""
-        for i, (ops, request) in enumerate(transfers):
+        for i, (ops, message) in enumerate(transfers):
             try:
-                reply = unit.client.round_trip(request)
+                reply = unit.client.round_trip(message)
                 if len(ops) == 1:
                     responses = [reply]
                 else:
@@ -382,7 +409,7 @@ class TagScanner:
                 gone = unit.client.phase is Phase.DISCONNECTED
                 with self._stats_lock:
                     sl.stats.errors += 1
-                for lost, _request in transfers[i:] if gone else [(ops, request)]:
+                for lost, _message in transfers[i:] if gone else [(ops, message)]:
                     for op in lost:
                         op.fail()
                 if gone:
@@ -451,7 +478,7 @@ class TagScanner:
     def _apply_cell(self, sub: Subscription, cell: CipValue, now: float) -> None:
         """Store a freshly read output value, with drift detection."""
         old = sub.value
-        if sub.readback_seen and old is not None:
+        if old is not None:
             if old.elements == cell.elements:
                 sub.cell = (old, now, Quality.OK)
                 return
@@ -461,7 +488,6 @@ class TagScanner:
                     self._notify_drift(sub, old, cell)
                 return
         sub.cell = (cell, now, Quality.OK)
-        sub.readback_seen = True
 
     def _notify_drift(self, sub: Subscription, old: CipValue, new: CipValue) -> None:
         try:
@@ -500,15 +526,22 @@ class TagScanner:
             return
         for sl in unit.lists.values():
             groups, singles = group([sub for sub in sl.members if sub.dirty])
-            if groups:
-                self._plan(unit, sl)  # for the output spans
             # build every write first (prerequisite reads go out inline),
-            # then send them packed, in order: groups, then singles
+            # then send them packed, in order: groups, then singles, each a
+            # group of one
             ops: list[WriteOp] = []
             for key, subs in groups.items():
                 self._write_group(unit, sl, key, subs, ops)
             for sub in singles:
-                self._write_single(unit, sl, sub, ops)
+                if sub.wire_type() is None:  # discover the type
+                    found = self._read_before_write(
+                        unit, sl, sub.wire_path(sub.element), 1, [sub]
+                    )
+                    if found is None:
+                        continue
+                    sub.elem_type = found.type
+                    sl.plan = None
+                self._write_group(unit, sl, (sub.group, sub.wire_type()), [sub], ops)
             transfers = pack(ops, unit.client.endpoint.buffer_limit, self.batching)
             for op, resp in self._send(unit, sl, transfers, logging.WARNING):
                 try:
@@ -519,26 +552,7 @@ class TagScanner:
                         sl.stats.errors += 1
                     op.fail()
                     continue
-                self._settle_writes(op.subs, op.wire_type)
-
-    def _write_single(
-        self, unit: _PlcUnit, sl: ScanList, sub: Subscription, ops: list[WriteOp]
-    ) -> None:
-        if sub.bit is not None:
-            # read-modify-write of the word holding this bit
-            self._write_group(unit, sl, (sub.group, CipType.DINT), [sub], ops)
-            return
-        if sub.elem_type is None:  # discover the type
-            found = self._read_before_write(unit, sl, sub.wire_path(sub.element), 1, [sub])
-            if found is None:
-                return
-            sub.elem_type = found.type
-            sl.plan = None
-        value = CipValue(sub.elem_type, (sub.pending,))
-        cache, first = None, 0
-        if sub.element is not None:  # later span writes of its group build on it
-            cache, first = unit.span_cache.setdefault((sub.group, sub.elem_type), {}), sub.element
-        _stage_write(ops, sub.wire_path(sub.element), value, [sub], cache, first)
+                op.settle()
 
     def _write_group(
         self,
@@ -548,12 +562,14 @@ class TagScanner:
         dirty_subs: list[Subscription],
         ops: list[WriteOp],
     ) -> None:
+        """Build the writes of one group's dirty outputs into `ops`; a lone
+        output is a group of one (an unindexed one: element None)."""
         wire_type = key[1]
         path_of = dirty_subs[0].wire_path
         cache = unit.span_cache.setdefault(key, {})
 
         # fold pending values into per-element words
-        pending: dict[int, object] = {}
+        pending: dict[int | None, object] = {}
         for sub in dirty_subs:
             element = sub.element
             if sub.bit is None:
@@ -585,7 +601,7 @@ class TagScanner:
 
         # more than one element dirty: write the whole first-to-highest span
         # of the subscribed outputs, if that fits in one request
-        first, high = sl.plan.write_spans[key]
+        first, high = self._plan(unit, sl).write_spans[key]
         first, high = min(first, touched[0]), max(high, touched[-1])
         count = high - first + 1
         # service + path + type and count + data
@@ -607,26 +623,14 @@ class TagScanner:
         value = CipValue(wire_type, elements)
         _stage_write(ops, path_of(first), value, dirty_subs, cache, first)
 
-    def _settle_writes(self, subs: list[Subscription], wire_type: CipType) -> None:
-        now = time.time()
-        for sub in subs:
-            if sub.bit is not None:
-                value = _BOOL_CELLS[bool(sub.pending)]
-            else:
-                value = CipValue(wire_type, (sub.pending,))
-            sub.cell = (value, now, Quality.OK)
-            sub.dirty = False
-            sub.readback_seen = True
-
     def _read_before_write(
         self, unit: _PlcUnit, sl: ScanList, path: Epath, count: int,
         subs: list[Subscription],
     ) -> CipValue | None:
         """A read the flush's writes depend on, sent ahead of them."""
         try:
-            return cip.parse_read_response(
-                unit.client.round_trip(cip.build_read_request(path, count))
-            )
+            request = cip.encode_request(cip.build_read_request(path, count))
+            return cip.parse_read_response(unit.client.round_trip(request))
         except (PlcError, cip.CipError) as exc:
             log.warning("read of %s before write failed on %s: %s",
                         subs[0].group, unit.name, exc)

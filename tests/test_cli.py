@@ -111,6 +111,19 @@ def test_missing_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "scan.conf", "--limit", "20"],
+    ["scan", "scan.conf", "--timeout-ms", "1"],
+    ["scan", "scan.conf", "--connected"],
+    ["sim", "--connected"],
+    ["sim", "--no-coalesce"],
+    ["read", "127.0.0.1", "TEST", "--no-coalesce"],
+])
+def test_option_a_subcommand_does_not_read_is_usage_error(argv, capsys):
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_help_exits_clean(capsys):
     assert main(["--help"]) == 0
     assert "read" in capsys.readouterr().out

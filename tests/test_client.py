@@ -109,7 +109,7 @@ def test_request_too_large_guard(client):
         cip.Epath((cip.Symbol("counts"),)), CipValue(CipType.DINT, tuple(range(130)))
     )
     with pytest.raises(RequestTooLarge):
-        client.round_trip_unconnected(big)
+        client.round_trip_unconnected(cip.encode_request(big))
     assert client.phase is Phase.REGISTERED  # guard fires before anything is sent
 
 
@@ -179,12 +179,14 @@ def test_open_connection_and_connected_round_trips(sim):
     # read_tag goes unconnected unless prefer_connected is set
     assert value.elements == (10, 20, 30, 40, 50)
 
-    resp = c.round_trip_connected(cip.build_read_request(
+    resp = c.round_trip_connected(cip.encode_request(cip.build_read_request(
         cip.Epath((cip.Symbol("TEST"),)), 1
-    ))
+    )))
     assert cip.parse_read_response(resp).type is CipType.REAL
     assert c.next_sequence == 2
-    c.round_trip_connected(cip.build_read_request(cip.Epath((cip.Symbol("TEST"),)), 1))
+    c.round_trip_connected(cip.encode_request(
+        cip.build_read_request(cip.Epath((cip.Symbol("TEST"),)), 1)
+    ))
     assert c.next_sequence == 3
     c.close()
 
@@ -271,7 +273,9 @@ def test_sequence_number_wraps(sim):
     c = connect_to(sim)
     c.open_connection()
     c.next_sequence = 0xFFFF
-    c.round_trip_connected(cip.build_read_request(cip.Epath((cip.Symbol("TEST"),)), 1))
+    c.round_trip_connected(cip.encode_request(
+        cip.build_read_request(cip.Epath((cip.Symbol("TEST"),)), 1)
+    ))
     assert c.next_sequence == 0
     c.close()
 

@@ -2,11 +2,40 @@
 
 import random
 import struct
+from dataclasses import dataclass
 
 import pytest
 
 from logixscan import encap
-from logixscan.encap import CpfItem, EncapError, EncapsHeader
+from logixscan.encap import EncapError, EncapsHeader
+
+
+@dataclass
+class CpfItem:
+    item_type: int
+    data: bytes = b""
+
+
+def decode_cpf(data: bytes) -> list[CpfItem]:
+    """Item-by-item CPF parsing: the reference the one-path carrier parsers
+    accept and reject as."""
+    if len(data) < 8:
+        raise EncapError("CPF prefix truncated")
+    _handle, _timeout, count = struct.unpack_from("<IHH", data)
+    offset = 8
+    items: list[CpfItem] = []
+    for _ in range(count):
+        if len(data) < offset + 4:
+            raise EncapError(f"CPF truncated: {len(items)} of {count} items")
+        item_type, length = struct.unpack_from("<HH", data, offset)
+        offset += 4
+        if len(data) < offset + length:
+            raise EncapError("CPF item data truncated")
+        items.append(CpfItem(item_type, data[offset:offset + length]))
+        offset += length
+    if offset != len(data):
+        raise EncapError(f"{len(data) - offset} trailing bytes after CPF items")
+    return items
 
 
 def encode_cpf(items: list[CpfItem]) -> bytes:
@@ -111,13 +140,13 @@ def test_cpf_roundtrip_and_prefix():
     body = encode_cpf(items)
     # interface handle 0 (4 bytes) + timeout 0 (2) + item count 2 (2)
     assert body[:8] == b"\x00\x00\x00\x00\x00\x00\x02\x00"
-    assert encap.decode_cpf(body) == items
+    assert decode_cpf(body) == items
 
 
 def test_cpf_rejects_trailing_bytes():
     body = encode_cpf([CpfItem(encap.ITEM_NULL_ADDRESS)])
     with pytest.raises(EncapError):
-        encap.decode_cpf(body + b"\x00")
+        decode_cpf(body + b"\x00")
 
 
 def test_rr_data_roundtrip():
@@ -247,7 +276,7 @@ def test_carriers_match_item_by_item_framing():
 
 def rr_by_cpf(payload):
     """The SendRRData check done on decode_cpf alone."""
-    items = encap.decode_cpf(payload)
+    items = decode_cpf(payload)
     if len(items) != 2 or (items[0].item_type, items[1].item_type) != (
         encap.ITEM_NULL_ADDRESS, encap.ITEM_UNCONNECTED_DATA
     ):
@@ -257,7 +286,7 @@ def rr_by_cpf(payload):
 
 def unit_by_cpf(payload):
     """The SendUnitData check done on decode_cpf alone."""
-    items = encap.decode_cpf(payload)
+    items = decode_cpf(payload)
     if len(items) != 2 or (items[0].item_type, items[1].item_type) != (
         encap.ITEM_CONNECTED_ADDRESS, encap.ITEM_CONNECTED_DATA
     ):

@@ -77,7 +77,7 @@ def flat_ops(scan_plan):
 
 
 def sent(scan_plan):
-    return [cip.encode_request(request) for _ops, request in scan_plan.transfers]
+    return [message for _ops, message in scan_plan.transfers]
 
 
 @PROPERTIES
@@ -90,7 +90,7 @@ def test_each_member_is_planned_once_or_unplannable(case):
     seen.update(id(sub) for sub in scan_plan.unplannable)
     assert seen == collections.Counter(id(sub) for sub in members)
     for op in flat_ops(scan_plan):
-        count = int.from_bytes(op.request.payload, "little")
+        count = int.from_bytes(cip.decode_request(op.encoded).payload, "little")
         for sub, offset, bit in op.targets:
             assert 0 <= offset < count and bit == sub.bit
             if op.start_element is not None:
@@ -103,13 +103,15 @@ def test_each_transfer_and_its_reply_fit_the_limit(case):
     specs, limit, batching = case
     scan_plan = plan_list(members_of(specs), limit, batching)
     for ops, request in scan_plan.transfers:
-        assert cip.wrapped_request_size(len(cip.encode_request(request))) <= limit
+        assert cip.wrapped_request_size(len(request)) <= limit
         if len(ops) == 1:
-            assert request is ops[0].request
+            assert request is ops[0].encoded
             assert ops[0].response_estimate <= limit
         else:
             assert batching
-            assert request == cip.build_multi_request_encoded([op.encoded for op in ops])
+            assert request == cip.encode_request(
+                cip.build_multi_request_encoded([op.encoded for op in ops])
+            )
             assert cip.multi_response_size([op.response_estimate for op in ops]) <= limit
 
 

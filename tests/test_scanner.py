@@ -80,7 +80,7 @@ def wire_bytes(requests):
 
 def sent(plan):
     """What each transfer of a plan sends, encoded."""
-    return [cip.encode_request(request) for _ops, request in plan.transfers]
+    return [message for _ops, message in plan.transfers]
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +315,30 @@ def test_cached_requests_match_fresh_encoding_mixed_list():
     assert sc.plan_info("plc", 1.0) == [4, 13]
     plan = planned(sc, 1.0)
     assert sent(plan) == [wire_bytes(t) for t in mixed_reads()]
+
+
+def test_a_planned_scan_cycle_encodes_nothing(monkeypatch):
+    store = make_store()
+    for name in MIXED_NAMES:
+        store.define(name, CipType.DINT, [7])
+    store.define("rspan", CipType.REAL, [0.5] * 100)
+    store.define("bits", CipType.BOOL, [True] * 352)
+    with PlcSim(store) as sim:
+        sc = scanner_for(sim)
+        subs = [sc.add_tag("plc", name, 1.0, elem_type=CipType.DINT) for name in MIXED_NAMES]
+        subs += [
+            sc.add_tag("plc", f"rspan[{i}]", 1.0, elem_type=CipType.REAL) for i in range(100)
+        ]
+        subs += [sc.add_tag("plc", f"bits[{i}]", 1.0, bool_array=True) for i in range(352)]
+        assert sc.plan_info("plc", 1.0) == [4, 13]
+        encoded = []
+        encode_request = cip.encode_request
+        monkeypatch.setattr(
+            cip, "encode_request", lambda req: encoded.append(req) or encode_request(req)
+        )
+        sc.scan_once("plc", 1.0)
+        assert encoded == []
+        assert all(sub.quality is Quality.OK for sub in subs)
 
 
 def offset_table(items):
@@ -705,16 +729,17 @@ def test_writes_over_the_limit_split_into_transfers():
         client = sc._units["plc"].client
         sent = []
         round_trip = client.round_trip
-        client.round_trip = lambda req: sent.append(req) or round_trip(req)
+        client.round_trip = lambda message: sent.append(message) or round_trip(message)
         for sub in subs:
             sc.write(sub, float(sub.element) + 0.5, immediate=False)
         sc.flush("plc")
         assert len(sent) >= 2
-        for req in sent:
-            assert cip.wrapped_request_size(len(cip.encode_request(req))) <= 500
+        for message in sent:
+            assert cip.wrapped_request_size(len(message)) <= 500
+        requests = [cip.decode_request(message) for message in sent]
         assert sum(
             len(cip.split_multi_request(req)) if req.service == cip.MULTI_REQUEST else 1
-            for req in sent
+            for req in requests
         ) == len(subs)
         elements = sim.store.get_tag("wide").elements
         for sub in subs:
@@ -965,7 +990,7 @@ def test_drift_callback_may_write_back_while_running(sim):
     sc.start()
     try:
         deadline = time.monotonic() + 2.0
-        while not sub.readback_seen:
+        while sub.value is None:
             assert time.monotonic() < deadline, "no baseline readback"
             time.sleep(0.01)
         sim.store.set_tag("counts[2]", 77)
@@ -1068,6 +1093,16 @@ def test_parse_scan_config():
     assert flags.bool_array and flags.elements == 4
     assert not raw.coalesce and raw.elem_type is None
 
+    bracketed = parse_scan_config(
+        "plc b [::1]:44818 slot=0\n"
+        "plc c [::1] slot=0\n"
+        "plc d [fe80::1]:2222 slot=1\n"
+        "plc e [10.0.0.7] slot=0\n"
+    )
+    assert [(p.endpoint.host, p.endpoint.port) for p in bracketed.plcs] == [
+        ("::1", 0xAF12), ("::1", 0xAF12), ("fe80::1", 2222), ("10.0.0.7", 0xAF12),
+    ]
+
 
 @pytest.mark.parametrize("line,fragment", [
     ("widget main 1.2.3.4 slot=0", "unknown directive"),
@@ -1081,6 +1116,12 @@ def test_parse_scan_config():
     ("plc main 1.2.3.4 slot=0 limit=20", "buffer_limit 20 outside"),
     ("tag main x period=100 dir=in", "undefined plc"),
     ("tag main", "tag needs"),
+    ("plc main ::1 slot=0", "IPv6 host '::1' needs brackets"),
+    ("plc main fe80::1:44818 slot=0", "IPv6 host 'fe80::1:44818' needs brackets"),
+    ("plc main [::1 slot=0", "bad host"),
+    ("plc main [::1]x slot=0", "bad host"),
+    ("plc main []:44818 slot=0", "host must not be empty"),
+    ("plc main [::1]:abc slot=0", "bad port"),
 ])
 def test_config_errors_carry_line_numbers(line, fragment):
     with pytest.raises(ConfigError) as info:
