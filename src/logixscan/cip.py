@@ -4,8 +4,9 @@ EPATH routing paths, typed tag values, the tag read/write services,
 Multi-Request packing, Connection Manager routing (Unconnected Send) and
 Forward_Open.  Everything here is a pure transform between dataclasses and
 wire bytes; the transport lives in `client`, the server side in `plcsim`.
-The per-round-trip encoders (`encode_unconnected_send`, `pack_elements`)
-build their bytes in one pass with precompiled structs.
+The per-round-trip encoders (`encode_unconnected_send`,
+`encode_multi_request`, `pack_elements`) build their bytes in one pass with
+precompiled structs and heads encoded once.
 """
 
 from __future__ import annotations
@@ -460,12 +461,20 @@ def parse_read_response(resp: CipResponse) -> CipValue:
     return decode_typed_data(resp.payload)
 
 
-def build_write_request(path: Epath, value: CipValue) -> CipRequest:
+_WRITE_TYPE_COUNT = struct.Struct("<HH")
+
+
+def encode_write_head(path: Epath, elem_type: CipType, count: int) -> bytes:
+    """An encoded write request up to its data: service, path, type code
+    and element count; the packed elements follow."""
+    return bytes((WRITE_DATA,)) + encode_epath(path) + _WRITE_TYPE_COUNT.pack(elem_type, count)
+
+
+def encode_write_request(path: Epath, value: CipValue) -> bytes:
     if not value.elements:
         raise CipError("write value holds no elements")
-    payload = struct.pack("<HH", int(value.type), len(value.elements))
-    payload += pack_elements(value.type, value.elements)
-    return CipRequest(WRITE_DATA, path, payload)
+    data = pack_elements(value.type, value.elements)
+    return encode_write_head(path, value.type, len(value.elements)) + data
 
 
 def parse_write_response(resp: CipResponse) -> None:
@@ -589,11 +598,15 @@ def _offset_table(items: list[bytes]) -> bytes:
     return struct.pack(f"<{n + 1}H", n, *offsets) + b"".join(items)
 
 
-def build_multi_request_encoded(items: list[bytes]) -> CipRequest:
-    """A Multi-Request around inner requests that are already encoded."""
+# how every Multi-Request starts: the service and the Message Router path
+_MULTI_REQUEST_HEAD = bytes((MULTI_REQUEST,)) + encode_epath(message_router_path())
+
+
+def encode_multi_request(items: list[bytes]) -> bytes:
+    """The encoded Multi-Request around inner requests that are already encoded."""
     if not items:
         raise CipError("multi-request needs at least one inner request")
-    return CipRequest(MULTI_REQUEST, message_router_path(), _offset_table(items))
+    return _MULTI_REQUEST_HEAD + _offset_table(items)
 
 
 def _split_offset_table(payload: bytes) -> list[bytes]:

@@ -278,7 +278,7 @@ class PlcClient:
     def write_tag(self, ref: TagRef | str, value: CipValue) -> None:
         if isinstance(ref, str):
             ref = parse_tag(ref)
-        request = cip.encode_request(cip.build_write_request(to_epath(ref), value))
+        request = cip.encode_write_request(to_epath(ref), value)
         cip.parse_write_response(self.round_trip(request))
 
     def read_identity_name(self) -> str:

@@ -10,16 +10,21 @@ whose single read cannot fit is reported unplannable.  The reads are then
 packed, in order, into Multi-Requests until either the wrapped request or
 the estimated reply would cross the limit; a flush packs its writes with
 the same packer.  Every request is encoded once, when its op is built, and
-each transfer is planned as the bytes it sends.
+each transfer is planned as the bytes it sends.  Each coalesced group
+with outputs also records its write span, from the first to the highest
+output element, with the span write's encoded head when it fits one
+request, so a flush only packs the elements behind it.
 
-A member needs only its addressing: `group`, `element`, `bit`,
-`wire_type()`, `wire_path()`, `coalesce`, `direction` and `elem_type`.
+A member needs only its addressing and its routing: `group`, `element`,
+`bit`, `wire_type()`, `wire_path()`, `coalesce`, `direction`, `elem_type`
+and `on_drift`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import cip
 from .cip import CipType
@@ -48,26 +53,28 @@ class ReadOp:
     # cache serves read-before-write alone
     cache_key: GroupKey | None = None
     start_element: int | None = None
-    # targets split by how a reply element reaches the cell
-    bit_inputs: list[tuple[object, int, int]] = field(init=False)
-    typed_inputs: list[tuple[object, int]] = field(init=False)
-    # outputs (drift rules) and subscriptions whose type is still unknown
-    other_targets: list[tuple[object, int, int | None]] = field(init=False)
+    # targets split by how a reply element reaches the cell, inputs and
+    # unwatched outputs alike: BOOL bits into the shared bit cells, and
+    # typed elements into a value of their own
+    bit_targets: list[tuple[object, int, int]] = field(init=False)
+    typed_targets: list[tuple[object, int]] = field(init=False)
+    # outputs with a drift callback, and members whose type is still unknown
+    checked_targets: list[tuple[object, int, int | None]] = field(init=False)
 
     def __post_init__(self) -> None:
         output = Direction.OUTPUT
-        bit_inputs, typed_inputs, other_targets = [], [], []
+        bit_targets, typed_targets, checked_targets = [], [], []
         for target in self.targets:
             sub, offset, bit = target
-            if sub.direction is output or sub.elem_type is None:
-                other_targets.append(target)
+            if sub.elem_type is None or (sub.direction is output and sub.on_drift is not None):
+                checked_targets.append(target)
             elif bit is not None:
-                bit_inputs.append(target)
+                bit_targets.append(target)
             else:
-                typed_inputs.append((sub, offset))
-        self.bit_inputs, self.typed_inputs = bit_inputs, typed_inputs
-        self.other_targets = other_targets
-        if not any(sub.direction is output for sub, _offset, _bit in other_targets):
+                typed_targets.append((sub, offset))
+        self.bit_targets, self.typed_targets = bit_targets, typed_targets
+        self.checked_targets = checked_targets
+        if not any(sub.direction is output for sub, _offset, _bit in self.targets):
             self.cache_key = None
 
     def fail(self) -> None:
@@ -80,12 +87,22 @@ class ReadOp:
 Transfer = tuple[list, bytes]
 
 
+class WriteSpan(NamedTuple):
+    """The elements a coalesced group's span write covers, and its head."""
+
+    first: int
+    high: int
+    # the encoded write request up to its data (service, path, type code
+    # and count), or None when the span cannot fit one request
+    head: bytes | None
+
+
 @dataclass
 class ScanPlan:
     transfers: list[Transfer]
     unplannable: list
-    # coalescing group -> (first, highest) element of its output subscriptions
-    write_spans: dict[GroupKey, tuple[int, int]]
+    # coalescing group -> the span of its output subscriptions
+    write_spans: dict[GroupKey, WriteSpan]
 
 
 def group(subs) -> tuple[dict[GroupKey, list], list]:
@@ -121,15 +138,27 @@ def read_op(subs: list, first: int | None, count: int, limit: int) -> ReadOp | N
     )
 
 
+def write_span(subs: list, wire_type: CipType, first: int, high: int, limit: int) -> WriteSpan:
+    """The span write from `first` to `high` of the group `subs` share."""
+    count = high - first + 1
+    # data alone past the limit: no head to build (its count may not fit 16 bits)
+    if wire_type.width * count > limit:
+        return WriteSpan(first, high, None)
+    head = cip.encode_write_head(subs[0].wire_path(first), wire_type, count)
+    if cip.wrapped_request_size(len(head) + wire_type.width * count) > limit:
+        head = None
+    return WriteSpan(first, high, head)
+
+
 def plan_list(members: list, limit: int, batching: bool) -> ScanPlan:
     """The transfers one cycle of a list with these members sends."""
     groups, singles = group(members)
     ops: list[ReadOp] = []
-    write_spans: dict[GroupKey, tuple[int, int]] = {}
+    write_spans: dict[GroupKey, WriteSpan] = {}
     for key, subs in groups.items():
         outputs = [s.element for s in subs if s.direction is Direction.OUTPUT]
         if outputs:
-            write_spans[key] = (min(outputs), max(outputs))
+            write_spans[key] = write_span(subs, key[1], min(outputs), max(outputs), limit)
         elements = [s.element for s in subs]
         first = min(elements)
         op = read_op(subs, first, max(elements) - first + 1, limit)
@@ -158,9 +187,7 @@ def pack(ops: list, limit: int, batching: bool) -> list[Transfer]:
         else:
             packed.append([op])
     return [
-        (t, t[0].encoded if len(t) == 1 else cip.encode_request(
-            cip.build_multi_request_encoded([op.encoded for op in t])
-        ))
+        (t, t[0].encoded if len(t) == 1 else cip.encode_multi_request([op.encoded for op in t]))
         for t in packed
     ]
 

@@ -10,15 +10,18 @@ whole, so `snapshot()` reads a consistent triple without a lock.
 A list is planned by `plan.plan_list` before its first cycle and again
 after its membership or a discovered type changes.  The plan holds each
 transfer as the bytes it sends, encoded once, each read's routing of reply
-elements into cells, and each coalesced output span, so a cycle only sends,
-decodes and stores.  Outputs are written on demand (whole-span when more
-than one element of a coalesced span is dirty) and read back every cycle
-with drift notifications when the PLC side changed.  A flush groups its
-dirty outputs by the planner's rule, a lone output being a group of one,
-builds all its writes with one builder, then packs them in order with the
-planner's packer and sends them through the same transfer loop as reads;
-each embedded write lands and settles, or fails and stays dirty, alone.
-Scan config files are parsed and applied by `config`.
+elements into cells (an output without `on_drift` is stored as an input
+is), and each coalesced output span with its write's encoded head, so a
+cycle only sends, decodes and stores.  Outputs are written on demand
+(whole-span when more than one element of a coalesced span is dirty) and
+read back every cycle, with drift notifications for watched outputs when
+the PLC side changed.  A flush groups its dirty outputs by the planner's
+rule, a lone output being a group of one, builds all its writes with one
+builder, then packs them in order with the planner's packer and sends them
+through the same transfer loop as reads; each embedded write lands and
+settles to its elements as packed, or fails and stays dirty, alone, and an
+output whose staged value cannot be encoded fails alone, unwritten.  Scan
+config files are parsed and applied by `config`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ log = logging.getLogger(__name__)
 
 # BOOL-array bit cells; values are frozen, so every bit cell shares these
 _BOOL_CELLS = (CipValue(CipType.BOOL, (False,)), CipValue(CipType.BOOL, (True,)))
+
+# what `cip.pack_elements` raises for an element it cannot encode
+_UNENCODABLE = (cip.CipError, TypeError, ValueError, OverflowError)
 
 
 class Quality(enum.Enum):
@@ -85,7 +91,7 @@ class Subscription:
         self.elem_type = elem_type
         self.type_declared = elem_type is not None
         self.coalesce = coalesce
-        self.on_drift = on_drift
+        self._on_drift = on_drift
         # (value, timestamp, quality), replaced whole on every update; one
         # thread writes it (the PLC's worker, or the caller before start())
         self.cell: tuple[CipValue | None, float | None, Quality] = (
@@ -96,6 +102,12 @@ class Subscription:
 
     def __repr__(self):
         return f"<Subscription {self.plc_name}:{format_tag(self.ref)} @{self.period_s}s>"
+
+    @property
+    def on_drift(self):
+        """fn(sub, old, new) on a read-back that changed; fixed at
+        construction, because the plan routes an output by it."""
+        return self._on_drift
 
     @property
     def value(self) -> CipValue | None:
@@ -178,37 +190,55 @@ class WriteOp:
     # span-cache elements this write already set, so that later
     # read-modify-writes of the same flush build on it
     cache: dict[int, object]
-    written: range
+    # the element the write starts at (None: an unindexed tag, which the
+    # span cache does not hold), and its elements as packed: what the PLC
+    # holds once it lands
+    first: int | None
+    values: tuple
     response_estimate = 4  # a write reply is its status header alone
 
     def settle(self) -> None:
-        """The write landed: each subscription holds what it wrote, OK."""
+        """The write landed: each subscription holds what went on the wire
+        for it (a bit, from its written word), OK."""
         now = time.time()
+        first, values = self.first, self.values
         for sub in self.subs:
+            raw = values[0 if first is None else sub.element - first]
             if sub.bit is not None:
-                value = _BOOL_CELLS[bool(sub.pending)]
+                value = _BOOL_CELLS[(raw >> sub.bit) & 1]
             else:
-                value = CipValue(sub.elem_type, (sub.pending,))
+                value = CipValue(sub.elem_type, (raw,))
             sub.cell = (value, now, Quality.OK)
             sub.dirty = False
 
     def fail(self) -> None:
         for sub in self.subs:
             sub.fail()
-        for element in self.written:  # unknown on the PLC: read again first
-            self.cache.pop(element, None)
+        if self.first is not None:  # unknown on the PLC: read again first
+            for element in range(self.first, self.first + len(self.values)):
+                self.cache.pop(element, None)
 
 
 def _stage_write(
-    ops: list[WriteOp], path: Epath, value: CipValue, subs: list[Subscription],
-    cache: dict[int, object], first: int | None,
+    ops: list[WriteOp], head: bytes, wire_type: CipType, elements: list,
+    subs: list[Subscription], cache: dict[int, object], first: int | None,
 ) -> None:
-    """Add one write to a flush, its elements starting at `first` (None: an
-    unindexed tag, which the span cache does not hold)."""
-    written = range(0) if first is None else range(first, first + len(value.elements))
-    encoded = cip.encode_request(cip.build_write_request(path, value))
-    ops.append(WriteOp(encoded, subs, cache, written))
-    cache.update(zip(written, value.elements))
+    """Add one write to a flush: its encoded head, then the elements from
+    `first` packed; the span cache takes them as packed."""
+    data = cip.pack_elements(wire_type, elements)
+    values = cip.unpack_elements(wire_type, data)
+    ops.append(WriteOp(head + data, subs, cache, first, values))
+    if first is not None:
+        cache.update(zip(range(first, first + len(values)), values))
+
+
+def _encoding_error(wire_type: CipType, value) -> Exception | None:
+    """Why one staged value cannot be packed as wire_type, or None."""
+    try:
+        cip.pack_elements(wire_type, (value,))
+    except _UNENCODABLE as exc:
+        return exc
+    return None
 
 
 class TagScanner:
@@ -312,7 +342,8 @@ class TagScanner:
             return replace(sl.stats)
 
     def stat_value(self, path: str):
-        """Pseudo-tag access: <plc>/<period_ms>/errors|last_ms|min_ms|max_ms."""
+        """Pseudo-tag access:
+        <plc>/<period_ms>/count|errors|overruns|last_ms|min_ms|max_ms."""
         try:
             plc_name, period_ms, item = path.split("/")
             period_s = float(period_ms) / 1000.0
@@ -445,19 +476,19 @@ class TagScanner:
                 zip(range(start, start + count), elements)
             )
         ok = Quality.OK
-        if op.bit_inputs:
+        if op.bit_targets:
             bit_cells = ((_BOOL_CELLS[0], now, ok), (_BOOL_CELLS[1], now, ok))
-            for sub, offset, bit in op.bit_inputs:
+            for sub, offset, bit in op.bit_targets:
                 if offset >= count:
                     sub.fail()
                     continue
                 sub.cell = bit_cells[(elements[offset] >> bit) & 1]
-        for sub, offset in op.typed_inputs:
+        for sub, offset in op.typed_targets:
             if offset >= count:
                 sub.fail()
                 continue
             sub.cell = (CipValue(value_type, (elements[offset],)), now, ok)
-        for sub, offset, bit in op.other_targets:
+        for sub, offset, bit in op.checked_targets:
             if offset >= count:
                 sub.fail()
                 continue
@@ -563,7 +594,42 @@ class TagScanner:
         ops: list[WriteOp],
     ) -> None:
         """Build the writes of one group's dirty outputs into `ops`; a lone
-        output is a group of one (an unindexed one: element None)."""
+        output is a group of one (an unindexed one: element None).  An
+        output whose own staged value cannot be encoded fails alone, and
+        the others are built without it."""
+        built: list[WriteOp] = []
+        try:
+            self._build_writes(unit, sl, key, dirty_subs, built)
+        except _UNENCODABLE:
+            rest = []
+            for sub in dirty_subs:
+                error = None if sub.bit is not None else _encoding_error(key[1], sub.pending)
+                if error is None:
+                    rest.append(sub)
+                    continue
+                log.warning("cannot write %r to %s on %s: %s",
+                            sub.pending, format_tag(sub.ref), unit.name, error)
+                with self._stats_lock:
+                    sl.stats.errors += 1
+                sub.fail()
+                sub.dirty = False
+            if len(rest) == len(dirty_subs):
+                raise
+            if rest:
+                self._write_group(unit, sl, key, rest, ops)
+            return
+        ops += built
+
+    def _build_writes(
+        self,
+        unit: _PlcUnit,
+        sl: ScanList,
+        key: tuple[str, CipType],
+        dirty_subs: list[Subscription],
+        ops: list[WriteOp],
+    ) -> None:
+        """The writes of `_write_group`, into `ops`; raises what
+        `cip.pack_elements` raises for a staged value it cannot encode."""
         wire_type = key[1]
         path_of = dirty_subs[0].wire_path
         cache = unit.span_cache.setdefault(key, {})
@@ -595,33 +661,29 @@ class TagScanner:
         touched = sorted(pending)
         if len(touched) == 1:
             element = touched[0]
-            value = CipValue(wire_type, (pending[element],))
-            _stage_write(ops, path_of(element), value, dirty_subs, cache, element)
+            head = cip.encode_write_head(path_of(element), wire_type, 1)
+            _stage_write(ops, head, wire_type, [pending[element]], dirty_subs, cache, element)
             return
 
-        # more than one element dirty: write the whole first-to-highest span
-        # of the subscribed outputs, if that fits in one request
-        first, high = self._plan(unit, sl).write_spans[key]
-        first, high = min(first, touched[0]), max(high, touched[-1])
-        count = high - first + 1
-        # service + path + type and count + data
-        size = 1 + len(cip.encode_epath(path_of(first))) + 4 + wire_type.width * count
-        if cip.wrapped_request_size(size) > unit.client.endpoint.buffer_limit:
-            # write the dirty elements one by one; each settles on its own
+        # more than one element dirty: write the planned first-to-highest
+        # span of the group's outputs, which holds every dirty one
+        first, high, head = self._plan(unit, sl).write_spans[key]
+        if head is None:
+            # too large for one request: write the dirty elements one by
+            # one; each settles on its own
             for element in touched:
                 subs = [s for s in dirty_subs if s.element == element]
-                value = CipValue(wire_type, (pending[element],))
-                _stage_write(ops, path_of(element), value, subs, cache, element)
+                head = cip.encode_write_head(path_of(element), wire_type, 1)
+                _stage_write(ops, head, wire_type, [pending[element]], subs, cache, element)
             return
         span_range = range(first, high + 1)
         if any(e not in pending and e not in cache for e in span_range):
-            found = self._read_before_write(unit, sl, path_of(first), count, dirty_subs)
+            found = self._read_before_write(unit, sl, path_of(first), len(span_range), dirty_subs)
             if found is None:
                 return
             cache.update(zip(span_range, found.elements))
         elements = [pending[e] if e in pending else cache[e] for e in span_range]
-        value = CipValue(wire_type, elements)
-        _stage_write(ops, path_of(first), value, dirty_subs, cache, first)
+        _stage_write(ops, head, wire_type, elements, dirty_subs, cache, first)
 
     def _read_before_write(
         self, unit: _PlcUnit, sl: ScanList, path: Epath, count: int,

@@ -68,13 +68,15 @@ def test_c03_reply_bit_rule():
         read = build_read_request(to_epath(parse_tag("TEST")), 1)
         requests = [
             read,                                                     # 0x4C
-            cip.build_write_request(
+            cip.decode_request(cip.encode_write_request(
                 to_epath(parse_tag("counts[0]")), CipValue(CipType.DINT, (1,))
-            ),                                                        # 0x53
+            )),                                                       # 0x53
             cip.build_get_attribute_single(
                 cip.CLASS_IDENTITY, 1, cip.ATTR_PRODUCT_NAME
             ),                                                        # 0x0E
-            cip.build_multi_request_encoded([encode_request(read)] * 2),  # 0x0A
+            cip.decode_request(
+                cip.encode_multi_request([encode_request(read)] * 2)
+            ),                                                        # 0x0A
             cip.build_forward_open(cip.ForwardOpenParams()),          # 0x54
             cip.build_forward_close(0, 1),                            # 0x4E
             cip.wrap_unconnected_send(read, slot=9),                  # 0x52, bad route
@@ -109,9 +111,9 @@ def test_c05_batching_economy():
 
         # the bundle itself stays under the 500-byte transaction cap
         reads = [build_read_request(to_epath(parse_tag(n)), 1) for n in names]
-        multi = cip.build_multi_request_encoded([encode_request(r) for r in reads])
-        assert len(encode_request(multi)) <= 500
-        assert cip.wrapped_request_size(len(encode_request(multi))) <= 500
+        multi = cip.encode_multi_request([encode_request(r) for r in reads])
+        assert len(multi) <= 500
+        assert cip.wrapped_request_size(len(multi)) <= 500
 
         with PlcSim(store, FaultPlan(latency_s=0.011)) as sim:
             def build(batching):
@@ -444,10 +446,8 @@ def test_c11_codec_fuzz_10k():
                 )
                 for _ in range(rng.randrange(1, 8))
             ]
-            multi = cip.build_multi_request_encoded([encode_request(r) for r in inner])
-            split = cip.split_multi_request(
-                cip.decode_request(encode_request(multi))
-            )
+            multi = cip.encode_multi_request([encode_request(r) for r in inner])
+            split = cip.split_multi_request(cip.decode_request(multi))
             assert split == inner
             done += 1
 

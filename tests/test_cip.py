@@ -339,9 +339,9 @@ def test_response_raise_for_status():
 
 
 def test_write_request_payload_layout():
-    req = cip.build_write_request(
+    req = cip.decode_request(cip.encode_write_request(
         Epath([Symbol("counts"), Element(1)]), CipValue(CipType.DINT, [7, -7])
-    )
+    ))
     assert req.payload == b"\xc4\x00\x02\x00" + struct.pack("<ii", 7, -7)
     decoded = cip.decode_write_payload(req.payload)
     assert decoded == CipValue(CipType.DINT, (7, -7))
@@ -428,9 +428,9 @@ def read_req(name: str) -> CipRequest:
 
 
 def test_multi_request_offsets_golden():
-    multi = cip.build_multi_request_encoded(
+    multi = cip.decode_request(cip.encode_multi_request(
         [cip.encode_request(read_req("A")), cip.encode_request(read_req("B"))]
-    )
+    ))
     count = struct.unpack_from("<H", multi.payload)[0]
     offsets = list(struct.unpack_from("<HH", multi.payload, 2))
     assert count == 2
@@ -444,8 +444,8 @@ def test_multi_request_split_identity():
             read_req("tag" + "".join(rng.choice("ABC") for _ in range(rng.randrange(1, 10))))
             for _ in range(rng.randrange(1, 20))
         ]
-        multi = cip.build_multi_request_encoded([cip.encode_request(r) for r in inner])
-        assert cip.split_multi_request(multi) == inner
+        multi = cip.encode_multi_request([cip.encode_request(r) for r in inner])
+        assert cip.split_multi_request(cip.decode_request(multi)) == inner
 
 
 def test_multi_fifteen_reads_fits_in_limit():
@@ -454,8 +454,7 @@ def test_multi_fifteen_reads_fits_in_limit():
     requests = [read_req(n) for n in names]
     sizes = [len(cip.encode_request(r)) for r in requests]
     assert sizes == [22] * 15
-    multi = cip.build_multi_request_encoded([cip.encode_request(r) for r in requests])
-    encoded = cip.encode_request(multi)
+    encoded = cip.encode_multi_request([cip.encode_request(r) for r in requests])
     assert len(encoded) == 38 + 15 * 22 == 368
     assert cip.multi_request_size(sizes) == 368
     assert len(encoded) <= 500

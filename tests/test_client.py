@@ -105,11 +105,11 @@ def test_identity_name(client):
 
 
 def test_request_too_large_guard(client):
-    big = cip.build_write_request(
+    big = cip.encode_write_request(
         cip.Epath((cip.Symbol("counts"),)), CipValue(CipType.DINT, tuple(range(130)))
     )
     with pytest.raises(RequestTooLarge):
-        client.round_trip_unconnected(cip.encode_request(big))
+        client.round_trip_unconnected(big)
     assert client.phase is Phase.REGISTERED  # guard fires before anything is sent
 
 

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from logixscan import cip, plan
-from logixscan.cip import CipType
+from logixscan.cip import CipType, CipValue
 from logixscan.plan import Direction, pack, plan_list
 from logixscan.scanner import Subscription
 from logixscan.tags import parse_tag
@@ -109,9 +109,7 @@ def test_each_transfer_and_its_reply_fit_the_limit(case):
             assert ops[0].response_estimate <= limit
         else:
             assert batching
-            assert request == cip.encode_request(
-                cip.build_multi_request_encoded([op.encoded for op in ops])
-            )
+            assert request == cip.encode_multi_request([op.encoded for op in ops])
             assert cip.multi_response_size([op.response_estimate for op in ops]) <= limit
 
 
@@ -150,6 +148,31 @@ def test_planning_is_deterministic(case):
     assert [[(o, b) for _s, o, b in op.targets] for op in flat_ops(first)] == [
         [(o, b) for _s, o, b in op.targets] for op in flat_ops(fresh)
     ]
+
+
+@PROPERTIES
+@given(scan_lists)
+def test_write_spans_hold_their_outputs_and_head_their_writes(case):
+    specs, limit, batching = case
+    members = members_of(specs)
+    scan_plan = plan_list(members, limit, batching)
+    groups, _singles = plan.group(members)
+    outputs = {
+        key: [s for s in subs if s.direction is Direction.OUTPUT] for key, subs in groups.items()
+    }
+    assert scan_plan.write_spans.keys() == {key for key, subs in outputs.items() if subs}
+    for key, (first, high, head) in scan_plan.write_spans.items():
+        elements = {s.element for s in outputs[key]}
+        assert first == min(elements) and high == max(elements)
+        wire_type, count = key[1], high - first + 1
+        fresh = cip.encode_write_request(
+            outputs[key][0].wire_path(first), CipValue(wire_type, [0] * count)
+        )
+        if cip.wrapped_request_size(len(fresh)) > limit:
+            assert head is None
+        else:
+            assert fresh[:len(head)] == head
+            assert len(fresh) - len(head) == wire_type.width * count
 
 
 def shape(members, limit=500, batching=True):

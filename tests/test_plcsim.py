@@ -135,9 +135,9 @@ def test_read_element_slice():
 
 def test_write_then_read():
     eng = engine()
-    req = cip.build_write_request(
+    req = cip.decode_request(cip.encode_write_request(
         to_epath(parse_tag("counts[1]")), CipValue(CipType.DINT, (-7,))
-    )
+    ))
     resp = decode_response(serve_cip(eng, req))
     assert resp.ok
     assert eng.store.get_tag("counts").elements == (10, -7, 30, 40, 50)
@@ -155,9 +155,9 @@ def test_read_error_statuses(tag, elements, status):
 
 
 def test_write_type_mismatch():
-    req = cip.build_write_request(
+    req = cip.decode_request(cip.encode_write_request(
         to_epath(parse_tag("counts")), CipValue(CipType.REAL, (1.0,))
-    )
+    ))
     resp = decode_response(serve_cip(engine(), req))
     assert resp.general_status == cip.STATUS_INVALID_PARAMETER
 
@@ -226,10 +226,10 @@ def test_route_depth_guard():
 
 def test_multi_request_dispatch():
     eng = engine()
-    multi = cip.build_multi_request_encoded([
+    multi = cip.decode_request(cip.encode_multi_request([
         cip.encode_request(build_read_request(to_epath(parse_tag("TEST")), 1)),
         cip.encode_request(build_read_request(to_epath(parse_tag("counts")), 5)),
-    ])
+    ]))
     resp = decode_response(serve_cip(eng, multi))
     assert resp.ok
     inner = cip.split_multi_response(resp, 2)
@@ -239,10 +239,10 @@ def test_multi_request_dispatch():
 
 def test_multi_request_partial_failure():
     eng = engine()
-    multi = cip.build_multi_request_encoded([
+    multi = cip.decode_request(cip.encode_multi_request([
         cip.encode_request(build_read_request(to_epath(parse_tag("TEST")), 1)),
         cip.encode_request(build_read_request(to_epath(parse_tag("missing")), 1)),
-    ])
+    ]))
     resp = decode_response(serve_cip(eng, multi))
     assert resp.general_status == cip.STATUS_EMBEDDED_SERVICE_ERROR
     inner = cip.split_multi_response(resp, 2)
@@ -256,8 +256,8 @@ def test_multi_request_items_decode_once(monkeypatch):
     decode_epath = cip.decode_epath
     monkeypatch.setattr(cip, "decode_epath", lambda data: decoded.append(1) or decode_epath(data))
     reads = [build_read_request(to_epath(parse_tag(t)), 1) for t in ("TEST", "counts", "flag")]
-    multi = cip.build_multi_request_encoded([cip.encode_request(r) for r in reads])
-    resp = decode_response(serve_cip(eng, multi))
+    multi = cip.encode_multi_request([cip.encode_request(r) for r in reads])
+    resp = decode_response(eng.handle(multi, {}))
     assert [r.ok for r in cip.split_multi_response(resp, 3)] == [True] * 3
     assert len(decoded) == 1 + len(reads)  # the envelope's path, then each item's
     assert eng.store.service_counts[cip.READ_DATA] == 3
@@ -269,15 +269,15 @@ def test_multi_request_with_a_malformed_item_serves_none():
     truncated = bytes((cip.READ_DATA, 3, 0x91, 4)) + b"TE"
     for items in ([good, truncated], [truncated, good]):
         resp = decode_response(eng.handle(
-            encode_request(cip.build_multi_request_encoded(items)), {}
+            cip.encode_multi_request(items), {}
         ))
         assert resp.service_reply == cip.MULTI_REQUEST | cip.REPLY_FLAG
         assert resp.general_status == cip.STATUS_NOT_ENOUGH_DATA
     assert eng.store.service_counts[cip.READ_DATA] == 0
     assert eng.store.service_counts[cip.MULTI_REQUEST] == 2
     # error injection still applies to each embedded service alone
-    write = cip.build_write_request(to_epath(parse_tag("counts")), CipValue(CipType.DINT, (1,)))
-    multi = cip.build_multi_request_encoded([good, cip.encode_request(write)])
+    write = cip.encode_write_request(to_epath(parse_tag("counts")), CipValue(CipType.DINT, (1,)))
+    multi = cip.decode_request(cip.encode_multi_request([good, write]))
     inner = cip.split_multi_response(decode_response(serve_cip(eng, multi)), 2)
     assert inner[0].ok and inner[1].general_status == cip.STATUS_PATH_UNKNOWN
     assert eng.store.service_counts[cip.WRITE_DATA] == 1
@@ -308,11 +308,11 @@ def test_forward_close_names_serial_vendor_and_originator():
 
 def test_request_over_limit_rejected():
     eng = engine(limit=500)
-    big = cip.build_write_request(
+    big = cip.encode_write_request(
         to_epath(parse_tag("counts")), CipValue(CipType.DINT, tuple(range(130)))
     )
-    assert len(cip.encode_request(big)) > 500
-    resp = decode_response(eng.handle(cip.encode_request(big), {}))
+    assert len(big) > 500
+    resp = decode_response(eng.handle(big, {}))
     assert resp.general_status == cip.STATUS_REQUEST_TOO_LARGE
 
 

@@ -1,5 +1,6 @@
 """Scan planning, batching, coalescing, writes, stats, config parsing."""
 
+import logging
 import math
 import os
 import socket
@@ -14,6 +15,7 @@ from logixscan import cip
 from logixscan.cip import CipType, CipValue
 from logixscan.client import Phase, PlcEndpoint
 from logixscan.config import ConfigError, apply_scan_config, parse_scan_config
+from logixscan.plan import WriteSpan
 from logixscan.plcsim import FaultPlan, PlcSim, TagStore
 from logixscan.scanner import Direction, Quality, TagScanner
 from logixscan.tags import bool_remap, parse_tag, to_epath
@@ -75,7 +77,7 @@ def wire_bytes(requests):
     encoded = [cip.encode_request(r) for r in requests]
     if len(encoded) == 1:
         return encoded[0]
-    return cip.encode_request(cip.build_multi_request_encoded(encoded))
+    return cip.encode_multi_request(encoded)
 
 
 def sent(plan):
@@ -355,8 +357,7 @@ def test_multi_builders_lay_out_c06_and_mixed_list_byte_for_byte():
     transfers = [t for ts in c06_reads().values() for t in ts] + mixed_reads()
     for requests in transfers:
         encoded = [cip.encode_request(r) for r in requests]
-        multi = cip.build_multi_request_encoded(encoded)
-        assert cip.encode_request(multi) == router + offset_table(encoded)
+        assert cip.encode_multi_request(encoded) == router + offset_table(encoded)
         replies = [
             cip.CipResponse(
                 cip.READ_DATA | cip.REPLY_FLAG, 0, (),
@@ -435,14 +436,17 @@ def test_plan_routes_targets_by_kind_and_records_output_spans():
         plan = planned(sc, 1.0)
         ops = {op.targets[0][0]: op for transfer, _request in plan.transfers for op in transfer}
         counts, bits, solo = ops[typed_in], ops[bit_in], ops[unknown]
-        assert counts.typed_inputs == [(typed_in, 0), (far_in, 4)]
-        assert counts.other_targets == [(out_lo, 2, None), (out_hi, 3, None)]
-        assert counts.bit_inputs == [] and counts.cache_key is not None
+        # unwatched outputs are stored as inputs are
+        assert counts.typed_targets == [(typed_in, 0), (out_lo, 2), (out_hi, 3), (far_in, 4)]
+        assert counts.checked_targets == []
+        assert counts.bit_targets == [] and counts.cache_key is not None
         # input-only reads leave the span cache alone: it serves writes only
-        assert bits.bit_inputs == [(bit_in, 0, 8)] and bits.cache_key is None
-        assert solo.other_targets == [(unknown, 0, None)] and solo.cache_key is None
-        # the write span covers the outputs only, not the inputs around them
-        assert plan.write_spans == {("counts", CipType.DINT): (2, 3)}
+        assert bits.bit_targets == [(bit_in, 0, 8)] and bits.cache_key is None
+        assert solo.checked_targets == [(unknown, 0, None)] and solo.cache_key is None
+        # the write span covers the outputs only, not the inputs around them,
+        # and its head is the write of counts[2..3] up to its data
+        head = bytes.fromhex("53 05 91 06 636f756e7473 28 02 c400 0200")
+        assert plan.write_spans == {("counts", CipType.DINT): WriteSpan(2, 3, head)}
         sc.scan_once("plc")
         assert sc.value_of(bit_in) is False and sc.value_of(typed_in) == 10
         assert sc._units["plc"].span_cache.keys() == {("counts", CipType.DINT)}
@@ -869,18 +873,137 @@ def test_output_drift_notification(sim):
     assert sc.value_of(sub) == 77
 
 
-def test_own_write_does_not_drift(sim):
-    events = []
+def test_own_write_does_not_drift():
+    store = make_store()
+    store.define("ints", CipType.INT, [1, 2])
+    float32_of_0_1 = struct.unpack("<f", struct.pack("<f", 0.1))[0]
+    # (tag, type, value written, value the PLC holds): a REAL goes out
+    # float32-rounded, the unsigned top range as its two's complement
+    cases = [
+        ("counts[2]", CipType.DINT, 55, 55),
+        ("TEST", CipType.REAL, 0.1, float32_of_0_1),
+        ("counts[3]", CipType.DINT, 0xFFFFFFFF, -1),
+        ("ints[1]", CipType.INT, 0xFFFF, -1),
+    ]
+    with PlcSim(store) as sim:
+        sc = scanner_for(sim)
+        for tag, elem_type, written, held in cases:
+            events = []
+            sub = sc.add_tag(
+                "plc", tag, 1.0, direction="out", elem_type=elem_type,
+                on_drift=lambda s, old, new: events.append((old, new)),
+            )
+            sc.scan_once("plc")
+            sc.write(sub, written)
+            assert sim.store.get_tag(tag).scalar == held
+            assert sc.value_of(sub) == held and sub.quality is Quality.OK
+            sc.scan_once("plc")  # readback equals what we wrote
+            assert events == [], tag
+            assert sc.value_of(sub) == held and sub.quality is Quality.OK
+
+
+def test_duplicate_output_subscriptions_settle_to_the_value_written(sim):
     sc = scanner_for(sim)
-    sub = sc.add_tag(
-        "plc", "counts[2]", 1.0, direction="out", elem_type=CipType.DINT,
-        on_drift=lambda s, old, new: events.append((old, new)),
+    first, second = (
+        sc.add_tag("plc", "counts[2]", 1.0, direction="out", elem_type=CipType.DINT)
+        for _ in range(2)
     )
-    sc.scan_once("plc")
-    sc.write(sub, 55)
-    sc.scan_once("plc")  # readback equals what we wrote
-    assert events == []
-    assert sc.value_of(sub) == 55
+    sc.write(first, 5, immediate=False)
+    sc.write(second, 7, immediate=False)
+    sc.flush("plc")
+    assert sim.store.get_tag("counts").elements == (10, 20, 7, 40, 50)
+    for sub in (first, second):
+        assert not sub.dirty and sub.quality is Quality.OK and sc.value_of(sub) == 7
+
+
+def test_unencodable_staged_value_fails_alone(sim, caplog):
+    sc = scanner_for(sim)
+    lo, mid, hi = (
+        sc.add_tag("plc", f"counts[{i}]", 1.0, direction="out", elem_type=CipType.DINT)
+        for i in (0, 2, 4)
+    )
+    real = sc.add_tag(
+        "plc", "TEST", 1.0, direction="out", elem_type=CipType.REAL, coalesce=False
+    )
+    for sub, value in ((lo, 11), (mid, 1 << 40), (hi, 55), (real, 2.5)):
+        sc.write(sub, value, immediate=False)
+    with caplog.at_level(logging.WARNING, logger="logixscan.scanner"):
+        sc.flush("plc")
+    assert mid.quality is Quality.ERROR and not mid.dirty
+    assert sc.stats("plc", 1.0).errors == 1
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert sim.store.get_tag("counts").elements == (11, 20, 30, 40, 55)
+    assert sim.store.get_tag("TEST").scalar == 2.5
+    for sub, value in ((lo, 11), (hi, 55), (real, 2.5)):
+        assert not sub.dirty and sub.quality is Quality.OK and sc.value_of(sub) == value
+    sc.flush("plc")  # nothing left to write, nothing raised
+    assert sc.stats("plc", 1.0).errors == 1
+
+
+def test_on_drift_is_fixed_at_construction(sim):
+    sc = scanner_for(sim)
+    sub = sc.add_tag("plc", "counts[2]", 1.0, direction="out", elem_type=CipType.DINT)
+    with pytest.raises(AttributeError):
+        sub.on_drift = lambda s, old, new: None
+    assert sub.on_drift is None
+
+
+def test_watched_and_unwatched_outputs_of_one_span():
+    events = []
+    with PlcSim(make_store()) as sim:
+        sc = scanner_for(sim)
+        watched = sc.add_tag(
+            "plc", "counts[1]", 1.0, direction="out", elem_type=CipType.DINT,
+            on_drift=lambda s, old, new: events.append((s, old.scalar, new.scalar)),
+        )
+        unwatched = sc.add_tag(
+            "plc", "counts[3]", 1.0, direction="out", elem_type=CipType.DINT
+        )
+        (op,), _request = planned(sc, 1.0).transfers[0]
+        assert op.typed_targets == [(unwatched, 2)]
+        assert op.checked_targets == [(watched, 0, None)]
+        cache = sc._units["plc"].span_cache
+        for counts in ((10, 20, 30, 40, 50), (10, 21, 30, 41, 50), (10, 22, 30, 42, 50)):
+            sim.store.set_tag("counts[1]", counts[1])
+            sim.store.set_tag("counts[3]", counts[3])
+            started = time.time()
+            sc.scan_once("plc")
+            for sub in (watched, unwatched):
+                assert sub.quality is Quality.OK and sub.timestamp >= started
+                assert sc.value_of(sub) == counts[sub.element]
+            assert cache[("counts", CipType.DINT)] == {1: counts[1], 2: 30, 3: counts[3]}
+        assert events == [(watched, 20, 21), (watched, 21, 22)]
+
+
+def test_a_planned_flush_encodes_no_path(monkeypatch):
+    store = make_store()
+    store.define("wout", CipType.DINT, list(range(40)))
+    store.define("bout", CipType.BOOL, [False] * 64)
+    with PlcSim(store) as sim:
+        sc = scanner_for(sim)
+        words = [
+            sc.add_tag("plc", f"wout[{i}]", 1.0, direction="out", elem_type=CipType.DINT)
+            for i in range(40)
+        ]
+        bits = [
+            sc.add_tag("plc", f"bout[{i}]", 1.0, direction="out", bool_array=True)
+            for i in range(64)
+        ]
+        sc.scan_once("plc")  # plans, and warms the span cache
+        encoded = []
+        encode_epath = cip.encode_epath
+        monkeypatch.setattr(
+            cip, "encode_epath", lambda path: encoded.append(path) or encode_epath(path)
+        )
+        staged = [(words[i], -i) for i in range(0, 40, 4)]
+        staged += [(bits[i], True) for i in range(0, 64, 4)]  # both DINT words
+        for sub, value in staged:
+            sc.write(sub, value, immediate=False)
+        sc.flush("plc")
+        sc.scan_once("plc")
+        assert encoded == []
+        for sub, value in staged:
+            assert not sub.dirty and sub.quality is Quality.OK and sc.value_of(sub) == value
 
 
 # ---------------------------------------------------------------------------
