@@ -26,6 +26,7 @@ UNCONNECTED_SEND = 0x52
 FORWARD_OPEN = 0x54
 
 REPLY_FLAG = 0x80
+READ_REPLY = READ_DATA | REPLY_FLAG
 
 # object classes addressed by this stack
 CLASS_IDENTITY = 0x01
@@ -64,6 +65,7 @@ UCMM_TIMEOUT_TICKS = 0x05
 UNCONNECTED_SEND_OVERHEAD = 14
 
 MAX_SYMBOL_LEN = 40
+MAX_ELEMENT_COUNT = 0xFFFF  # a read or write carries a 16-bit count
 
 
 class CipError(Exception):
@@ -345,8 +347,9 @@ def unpack_elements(elem_type: CipType, data: bytes) -> tuple:
     return _elements_layout(elem_type, len(data)).unpack(data)
 
 
-def decode_typed_data(payload: bytes) -> CipValue:
-    """Decode a type-code-prefixed data block (the read reply layout)."""
+def decode_typed_elements(payload: bytes) -> tuple[CipType, tuple]:
+    """The type and elements of a type-code-prefixed data block (the read
+    reply layout)."""
     if len(payload) < 2:
         raise CipError("typed data shorter than its type code")
     (code,) = struct.unpack_from("<H", payload)
@@ -356,7 +359,12 @@ def decode_typed_data(payload: bytes) -> CipValue:
     layout = _elements_layout(elem_type, len(payload) - 2)
     if not layout.size:
         raise CipError("typed data carries no elements")
-    return CipValue(elem_type, layout.unpack_from(payload, 2))
+    return elem_type, layout.unpack_from(payload, 2)
+
+
+def decode_typed_data(payload: bytes) -> CipValue:
+    """Decode a type-code-prefixed data block as one value."""
+    return CipValue(*decode_typed_elements(payload))
 
 
 _BOOL_LITERALS = {"1": True, "true": True, "on": True, "0": False, "false": False, "off": False}
@@ -449,16 +457,22 @@ def decode_response(data: bytes) -> CipResponse:
 def build_read_request(path: Epath, element_count: int) -> CipRequest:
     if element_count < 1:
         raise CipError("element count must be at least 1")
-    if element_count > 0xFFFF:
+    if element_count > MAX_ELEMENT_COUNT:
         raise CipError("element count exceeds 16 bits")
     return CipRequest(READ_DATA, path, struct.pack("<H", element_count))
 
 
-def parse_read_response(resp: CipResponse) -> CipValue:
+def parse_read_reply(resp: CipResponse) -> tuple[CipType, tuple]:
+    """The type and elements a read reply carries; raises for an error
+    status or another service's reply."""
     resp.raise_for_status()
-    if resp.service_reply != (READ_DATA | REPLY_FLAG):
+    if resp.service_reply != READ_REPLY:
         raise CipError(f"not a read reply: service 0x{resp.service_reply:02X}")
-    return decode_typed_data(resp.payload)
+    return decode_typed_elements(resp.payload)
+
+
+def parse_read_response(resp: CipResponse) -> CipValue:
+    return CipValue(*parse_read_reply(resp))
 
 
 _WRITE_TYPE_COUNT = struct.Struct("<HH")

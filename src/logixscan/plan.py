@@ -60,6 +60,10 @@ class ReadOp:
     typed_targets: list[tuple[object, int]] = field(init=False)
     # outputs with a drift callback, and members whose type is still unknown
     checked_targets: list[tuple[object, int, int | None]] = field(init=False)
+    # the last accepted reply: its payload, and what it decoded to (type,
+    # elements, and per typed target its value, or None past the reply);
+    # a new plan starts without one
+    last_reply: tuple[bytes, CipType, tuple, list] | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         output = Direction.OUTPUT
@@ -124,10 +128,12 @@ def read_op(subs: list, first: int | None, count: int, limit: int) -> ReadOp | N
     (a lone unindexed member: `first` None), or None if it cannot fit."""
     head = subs[0]
     wire_type = head.wire_type()
-    encoded = cip.encode_request(cip.build_read_request(head.wire_path(first), count))
     sizing = UNKNOWN_TYPE_SIZING if wire_type is None else wire_type
     estimate = cip.estimate_response_size(sizing, count)
-    if cip.wrapped_request_size(len(encoded)) > limit or estimate > limit:
+    if count > cip.MAX_ELEMENT_COUNT or estimate > limit:
+        return None
+    encoded = cip.encode_request(cip.build_read_request(head.wire_path(first), count))
+    if cip.wrapped_request_size(len(encoded)) > limit:
         return None
     targets = [(s, 0 if first is None else s.element - first, s.bit) for s in subs]
     known = first is not None and wire_type is not None

@@ -12,7 +12,10 @@ after its membership or a discovered type changes.  The plan holds each
 transfer as the bytes it sends, encoded once, each read's routing of reply
 elements into cells (an output without `on_drift` is stored as an input
 is), and each coalesced output span with its write's encoded head, so a
-cycle only sends, decodes and stores.  Outputs are written on demand
+cycle only sends, decodes and stores.  Each planned read keeps the payload
+of its last accepted reply and the values it decoded to: a reply whose
+bytes are the same again is not decoded, and its cells take the same
+immutable values with this cycle's timestamp.  Outputs are written on demand
 (whole-span when more than one element of a coalesced span is dirty) and
 read back every cycle, with drift notifications for watched outputs when
 the PLC side changed.  A flush groups its dirty outputs by the planner's
@@ -230,6 +233,14 @@ def _stage_write(
     ops.append(WriteOp(head + data, subs, cache, first, values))
     if first is not None:
         cache.update(zip(range(first, first + len(values)), values))
+
+
+def _same_wire(a: CipValue, b: CipValue) -> bool:
+    """Whether two values go on the wire as the same bytes: a NaN equals
+    itself, and -0.0 is not 0.0."""
+    return a.type is b.type and (
+        cip.pack_elements(a.type, a.elements) == cip.pack_elements(b.type, b.elements)
+    )
 
 
 def _encoding_error(wire_type: CipType, value) -> Exception | None:
@@ -451,24 +462,35 @@ class TagScanner:
     def _absorb_read(
         self, unit: _PlcUnit, sl: ScanList, op: ReadOp, resp: cip.CipResponse, now: float
     ) -> bool:
-        try:
-            value = cip.parse_read_response(resp)
-        except cip.CipError as exc:
-            log.debug("read failed on %s: %s", unit.name, exc)
-            with self._stats_lock:
-                sl.stats.errors += 1
-            op.fail()
-            return False
-        elements, value_type = value.elements, value.type
-        if op.expected_type is not None and value_type is not op.expected_type:
-            with self._stats_lock:
-                sl.stats.errors += 1
-            op.fail()
-            log.warning(
-                "%s: expected %s, PLC sent %s", unit.name,
-                op.expected_type.name, value_type.name,
-            )
-            return False
+        last = op.last_reply
+        if (
+            last is None or resp.payload != last[0]
+            or resp.general_status != cip.STATUS_OK or resp.service_reply != cip.READ_REPLY
+        ):
+            # not the bytes of the last accepted reply: decode them
+            try:
+                value_type, elements = cip.parse_read_reply(resp)
+            except cip.CipError as exc:
+                log.debug("read failed on %s: %s", unit.name, exc)
+                with self._stats_lock:
+                    sl.stats.errors += 1
+                op.fail()
+                return False
+            if op.expected_type is not None and value_type is not op.expected_type:
+                with self._stats_lock:
+                    sl.stats.errors += 1
+                op.fail()
+                log.warning(
+                    "%s: expected %s, PLC sent %s", unit.name,
+                    op.expected_type.name, value_type.name,
+                )
+                return False
+            count = len(elements)
+            last = op.last_reply = (resp.payload, value_type, elements, [
+                CipValue(value_type, (elements[offset],)) if offset < count else None
+                for _sub, offset in op.typed_targets
+            ])
+        _payload, value_type, elements, values = last
         count = len(elements)
         if op.cache_key is not None:
             start = op.start_element
@@ -483,11 +505,11 @@ class TagScanner:
                     sub.fail()
                     continue
                 sub.cell = bit_cells[(elements[offset] >> bit) & 1]
-        for sub, offset in op.typed_targets:
-            if offset >= count:
+        for (sub, _offset), value in zip(op.typed_targets, values):
+            if value is None:
                 sub.fail()
                 continue
-            sub.cell = (CipValue(value_type, (elements[offset],)), now, ok)
+            sub.cell = (value, now, ok)
         for sub, offset, bit in op.checked_targets:
             if offset >= count:
                 sub.fail()
@@ -510,7 +532,7 @@ class TagScanner:
         """Store a freshly read output value, with drift detection."""
         old = sub.value
         if old is not None:
-            if old.elements == cell.elements:
+            if _same_wire(old, cell):
                 sub.cell = (old, now, Quality.OK)
                 return
             if not sub.dirty:

@@ -200,6 +200,18 @@ def test_mixed_scan_plan():
     assert shape(members) == [4, 13]
 
 
+def test_a_span_past_16_bits_of_count_falls_back_to_element_reads():
+    # a[0] to a[70000] would need a count of 70001, which no read can carry
+    members = [member("a", i, False, CipType.SINT, False, True) for i in (0, 70000)]
+    scan_plan = plan_list(members, 500, True)
+    assert scan_plan.unplannable == []
+    ops = flat_ops(scan_plan)
+    assert [(op.start_element, [t[1] for t in op.targets]) for op in ops] == [
+        (0, [0]), (70000, [0])
+    ]
+    assert shape(members) == [2]
+
+
 def test_planner_imports_no_client_socket_or_threading():
     """plan.py and every logixscan module it pulls in, read from source."""
     package = Path(plan.__file__).parent

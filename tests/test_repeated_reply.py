@@ -1,0 +1,155 @@
+"""A read op that restamps a repeated reply against one that remembers nothing.
+
+Two copies of the same subscriptions absorb the same sequence of replies:
+one through a single op, which keeps the last reply it accepted, the other
+through a fresh op built for every reply.  Replies repeat, come short,
+carry error statuses, another service's reply flag, another type, or a
+malformed payload.  After every reply both copies must hold the same cells
+(values compared by their wire bytes, so NaN payloads and -0.0 count), the
+same span cache, drift events and error count.
+"""
+
+import struct
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from logixscan import cip, plan
+from logixscan.cip import CipResponse, CipType
+from logixscan.plan import Direction
+from logixscan.scanner import Quality, ScanList, Subscription, TagScanner, _PlcUnit
+from logixscan.tags import parse_tag
+
+PROPERTIES = settings(
+    max_examples=200, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+LIMIT = 500
+
+# (tag, bool array, element type, direction, watched): one coalesced read each
+LAYOUTS = {
+    "reals": [
+        ("r[0]", False, CipType.REAL, Direction.INPUT, False),
+        ("r[2]", False, CipType.REAL, Direction.OUTPUT, False),
+        ("r[3]", False, CipType.REAL, Direction.OUTPUT, True),
+        ("r[5]", False, CipType.REAL, Direction.INPUT, False),
+    ],
+    "bits": [
+        ("b[1]", True, None, Direction.INPUT, False),
+        ("b[40]", True, None, Direction.OUTPUT, False),
+        ("b[70]", True, None, Direction.INPUT, False),
+    ],
+}
+WORDS = 6  # elements the REAL read asks for (r[0] to r[5]); bits: 3 words
+
+SPECIAL_REALS = [
+    struct.pack("<f", x) for x in (0.0, -0.0, 1.0, float("inf"))
+] + [
+    bytes.fromhex(h) for h in ("0000c07f", "0100c07f", "0000c0ff", "0100807f")
+]
+
+# a few distinct payloads: (type code, None as read; elements; stray byte)
+payload_specs = st.tuples(
+    st.sampled_from([None] * 5 + [CipType.DINT, CipType.REAL, CipType.INT]),
+    st.lists(
+        st.one_of(st.sampled_from(SPECIAL_REALS), st.binary(min_size=4, max_size=4)),
+        min_size=0, max_size=WORDS + 1,
+    ),
+    st.sampled_from([b""] * 7 + [b"\x00"]),  # a stray byte: a malformed payload
+)
+# the replies in the order they arrive: (payload index, status, service)
+reply_specs = st.tuples(
+    st.integers(0, 2),
+    st.sampled_from([cip.STATUS_OK] * 5 + [cip.STATUS_PATH_UNKNOWN, cip.STATUS_PARTIAL_TRANSFER]),
+    st.sampled_from([cip.READ_REPLY] * 5 + [cip.WRITE_DATA | cip.REPLY_FLAG]),
+)
+cases = st.tuples(
+    st.sampled_from(sorted(LAYOUTS)),
+    st.lists(payload_specs, min_size=1, max_size=3),
+    st.lists(reply_specs, min_size=1, max_size=16),
+)
+
+
+def subscriptions(layout, events):
+    subs = []
+    for text, bool_array, elem_type, direction, watched in LAYOUTS[layout]:
+        def on_drift(sub, old, new):
+            events.append((sub.ref, cip.pack_elements(old.type, old.elements),
+                           cip.pack_elements(new.type, new.elements)))
+        subs.append(Subscription(
+            "plc", parse_tag(text, bool_array=bool_array), 1.0, direction,
+            CipType.BOOL if bool_array else elem_type, True,
+            on_drift if watched else None,
+        ))
+    return subs
+
+
+def fresh_op(subs):
+    first = min(s.element for s in subs)
+    return plan.read_op(subs, first, max(s.element for s in subs) - first + 1, LIMIT)
+
+
+def payload(op, spec):
+    type_code, elements, stray = spec
+    code = op.expected_type if type_code is None else type_code
+    return struct.pack("<H", code) + b"".join(elements) + stray
+
+
+def wire(value):
+    """A cell value as its type and wire bytes (None when there is none)."""
+    return None if value is None else (value.type, cip.pack_elements(value.type, value.elements))
+
+
+def cached(unit):
+    """The span cache with REAL elements as their float32 bytes."""
+    return {
+        key: {e: struct.pack("<f", v) if key[1] is CipType.REAL else v for e, v in words.items()}
+        for key, words in unit.span_cache.items()
+    }
+
+
+class Side:
+    """One copy of the layout's subscriptions, its unit, list and events."""
+
+    def __init__(self, layout):
+        self.events = []
+        self.subs = subscriptions(layout, self.events)
+        self.unit = _PlcUnit("plc", None)
+        self.sl = ScanList(1.0, list(self.subs))
+        self.scanner = TagScanner()
+
+    def absorb(self, op, resp, now):
+        return self.scanner._absorb_read(self.unit, self.sl, op, resp, now)
+
+    def state(self):
+        cells = [(wire(s.value), s.timestamp, s.quality) for s in self.subs]
+        return cells, cached(self.unit), self.events, self.sl.stats.errors
+
+
+@PROPERTIES
+@given(cases)
+def test_a_remembering_op_stores_what_a_fresh_op_stores(case):
+    layout, payloads, replies = case
+    kept, fresh = Side(layout), Side(layout)
+    op = fresh_op(kept.subs)
+    for step, (index, status, service) in enumerate(replies):
+        data = payload(op, payloads[index % len(payloads)])
+        now = 1000.0 + step
+        # each side its own copy of the reply, so equal bytes are not one object
+        assert kept.absorb(op, CipResponse(service, status, (), bytes(bytearray(data))), now) \
+            == fresh.absorb(fresh_op(fresh.subs), CipResponse(service, status, (), data), now)
+        assert kept.state() == fresh.state()
+
+
+def test_a_repeated_reply_reuses_the_values_it_built():
+    side = Side("reals")
+    op = fresh_op(side.subs)
+    data = struct.pack("<H6f", CipType.REAL, *range(6))
+    assert side.absorb(op, CipResponse(cip.READ_REPLY, 0, (), data), 1.0)
+    first = [s.value for s in side.subs]
+    # an equal payload in another buffer: compared by bytes, not identity
+    assert side.absorb(op, CipResponse(cip.READ_REPLY, 0, (), bytes(bytearray(data))), 2.0)
+    assert len(op.typed_targets) == 3
+    for sub, before in zip(side.subs, first):
+        assert sub.timestamp == 2.0 and sub.quality is Quality.OK
+        assert sub.value is before  # the watched output keeps its value too

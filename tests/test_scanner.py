@@ -12,6 +12,7 @@ import time
 import pytest
 
 from logixscan import cip
+from logixscan import scanner as scanner_module
 from logixscan.cip import CipType, CipValue
 from logixscan.client import Phase, PlcEndpoint
 from logixscan.config import ConfigError, apply_scan_config, parse_scan_config
@@ -902,6 +903,31 @@ def test_own_write_does_not_drift():
             assert sc.value_of(sub) == held and sub.quality is Quality.OK
 
 
+def test_a_nan_written_to_a_watched_output_does_not_drift():
+    events = []
+    store = make_store()
+    store.define("reals", CipType.REAL, [1.0, 0.0])
+    with PlcSim(store) as sim:
+        sc = scanner_for(sim)
+        sub = sc.add_tag(
+            "plc", "reals[0]", 1.0, direction="out", elem_type=CipType.REAL,
+            on_drift=lambda s, old, new: events.append((old.scalar, new.scalar)),
+        )
+        sc.scan_once("plc")
+        sc.write(sub, math.nan)
+        assert math.isnan(sim.store.get_tag("reals[0]").scalar)
+        sc.scan_once("plc")  # the read-back of our own NaN
+        sc.scan_once("plc")
+        assert events == [] and sub.quality is Quality.OK
+        sim.store.set_tag("reals[0]", 1.0)  # a real change on the PLC
+        sc.scan_once("plc")
+        sim.store.set_tag("reals[0]", 2.0)
+        sc.scan_once("plc")
+        sc.scan_once("plc")
+        assert len(events) == 2 and math.isnan(events[0][0])
+        assert events[0][1] == 1.0 and events[1] == (1.0, 2.0)
+
+
 def test_duplicate_output_subscriptions_settle_to_the_value_written(sim):
     sc = scanner_for(sim)
     first, second = (
@@ -1004,6 +1030,65 @@ def test_a_planned_flush_encodes_no_path(monkeypatch):
         assert encoded == []
         for sub, value in staged:
             assert not sub.dirty and sub.quality is Quality.OK and sc.value_of(sub) == value
+
+
+# ---------------------------------------------------------------------------
+# repeated replies
+
+def test_a_repeated_reply_builds_no_value(monkeypatch):
+    store = wide_store()
+    store.define("ints", CipType.DINT, [7, -8])
+    with PlcSim(store) as sim:
+        sc = scanner_for(sim)
+        subs = [sc.add_tag("plc", f"wide[{i}]", 1.0, elem_type=CipType.REAL) for i in range(50)]
+        subs += [sc.add_tag("plc", f"ints[{i}]", 1.0, elem_type=CipType.DINT) for i in (0, 1)]
+        subs += [sc.add_tag("plc", f"bits[{i}]", 1.0, bool_array=True) for i in (5, 6, 160)]
+        built, decoded = [], []
+        monkeypatch.setattr(
+            scanner_module, "CipValue", lambda *args: built.append(args) or CipValue(*args)
+        )
+        parse_read_reply = cip.parse_read_reply
+        monkeypatch.setattr(
+            cip, "parse_read_reply", lambda resp: decoded.append(resp) or parse_read_reply(resp)
+        )
+        sc.scan_once("plc")
+        assert len(built) == 52 and len(decoded) == 3
+        first = [(sub.value, sub.timestamp) for sub in subs]
+        built.clear(), decoded.clear()
+        sc.scan_once("plc")
+        assert built == [] and decoded == []
+        for sub, (value, timestamp) in zip(subs, first):
+            assert sub.quality is Quality.OK and sub.timestamp > timestamp
+            assert sub.value is value
+        assert [sc.value_of(s) for s in subs[50:]] == [7, -8, True, False, True]
+
+
+def test_a_repeated_reply_after_an_error_cycle_reads_ok_again():
+    faults = FaultPlan()
+    with PlcSim(make_store(), faults=faults) as sim:
+        sc = scanner_for(sim)
+        sub = sc.add_tag("plc", "counts[2]", 1.0, elem_type=CipType.DINT)
+        sc.scan_once("plc")
+        faults.error_inject[cip.READ_DATA] = cip.STATUS_PATH_UNKNOWN
+        sc.scan_once("plc")
+        assert sub.quality is Quality.ERROR and sc.value_of(sub) == 30
+        failed_at = sub.timestamp
+        faults.error_inject.clear()
+        started = time.time()
+        sc.scan_once("plc")  # the reply of the cycle before the error, byte for byte
+        assert sub.quality is Quality.OK and sc.value_of(sub) == 30
+        assert sub.timestamp >= started > failed_at
+
+
+def test_a_sign_bit_change_of_a_real_updates_its_cell(sim):
+    sc = scanner_for(sim)
+    sim.store.set_tag("TEST", 0.0)
+    sub = sc.add_tag("plc", "TEST", 1.0, elem_type=CipType.REAL)
+    sc.scan_once("plc")
+    assert math.copysign(1.0, sc.value_of(sub)) == 1.0
+    sim.store.set_tag("TEST", -0.0)  # equal as a float, not as bytes
+    sc.scan_once("plc")
+    assert math.copysign(1.0, sc.value_of(sub)) == -1.0 and sub.quality is Quality.OK
 
 
 # ---------------------------------------------------------------------------
