@@ -6,7 +6,8 @@ Forward_Open.  Everything here is a pure transform between dataclasses and
 wire bytes; the transport lives in `client`, the server side in `plcsim`.
 The per-round-trip encoders (`encode_unconnected_send`,
 `encode_multi_request`, `pack_elements`) build their bytes in one pass with
-precompiled structs and heads encoded once.
+precompiled structs and heads encoded once; the tag read and write
+encoders also take a path already encoded, so its owner encodes it once.
 """
 
 from __future__ import annotations
@@ -454,12 +455,31 @@ def decode_response(data: bytes) -> CipResponse:
 # ---------------------------------------------------------------------------
 # tag services
 
-def build_read_request(path: Epath, element_count: int) -> CipRequest:
+_READ_HEAD = bytes((READ_DATA,))
+_COUNT = struct.Struct("<H")
+
+
+def _path_bytes(path: Epath | bytes) -> bytes:
+    """A path as encoded by `encode_epath`; bytes are taken as encoded."""
+    return path if isinstance(path, bytes) else encode_epath(path)
+
+
+def _read_count(element_count: int) -> bytes:
     if element_count < 1:
         raise CipError("element count must be at least 1")
     if element_count > MAX_ELEMENT_COUNT:
         raise CipError("element count exceeds 16 bits")
-    return CipRequest(READ_DATA, path, struct.pack("<H", element_count))
+    return _COUNT.pack(element_count)
+
+
+def build_read_request(path: Epath, element_count: int) -> CipRequest:
+    return CipRequest(READ_DATA, path, _read_count(element_count))
+
+
+def encode_read_request(path: Epath | bytes, element_count: int) -> bytes:
+    """An encoded read of `element_count` elements at `path` (an Epath, or
+    its bytes from `encode_epath`)."""
+    return _READ_HEAD + _path_bytes(path) + _read_count(element_count)
 
 
 def parse_read_reply(resp: CipResponse) -> tuple[CipType, tuple]:
@@ -478,13 +498,14 @@ def parse_read_response(resp: CipResponse) -> CipValue:
 _WRITE_TYPE_COUNT = struct.Struct("<HH")
 
 
-def encode_write_head(path: Epath, elem_type: CipType, count: int) -> bytes:
-    """An encoded write request up to its data: service, path, type code
-    and element count; the packed elements follow."""
-    return bytes((WRITE_DATA,)) + encode_epath(path) + _WRITE_TYPE_COUNT.pack(elem_type, count)
+def encode_write_head(path: Epath | bytes, elem_type: CipType, count: int) -> bytes:
+    """An encoded write request up to its data: service, path (an Epath, or
+    its bytes from `encode_epath`), type code and element count; the packed
+    elements follow."""
+    return bytes((WRITE_DATA,)) + _path_bytes(path) + _WRITE_TYPE_COUNT.pack(elem_type, count)
 
 
-def encode_write_request(path: Epath, value: CipValue) -> bytes:
+def encode_write_request(path: Epath | bytes, value: CipValue) -> bytes:
     if not value.elements:
         raise CipError("write value holds no elements")
     data = pack_elements(value.type, value.elements)

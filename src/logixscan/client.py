@@ -14,11 +14,15 @@ receive buffer the session owns, usually with one `recv_into`.  Bytes past
 the reply its header declares are a protocol error that drops the session,
 so they are never read as the start of the next reply; every fault that
 drops the session is counted and raised in one place, `_fail`.
+`read_tag` and `write_tag` take tag text or a `TagRef`, and each client
+keeps the encoded paths of the tags it last addressed, so a repeated call
+parses and encodes no path; a failure is never kept.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import socket
 import struct
@@ -36,6 +40,21 @@ DEFAULT_BUFFER_LIMIT = 500
 MIN_BUFFER_LIMIT = 64
 MAX_BUFFER_LIMIT = 511
 MAX_SLOT = 16
+
+
+_TAG_PATH_CACHE_SIZE = 256  # encoded tag paths kept per client
+
+
+def _encode_tag_path(ref: TagRef | str) -> bytes:
+    """The encoded path of a tag that `read_tag`/`write_tag` address whole."""
+    if isinstance(ref, str):
+        ref = parse_tag(ref)
+    elif ref.bool_array:
+        raise ValueError(
+            f"{ref} is a BOOL-array bit: map it with tags.bool_remap and "
+            "address its DINT word"
+        )
+    return cip.encode_epath(to_epath(ref))
 
 
 class PlcError(Exception):
@@ -101,12 +120,16 @@ class PlcClient:
         self.next_sequence = 1
         self.consecutive_errors = 0
         self.reconnect_attempts = 0
+        # why the last reconnect attempt failed; None once one succeeds
+        self.connect_error: PlcError | None = None
         self.last_transfer_s: float | None = None
         self._sock: socket.socket | None = None
         self._context_counter = 0
         self._last_connect_attempt: float | None = None
         # the one receive buffer: a reply's header and its largest payload
         self._rx = memoryview(bytearray(encap.HEADER_SIZE + encap.MAX_PAYLOAD))
+        # tag text or TagRef -> its encoded path, the most recent kept
+        self._tag_path = functools.lru_cache(maxsize=_TAG_PATH_CACHE_SIZE)(_encode_tag_path)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -199,8 +222,10 @@ class PlcClient:
                 self.open_connection()
         except PlcError as exc:
             log.debug("reconnect attempt %d failed: %s", self.reconnect_attempts, exc)
+            self.connect_error = exc
             self._drop_socket()
             return False
+        self.connect_error = None
         self.consecutive_errors = 0
         return True
 
@@ -270,15 +295,11 @@ class PlcClient:
     # -- tag conveniences ---------------------------------------------------
 
     def read_tag(self, ref: TagRef | str, count: int = 1) -> CipValue:
-        if isinstance(ref, str):
-            ref = parse_tag(ref)
-        request = cip.encode_request(cip.build_read_request(to_epath(ref), count))
+        request = cip.encode_read_request(self._tag_path(ref), count)
         return cip.parse_read_response(self.round_trip(request))
 
     def write_tag(self, ref: TagRef | str, value: CipValue) -> None:
-        if isinstance(ref, str):
-            ref = parse_tag(ref)
-        request = cip.encode_write_request(to_epath(ref), value)
+        request = cip.encode_write_request(self._tag_path(ref), value)
         cip.parse_write_response(self.round_trip(request))
 
     def read_identity_name(self) -> str:

@@ -64,6 +64,8 @@ class ReadOp:
     # elements, and per typed target its value, or None past the reply);
     # a new plan starts without one
     last_reply: tuple[bytes, CipType, tuple, list] | None = field(default=None, init=False)
+    # whether a reply of another type than expected was logged
+    mismatch_logged: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         output = Direction.OUTPUT
@@ -132,7 +134,7 @@ def read_op(subs: list, first: int | None, count: int, limit: int) -> ReadOp | N
     estimate = cip.estimate_response_size(sizing, count)
     if count > cip.MAX_ELEMENT_COUNT or estimate > limit:
         return None
-    encoded = cip.encode_request(cip.build_read_request(head.wire_path(first), count))
+    encoded = cip.encode_read_request(head.wire_path(first), count)
     if cip.wrapped_request_size(len(encoded)) > limit:
         return None
     targets = [(s, 0 if first is None else s.element - first, s.bit) for s in subs]

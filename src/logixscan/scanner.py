@@ -3,9 +3,11 @@
 Subscriptions are grouped into per-period scan lists.  Each subscription
 derives its wire address once, when its tag is set: the group it coalesces
 with, the element as transferred (the DINT word for a BOOL-array bit), the
-bit, and the symbol path up to the final subscript.  Its current value is
-one immutable (value, timestamp, quality) cell that every update replaces
-whole, so `snapshot()` reads a consistent triple without a lock.
+bit, and the symbol path up to the final subscript; a scanner derives the
+group and the symbol path once per base chain, for all its subscriptions.
+Its current value is one immutable (value, timestamp, quality) cell that
+every update replaces whole, so `snapshot()` reads a consistent triple
+without a lock.
 
 A list is planned by `plan.plan_list` before its first cycle and again
 after its membership or a discovered type changes.  The plan holds each
@@ -23,13 +25,16 @@ rule, a lone output being a group of one, builds all its writes with one
 builder, then packs them in order with the planner's packer and sends them
 through the same transfer loop as reads; each embedded write lands and
 settles to its elements as packed, or fails and stays dirty, alone, and an
-output whose staged value cannot be encoded fails alone, unwritten.  Scan
-config files are parsed and applied by `config`.
+output whose staged value cannot be encoded fails alone, unwritten.  A
+list logs a WARNING with the cause when a cycle first fails and an INFO
+when one succeeds again; a reply of another type than declared logs once
+per plan.  Scan config files are parsed and applied by `config`.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import queue
 import threading
@@ -41,12 +46,14 @@ from . import cip
 from .cip import CipType, CipValue, Element, Epath
 from .client import PlcClient, PlcEndpoint, PlcError, Phase
 from .plan import Direction, ReadOp, ScanPlan, group, pack, plan_list
-from .tags import BITS_PER_DINT, TagRef, format_tag, parse_tag, to_epath
+from .tags import BITS_PER_DINT, TagPart, TagRef, format_tag, parse_tag, to_epath
 
 log = logging.getLogger(__name__)
 
 # BOOL-array bit cells; values are frozen, so every bit cell shares these
 _BOOL_CELLS = (CipValue(CipType.BOOL, (False,)), CipValue(CipType.BOOL, (True,)))
+
+_BASE_CACHE_SIZE = 1024  # base chains whose address a scanner keeps
 
 # what `cip.pack_elements` raises for an element it cannot encode
 _UNENCODABLE = (cip.CipError, TypeError, ValueError, OverflowError)
@@ -74,6 +81,12 @@ class TransferStats:
         self.max_s = duration if self.max_s is None else max(self.max_s, duration)
 
 
+def _base_address(head: tuple[TagPart, ...], symbol: str) -> tuple[str, tuple]:
+    """The coalescing group and symbol path of the chain `head` + `symbol`."""
+    chain = TagRef(head + (TagPart(symbol),))
+    return format_tag(chain), to_epath(chain).segments
+
+
 class Subscription:
     """One scanned tag: address, expectations, and the current value cell."""
 
@@ -86,8 +99,12 @@ class Subscription:
         elem_type: CipType | None,
         coalesce: bool,
         on_drift=None,
+        base_address=_base_address,
     ):
         self.plc_name = plc_name
+        # derives the address of a tag's base chain; a scanner passes its
+        # cache of `_base_address`, shared by all its subscriptions
+        self._base_address = base_address
         self.ref = ref  # the setter derives the wire address
         self.period_s = period_s
         self.direction = direction
@@ -137,10 +154,9 @@ class Subscription:
     def ref(self, ref: TagRef) -> None:
         """Set the tag and derive its wire address, once per tag."""
         self._ref = ref
-        base = ref.base()
+        parts = ref.parts
         # coalescing group: the chain without its final subscript
-        self.group = format_tag(base)
-        self._base_segments = to_epath(base).segments
+        self.group, self._base_segments = self._base_address(parts[:-1], parts[-1].symbol)
         # element as transferred: BOOL-array bits ride on DINT words
         self.element: int | None = ref.final_element
         self.bit: int | None = None
@@ -167,6 +183,10 @@ class ScanList:
     stats: TransferStats = field(default_factory=TransferStats)
     plan: ScanPlan | None = None
     next_tick: float | None = None
+    # why the list is failing (None: it is not), and the first error of
+    # the cycle under way, which the cycle's end makes the fault
+    fault: str | None = None
+    cause: str | None = None
 
 
 class _PlcUnit:
@@ -263,6 +283,8 @@ class TagScanner:
         self.batching = batching
         self.on_sample = None  # fn(wall_ms, period_ms, transfer_ms)
         self._units: dict[str, _PlcUnit] = {}
+        # one address derivation per base chain, e.g. for all bits of an array
+        self._base_address = functools.lru_cache(maxsize=_BASE_CACHE_SIZE)(_base_address)
         self._stats_lock = threading.Lock()
         self._started = False
 
@@ -303,7 +325,7 @@ class TagScanner:
         sub = Subscription(
             plc_name, ref, period_s, direction,
             CipType.BOOL if ref.bool_array else elem_type,
-            coalesce, on_drift,
+            coalesce, on_drift, self._base_address,
         )
 
         def attach():
@@ -408,10 +430,22 @@ class TagScanner:
         self._submit(unit, run)
 
     def _scan_list(self, unit: _PlcUnit, sl: ScanList) -> None:
+        """One cycle of a list; a list that starts failing logs a WARNING
+        with the cause, and one that recovers an INFO."""
+        sl.cause = None
+        self._read_list(unit, sl)
+        fault, cause = sl.fault, sl.cause
+        if fault is None and cause is not None:
+            log.warning("%s: list %g s failing: %s", unit.name, sl.period_s, cause)
+        elif fault is not None and cause is None:
+            log.info("%s: list %g s recovered from: %s", unit.name, sl.period_s, fault)
+        sl.fault = cause
+
+    def _read_list(self, unit: _PlcUnit, sl: ScanList) -> None:
         now = time.time()
-        if not unit.client.ensure_connected():
-            with self._stats_lock:
-                sl.stats.errors += 1
+        client = unit.client
+        if not client.ensure_connected():
+            self._error(sl, f"not connected: {client.connect_error or 'reconnect paced'}")
             for sub in sl.members:
                 sub.fail()
             return
@@ -432,6 +466,13 @@ class TagScanner:
                     int(now * 1000), round(sl.period_s * 1000), duration * 1000.0
                 )
 
+    def _error(self, sl: ScanList, cause: str) -> None:
+        """Count one error of the list; a cycle's first is its cause."""
+        with self._stats_lock:
+            sl.stats.errors += 1
+        if sl.cause is None:
+            sl.cause = cause
+
     def _send(
         self, unit: _PlcUnit, sl: ScanList, transfers: list,
         level: int = logging.DEBUG,
@@ -449,8 +490,7 @@ class TagScanner:
                 log.log(level, "transfer failed on %s: %s", unit.name, exc)
                 # with the session gone, the transfers not yet sent fail too
                 gone = unit.client.phase is Phase.DISCONNECTED
-                with self._stats_lock:
-                    sl.stats.errors += 1
+                self._error(sl, f"transfer failed: {exc}")
                 for lost, _message in transfers[i:] if gone else [(ops, message)]:
                     for op in lost:
                         op.fail()
@@ -472,18 +512,20 @@ class TagScanner:
                 value_type, elements = cip.parse_read_reply(resp)
             except cip.CipError as exc:
                 log.debug("read failed on %s: %s", unit.name, exc)
-                with self._stats_lock:
-                    sl.stats.errors += 1
+                self._error(sl, f"read failed: {exc}")
                 op.fail()
                 return False
             if op.expected_type is not None and value_type is not op.expected_type:
+                # a configuration fault, not the list failing: logged once per plan
                 with self._stats_lock:
                     sl.stats.errors += 1
                 op.fail()
-                log.warning(
-                    "%s: expected %s, PLC sent %s", unit.name,
-                    op.expected_type.name, value_type.name,
-                )
+                if not op.mismatch_logged:
+                    op.mismatch_logged = True
+                    log.warning(
+                        "%s: %s expected %s, PLC sent %s", unit.name,
+                        op.targets[0][0].group, op.expected_type.name, value_type.name,
+                    )
                 return False
             count = len(elements)
             last = op.last_reply = (resp.payload, value_type, elements, [
@@ -713,7 +755,7 @@ class TagScanner:
     ) -> CipValue | None:
         """A read the flush's writes depend on, sent ahead of them."""
         try:
-            request = cip.encode_request(cip.build_read_request(path, count))
+            request = cip.encode_read_request(path, count)
             return cip.parse_read_response(unit.client.round_trip(request))
         except (PlcError, cip.CipError) as exc:
             log.warning("read of %s before write failed on %s: %s",

@@ -254,6 +254,45 @@ def test_replace_tag_rederives_address_and_request():
         sc.replace_tag(sub, "bits[161]")
         sc.scan_once("plc")
         assert sc.value_of(sub) is False
+
+
+def test_bits_of_one_array_derive_their_address_once(monkeypatch):
+    paths = []
+    epath_of = scanner_module.to_epath
+    monkeypatch.setattr(scanner_module, "to_epath", lambda ref: paths.append(ref) or epath_of(ref))
+    sc = new_scanner()
+    sc.add_plc("plc", PlcEndpoint("127.0.0.1"))
+    subs = [sc.add_tag("plc", f"bits[{i}]", 1.0, bool_array=True) for i in range(352)]
+    assert paths == [parse_tag("bits")]
+    assert {(s.group, s.wire_path(0)) for s in subs} == {("bits", to_epath(parse_tag("bits[0]")))}
+    sc.add_tag("plc", "motor.cfg[3]", 1.0)
+    sc.add_tag("plc", "motor.cfg[4]", 1.0)
+    assert paths == [parse_tag("bits"), parse_tag("motor.cfg")]
+    other = new_scanner()  # each scanner derives for itself
+    other.add_plc("plc", PlcEndpoint("127.0.0.1"))
+    other.add_tag("plc", "bits[0]", 1.0, bool_array=True)
+    assert len(paths) == 3
+
+
+def test_replace_tag_into_another_group_sends_that_groups_bytes():
+    store = wide_store()
+    store.define("more", CipType.DINT, [7, 8, 9])
+    with PlcSim(store) as sim:
+        sc = scanner_for(sim)
+        keep = sc.add_tag("plc", "counts[1]", 1.0, elem_type=CipType.DINT)
+        sub = sc.add_tag("plc", "counts[2]", 1.0, elem_type=CipType.DINT)
+        assert sent(planned(sc, 1.0)) == [wire_bytes([read_of("counts[1]", 2)])]
+        sc.replace_tag(sub, "more[2]")
+        assert (sub.group, sub.element) == ("more", 2)
+        assert sent(planned(sc, 1.0)) == [
+            wire_bytes([read_of("counts[1]", 1), read_of("more[2]", 1)])
+        ]
+        sc.scan_once("plc")
+        assert (sc.value_of(keep), sc.value_of(sub)) == (20, 9)
+        sc.replace_tag(sub, "counts[3]")  # and back, onto the cached address
+        assert sent(planned(sc, 1.0)) == [wire_bytes([read_of("counts[1]", 3)])]
+        sc.scan_once("plc")
+        assert sc.value_of(sub) == 40
         sc.stop()
 
 
@@ -497,6 +536,68 @@ def test_missing_tag_counts_error_not_cycle(sim):
     assert stats.errors == 1
     assert stats.count == 0  # no successful transfer, cycle doesn't count
     assert sub.quality is Quality.ERROR
+
+
+def levels(caplog):
+    return [r.levelno for r in caplog.records]
+
+
+def test_a_list_that_cannot_connect_warns_once_and_recovers_once(caplog):
+    with PlcSim(make_store(), FaultPlan(refuse_sessions=True)) as sim:
+        sc = scanner_for(sim, reconnect_period=0.05)
+        sub = sc.add_tag("plc", "counts[0]", 1.0)
+        with caplog.at_level(logging.INFO, logger="logixscan"):
+            for _cycle in range(5):
+                sc.scan_once("plc")
+                time.sleep(0.06)  # past reconnect_period: every cycle tries again
+            assert sub.quality is Quality.ERROR
+            assert sc.stats("plc", 1.0).errors == 5
+            assert sc._units["plc"].client.reconnect_attempts == 5
+            assert levels(caplog) == [logging.WARNING]
+            message = caplog.records[0].getMessage()
+            assert "plc: list 1 s failing: not connected: register failed" in message
+            sim.faults.refuse_sessions = False
+            for _cycle in range(3):
+                sc.scan_once("plc")
+        assert sc.value_of(sub) == 10
+        assert levels(caplog) == [logging.WARNING, logging.INFO]
+        assert "recovered from: not connected" in caplog.records[1].getMessage()
+
+
+def test_a_list_whose_session_keeps_dropping_warns_once_and_recovers_once(sim, caplog):
+    sc = scanner_for(sim, reconnect_period=0.05)
+    sub = sc.add_tag("plc", "counts[0]", 1.0)
+    sc.scan_once("plc")
+    sim.faults.drop_after = 1  # every session drops on its next data request
+    with caplog.at_level(logging.INFO, logger="logixscan"):
+        for _cycle in range(6):
+            sc.scan_once("plc")
+            time.sleep(0.06)
+        assert sub.quality is Quality.ERROR
+        assert sc._units["plc"].client.reconnect_attempts >= 5
+        assert levels(caplog) == [logging.WARNING]
+        assert "failing: transfer failed" in caplog.records[0].getMessage()
+        sim.faults.drop_after = None
+        for _cycle in range(3):
+            sc.scan_once("plc")
+    assert sub.quality is Quality.OK
+    assert levels(caplog) == [logging.WARNING, logging.INFO]
+
+
+def test_a_type_mismatch_warns_once_per_plan(sim, caplog):
+    sc = scanner_for(sim)
+    sub = sc.add_tag("plc", "counts[0]", 1.0, elem_type=CipType.REAL)
+    with caplog.at_level(logging.INFO, logger="logixscan"):
+        for _cycle in range(4):
+            sc.scan_once("plc")
+        assert levels(caplog) == [logging.WARNING]
+        assert "counts expected REAL, PLC sent DINT" in caplog.records[0].getMessage()
+        sc.add_tag("plc", "TEST", 1.0, elem_type=CipType.REAL)  # a new plan
+        for _cycle in range(3):
+            sc.scan_once("plc")
+    assert sub.quality is Quality.ERROR
+    assert sc.stats("plc", 1.0).errors == 7
+    assert levels(caplog) == [logging.WARNING] * 2
 
 
 def test_unreachable_plc_marks_all_error():
