@@ -6,7 +6,11 @@ that share a coalescing group (the same chain up to the final subscript and
 the same wire type) become one read from the first to the highest requested
 element, BOOL-array bits riding on their underlying DINT words.  A span too
 large for one transfer falls back to one read per member, and a member
-whose single read cannot fit is reported unplannable.  The reads are then
+whose single read cannot fit is reported unplannable.  A member whose type
+is not yet known is kept out of the transfers: the plan hands back its
+discovery read, one element sized as `UNKNOWN_TYPE_SIZING`, which the
+scanner sends before the list's reads or writes and then plans the list
+again with the type the reply carried.  The reads are then
 packed, in order, into Multi-Requests until either the wrapped request or
 the estimated reply would cross the limit; a flush packs its writes with
 the same packer.  Every request is encoded once, when its op is built, and
@@ -16,8 +20,8 @@ output element, with the span write's encoded head when it fits one
 request, so a flush only packs the elements behind it.
 
 A member needs only its addressing and its routing: `group`, `element`,
-`bit`, `wire_type()`, `wire_path()`, `coalesce`, `direction`, `elem_type`
-and `on_drift`.
+`bit`, `wire_type()`, `wire_path()`, `coalesce`, `direction` and
+`on_drift`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import NamedTuple
 from . import cip
 from .cip import CipType
 
-# sizes a read until the first reply fixes its type (4 bytes, as DINT)
+# sizes a discovery read, whose reply fixes its member's type (4 bytes, as DINT)
 UNKNOWN_TYPE_SIZING = CipType.DINT
 
 GroupKey = tuple[str, CipType]
@@ -58,7 +62,7 @@ class ReadOp:
     # typed elements into a value of their own
     bit_targets: list[tuple[object, int, int]] = field(init=False)
     typed_targets: list[tuple[object, int]] = field(init=False)
-    # outputs with a drift callback, and members whose type is still unknown
+    # outputs with a drift callback
     checked_targets: list[tuple[object, int, int | None]] = field(init=False)
     # the last accepted reply: its payload, and what it decoded to (type,
     # elements, and per typed target its value, or None past the reply);
@@ -72,7 +76,7 @@ class ReadOp:
         bit_targets, typed_targets, checked_targets = [], [], []
         for target in self.targets:
             sub, offset, bit = target
-            if sub.elem_type is None or (sub.direction is output and sub.on_drift is not None):
+            if sub.direction is output and sub.on_drift is not None:
                 checked_targets.append(target)
             elif bit is not None:
                 bit_targets.append(target)
@@ -109,6 +113,8 @@ class ScanPlan:
     unplannable: list
     # coalescing group -> the span of its output subscriptions
     write_spans: dict[GroupKey, WriteSpan]
+    # one read per member of unknown type, unpacked: sent before the transfers
+    discovery: list[ReadOp]
 
 
 def group(subs) -> tuple[dict[GroupKey, list], list]:
@@ -174,14 +180,16 @@ def plan_list(members: list, limit: int, batching: bool) -> ScanPlan:
             singles.extend(subs)
         else:
             ops.append(op)
-    unplannable = []
+    unplannable, discovery = [], []
     for sub in singles:
         op = read_op([sub], sub.element, 1, limit)
         if op is None:
             unplannable.append(sub)
+        elif op.expected_type is None:
+            discovery.append(op)
         else:
             ops.append(op)
-    return ScanPlan(pack(ops, limit, batching), unplannable, write_spans)
+    return ScanPlan(pack(ops, limit, batching), unplannable, write_spans, discovery)
 
 
 def pack(ops: list, limit: int, batching: bool) -> list[Transfer]:

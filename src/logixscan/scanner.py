@@ -10,7 +10,14 @@ every update replaces whole, so `snapshot()` reads a consistent triple
 without a lock.
 
 A list is planned by `plan.plan_list` before its first cycle and again
-after its membership or a discovered type changes.  The plan holds each
+after its membership or a discovered type changes.  A member declared
+without a type is in no transfer until its type is known: before a list's
+reads or writes go out, a cycle and a flush take one discovery step, which
+sends one single-element read per such member, packed like any reads; each
+reply fixes its member's type and the list is planned again.  So a list
+with undeclared members sends one extra packed round trip on its first
+cycle and none after; a member whose read fails reports ERROR (an output
+stays dirty, unwritten) and is read again next time.  The plan holds each
 transfer as the bytes it sends, encoded once, each read's routing of reply
 elements into cells (an output without `on_drift` is stored as an input
 is), and each coalesced output span with its write's encoded head, so a
@@ -109,7 +116,8 @@ class Subscription:
         self.period_s = period_s
         self.direction = direction
         self.elem_type = elem_type
-        self.type_declared = elem_type is not None
+        # what replace_tag restores: None, for a type discovery learns again
+        self.declared_type = elem_type
         self.coalesce = coalesce
         self._on_drift = on_drift
         # (value, timestamp, quality), replaced whole on every update; one
@@ -348,8 +356,7 @@ class TagScanner:
         def swap():
             sub.ref = new_ref
             sub.cell = (None, sub.timestamp, Quality.STALE)
-            if not sub.type_declared:
-                sub.elem_type = None
+            sub.elem_type = sub.declared_type
             sl = unit.lists.get(sub.period_s)
             if sl is not None:
                 sl.plan = None
@@ -398,7 +405,8 @@ class TagScanner:
         return self._unit(plc_name).client.phase
 
     def plan_info(self, plc_name: str, period_s: float) -> list[int]:
-        """Reads per planned transfer for one list (planning it if needed)."""
+        """Reads per planned transfer for one list (planning it if needed);
+        a member of unknown type is in none until its discovery read."""
         unit = self._unit(plc_name)
 
         def inspect():
@@ -412,6 +420,27 @@ class TagScanner:
         if sl.plan is None:
             sl.plan = plan_list(sl.members, unit.client.endpoint.buffer_limit, self.batching)
         return sl.plan
+
+    def _discover(self, unit: _PlcUnit, sl: ScanList, level: int = logging.DEBUG) -> ScanPlan:
+        """The list's plan once its members of unknown type have had their
+        discovery reads, sent packed: each reply fixes its member's type and
+        plans the list again, and a member whose read failed reports ERROR
+        and is read again next time.  Unplannable members report ERROR."""
+        plan = self._plan(unit, sl)
+        if plan.discovery:
+            transfers = pack(plan.discovery, unit.client.endpoint.buffer_limit, self.batching)
+            for op, resp in self._send(unit, sl, transfers, level):
+                try:
+                    op.targets[0][0].elem_type = cip.parse_read_reply(resp)[0]
+                    sl.plan = None
+                except cip.CipError as exc:
+                    log.log(level, "read failed on %s: %s", unit.name, exc)
+                    self._error(sl, f"read failed: {exc}")
+                    op.fail()
+            plan = self._plan(unit, sl)
+        for sub in plan.unplannable:
+            sub.fail()
+        return plan
 
     # -- scanning -------------------------------------------------------------
 
@@ -449,10 +478,8 @@ class TagScanner:
             for sub in sl.members:
                 sub.fail()
             return
-        plan = self._plan(unit, sl)
-        for sub in plan.unplannable:
-            sub.fail()
         started = time.monotonic()
+        plan = self._discover(unit, sl)
         any_ok = False
         for op, resp in self._send(unit, sl, plan.transfers):
             if self._absorb_read(unit, sl, op, resp, now):
@@ -515,7 +542,7 @@ class TagScanner:
                 self._error(sl, f"read failed: {exc}")
                 op.fail()
                 return False
-            if op.expected_type is not None and value_type is not op.expected_type:
+            if value_type is not op.expected_type:
                 # a configuration fault, not the list failing: logged once per plan
                 with self._stats_lock:
                     sl.stats.errors += 1
@@ -561,34 +588,22 @@ class TagScanner:
                 cell = _BOOL_CELLS[(raw >> bit) & 1]
             else:
                 cell = CipValue(value_type, (raw,))
-                if sub.elem_type is None:
-                    sub.elem_type = value_type
-                    sl.plan = None  # the type now sizes and routes this read
-            if sub.direction is Direction.INPUT:
-                sub.cell = (cell, now, ok)
-            else:
-                self._apply_cell(sub, cell, now)
+            self._apply_cell(sub, cell, now)
         return True
 
     def _apply_cell(self, sub: Subscription, cell: CipValue, now: float) -> None:
-        """Store a freshly read output value, with drift detection."""
+        """Store a freshly read value of a watched output; a value the PLC
+        changed while the output had nothing staged goes to `on_drift`."""
         old = sub.value
-        if old is not None:
-            if _same_wire(old, cell):
-                sub.cell = (old, now, Quality.OK)
-                return
-            if not sub.dirty:
-                sub.cell = (cell, now, Quality.OK)
-                if sub.on_drift is not None:
-                    self._notify_drift(sub, old, cell)
-                return
+        if old is not None and _same_wire(old, cell):
+            sub.cell = (old, now, Quality.OK)
+            return
         sub.cell = (cell, now, Quality.OK)
-
-    def _notify_drift(self, sub: Subscription, old: CipValue, new: CipValue) -> None:
-        try:
-            sub.on_drift(sub, old, new)
-        except Exception:
-            log.exception("drift callback failed for %s", format_tag(sub.ref))
+        if old is not None and not sub.dirty:
+            try:
+                sub.on_drift(sub, old, cell)
+            except Exception:
+                log.exception("drift callback failed for %s", format_tag(sub.ref))
 
     # -- writing --------------------------------------------------------------
 
@@ -620,7 +635,11 @@ class TagScanner:
                         sub.fail()
             return
         for sl in unit.lists.values():
-            groups, singles = group([sub for sub in sl.members if sub.dirty])
+            dirty = [sub for sub in sl.members if sub.dirty]
+            if not dirty:
+                continue
+            self._discover(unit, sl, logging.WARNING)
+            groups, singles = group(dirty)
             # build every write first (prerequisite reads go out inline),
             # then send them packed, in order: groups, then singles, each a
             # group of one
@@ -628,15 +647,9 @@ class TagScanner:
             for key, subs in groups.items():
                 self._write_group(unit, sl, key, subs, ops)
             for sub in singles:
-                if sub.wire_type() is None:  # discover the type
-                    found = self._read_before_write(
-                        unit, sl, sub.wire_path(sub.element), 1, [sub]
-                    )
-                    if found is None:
-                        continue
-                    sub.elem_type = found.type
-                    sl.plan = None
-                self._write_group(unit, sl, (sub.group, sub.wire_type()), [sub], ops)
+                # an output whose type is still unknown stays dirty, unwritten
+                if sub.wire_type() is not None:
+                    self._write_group(unit, sl, (sub.group, sub.wire_type()), [sub], ops)
             transfers = pack(ops, unit.client.endpoint.buffer_limit, self.batching)
             for op, resp in self._send(unit, sl, transfers, logging.WARNING):
                 try:
@@ -709,10 +722,9 @@ class TagScanner:
             if word is None:
                 word = cache.get(element)
             if word is None:
-                found = self._read_before_write(unit, sl, path_of(element), 1, dirty_subs)
-                if found is None:
+                if not self._read_before_write(unit, sl, dirty_subs, cache, element, 1):
                     return
-                word = cache[element] = found.elements[0]
+                word = cache[element]
             word = int(word) & 0xFFFFFFFF
             if sub.pending:
                 word |= 1 << sub.bit
@@ -742,21 +754,21 @@ class TagScanner:
             return
         span_range = range(first, high + 1)
         if any(e not in pending and e not in cache for e in span_range):
-            found = self._read_before_write(unit, sl, path_of(first), len(span_range), dirty_subs)
-            if found is None:
+            if not self._read_before_write(unit, sl, dirty_subs, cache, first, len(span_range)):
                 return
-            cache.update(zip(span_range, found.elements))
         elements = [pending[e] if e in pending else cache[e] for e in span_range]
         _stage_write(ops, head, wire_type, elements, dirty_subs, cache, first)
 
     def _read_before_write(
-        self, unit: _PlcUnit, sl: ScanList, path: Epath, count: int,
-        subs: list[Subscription],
-    ) -> CipValue | None:
-        """A read the flush's writes depend on, sent ahead of them."""
+        self, unit: _PlcUnit, sl: ScanList, subs: list[Subscription],
+        cache: dict[int, object], first: int, count: int,
+    ) -> bool:
+        """Read `count` elements from `first` of the group `subs` share (a
+        BOOL word to modify, or the gaps of a span) into its span cache,
+        ahead of the flush's writes; False, with `subs` failed, if it failed."""
         try:
-            request = cip.encode_read_request(path, count)
-            return cip.parse_read_response(unit.client.round_trip(request))
+            request = cip.encode_read_request(subs[0].wire_path(first), count)
+            found = cip.parse_read_response(unit.client.round_trip(request))
         except (PlcError, cip.CipError) as exc:
             log.warning("read of %s before write failed on %s: %s",
                         subs[0].group, unit.name, exc)
@@ -764,7 +776,9 @@ class TagScanner:
                 sl.stats.errors += 1
             for sub in subs:
                 sub.fail()
-            return None
+            return False
+        cache.update(zip(range(first, first + count), found.elements))
+        return True
 
     # -- worker threads ---------------------------------------------------------
 

@@ -83,18 +83,26 @@ def sent(scan_plan):
 @PROPERTIES
 @given(scan_lists)
 def test_each_member_is_planned_once_or_unplannable(case):
+    """Once across transfers, discovery reads and `unplannable`; a member of
+    unknown type only in a discovery read of one element."""
     specs, limit, batching = case
     members = members_of(specs)
     scan_plan = plan_list(members, limit, batching)
-    seen = collections.Counter(id(sub) for op in flat_ops(scan_plan) for sub, _o, _b in op.targets)
+    ops, discovery = flat_ops(scan_plan), scan_plan.discovery
+    seen = collections.Counter(id(sub) for op in ops + discovery for sub, _o, _b in op.targets)
     seen.update(id(sub) for sub in scan_plan.unplannable)
     assert seen == collections.Counter(id(sub) for sub in members)
-    for op in flat_ops(scan_plan):
+    for op in ops + discovery:
         count = int.from_bytes(cip.decode_request(op.encoded).payload, "little")
         for sub, offset, bit in op.targets:
             assert 0 <= offset < count and bit == sub.bit
             if op.start_element is not None:
                 assert op.start_element + offset == sub.element
+    assert all(sub.wire_type() is not None for op in ops for sub, _o, _b in op.targets)
+    for op in discovery:
+        (sub, _offset, _bit), = op.targets
+        assert sub.wire_type() is None and op.expected_type is None
+        assert cip.decode_request(op.encoded).payload == (1).to_bytes(2, "little")
 
 
 @PROPERTIES

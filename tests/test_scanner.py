@@ -191,16 +191,22 @@ def test_unknown_types_go_solo_then_coalesce_after_discovery(sim):
     sc = scanner_for(sim)
     a = sc.add_tag("plc", "counts[0]", 1.0)
     b = sc.add_tag("plc", "counts[1]", 1.0)
-    assert sc.plan_info("plc", 1.0) == [2]  # two solo reads in one multi
+    # no transfer reads a member of unknown type: each has a discovery read
+    assert sc.plan_info("plc", 1.0) == []
+    assert [op.targets for op in planned(sc, 1.0).discovery] == [[(a, 0, None)], [(b, 0, None)]]
+    before = sim.store.round_trips
     sc.scan_once("plc")
     assert a.elem_type is CipType.DINT and b.elem_type is CipType.DINT
-    # discovery invalidated the plan and its cached request
-    assert sc._units["plc"].lists[1.0].plan is None
-    # the new one coalesces into one read of both elements
+    assert [(sc.value_of(s), s.quality) for s in (a, b)] == [(10, Quality.OK), (20, Quality.OK)]
+    # the plan after discovery coalesces into one read of both elements
     assert sc.plan_info("plc", 1.0) == [1]
     plan = planned(sc, 1.0)
     assert sent(plan) == [wire_bytes([read_of("counts[0]", 2)])]
-    assert sc.value_of(a) == 10 and sc.value_of(b) == 20
+    assert plan.discovery == []
+    # one packed discovery round trip on the first cycle, none after
+    assert sim.store.round_trips == before + 2
+    sc.scan_once("plc")
+    assert sim.store.round_trips == before + 3
 
 
 def test_oversized_span_falls_back_to_element_reads():
@@ -233,6 +239,20 @@ def test_replace_tag_rescans(sim):
     assert sub.quality is Quality.STALE
     sc.scan_once("plc")
     assert sc.value_of(sub) == 50
+
+
+def test_replace_tag_rediscovers_an_undeclared_type(sim, caplog):
+    sc = scanner_for(sim)
+    sub = sc.add_tag("plc", "counts[0]", 1.0)
+    sc.scan_once("plc")
+    assert (sub.elem_type, sc.value_of(sub)) == (CipType.DINT, 10)
+    sc.replace_tag(sub, "TEST")
+    assert sub.elem_type is None
+    with caplog.at_level(logging.INFO, logger="logixscan"):
+        sc.scan_once("plc")
+    assert (sub.elem_type, sub.quality) == (CipType.REAL, Quality.OK)
+    assert sc.value_of(sub) == pytest.approx(0.0028152466)
+    assert levels(caplog) == []
 
 
 def test_replace_tag_rederives_address_and_request():
@@ -475,14 +495,16 @@ def test_plan_routes_targets_by_kind_and_records_output_spans():
         unknown = sc.add_tag("plc", "TEST", 1.0)
         plan = planned(sc, 1.0)
         ops = {op.targets[0][0]: op for transfer, _request in plan.transfers for op in transfer}
-        counts, bits, solo = ops[typed_in], ops[bit_in], ops[unknown]
+        counts, bits = ops[typed_in], ops[bit_in]
         # unwatched outputs are stored as inputs are
         assert counts.typed_targets == [(typed_in, 0), (out_lo, 2), (out_hi, 3), (far_in, 4)]
         assert counts.checked_targets == []
         assert counts.bit_targets == [] and counts.cache_key is not None
         # input-only reads leave the span cache alone: it serves writes only
         assert bits.bit_targets == [(bit_in, 0, 8)] and bits.cache_key is None
-        assert solo.checked_targets == [(unknown, 0, None)] and solo.cache_key is None
+        # a member of unknown type is in no transfer before its discovery read
+        assert unknown not in {sub for op in ops.values() for sub, _o, _b in op.targets}
+        assert [op.targets for op in plan.discovery] == [[(unknown, 0, None)]]
         # the write span covers the outputs only, not the inputs around them,
         # and its head is the write of counts[2..3] up to its data
         head = bytes.fromhex("53 05 91 06 636f756e7473 28 02 c400 0200")
@@ -600,6 +622,42 @@ def test_a_type_mismatch_warns_once_per_plan(sim, caplog):
     assert levels(caplog) == [logging.WARNING] * 2
 
 
+def test_a_type_mismatch_beside_an_undeclared_member_warns_once(sim, caplog, monkeypatch):
+    sc = scanner_for(sim)
+    sub = sc.add_tag("plc", "counts[0]", 1.0, elem_type=CipType.REAL)
+    test = sc.add_tag("plc", "TEST", 1.0)
+    client = sc._units["plc"].client
+    messages = []
+    send = client.round_trip
+    monkeypatch.setattr(client, "round_trip", lambda m: messages.append(m) or send(m))
+    with caplog.at_level(logging.INFO, logger="logixscan"):
+        sc.scan_once("plc")
+        # TEST's type is learned first, so only the plan it leads to reads
+        assert messages == [wire_bytes([read_of("TEST", 1)])] + sent(planned(sc, 1.0))
+        for _cycle in range(3):
+            sc.scan_once("plc")
+    assert levels(caplog) == [logging.WARNING]
+    assert "counts expected REAL, PLC sent DINT" in caplog.records[0].getMessage()
+    assert sub.quality is Quality.ERROR and test.quality is Quality.OK
+    assert sc.stats("plc", 1.0).errors == 4
+
+
+def test_a_missing_undeclared_input_warns_once_and_recovers_once(sim, caplog):
+    sc = scanner_for(sim)
+    keep = sc.add_tag("plc", "counts[0]", 1.0)
+    sub = sc.add_tag("plc", "later", 1.0)
+    with caplog.at_level(logging.INFO, logger="logixscan"):
+        for _cycle in range(3):
+            sc.scan_once("plc")
+        assert sub.quality is Quality.ERROR and sc.value_of(keep) == 10
+        assert levels(caplog) == [logging.WARNING]
+        assert "failing: read failed" in caplog.records[0].getMessage()
+        sim.store.define("later", CipType.INT, [-3])
+        sc.scan_once("plc")
+    assert (sc.value_of(sub), sub.quality, sub.elem_type) == (-3, Quality.OK, CipType.INT)
+    assert levels(caplog) == [logging.WARNING, logging.INFO]
+
+
 def test_unreachable_plc_marks_all_error():
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
@@ -650,6 +708,35 @@ def test_write_discovers_undeclared_type(sim):
     sc.write(sub, 1.5)
     assert sim.store.get_tag("TEST").scalar == 1.5
     assert sub.elem_type is CipType.REAL
+
+
+def test_undeclared_outputs_of_one_array_are_discovered_then_span_written(sim):
+    sc = scanner_for(sim)
+    lo = sc.add_tag("plc", "counts[2]", 1.0, direction="out")
+    hi = sc.add_tag("plc", "counts[3]", 1.0, direction="out")
+    sc.write(lo, 7, immediate=False)
+    sc.write(hi, 8, immediate=False)
+    before, writes = sim.store.round_trips, sim.store.service_counts[cip.WRITE_DATA]
+    sc.flush("plc")
+    # one packed discovery read of both, then one span write of counts[2..3]
+    assert sim.store.round_trips == before + 2
+    assert sim.store.service_counts[cip.WRITE_DATA] == writes + 1
+    assert sim.store.get_tag("counts").elements == (10, 20, 7, 8, 50)
+    assert [(s.elem_type, sc.value_of(s), s.quality, s.dirty) for s in (lo, hi)] == [
+        (CipType.DINT, 7, Quality.OK, False), (CipType.DINT, 8, Quality.OK, False)
+    ]
+
+
+def test_an_undeclared_output_of_a_missing_tag_stays_dirty_until_it_lands(sim):
+    sc = scanner_for(sim)
+    sub = sc.add_tag("plc", "later", 1.0, direction="out")
+    sc.write(sub, 5)
+    assert (sub.quality, sub.dirty, sub.elem_type) == (Quality.ERROR, True, None)
+    assert sc.stats("plc", 1.0).errors == 1
+    sim.store.define("later", CipType.DINT, [0])
+    sc.flush("plc")
+    assert sim.store.get_tag("later").elements == (5,)
+    assert (sc.value_of(sub), sub.quality, sub.dirty) == (5, Quality.OK, False)
 
 
 def test_two_dirty_elements_write_whole_span(sim):
