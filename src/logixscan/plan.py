@@ -3,21 +3,23 @@
 Planning is a pure function of a list's members, the PLC's buffer limit and
 whether batching is on; it opens no session and takes no lock.  Members
 that share a coalescing group (the same chain up to the final subscript and
-the same wire type) become one read from the first to the highest requested
-element, BOOL-array bits riding on their underlying DINT words.  A span too
-large for one transfer falls back to one read per member, and a member
-whose single read cannot fit is reported unplannable.  A member whose type
-is not yet known is kept out of the transfers: the plan hands back its
-discovery read, one element sized as `UNKNOWN_TYPE_SIZING`, which the
-scanner sends before the list's reads or writes and then plans the list
-again with the type the reply carried.  The reads are then
-packed, in order, into Multi-Requests until either the wrapped request or
-the estimated reply would cross the limit; a flush packs its writes with
-the same packer.  Every request is encoded once, when its op is built, and
-each transfer is planned as the bytes it sends.  Each coalesced group
-with outputs also records its write span, from the first to the highest
-output element, with the span write's encoded head when it fits one
-request, so a flush only packs the elements behind it.
+the same wire type) are read in spans, BOOL-array bits riding on their
+underlying DINT words.  One rule cuts every group, whatever its size:
+greedily, in element order, into runs whose read fits the limit and, when
+the run holds outputs, whose span write of them fits too.  Each run is one
+read from its first to its highest element, and each run with outputs has
+one span write, from its first to its highest output, inside that read; a
+group that fits whole is one run.  A member whose own read, or own write,
+cannot fit is reported unplannable.  A member whose type is not yet known
+is kept out of the transfers: the plan hands back its discovery read, one
+element sized as `UNKNOWN_TYPE_SIZING`, which the scanner sends before the
+list's reads or writes and then plans the list again with the type the
+reply carried.  The reads are then packed, in order, into Multi-Requests
+until either the wrapped request or the estimated reply would cross the
+limit; a flush packs its writes with the same packer.  Every request is
+encoded once, when its op is built, and each transfer is planned as the
+bytes it sends; each span write is planned as its encoded head, so a flush
+only packs the elements behind it.
 
 A member needs only its addressing and its routing: `group`, `element`,
 `bit`, `wire_type()`, `wire_path()`, `coalesce`, `direction` and
@@ -54,7 +56,7 @@ class ReadOp:
     # (subscription, element offset within the read, bit index or None)
     targets: list[tuple[object, int, int | None]]
     # span cache key; kept only when an output reads here, since the
-    # cache serves read-before-write alone
+    # cache serves the flush's writes alone
     cache_key: GroupKey | None = None
     start_element: int | None = None
     # targets split by how a reply element reaches the cell, inputs and
@@ -98,21 +100,22 @@ Transfer = tuple[list, bytes]
 
 
 class WriteSpan(NamedTuple):
-    """The elements a coalesced group's span write covers, and its head."""
+    """The elements one run's span write covers, and its head."""
 
     first: int
     high: int
-    # the encoded write request up to its data (service, path, type code
-    # and count), or None when the span cannot fit one request
-    head: bytes | None
+    # the encoded write request up to its data: service, path, type code
+    # and count
+    head: bytes
 
 
 @dataclass
 class ScanPlan:
     transfers: list[Transfer]
     unplannable: list
-    # coalescing group -> the span of its output subscriptions
-    write_spans: dict[GroupKey, WriteSpan]
+    # coalescing group -> the span writes of its outputs, one per run with
+    # outputs, in element order
+    write_spans: dict[GroupKey, list[WriteSpan]]
     # one read per member of unknown type, unpacked: sent before the transfers
     discovery: list[ReadOp]
 
@@ -131,60 +134,91 @@ def group(subs) -> tuple[dict[GroupKey, list], list]:
     return groups, singles
 
 
-def read_op(subs: list, first: int | None, count: int, limit: int) -> ReadOp | None:
+def read_op(subs: list, first: int | None, count: int) -> ReadOp:
     """One read of `count` elements from `first` of the group `subs` share
-    (a lone unindexed member: `first` None), or None if it cannot fit."""
+    (a lone unindexed member: `first` None)."""
     head = subs[0]
     wire_type = head.wire_type()
     sizing = UNKNOWN_TYPE_SIZING if wire_type is None else wire_type
-    estimate = cip.estimate_response_size(sizing, count)
-    if count > cip.MAX_ELEMENT_COUNT or estimate > limit:
-        return None
     encoded = cip.encode_read_request(head.wire_path(first), count)
-    if cip.wrapped_request_size(len(encoded)) > limit:
-        return None
     targets = [(s, 0 if first is None else s.element - first, s.bit) for s in subs]
     known = first is not None and wire_type is not None
     return ReadOp(
-        encoded, estimate, wire_type, targets,
+        encoded, cip.estimate_response_size(sizing, count), wire_type, targets,
         cache_key=(head.group, wire_type) if known else None,
         start_element=first,
     )
 
 
-def write_span(subs: list, wire_type: CipType, first: int, high: int, limit: int) -> WriteSpan:
-    """The span write from `first` to `high` of the group `subs` share."""
-    count = high - first + 1
-    # data alone past the limit: no head to build (its count may not fit 16 bits)
-    if wire_type.width * count > limit:
-        return WriteSpan(first, high, None)
-    head = cip.encode_write_head(subs[0].wire_path(first), wire_type, count)
-    if cip.wrapped_request_size(len(head) + wire_type.width * count) > limit:
-        head = None
-    return WriteSpan(first, high, head)
+def cut(subs: list, wire_type: CipType, limit: int) -> tuple[list[list], list]:
+    """Cut a coalesced group greedily, in element order, into runs, and
+    return them with the members that fit no run.  A member joins the last
+    run if the run's read would still fit the limit and, for an output, so
+    would the span write of the run's outputs; otherwise it starts a run
+    of its own, if its own read and write fit."""
+    # the most elements one read's reply carries under the limit: the
+    # reply's estimate grows by one element's width per element
+    most = (limit - cip.estimate_response_size(wire_type, 0)) // wire_type.width
+    most = min(most, cip.MAX_ELEMENT_COUNT)
+    runs: list[list] = []
+    unfit = []
+    # the last run's first element, and its first output element with the
+    # size of its span write's head
+    first, out = 0, None
+    for sub in sorted(subs, key=lambda s: s.element):
+        element = sub.element
+        output = sub.direction is Direction.OUTPUT
+        if runs and element - first < most:
+            writes = (out or _span_head(sub, wire_type)) if output else None
+            if writes is None or _write_fits(wire_type, limit, writes, element):
+                runs[-1].append(sub)
+                out = out or writes
+                continue
+        writes = _span_head(sub, wire_type) if output else None
+        if most > 0 and (writes is None or _write_fits(wire_type, limit, writes, element)):
+            runs.append([sub])
+            first, out = element, writes
+        else:
+            unfit.append(sub)
+    return runs, unfit
+
+
+def _span_head(sub, wire_type: CipType) -> tuple[int, int]:
+    """The element a span write from `sub` starts at, and its head's size."""
+    return sub.element, len(cip.encode_write_head(sub.wire_path(sub.element), wire_type, 1))
+
+
+def _write_fits(wire_type: CipType, limit: int, writes: tuple[int, int], high: int) -> bool:
+    """Whether the span write from `writes` (as `_span_head` gives it) up
+    to `high` fits the limit."""
+    start, head_size = writes
+    return cip.wrapped_request_size(head_size + wire_type.width * (high - start + 1)) <= limit
 
 
 def plan_list(members: list, limit: int, batching: bool) -> ScanPlan:
     """The transfers one cycle of a list with these members sends."""
     groups, singles = group(members)
+    runs: list[list] = []
+    unplannable = []
+    write_spans: dict[GroupKey, list[WriteSpan]] = {}
+    for (name, wire_type), subs in groups.items():
+        cuts, unfit = cut(subs, wire_type, limit)
+        runs += cuts
+        unplannable += unfit
+        for run in cuts:
+            outputs = [s.element for s in run if s.direction is Direction.OUTPUT]
+            if not outputs:
+                continue
+            first, high = outputs[0], outputs[-1]
+            head = cip.encode_write_head(run[0].wire_path(first), wire_type, high - first + 1)
+            write_spans.setdefault((name, wire_type), []).append(WriteSpan(first, high, head))
     ops: list[ReadOp] = []
-    write_spans: dict[GroupKey, WriteSpan] = {}
-    for key, subs in groups.items():
-        outputs = [s.element for s in subs if s.direction is Direction.OUTPUT]
-        if outputs:
-            write_spans[key] = write_span(subs, key[1], min(outputs), max(outputs), limit)
-        elements = [s.element for s in subs]
-        first = min(elements)
-        op = read_op(subs, first, max(elements) - first + 1, limit)
-        if op is None:  # span too large for one transfer: element reads
-            singles.extend(subs)
-        else:
-            ops.append(op)
-    unplannable, discovery = [], []
-    for sub in singles:
-        op = read_op([sub], sub.element, 1, limit)
-        if op is None:
-            unplannable.append(sub)
+    discovery = []
+    for run in runs + [[sub] for sub in singles]:
+        first = run[0].element
+        op = read_op(run, first, 1 if first is None else run[-1].element - first + 1)
+        if cip.wrapped_request_size(len(op.encoded)) > limit:
+            unplannable += run
         elif op.expected_type is None:
             discovery.append(op)
         else:

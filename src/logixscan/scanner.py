@@ -25,17 +25,26 @@ cycle only sends, decodes and stores.  Each planned read keeps the payload
 of its last accepted reply and the values it decoded to: a reply whose
 bytes are the same again is not decoded, and its cells take the same
 immutable values with this cycle's timestamp.  Outputs are written on demand
-(whole-span when more than one element of a coalesced span is dirty) and
-read back every cycle, with drift notifications for watched outputs when
+and read back every cycle, with drift notifications for watched outputs when
 the PLC side changed.  A flush groups its dirty outputs by the planner's
-rule, a lone output being a group of one, builds all its writes with one
-builder, then packs them in order with the planner's packer and sends them
-through the same transfer loop as reads; each embedded write lands and
-settles to its elements as packed, or fails and stays dirty, alone, and an
-output whose staged value cannot be encoded fails alone, unwritten.  A
-list logs a WARNING with the cause when a cycle first fails and an INFO
-when one succeeds again; a reply of another type than declared logs once
-per plan.  Scan config files are parsed and applied by `config`.
+rule, a lone output being a group of one, and builds all its writes with
+one builder and no I/O, from the staged values and the span cache that the
+list's reads fill: a planned span write that holds two or more dirty
+elements is written whole, and every other dirty element alone.  If a write
+builds on an element the cache lacks (a cold cache, or a BOOL word to
+modify), the flush sends the list's own planned reads once, through the
+same transfer loop and the same reply handling as a cycle, then builds
+every write again; a write that still lacks an element fails, its outputs
+ERROR and still dirty.  The writes are packed in order with the planner's
+packer; each embedded write lands and settles to its elements as packed,
+or fails and stays dirty, alone, and an output whose staged value cannot be
+encoded fails alone, unwritten.  Once a step loses the session, the later
+steps' requests fail unsent, so the loss counts one error.  A list logs a
+WARNING with the cause when a cycle first fails and an INFO when one
+succeeds again; a reply of another type than declared, and a member that
+no request under the buffer limit can carry, count an error each cycle
+but log once per plan.  Scan config files are parsed and applied by
+`config`.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ from dataclasses import dataclass, field, replace
 from . import cip
 from .cip import CipType, CipValue, Element, Epath
 from .client import PlcClient, PlcEndpoint, PlcError, Phase
-from .plan import Direction, ReadOp, ScanPlan, group, pack, plan_list
+from .plan import Direction, ReadOp, ScanPlan, WriteSpan, group, pack, plan_list
 from .tags import BITS_PER_DINT, TagPart, TagRef, format_tag, parse_tag, to_epath
 
 log = logging.getLogger(__name__)
@@ -64,6 +73,9 @@ _BASE_CACHE_SIZE = 1024  # base chains whose address a scanner keeps
 
 # what `cip.pack_elements` raises for an element it cannot encode
 _UNENCODABLE = (cip.CipError, TypeError, ValueError, OverflowError)
+
+# a BOOL word to modify that the span cache does not hold
+_LACKING = object()
 
 
 class Quality(enum.Enum):
@@ -418,7 +430,12 @@ class TagScanner:
     def _plan(self, unit: _PlcUnit, sl: ScanList) -> ScanPlan:
         """The list's plan, planned again after membership or a type changed."""
         if sl.plan is None:
-            sl.plan = plan_list(sl.members, unit.client.endpoint.buffer_limit, self.batching)
+            limit = unit.client.endpoint.buffer_limit
+            sl.plan = plan_list(sl.members, limit, self.batching)
+            # a configuration fault, not the list failing: logged once per plan
+            for sub in sl.plan.unplannable:
+                log.warning("%s: %s does not fit the %d-byte limit",
+                            unit.name, format_tag(sub.ref), limit)
         return sl.plan
 
     def _discover(self, unit: _PlcUnit, sl: ScanList, level: int = logging.DEBUG) -> ScanPlan:
@@ -480,6 +497,9 @@ class TagScanner:
             return
         started = time.monotonic()
         plan = self._discover(unit, sl)
+        if plan.unplannable:  # counted each cycle, as a type mismatch is
+            with self._stats_lock:
+                sl.stats.errors += len(plan.unplannable)
         any_ok = False
         for op, resp in self._send(unit, sl, plan.transfers):
             if self._absorb_read(unit, sl, op, resp, now):
@@ -505,8 +525,15 @@ class TagScanner:
         level: int = logging.DEBUG,
     ):
         """Send transfers in order; yield (op, reply) for each op of each
-        transfer that got a reply, and fail the ops of each that did not."""
+        transfer that got a reply, and fail the ops of each that did not.
+        Once the session is gone, lost here or in an earlier step, the
+        transfers left fail unsent and uncounted: its loss counted once."""
         for i, (ops, message) in enumerate(transfers):
+            if unit.client.phase is Phase.DISCONNECTED:
+                for lost, _message in transfers[i:]:
+                    for op in lost:
+                        op.fail()
+                return
             try:
                 reply = unit.client.round_trip(message)
                 if len(ops) == 1:
@@ -515,19 +542,15 @@ class TagScanner:
                     responses = cip.split_multi_response(reply, len(ops))
             except (PlcError, cip.CipError) as exc:
                 log.log(level, "transfer failed on %s: %s", unit.name, exc)
-                # with the session gone, the transfers not yet sent fail too
-                gone = unit.client.phase is Phase.DISCONNECTED
                 self._error(sl, f"transfer failed: {exc}")
-                for lost, _message in transfers[i:] if gone else [(ops, message)]:
-                    for op in lost:
-                        op.fail()
-                if gone:
-                    return
+                for op in ops:
+                    op.fail()
                 continue
             yield from zip(ops, responses)
 
     def _absorb_read(
-        self, unit: _PlcUnit, sl: ScanList, op: ReadOp, resp: cip.CipResponse, now: float
+        self, unit: _PlcUnit, sl: ScanList, op: ReadOp, resp: cip.CipResponse, now: float,
+        level: int = logging.DEBUG,
     ) -> bool:
         last = op.last_reply
         if (
@@ -538,7 +561,7 @@ class TagScanner:
             try:
                 value_type, elements = cip.parse_read_reply(resp)
             except cip.CipError as exc:
-                log.debug("read failed on %s: %s", unit.name, exc)
+                log.log(level, "read failed on %s: %s", unit.name, exc)
                 self._error(sl, f"read failed: {exc}")
                 op.fail()
                 return False
@@ -635,21 +658,20 @@ class TagScanner:
                         sub.fail()
             return
         for sl in unit.lists.values():
-            dirty = [sub for sub in sl.members if sub.dirty]
-            if not dirty:
+            if not any(sub.dirty for sub in sl.members):
                 continue
-            self._discover(unit, sl, logging.WARNING)
-            groups, singles = group(dirty)
-            # build every write first (prerequisite reads go out inline),
-            # then send them packed, in order: groups, then singles, each a
-            # group of one
-            ops: list[WriteOp] = []
-            for key, subs in groups.items():
-                self._write_group(unit, sl, key, subs, ops)
-            for sub in singles:
-                # an output whose type is still unknown stays dirty, unwritten
-                if sub.wire_type() is not None:
-                    self._write_group(unit, sl, (sub.group, sub.wire_type()), [sub], ops)
+            plan = self._discover(unit, sl, logging.WARNING)
+            ops, lacking = self._build_flush(unit, sl)
+            if lacking:
+                # a write builds on an element the span cache lacks: read the
+                # list once, then build every write again, so that no span
+                # write carries a gap just read over a write staged before it
+                now = time.time()
+                for op, resp in self._send(unit, sl, plan.transfers, logging.WARNING):
+                    self._absorb_read(unit, sl, op, resp, now, logging.WARNING)
+                ops, lacking = self._build_flush(unit, sl)
+                for sub in lacking:
+                    sub.fail()
             transfers = pack(ops, unit.client.endpoint.buffer_limit, self.batching)
             for op, resp in self._send(unit, sl, transfers, logging.WARNING):
                 try:
@@ -662,25 +684,89 @@ class TagScanner:
                     continue
                 op.settle()
 
-    def _write_group(
+    def _build_flush(self, unit: _PlcUnit, sl: ScanList) -> tuple[list[WriteOp], list]:
+        """Every write of the list's dirty outputs, built with no I/O, in
+        order: groups, then singles, each a group of one; and the outputs
+        whose write builds on an element the span cache lacks, unbuilt."""
+        groups, singles = group([sub for sub in sl.members if sub.dirty])
+        spans = self._plan(unit, sl).write_spans
+        ops: list[WriteOp] = []
+        lacking = []
+        for key, subs in groups.items():
+            lacking += self._build_writes(unit, sl, key, subs, spans.get(key, []), ops)
+        for sub in singles:
+            # an output whose type is still unknown stays dirty, unwritten
+            if sub.wire_type() is not None:
+                key = (sub.group, sub.wire_type())
+                lacking += self._build_writes(unit, sl, key, [sub], [], ops)
+        return ops, lacking
+
+    def _build_writes(
         self,
         unit: _PlcUnit,
         sl: ScanList,
         key: tuple[str, CipType],
         dirty_subs: list[Subscription],
+        spans: list[WriteSpan],
         ops: list[WriteOp],
-    ) -> None:
-        """Build the writes of one group's dirty outputs into `ops`; a lone
-        output is a group of one (an unindexed one: element None).  An
-        output whose own staged value cannot be encoded fails alone, and
-        the others are built without it."""
+    ) -> list[Subscription]:
+        """Build the writes of one group's dirty outputs into `ops`, from
+        their staged values and the span cache, with no I/O; a lone output
+        is a group of one (an unindexed one: element None).  A planned span
+        write that holds two or more dirty elements is written whole, and
+        every other dirty element alone.  Returns the outputs whose write
+        builds on an element the cache lacks, unbuilt.  An output whose own
+        staged value cannot be encoded fails alone, and the others are
+        built without it."""
+        wire_type = key[1]
+        cache = unit.span_cache.setdefault(key, {})
+
+        # fold pending values into per-element words
+        pending: dict[int | None, object] = {}
+        for sub in dirty_subs:
+            element = sub.element
+            if sub.bit is None:
+                pending[element] = sub.pending
+                continue
+            word = pending[element] if element in pending else cache.get(element, _LACKING)
+            if word is not _LACKING:
+                word = int(word) & 0xFFFFFFFF
+                if sub.pending:
+                    word |= 1 << sub.bit
+                else:
+                    word &= ~(1 << sub.bit) & 0xFFFFFFFF
+                if word >= 1 << 31:
+                    word -= 1 << 32
+            pending[element] = word
+
+        # each write: the element it starts at, the elements it covers, and
+        # its head (None: a lone element's, encoded once it builds)
+        touched = list(pending)
+        writes = []
+        for first, high, head in spans:
+            inside = [e for e in touched if first <= e <= high]
+            if len(inside) > 1:
+                writes.append((first, range(first, high + 1), head))
+                touched = [e for e in touched if e not in inside]
+        writes += [(e, (e,), None) for e in touched]
         built: list[WriteOp] = []
+        lacking = []
         try:
-            self._build_writes(unit, sl, key, dirty_subs, built)
+            for first, covered, head in writes:
+                subs = dirty_subs
+                if len(writes) > 1:
+                    subs = [sub for sub in dirty_subs if sub.element in covered]
+                elements = [pending[e] if e in pending else cache.get(e, _LACKING) for e in covered]
+                if _LACKING in elements:
+                    lacking += subs
+                    continue
+                if head is None:
+                    head = cip.encode_write_head(subs[0].wire_path(first), wire_type, 1)
+                _stage_write(built, head, wire_type, elements, subs, cache, first)
         except _UNENCODABLE:
             rest = []
             for sub in dirty_subs:
-                error = None if sub.bit is not None else _encoding_error(key[1], sub.pending)
+                error = None if sub.bit is not None else _encoding_error(wire_type, sub.pending)
                 if error is None:
                     rest.append(sub)
                     continue
@@ -692,93 +778,9 @@ class TagScanner:
                 sub.dirty = False
             if len(rest) == len(dirty_subs):
                 raise
-            if rest:
-                self._write_group(unit, sl, key, rest, ops)
-            return
+            return self._build_writes(unit, sl, key, rest, spans, ops) if rest else []
         ops += built
-
-    def _build_writes(
-        self,
-        unit: _PlcUnit,
-        sl: ScanList,
-        key: tuple[str, CipType],
-        dirty_subs: list[Subscription],
-        ops: list[WriteOp],
-    ) -> None:
-        """The writes of `_write_group`, into `ops`; raises what
-        `cip.pack_elements` raises for a staged value it cannot encode."""
-        wire_type = key[1]
-        path_of = dirty_subs[0].wire_path
-        cache = unit.span_cache.setdefault(key, {})
-
-        # fold pending values into per-element words
-        pending: dict[int | None, object] = {}
-        for sub in dirty_subs:
-            element = sub.element
-            if sub.bit is None:
-                pending[element] = sub.pending
-                continue
-            word = pending.get(element)
-            if word is None:
-                word = cache.get(element)
-            if word is None:
-                if not self._read_before_write(unit, sl, dirty_subs, cache, element, 1):
-                    return
-                word = cache[element]
-            word = int(word) & 0xFFFFFFFF
-            if sub.pending:
-                word |= 1 << sub.bit
-            else:
-                word &= ~(1 << sub.bit) & 0xFFFFFFFF
-            if word >= 1 << 31:
-                word -= 1 << 32
-            pending[element] = word
-
-        touched = sorted(pending)
-        if len(touched) == 1:
-            element = touched[0]
-            head = cip.encode_write_head(path_of(element), wire_type, 1)
-            _stage_write(ops, head, wire_type, [pending[element]], dirty_subs, cache, element)
-            return
-
-        # more than one element dirty: write the planned first-to-highest
-        # span of the group's outputs, which holds every dirty one
-        first, high, head = self._plan(unit, sl).write_spans[key]
-        if head is None:
-            # too large for one request: write the dirty elements one by
-            # one; each settles on its own
-            for element in touched:
-                subs = [s for s in dirty_subs if s.element == element]
-                head = cip.encode_write_head(path_of(element), wire_type, 1)
-                _stage_write(ops, head, wire_type, [pending[element]], subs, cache, element)
-            return
-        span_range = range(first, high + 1)
-        if any(e not in pending and e not in cache for e in span_range):
-            if not self._read_before_write(unit, sl, dirty_subs, cache, first, len(span_range)):
-                return
-        elements = [pending[e] if e in pending else cache[e] for e in span_range]
-        _stage_write(ops, head, wire_type, elements, dirty_subs, cache, first)
-
-    def _read_before_write(
-        self, unit: _PlcUnit, sl: ScanList, subs: list[Subscription],
-        cache: dict[int, object], first: int, count: int,
-    ) -> bool:
-        """Read `count` elements from `first` of the group `subs` share (a
-        BOOL word to modify, or the gaps of a span) into its span cache,
-        ahead of the flush's writes; False, with `subs` failed, if it failed."""
-        try:
-            request = cip.encode_read_request(subs[0].wire_path(first), count)
-            found = cip.parse_read_response(unit.client.round_trip(request))
-        except (PlcError, cip.CipError) as exc:
-            log.warning("read of %s before write failed on %s: %s",
-                        subs[0].group, unit.name, exc)
-            with self._stats_lock:
-                sl.stats.errors += 1
-            for sub in subs:
-                sub.fail()
-            return False
-        cache.update(zip(range(first, first + count), found.elements))
-        return True
+        return lacking
 
     # -- worker threads ---------------------------------------------------------
 

@@ -2,14 +2,16 @@
 
 Property tests draw random scan lists (coalesced and lone members, BOOL-array
 bits, unknown types, outputs, names long enough to be unplannable) and check
-what every plan must hold; example tests pin the C06 and mixed-list plans.
+what every plan must hold, the cut rule among it; example tests pin the C06
+and mixed-list plans and the edges of the cut rule.
 """
 
 import ast
 import collections
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from logixscan import cip, plan
@@ -161,26 +163,112 @@ def test_planning_is_deterministic(case):
 @PROPERTIES
 @given(scan_lists)
 def test_write_spans_hold_their_outputs_and_head_their_writes(case):
+    """Each planned output of a coalesced group is in exactly one of its
+    group's span writes, which run in element order from an output to an
+    output; each head is its span write's up to the data."""
     specs, limit, batching = case
     members = members_of(specs)
     scan_plan = plan_list(members, limit, batching)
     groups, _singles = plan.group(members)
+    unplannable = {id(sub) for sub in scan_plan.unplannable}
     outputs = {
-        key: [s for s in subs if s.direction is Direction.OUTPUT] for key, subs in groups.items()
+        key: [s for s in subs if s.direction is Direction.OUTPUT and id(s) not in unplannable]
+        for key, subs in groups.items()
     }
     assert scan_plan.write_spans.keys() == {key for key, subs in outputs.items() if subs}
-    for key, (first, high, head) in scan_plan.write_spans.items():
-        elements = {s.element for s in outputs[key]}
-        assert first == min(elements) and high == max(elements)
-        wire_type, count = key[1], high - first + 1
-        fresh = cip.encode_write_request(
-            outputs[key][0].wire_path(first), CipValue(wire_type, [0] * count)
-        )
-        if cip.wrapped_request_size(len(fresh)) > limit:
-            assert head is None
-        else:
+    for key, spans in scan_plan.write_spans.items():
+        elements = sorted({s.element for s in outputs[key]})
+        assert [e for first, high, _h in spans for e in elements if first <= e <= high] == elements
+        assert all(before.high < after.first for before, after in zip(spans, spans[1:]))
+        for first, high, head in spans:
+            assert first in elements and high in elements
+            wire_type, count = key[1], high - first + 1
+            fresh = cip.encode_write_request(
+                outputs[key][0].wire_path(first), CipValue(wire_type, [0] * count)
+            )
             assert fresh[:len(head)] == head
             assert len(fresh) - len(head) == wire_type.width * count
+
+
+def read_count(op) -> int:
+    return int.from_bytes(cip.decode_request(op.encoded).payload, "little")
+
+
+# 40 dense DINT outputs under a 128-byte limit: a read would carry 30 of
+# them but a span write fewer, so the write decides the cut
+DENSE_OUTPUTS = (([("a", CipType.DINT)] * 4, [(0, i, True, True) for i in range(40)]), 128, True)
+
+
+@PROPERTIES
+@given(scan_lists)
+@example(DENSE_OUTPUTS)
+def test_every_read_and_span_write_fits_and_each_span_lies_in_one_read(case):
+    """The cut rule: every read request and its reply fit the limit, every
+    span write fits it, and each span write lies inside one read of the
+    same group, so the reads that fill the span cache cover it."""
+    specs, limit, batching = case
+    scan_plan = plan_list(members_of(specs), limit, batching)
+    ops = flat_ops(scan_plan)
+    for op in ops + scan_plan.discovery:
+        assert cip.wrapped_request_size(len(op.encoded)) <= limit
+        assert op.response_estimate <= limit
+    for key, spans in scan_plan.write_spans.items():
+        for first, high, head in spans:
+            data = key[1].width * (high - first + 1)
+            assert cip.wrapped_request_size(len(head) + data) <= limit
+            assert any(
+                op.cache_key == key and op.start_element <= first
+                and high < op.start_element + read_count(op)
+                for op in ops
+            )
+
+
+@PROPERTIES
+@given(scan_lists)
+def test_a_group_whose_read_and_span_write_fit_is_not_cut(case):
+    specs, limit, batching = case
+    members = members_of(specs)
+    ops = flat_ops(plan_list(members, limit, batching))
+    groups, _singles = plan.group(members)
+    for (_name, wire_type), subs in groups.items():
+        first = min(s.element for s in subs)
+        count = max(s.element for s in subs) - first + 1
+        if count > cip.MAX_ELEMENT_COUNT:
+            continue
+        whole = plan.read_op(subs, first, count)
+        if cip.wrapped_request_size(len(whole.encoded)) > limit or whole.response_estimate > limit:
+            continue
+        outputs = [s.element for s in subs if s.direction is Direction.OUTPUT]
+        if outputs:
+            span = max(outputs) - min(outputs) + 1
+            head = cip.encode_write_head(subs[0].wire_path(min(outputs)), wire_type, span)
+            if cip.wrapped_request_size(len(head) + wire_type.width * span) > limit:
+                continue
+        reading = [op for op in ops if any(sub in subs for sub, _o, _b in op.targets)]
+        assert [op.encoded for op in reading] == [whole.encoded]
+
+
+@PROPERTIES
+@given(scan_lists)
+def test_no_plan_has_more_reads_than_the_element_read_plan(case):
+    """Nor, unbatched, more transfers; batched, see the sparse example."""
+    specs, limit, batching = case
+    scan_plan = plan_list(members_of(specs), limit, batching)
+    planned = [sub for op in flat_ops(scan_plan) for sub, _o, _b in op.targets]
+    element_reads = [plan.read_op([sub], sub.element, 1) for sub in planned]
+    assert len(flat_ops(scan_plan)) <= len(element_reads)
+    if not batching:
+        assert len(scan_plan.transfers) <= len(pack(element_reads, limit, batching))
+
+
+def test_sparse_spans_can_pack_into_more_transfers_than_their_element_reads():
+    # a fitting group is never cut, so a span reads its gaps: two REAL
+    # spans of 101 elements take a transfer each, where the four element
+    # reads would share one
+    members = [member(name, i, False, CipType.REAL, False, True) for name in "ab" for i in (0, 100)]
+    assert shape(members) == [1, 1]
+    element_reads = [plan.read_op([sub], sub.element, 1) for sub in members]
+    assert [len(ops) for ops, _request in pack(element_reads, 500, True)] == [4]
 
 
 def shape(members, limit=500, batching=True):
@@ -208,16 +296,38 @@ def test_mixed_scan_plan():
     assert shape(members) == [4, 13]
 
 
-def test_a_span_past_16_bits_of_count_falls_back_to_element_reads():
-    # a[0] to a[70000] would need a count of 70001, which no read can carry
-    members = [member("a", i, False, CipType.SINT, False, True) for i in (0, 70000)]
+def test_a_span_past_16_bits_of_count_is_cut():
+    # a[0] to a[70001] would need a count of 70002, which no read can carry
+    members = [member("a", i, False, CipType.SINT, False, True) for i in (70001, 0, 70000, 1)]
     scan_plan = plan_list(members, 500, True)
     assert scan_plan.unplannable == []
     ops = flat_ops(scan_plan)
     assert [(op.start_element, [t[1] for t in op.targets]) for op in ops] == [
-        (0, [0]), (70000, [0])
+        (0, [0, 1]), (70000, [0, 1])
     ]
     assert shape(members) == [2]
+
+
+@pytest.mark.parametrize("wire_type, most", [
+    (CipType.SINT, 494), (CipType.INT, 247), (CipType.DINT, 123), (CipType.REAL, 123),
+])
+def test_one_read_carries_at_most_what_fits_500_bytes(wire_type, most):
+    members = [member("a", i, False, wire_type, False, True) for i in range(most + 1)]
+    assert [read_count(op) for op in flat_ops(plan_list(members, 500, True))] == [most, 1]
+
+
+def test_dense_outputs_are_cut_where_their_span_write_stops_fitting():
+    # 120 DINTs fit one read, but not one span write: the group is cut
+    # where the write stops fitting, for reads and writes alike
+    members = [member("d", i, False, CipType.DINT, True, True) for i in range(120)]
+    scan_plan = plan_list(members, 500, True)
+    assert [(op.start_element, read_count(op)) for op in flat_ops(scan_plan)] == [
+        (0, 118), (118, 2)
+    ]
+    assert [(first, high) for first, high, _head in scan_plan.write_spans["d", CipType.DINT]] == [
+        (0, 117), (118, 119)
+    ]
+    assert shape(members) == [1, 1]
 
 
 def test_planner_imports_no_client_socket_or_threading():

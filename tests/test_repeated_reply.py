@@ -86,7 +86,7 @@ def subscriptions(layout, events):
 
 def fresh_op(subs):
     first = min(s.element for s in subs)
-    return plan.read_op(subs, first, max(s.element for s in subs) - first + 1, LIMIT)
+    return plan.read_op(subs, first, max(s.element for s in subs) - first + 1)
 
 
 def payload(op, spec):

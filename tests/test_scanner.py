@@ -21,7 +21,7 @@ from logixscan.plcsim import FaultPlan, PlcSim, TagStore
 from logixscan.scanner import Direction, Quality, TagScanner
 from logixscan.tags import bool_remap, parse_tag, to_epath
 
-from conftest import make_store
+from conftest import connect_to, make_store
 
 
 _SCANNERS: list[TagScanner] = []
@@ -209,25 +209,62 @@ def test_unknown_types_go_solo_then_coalesce_after_discovery(sim):
     assert sim.store.round_trips == before + 3
 
 
-def test_oversized_span_falls_back_to_element_reads():
+def test_an_oversized_span_is_cut_into_reads_that_fit():
     with PlcSim(wide_store()) as sim:
         sc = scanner_for(sim)
         lo = sc.add_tag("plc", "wide[0]", 1.0, elem_type=CipType.REAL)
         hi = sc.add_tag("plc", "wide[199]", 1.0, elem_type=CipType.REAL)
-        # a 200-element REAL span estimates past the 500-byte limit
+        # a 200-element REAL span estimates past the 500-byte limit: cut
+        # into a run per member, packed into one transfer
         assert sc.plan_info("plc", 1.0) == [2]
+        assert sent(planned(sc, 1.0)) == [
+            wire_bytes([read_of("wide[0]", 1), read_of("wide[199]", 1)])
+        ]
         sc.scan_once("plc")
         assert sc.value_of(lo) == 0.0
         assert sc.value_of(hi) == 199.0
 
 
-def test_unplannable_tag_is_error(sim):
+@pytest.mark.parametrize("count, round_trips", [(100, 1), (200, 2), (400, 4)])
+def test_dense_real_inputs_take_the_fewest_reads_that_fit(count, round_trips):
+    store = make_store()
+    store.define("dense", CipType.REAL, [i * 0.25 - 7.0 for i in range(count)])
+    with PlcSim(store) as sim:
+        sc = scanner_for(sim)
+        subs = [
+            sc.add_tag("plc", f"dense[{i}]", 1.0, elem_type=CipType.REAL) for i in range(count)
+        ]
+        assert sc.plan_info("plc", 1.0) == [1] * round_trips
+        sc.scan_once("plc")  # connects
+        before = sim.store.round_trips
+        sc.scan_once("plc")
+        assert sim.store.round_trips == before + round_trips
+        # C07's oracle: each value equals the element read alone
+        oracle = connect_to(sim)
+        try:
+            for sub in subs:
+                assert sub.quality is Quality.OK
+                assert sc.value_of(sub) == oracle.read_tag(f"dense[{sub.element}]").scalar
+        finally:
+            oracle.close()
+
+
+def test_unplannable_tag_is_error(sim, caplog):
     sc = scanner_for(sim, buffer_limit=64)
     long_chain = ".".join(["x" * 40, "y" * 40])
     sub = sc.add_tag("plc", long_chain, 1.0, elem_type=CipType.DINT)
-    sc.scan_once("plc")
-    _value, _ts, quality = sc.snapshot(sub)
-    assert quality is Quality.ERROR
+    with caplog.at_level(logging.INFO, logger="logixscan"):
+        for _cycle in range(3):
+            sc.scan_once("plc")
+            _value, _ts, quality = sc.snapshot(sub)
+            assert quality is Quality.ERROR
+    # one error per cycle, and one WARNING per plan naming the tag and the
+    # limit; a configuration fault, so the list itself is not failing
+    assert sc.stats("plc", 1.0).errors == 3
+    assert levels(caplog) == [logging.WARNING]
+    message = caplog.records[0].getMessage()
+    assert long_chain in message and "64" in message and "failing" not in message
+    assert sc._units["plc"].lists[1.0].fault is None
 
 
 def test_replace_tag_rescans(sim):
@@ -508,7 +545,7 @@ def test_plan_routes_targets_by_kind_and_records_output_spans():
         # the write span covers the outputs only, not the inputs around them,
         # and its head is the write of counts[2..3] up to its data
         head = bytes.fromhex("53 05 91 06 636f756e7473 28 02 c400 0200")
-        assert plan.write_spans == {("counts", CipType.DINT): WriteSpan(2, 3, head)}
+        assert plan.write_spans == {("counts", CipType.DINT): [WriteSpan(2, 3, head)]}
         sc.scan_once("plc")
         assert sc.value_of(bit_in) is False and sc.value_of(typed_in) == 10
         assert sc._units["plc"].span_cache.keys() == {("counts", CipType.DINT)}
@@ -642,6 +679,38 @@ def test_a_type_mismatch_beside_an_undeclared_member_warns_once(sim, caplog, mon
     assert sc.stats("plc", 1.0).errors == 4
 
 
+def test_a_session_lost_in_discovery_counts_one_error(sim, caplog):
+    sc = scanner_for(sim)
+    counts = sc.add_tag("plc", "counts[0]", 1.0)
+    test = sc.add_tag("plc", "TEST", 1.0, elem_type=CipType.REAL)
+    sim.faults.drop_after = 1  # the discovery read loses the session
+    with caplog.at_level(logging.INFO, logger="logixscan"):
+        sc.scan_once("plc")
+    # the list's reads then fail unsent, and are not counted again
+    assert sc.stats("plc", 1.0).errors == 1
+    assert counts.quality is Quality.ERROR and test.quality is Quality.ERROR
+    assert levels(caplog) == [logging.WARNING]
+
+
+def test_a_session_lost_in_a_flushs_list_read_counts_one_error(sim):
+    sc = scanner_for(sim)
+    lo = sc.add_tag("plc", "counts[0]", 1.0, direction="out", elem_type=CipType.DINT)
+    hi = sc.add_tag("plc", "counts[4]", 1.0, direction="out", elem_type=CipType.DINT)
+    # built alone, on no cached element: ready to send before the read
+    solo = sc.add_tag(
+        "plc", "counts[2]", 1.0, direction="out", elem_type=CipType.DINT, coalesce=False,
+    )
+    for sub, value in ((lo, 1), (hi, 2), (solo, 3)):
+        sc.write(sub, value, immediate=False)
+    sim.faults.drop_after = 1  # the read the span write needs loses the session
+    sc.flush("plc")
+    assert sc.connection_phase("plc") is Phase.DISCONNECTED
+    assert sc.stats("plc", 1.0).errors == 1
+    for sub in (lo, hi, solo):
+        assert sub.dirty and sub.quality is Quality.ERROR
+    assert sim.store.get_tag("counts").elements == (10, 20, 30, 40, 50)
+
+
 def test_a_missing_undeclared_input_warns_once_and_recovers_once(sim, caplog):
     sc = scanner_for(sim)
     keep = sc.add_tag("plc", "counts[0]", 1.0)
@@ -768,20 +837,24 @@ def test_span_write_uses_scan_cache(sim):
     assert sim.store.get_tag("counts").elements == (7, 20, 30, 40, 8)
 
 
-def test_oversize_span_write_falls_back_to_element_writes():
+def test_an_oversize_span_write_is_cut_into_writes_that_fit():
     store = make_store()
     store.define("big", CipType.DINT, list(range(126)))
     with PlcSim(store) as sim:
         sc = scanner_for(sim)
         lo = sc.add_tag("plc", "big[0]", 1.0, direction="out", elem_type=CipType.DINT)
         hi = sc.add_tag("plc", "big[125]", 1.0, direction="out", elem_type=CipType.DINT)
+        head = {e: cip.encode_write_head(lo.wire_path(e), CipType.DINT, 1) for e in (0, 125)}
+        assert planned(sc, 1.0).write_spans == {
+            ("big", CipType.DINT): [WriteSpan(0, 0, head[0]), WriteSpan(125, 125, head[125])]
+        }
         reads_before = sim.store.service_counts[cip.READ_DATA]
         writes_before = sim.store.service_counts[cip.WRITE_DATA]
         sc.write(lo, -1, immediate=False)
         sc.write(hi, -2, immediate=False)
         sc.flush("plc")
-        # a 126-DINT span write exceeds the 500-byte limit: no gap read,
-        # one write per dirty element
+        # a 126-DINT span write exceeds the 500-byte limit: the group is cut
+        # into two runs, so each dirty element is written alone, no gap read
         assert sim.store.service_counts[cip.READ_DATA] == reads_before
         assert sim.store.service_counts[cip.WRITE_DATA] == writes_before + 2
         assert sim.store.get_tag("big").elements == (-1,) + tuple(range(1, 125)) + (-2,)
@@ -808,6 +881,107 @@ def test_element_write_fallback_settles_only_what_landed():
         assert off.dirty and off.quality is Quality.ERROR and off.value is None
         assert sc.stats("plc", 1.0).errors == 1
         sc.stop()
+
+
+@pytest.mark.parametrize("count", [120, 200])
+def test_a_flush_of_dense_dint_outputs_takes_a_span_write_per_run(count):
+    store = make_store()
+    store.define("dense", CipType.DINT, list(range(count)))
+    with PlcSim(store) as sim:
+        sc = scanner_for(sim)
+        subs = [
+            sc.add_tag("plc", f"dense[{i}]", 1.0, direction="out", elem_type=CipType.DINT)
+            for i in range(count)
+        ]
+        # the cost of one rule: 120 DINTs would fit one read, but their span
+        # write would not, so the group is cut in two for reads too
+        assert sc.plan_info("plc", 1.0) == [1, 1]
+        sc._units["plc"].client.ensure_connected()
+        for sub in subs:
+            sc.write(sub, -sub.element - 1, immediate=False)
+        before = sim.store.round_trips
+        reads_before = sim.store.service_counts[cip.READ_DATA]
+        sc.flush("plc")
+        # every element is dirty, so no gap is read: two span writes
+        assert sim.store.round_trips == before + 2
+        assert sim.store.service_counts[cip.READ_DATA] == reads_before
+        assert sim.store.get_tag("dense").elements == tuple(-i - 1 for i in range(count))
+        assert all(not sub.dirty and sub.quality is Quality.OK for sub in subs)
+
+
+def test_span_writes_across_a_cut_land_whole():
+    store = make_store()
+    store.define("big", CipType.DINT, list(range(200)))
+    with PlcSim(store) as sim:
+        sc = scanner_for(sim)
+        subs = [
+            sc.add_tag("plc", f"big[{i}]", 1.0, direction="out", elem_type=CipType.DINT)
+            for i in (0, 100, 150, 199)
+        ]
+        assert [(first, high) for first, high, _head in
+                planned(sc, 1.0).write_spans["big", CipType.DINT]] == [(0, 100), (150, 199)]
+        for sub in subs:
+            sc.write(sub, -sub.element - 1, immediate=False)
+        reads_before = sim.store.service_counts[cip.READ_DATA]
+        writes_before = sim.store.service_counts[cip.WRITE_DATA]
+        sc.flush("plc")
+        # a cold cache: the list's two reads, then one span write per run,
+        # each carrying its gaps as read
+        assert sim.store.service_counts[cip.READ_DATA] == reads_before + 2
+        assert sim.store.service_counts[cip.WRITE_DATA] == writes_before + 2
+        expected = list(range(200))
+        for i in (0, 100, 150, 199):
+            expected[i] = -i - 1
+        assert sim.store.get_tag("big").elements == tuple(expected)
+        assert all(not sub.dirty and sub.quality is Quality.OK for sub in subs)
+
+
+def test_a_flush_whose_list_read_fails_lands_on_the_next_flush(sim, caplog):
+    sc = scanner_for(sim)
+    lo = sc.add_tag("plc", "counts[0]", 1.0, direction="out", elem_type=CipType.DINT)
+    hi = sc.add_tag("plc", "counts[4]", 1.0, direction="out", elem_type=CipType.DINT)
+    sc.write(lo, 1, immediate=False)
+    sc.write(hi, 2, immediate=False)
+    sim.faults.error_inject[cip.READ_DATA] = cip.STATUS_PATH_UNKNOWN
+    writes_before = sim.store.service_counts[cip.WRITE_DATA]
+    with caplog.at_level(logging.INFO, logger="logixscan"):
+        sc.flush("plc")
+    # the span write cannot build on gaps it could not read: nothing sent
+    assert sim.store.service_counts[cip.WRITE_DATA] == writes_before
+    assert levels(caplog) == [logging.WARNING]
+    assert "read failed" in caplog.records[0].getMessage()
+    assert sc.stats("plc", 1.0).errors == 1
+    for sub in (lo, hi):
+        assert sub.dirty and sub.quality is Quality.ERROR
+    sim.faults.error_inject.clear()
+    sc.flush("plc")
+    assert sim.store.get_tag("counts").elements == (1, 20, 30, 40, 2)
+    for sub in (lo, hi):
+        assert not sub.dirty and sub.quality is Quality.OK
+
+
+@pytest.mark.parametrize("immediate", [False, True])
+def test_a_drift_callback_that_writes_during_a_flushs_list_read_lands(sim, immediate):
+    sc = scanner_for(sim)
+
+    def put_back(sub, old, new):
+        sc.write(sub, 5, immediate=immediate)
+
+    watched = sc.add_tag(
+        "plc", "counts[0]", 1.0, direction="out", elem_type=CipType.DINT, on_drift=put_back,
+    )
+    lo = sc.add_tag("plc", "counts[2]", 1.0, direction="out", elem_type=CipType.DINT)
+    hi = sc.add_tag("plc", "counts[4]", 1.0, direction="out", elem_type=CipType.DINT)
+    sc.write(watched, 1)  # written alone: the cache holds element 0 only
+    sim.store.set_tag("counts[0]", 99)  # the PLC side changes it
+    sc.write(lo, 7, immediate=False)
+    sc.write(hi, 8, immediate=False)
+    # the span write lacks elements 1 and 3: the flush reads the list,
+    # which sees the drift, and the callback stages a write of its own
+    sc.flush("plc")
+    assert sim.store.get_tag("counts").elements == (5, 20, 7, 40, 8)
+    for sub, value in ((watched, 5), (lo, 7), (hi, 8)):
+        assert not sub.dirty and sub.quality is Quality.OK and sc.value_of(sub) == value
 
 
 def test_no_coalesce_writes_each_element(sim):
