@@ -9,17 +9,20 @@ greedily, in element order, into runs whose read fits the limit and, when
 the run holds outputs, whose span write of them fits too.  Each run is one
 read from its first to its highest element, and each run with outputs has
 one span write, from its first to its highest output, inside that read; a
-group that fits whole is one run.  A member whose own read, or own write,
-cannot fit is reported unplannable.  A member whose type is not yet known
-is kept out of the transfers: the plan hands back its discovery read, one
-element sized as `UNKNOWN_TYPE_SIZING`, which the scanner sends before the
-list's reads or writes and then plans the list again with the type the
-reply carried.  The reads are then packed, in order, into Multi-Requests
-until either the wrapped request or the estimated reply would cross the
-limit; a flush packs its writes with the same packer.  Every request is
-encoded once, when its op is built, and each transfer is planned as the
-bytes it sends; each span write is planned as its encoded head, so a flush
-only packs the elements behind it.
+group that fits whole is one run.  A lone output (not coalesced, or
+unindexed) has one write of its own element.  A member whose own read, or
+own write, cannot fit is reported unplannable, coalesced or alone.  A
+member whose type is not yet known is kept out of the transfers: the plan
+hands back its discovery read, one element sized as `UNKNOWN_TYPE_SIZING`,
+which the scanner sends before the list's reads or writes and then plans
+the list again with the type the reply carried.  The reads are then packed,
+in order, into Multi-Requests until either the wrapped request or the
+estimated reply would cross the limit; a flush packs its writes with the
+same packer.  Every request is encoded once, when its op is built, and each
+transfer is planned as the bytes it sends; each write, a run's or a lone
+output's, is planned with the outputs it carries and its encoded head, so a
+flush builds at most one write per planned write and only packs the
+elements behind its head.
 
 A member needs only its addressing and its routing: `group`, `element`,
 `bit`, `wire_type()`, `wire_path()`, `coalesce`, `direction` and
@@ -100,22 +103,26 @@ Transfer = tuple[list, bytes]
 
 
 class WriteSpan(NamedTuple):
-    """The elements one run's span write covers, and its head."""
+    """One planned write: a run's span write, from its first to its highest
+    output, or a lone output's own write of its one element."""
 
-    first: int
-    high: int
+    key: GroupKey
+    # the elements it writes, in order: (None,) for an unindexed output
+    elements: range | tuple
     # the encoded write request up to its data: service, path, type code
     # and count
     head: bytes
+    # the outputs it carries, in element order
+    outputs: list
 
 
 @dataclass
 class ScanPlan:
     transfers: list[Transfer]
     unplannable: list
-    # coalescing group -> the span writes of its outputs, one per run with
-    # outputs, in element order
-    write_spans: dict[GroupKey, list[WriteSpan]]
+    # every planned write, in plan order: each typed output of a planned
+    # run or lone member is in exactly one
+    write_spans: list[WriteSpan]
     # one read per member of unknown type, unpacked: sent before the transfers
     discovery: list[ReadOp]
 
@@ -195,35 +202,49 @@ def _write_fits(wire_type: CipType, limit: int, writes: tuple[int, int], high: i
     return cip.wrapped_request_size(head_size + wire_type.width * (high - start + 1)) <= limit
 
 
+def write_span(run: list, wire_type: CipType) -> WriteSpan | None:
+    """The planned write of a run's outputs, from its first to its highest
+    (a lone output's alone), or None if it has none."""
+    output = Direction.OUTPUT
+    outputs = [s for s in run if s.direction is output]
+    if not outputs:
+        return None
+    first, high = outputs[0].element, outputs[-1].element
+    elements = (None,) if first is None else range(first, high + 1)
+    head = cip.encode_write_head(run[0].wire_path(first), wire_type, len(elements))
+    return WriteSpan((run[0].group, wire_type), elements, head, outputs)
+
+
 def plan_list(members: list, limit: int, batching: bool) -> ScanPlan:
-    """The transfers one cycle of a list with these members sends."""
+    """The transfers one cycle of a list with these members sends, and the
+    writes a flush of its outputs may send."""
     groups, singles = group(members)
     runs: list[list] = []
     unplannable = []
-    write_spans: dict[GroupKey, list[WriteSpan]] = {}
-    for (name, wire_type), subs in groups.items():
+    for (_name, wire_type), subs in groups.items():
         cuts, unfit = cut(subs, wire_type, limit)
         runs += cuts
         unplannable += unfit
-        for run in cuts:
-            outputs = [s.element for s in run if s.direction is Direction.OUTPUT]
-            if not outputs:
-                continue
-            first, high = outputs[0], outputs[-1]
-            head = cip.encode_write_head(run[0].wire_path(first), wire_type, high - first + 1)
-            write_spans.setdefault((name, wire_type), []).append(WriteSpan(first, high, head))
     ops: list[ReadOp] = []
     discovery = []
+    writes = []
     for run in runs + [[sub] for sub in singles]:
         first = run[0].element
         op = read_op(run, first, 1 if first is None else run[-1].element - first + 1)
-        if cip.wrapped_request_size(len(op.encoded)) > limit:
+        wire_type = op.expected_type
+        write = None if wire_type is None else write_span(run, wire_type)
+        sizes = [len(op.encoded)]
+        if write is not None:  # a run's write fits by its cut; a lone one's may not
+            sizes.append(len(write.head) + wire_type.width * len(write.elements))
+        if any(cip.wrapped_request_size(size) > limit for size in sizes):
             unplannable += run
-        elif op.expected_type is None:
+        elif wire_type is None:
             discovery.append(op)
         else:
             ops.append(op)
-    return ScanPlan(pack(ops, limit, batching), unplannable, write_spans, discovery)
+            if write is not None:
+                writes.append(write)
+    return ScanPlan(pack(ops, limit, batching), unplannable, writes, discovery)
 
 
 def pack(ops: list, limit: int, batching: bool) -> list[Transfer]:

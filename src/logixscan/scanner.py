@@ -20,31 +20,32 @@ cycle and none after; a member whose read fails reports ERROR (an output
 stays dirty, unwritten) and is read again next time.  The plan holds each
 transfer as the bytes it sends, encoded once, each read's routing of reply
 elements into cells (an output without `on_drift` is stored as an input
-is), and each coalesced output span with its write's encoded head, so a
-cycle only sends, decodes and stores.  Each planned read keeps the payload
-of its last accepted reply and the values it decoded to: a reply whose
-bytes are the same again is not decoded, and its cells take the same
-immutable values with this cycle's timestamp.  Outputs are written on demand
-and read back every cycle, with drift notifications for watched outputs when
-the PLC side changed.  A flush groups its dirty outputs by the planner's
-rule, a lone output being a group of one, and builds all its writes with
-one builder and no I/O, from the staged values and the span cache that the
-list's reads fill: a planned span write that holds two or more dirty
-elements is written whole, and every other dirty element alone.  If a write
-builds on an element the cache lacks (a cold cache, or a BOOL word to
-modify), the flush sends the list's own planned reads once, through the
-same transfer loop and the same reply handling as a cycle, then builds
-every write again; a write that still lacks an element fails, its outputs
-ERROR and still dirty.  The writes are packed in order with the planner's
-packer; each embedded write lands and settles to its elements as packed,
-or fails and stays dirty, alone, and an output whose staged value cannot be
-encoded fails alone, unwritten.  Once a step loses the session, the later
-steps' requests fail unsent, so the loss counts one error.  A list logs a
-WARNING with the cause when a cycle first fails and an INFO when one
-succeeds again; a reply of another type than declared, and a member that
-no request under the buffer limit can carry, count an error each cycle
-but log once per plan.  Scan config files are parsed and applied by
-`config`.
+is), and each planned write, a run's span or a lone output's, with its
+encoded head, so a cycle only sends, decodes and stores.  Each planned read
+keeps the payload of its last accepted reply and the values it decoded to:
+a reply whose bytes are the same again is not decoded, and its cells take
+the same immutable values with this cycle's timestamp.  Outputs are written
+on demand and read back every cycle, with drift notifications for watched
+outputs when the PLC side changed, run once the step's replies are all
+stored.  A flush walks the plan's writes and builds, with no I/O, one write
+for each that carries a dirty output, from the staged values and the span
+cache that the list's reads fill: the whole span when two or more of its
+elements are dirty, the one dirty element alone otherwise.  An output the
+plan left out (unplannable, or of a type still unknown) is in no planned
+write, so no flush sends it.  If a write builds on an element the cache
+lacks (a cold cache, or a BOOL word to modify), the flush sends the list's
+own planned reads once, through the same transfer loop and the same reply
+handling as a cycle, then builds every write again; a write that still
+lacks an element fails, its outputs ERROR and still dirty.  The writes are
+packed in order with the planner's packer; each embedded write lands and
+settles to its elements as packed, or fails and stays dirty, alone, and an
+output whose staged value cannot be encoded fails alone, unwritten.  Once a
+step loses the session, the later steps' requests fail unsent, so the loss
+counts one error.  A list logs a WARNING with the cause when a cycle first
+fails and an INFO when one succeeds again; a reply of another type than
+declared, and a member that no request under the buffer limit can carry,
+count an error each cycle but log once per plan.  Scan config files are
+parsed and applied by `config`.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from dataclasses import dataclass, field, replace
 from . import cip
 from .cip import CipType, CipValue, Element, Epath
 from .client import PlcClient, PlcEndpoint, PlcError, Phase
-from .plan import Direction, ReadOp, ScanPlan, WriteSpan, group, pack, plan_list
+from .plan import Direction, ReadOp, ScanPlan, WriteSpan, pack, plan_list
 from .tags import BITS_PER_DINT, TagPart, TagRef, format_tag, parse_tag, to_epath
 
 log = logging.getLogger(__name__)
@@ -262,19 +263,6 @@ class WriteOp:
                 self.cache.pop(element, None)
 
 
-def _stage_write(
-    ops: list[WriteOp], head: bytes, wire_type: CipType, elements: list,
-    subs: list[Subscription], cache: dict[int, object], first: int | None,
-) -> None:
-    """Add one write to a flush: its encoded head, then the elements from
-    `first` packed; the span cache takes them as packed."""
-    data = cip.pack_elements(wire_type, elements)
-    values = cip.unpack_elements(wire_type, data)
-    ops.append(WriteOp(head + data, subs, cache, first, values))
-    if first is not None:
-        cache.update(zip(range(first, first + len(values)), values))
-
-
 def _same_wire(a: CipValue, b: CipValue) -> bool:
     """Whether two values go on the wire as the same bytes: a NaN equals
     itself, and -0.0 is not 0.0."""
@@ -290,6 +278,15 @@ def _encoding_error(wire_type: CipType, value) -> Exception | None:
     except _UNENCODABLE as exc:
         return exc
     return None
+
+
+def _notify_drift(drifts: list) -> None:
+    """Run the drift callback of each (sub, old, new), in order."""
+    for sub, old, new in drifts:
+        try:
+            sub.on_drift(sub, old, new)
+        except Exception:
+            log.exception("drift callback failed for %s", format_tag(sub.ref))
 
 
 class TagScanner:
@@ -497,12 +494,12 @@ class TagScanner:
             return
         started = time.monotonic()
         plan = self._discover(unit, sl)
-        if plan.unplannable:  # counted each cycle, as a type mismatch is
-            with self._stats_lock:
-                sl.stats.errors += len(plan.unplannable)
+        for _sub in plan.unplannable:  # counted each cycle, as a type mismatch is
+            self._error(sl)
         any_ok = False
+        drifts: list = []
         for op, resp in self._send(unit, sl, plan.transfers):
-            if self._absorb_read(unit, sl, op, resp, now):
+            if self._absorb_read(unit, sl, op, resp, now, drifts):
                 any_ok = True
         duration = time.monotonic() - started
         if any_ok:
@@ -512,9 +509,11 @@ class TagScanner:
                 self.on_sample(
                     int(now * 1000), round(sl.period_s * 1000), duration * 1000.0
                 )
+        _notify_drift(drifts)
 
-    def _error(self, sl: ScanList, cause: str) -> None:
-        """Count one error of the list; a cycle's first is its cause."""
+    def _error(self, sl: ScanList, cause: str | None = None) -> None:
+        """Count one error of the list; a cycle's first with a cause is its
+        cause (a fault without one, such as a member's, fails no list)."""
         with self._stats_lock:
             sl.stats.errors += 1
         if sl.cause is None:
@@ -550,8 +549,11 @@ class TagScanner:
 
     def _absorb_read(
         self, unit: _PlcUnit, sl: ScanList, op: ReadOp, resp: cip.CipResponse, now: float,
-        level: int = logging.DEBUG,
+        drifts: list, level: int = logging.DEBUG,
     ) -> bool:
+        """Store one read's reply; a watched output whose value the PLC
+        changed while it had nothing staged adds (sub, old, new) to `drifts`,
+        for its callback to run once the step's every reply is stored."""
         last = op.last_reply
         if (
             last is None or resp.payload != last[0]
@@ -567,8 +569,7 @@ class TagScanner:
                 return False
             if value_type is not op.expected_type:
                 # a configuration fault, not the list failing: logged once per plan
-                with self._stats_lock:
-                    sl.stats.errors += 1
+                self._error(sl)
                 op.fail()
                 if not op.mismatch_logged:
                     op.mismatch_logged = True
@@ -611,22 +612,14 @@ class TagScanner:
                 cell = _BOOL_CELLS[(raw >> bit) & 1]
             else:
                 cell = CipValue(value_type, (raw,))
-            self._apply_cell(sub, cell, now)
+            old = sub.value
+            if old is not None and _same_wire(old, cell):
+                sub.cell = (old, now, ok)
+                continue
+            sub.cell = (cell, now, ok)
+            if old is not None and not sub.dirty:
+                drifts.append((sub, old, cell))
         return True
-
-    def _apply_cell(self, sub: Subscription, cell: CipValue, now: float) -> None:
-        """Store a freshly read value of a watched output; a value the PLC
-        changed while the output had nothing staged goes to `on_drift`."""
-        old = sub.value
-        if old is not None and _same_wire(old, cell):
-            sub.cell = (old, now, Quality.OK)
-            return
-        sub.cell = (cell, now, Quality.OK)
-        if old is not None and not sub.dirty:
-            try:
-                sub.on_drift(sub, old, cell)
-            except Exception:
-                log.exception("drift callback failed for %s", format_tag(sub.ref))
 
     # -- writing --------------------------------------------------------------
 
@@ -667,8 +660,10 @@ class TagScanner:
                 # list once, then build every write again, so that no span
                 # write carries a gap just read over a write staged before it
                 now = time.time()
+                drifts: list = []
                 for op, resp in self._send(unit, sl, plan.transfers, logging.WARNING):
-                    self._absorb_read(unit, sl, op, resp, now, logging.WARNING)
+                    self._absorb_read(unit, sl, op, resp, now, drifts, logging.WARNING)
+                _notify_drift(drifts)
                 ops, lacking = self._build_flush(unit, sl)
                 for sub in lacking:
                     sub.fail()
@@ -678,52 +673,41 @@ class TagScanner:
                     cip.parse_write_response(resp)
                 except cip.CipError as exc:
                     log.warning("write failed on %s: %s", unit.name, exc)
-                    with self._stats_lock:
-                        sl.stats.errors += 1
+                    self._error(sl)
                     op.fail()
                     continue
                 op.settle()
 
     def _build_flush(self, unit: _PlcUnit, sl: ScanList) -> tuple[list[WriteOp], list]:
-        """Every write of the list's dirty outputs, built with no I/O, in
-        order: groups, then singles, each a group of one; and the outputs
-        whose write builds on an element the span cache lacks, unbuilt."""
-        groups, singles = group([sub for sub in sl.members if sub.dirty])
-        spans = self._plan(unit, sl).write_spans
+        """One write per planned write that carries a dirty output, built
+        with no I/O, in plan order; and the outputs whose write builds on an
+        element the span cache lacks, unbuilt.  An output the plan left out
+        (unplannable, or of a type still unknown) is in no planned write, so
+        it stays dirty, unwritten."""
         ops: list[WriteOp] = []
         lacking = []
-        for key, subs in groups.items():
-            lacking += self._build_writes(unit, sl, key, subs, spans.get(key, []), ops)
-        for sub in singles:
-            # an output whose type is still unknown stays dirty, unwritten
-            if sub.wire_type() is not None:
-                key = (sub.group, sub.wire_type())
-                lacking += self._build_writes(unit, sl, key, [sub], [], ops)
+        for span in self._plan(unit, sl).write_spans:
+            dirty = [sub for sub in span.outputs if sub.dirty]
+            if dirty:
+                lacking += self._build_write(unit, sl, span, dirty, ops)
         return ops, lacking
 
-    def _build_writes(
-        self,
-        unit: _PlcUnit,
-        sl: ScanList,
-        key: tuple[str, CipType],
-        dirty_subs: list[Subscription],
-        spans: list[WriteSpan],
-        ops: list[WriteOp],
+    def _build_write(
+        self, unit: _PlcUnit, sl: ScanList, span: WriteSpan,
+        dirty: list[Subscription], ops: list[WriteOp],
     ) -> list[Subscription]:
-        """Build the writes of one group's dirty outputs into `ops`, from
-        their staged values and the span cache, with no I/O; a lone output
-        is a group of one (an unindexed one: element None).  A planned span
-        write that holds two or more dirty elements is written whole, and
-        every other dirty element alone.  Returns the outputs whose write
-        builds on an element the cache lacks, unbuilt.  An output whose own
-        staged value cannot be encoded fails alone, and the others are
-        built without it."""
-        wire_type = key[1]
-        cache = unit.span_cache.setdefault(key, {})
+        """Build the write of one planned write's dirty outputs into `ops`,
+        from their staged values and the span cache: the whole span when two
+        or more of its elements are dirty, the one dirty element alone
+        otherwise.  Returns the outputs, unbuilt, if it builds on an element
+        the cache lacks.  An output whose own staged value cannot be encoded
+        fails alone, and the write is built without it."""
+        wire_type = span.key[1]
+        cache = unit.span_cache.setdefault(span.key, {})
 
         # fold pending values into per-element words
         pending: dict[int | None, object] = {}
-        for sub in dirty_subs:
+        for sub in dirty:
             element = sub.element
             if sub.bit is None:
                 pending[element] = sub.pending
@@ -734,53 +718,40 @@ class TagScanner:
                 if sub.pending:
                     word |= 1 << sub.bit
                 else:
-                    word &= ~(1 << sub.bit) & 0xFFFFFFFF
-                if word >= 1 << 31:
-                    word -= 1 << 32
+                    word &= ~(1 << sub.bit)
             pending[element] = word
 
-        # each write: the element it starts at, the elements it covers, and
-        # its head (None: a lone element's, encoded once it builds)
-        touched = list(pending)
-        writes = []
-        for first, high, head in spans:
-            inside = [e for e in touched if first <= e <= high]
-            if len(inside) > 1:
-                writes.append((first, range(first, high + 1), head))
-                touched = [e for e in touched if e not in inside]
-        writes += [(e, (e,), None) for e in touched]
-        built: list[WriteOp] = []
-        lacking = []
+        head, covered = span.head, span.elements
+        if len(pending) == 1 and len(covered) > 1:
+            # a lone dirty element inside a span: its own head, encoded now
+            covered = tuple(pending)
+            head = cip.encode_write_head(dirty[0].wire_path(covered[0]), wire_type, 1)
+        elements = [pending[e] if e in pending else cache.get(e, _LACKING) for e in covered]
+        if _LACKING in elements:
+            return dirty
         try:
-            for first, covered, head in writes:
-                subs = dirty_subs
-                if len(writes) > 1:
-                    subs = [sub for sub in dirty_subs if sub.element in covered]
-                elements = [pending[e] if e in pending else cache.get(e, _LACKING) for e in covered]
-                if _LACKING in elements:
-                    lacking += subs
-                    continue
-                if head is None:
-                    head = cip.encode_write_head(subs[0].wire_path(first), wire_type, 1)
-                _stage_write(built, head, wire_type, elements, subs, cache, first)
+            data = cip.pack_elements(wire_type, elements)
         except _UNENCODABLE:
             rest = []
-            for sub in dirty_subs:
+            for sub in dirty:
                 error = None if sub.bit is not None else _encoding_error(wire_type, sub.pending)
                 if error is None:
                     rest.append(sub)
                     continue
                 log.warning("cannot write %r to %s on %s: %s",
                             sub.pending, format_tag(sub.ref), unit.name, error)
-                with self._stats_lock:
-                    sl.stats.errors += 1
+                self._error(sl)
                 sub.fail()
                 sub.dirty = False
-            if len(rest) == len(dirty_subs):
+            if len(rest) == len(dirty):
                 raise
-            return self._build_writes(unit, sl, key, rest, spans, ops) if rest else []
-        ops += built
-        return lacking
+            return self._build_write(unit, sl, span, rest, ops) if rest else []
+        values = cip.unpack_elements(wire_type, data)
+        first = covered[0]
+        ops.append(WriteOp(head + data, dirty, cache, first, values))
+        if first is not None:
+            cache.update(zip(covered, values))
+        return []
 
     # -- worker threads ---------------------------------------------------------
 

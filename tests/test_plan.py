@@ -143,6 +143,15 @@ def test_packing_keeps_op_order_and_fills_each_transfer(case):
         )
 
 
+def write_shape(scan_plan, members):
+    """The planned writes, each output as its index in `members`."""
+    index = {id(sub): i for i, sub in enumerate(members)}
+    return [
+        (key, elements, head, [index[id(sub)] for sub in outputs])
+        for key, elements, head, outputs in scan_plan.write_spans
+    ]
+
+
 @PROPERTIES
 @given(scan_lists)
 def test_planning_is_deterministic(case):
@@ -150,11 +159,13 @@ def test_planning_is_deterministic(case):
     members = members_of(specs)
     first = plan_list(members, limit, batching)
     again = plan_list(members, limit, batching)
-    fresh = plan_list(members_of(specs), limit, batching)
+    fresh_members = members_of(specs)
+    fresh = plan_list(fresh_members, limit, batching)
     assert sent(first) == sent(again) == sent(fresh)
     assert [op.targets for op in flat_ops(first)] == [op.targets for op in flat_ops(again)]
     assert first.unplannable == again.unplannable
-    assert first.write_spans == again.write_spans == fresh.write_spans
+    assert first.write_spans == again.write_spans
+    assert write_shape(first, members) == write_shape(fresh, fresh_members)
     assert [[(o, b) for _s, o, b in op.targets] for op in flat_ops(first)] == [
         [(o, b) for _s, o, b in op.targets] for op in flat_ops(fresh)
     ]
@@ -163,31 +174,54 @@ def test_planning_is_deterministic(case):
 @PROPERTIES
 @given(scan_lists)
 def test_write_spans_hold_their_outputs_and_head_their_writes(case):
-    """Each planned output of a coalesced group is in exactly one of its
-    group's span writes, which run in element order from an output to an
-    output; each head is its span write's up to the data."""
+    """Every typed planned output is in exactly one planned write, and no
+    untyped or unplannable member is in any.  A coalesced group's span
+    writes run in element order from an output to an output, each carrying
+    the outputs it covers; a lone output's write is of its one element.
+    Each head is its write's up to the data."""
     specs, limit, batching = case
     members = members_of(specs)
     scan_plan = plan_list(members, limit, batching)
-    groups, _singles = plan.group(members)
+    groups, singles = plan.group(members)
     unplannable = {id(sub) for sub in scan_plan.unplannable}
+    carried = [sub for write in scan_plan.write_spans for sub in write.outputs]
+    assert not any(id(sub) in unplannable or sub.wire_type() is None for sub in carried)
+    typed_outputs = [
+        s for s in members
+        if s.direction is Direction.OUTPUT and s.wire_type() is not None and id(s) not in unplannable
+    ]
+    assert collections.Counter(map(id, carried)) == collections.Counter(map(id, typed_outputs))
     outputs = {
         key: [s for s in subs if s.direction is Direction.OUTPUT and id(s) not in unplannable]
         for key, subs in groups.items()
     }
-    assert scan_plan.write_spans.keys() == {key for key, subs in outputs.items() if subs}
-    for key, spans in scan_plan.write_spans.items():
+    lone = {id(sub) for sub in singles}
+    spans: dict = {}
+    for write in scan_plan.write_spans:
+        assert all(write.key == (s.group, s.wire_type()) for s in write.outputs)
+        if id(write.outputs[0]) in lone:
+            (sub,) = write.outputs
+            assert tuple(write.elements) == (sub.element,)
+        else:
+            spans.setdefault(write.key, []).append(write)
+    assert spans.keys() == {key for key, subs in outputs.items() if subs}
+    for key, writes in spans.items():
         elements = sorted({s.element for s in outputs[key]})
-        assert [e for first, high, _h in spans for e in elements if first <= e <= high] == elements
-        assert all(before.high < after.first for before, after in zip(spans, spans[1:]))
-        for first, high, head in spans:
-            assert first in elements and high in elements
-            wire_type, count = key[1], high - first + 1
-            fresh = cip.encode_write_request(
-                outputs[key][0].wire_path(first), CipValue(wire_type, [0] * count)
-            )
-            assert fresh[:len(head)] == head
-            assert len(fresh) - len(head) == wire_type.width * count
+        assert [e for write in writes for e in elements if e in write.elements] == elements
+        assert all(
+            before.elements[-1] < after.elements[0] for before, after in zip(writes, writes[1:])
+        )
+        in_order = sorted(outputs[key], key=lambda s: s.element)
+        for write in writes:
+            assert write.elements[0] in elements and write.elements[-1] in elements
+            assert write.outputs == [s for s in in_order if s.element in write.elements]
+    for key, covered, head, carried_outputs in scan_plan.write_spans:
+        wire_type, count = key[1], len(covered)
+        fresh = cip.encode_write_request(
+            carried_outputs[0].wire_path(covered[0]), CipValue(wire_type, [0] * count)
+        )
+        assert fresh[:len(head)] == head
+        assert len(fresh) - len(head) == wire_type.width * count
 
 
 def read_count(op) -> int:
@@ -197,30 +231,39 @@ def read_count(op) -> int:
 # 40 dense DINT outputs under a 128-byte limit: a read would carry 30 of
 # them but a span write fewer, so the write decides the cut
 DENSE_OUTPUTS = (([("a", CipType.DINT)] * 4, [(0, i, True, True) for i in range(40)]), 128, True)
+# an unindexed DINT output named with 40 characters under a 64-byte limit:
+# its read (60 bytes) would fit, its own write (66) would not
+LONE_OUTPUT = (([("x" * 40, CipType.DINT)] * 4, [(0, None, True, True)]), 64, True)
 
 
 @PROPERTIES
 @given(scan_lists)
 @example(DENSE_OUTPUTS)
+@example(LONE_OUTPUT)
 def test_every_read_and_span_write_fits_and_each_span_lies_in_one_read(case):
     """The cut rule: every read request and its reply fit the limit, every
-    span write fits it, and each span write lies inside one read of the
-    same group, so the reads that fill the span cache cover it."""
+    planned write, lone ones included, fits it with its data, and each
+    write of indexed elements lies inside one read of the same group, so
+    the reads that fill the span cache cover it; an unindexed output's
+    write is of the member one read reads alone."""
     specs, limit, batching = case
     scan_plan = plan_list(members_of(specs), limit, batching)
     ops = flat_ops(scan_plan)
     for op in ops + scan_plan.discovery:
         assert cip.wrapped_request_size(len(op.encoded)) <= limit
         assert op.response_estimate <= limit
-    for key, spans in scan_plan.write_spans.items():
-        for first, high, head in spans:
-            data = key[1].width * (high - first + 1)
-            assert cip.wrapped_request_size(len(head) + data) <= limit
-            assert any(
-                op.cache_key == key and op.start_element <= first
-                and high < op.start_element + read_count(op)
-                for op in ops
-            )
+    for key, covered, head, outputs in scan_plan.write_spans:
+        data = key[1].width * len(covered)
+        assert cip.wrapped_request_size(len(head) + data) <= limit
+        first, high = covered[0], covered[-1]
+        if first is None:
+            assert any(op.targets == [(outputs[0], 0, None)] for op in ops)
+            continue
+        assert any(
+            op.cache_key == key and op.start_element <= first
+            and high < op.start_element + read_count(op)
+            for op in ops
+        )
 
 
 @PROPERTIES
@@ -324,10 +367,28 @@ def test_dense_outputs_are_cut_where_their_span_write_stops_fitting():
     assert [(op.start_element, read_count(op)) for op in flat_ops(scan_plan)] == [
         (0, 118), (118, 2)
     ]
-    assert [(first, high) for first, high, _head in scan_plan.write_spans["d", CipType.DINT]] == [
-        (0, 117), (118, 119)
+    assert [(key, elements) for key, elements, _head, _outputs in scan_plan.write_spans] == [
+        (("d", CipType.DINT), range(0, 118)), (("d", CipType.DINT), range(118, 120))
+    ]
+    assert [outputs for _key, _elements, _head, outputs in scan_plan.write_spans] == [
+        members[:118], members[118:]
     ]
     assert shape(members) == [1, 1]
+
+
+def test_a_lone_output_whose_own_write_cannot_fit_is_unplannable():
+    # an unindexed DINT named with 39 characters: its read is 60 bytes, its
+    # write 66; at 64 an input of it is planned, an output is not
+    name = "o" * 39
+    out = member(name, None, False, CipType.DINT, True, True)
+    assert shape([member(name, None, False, CipType.DINT, False, True)], limit=64) == [1]
+    scan_plan = plan_list([out], 64, True)
+    assert (scan_plan.transfers, scan_plan.unplannable, scan_plan.write_spans) == ([], [out], [])
+    # at 66 it fits: one read, and one write of its one element
+    scan_plan = plan_list([out], 66, True)
+    head = cip.encode_write_head(out.wire_path(None), CipType.DINT, 1)
+    assert scan_plan.write_spans == [plan.WriteSpan((name, CipType.DINT), (None,), head, [out])]
+    assert shape([out], limit=66) == [1]
 
 
 def test_planner_imports_no_client_socket_or_threading():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from logixscan import cip, plan
 from logixscan.cip import CipResponse, CipType
 from logixscan.plan import Direction
-from logixscan.scanner import Quality, ScanList, Subscription, TagScanner, _PlcUnit
+from logixscan.scanner import Quality, ScanList, Subscription, TagScanner, _PlcUnit, _notify_drift
 from logixscan.tags import parse_tag
 
 PROPERTIES = settings(
@@ -119,7 +119,11 @@ class Side:
         self.scanner = TagScanner()
 
     def absorb(self, op, resp, now):
-        return self.scanner._absorb_read(self.unit, self.sl, op, resp, now)
+        """Store one reply, then run its drift callbacks, as a step does."""
+        drifts = []
+        stored = self.scanner._absorb_read(self.unit, self.sl, op, resp, now, drifts)
+        _notify_drift(drifts)
+        return stored
 
     def state(self):
         cells = [(wire(s.value), s.timestamp, s.quality) for s in self.subs]

@@ -267,6 +267,37 @@ def test_unplannable_tag_is_error(sim, caplog):
     assert sc._units["plc"].lists[1.0].fault is None
 
 
+@pytest.mark.parametrize("tag, read_size, write_size", [
+    ("o" * 39, 60, 66),  # its read fits the limit, its write does not
+    (".".join(["x" * 40, "y" * 40]), 102, 108),  # neither fits
+])
+def test_an_output_whose_own_write_cannot_fit_is_unplannable_and_never_sent(
+    sim, caplog, monkeypatch, tag, read_size, write_size,
+):
+    sc = scanner_for(sim, buffer_limit=64)
+    sub = sc.add_tag("plc", tag, 1.0, direction="out", elem_type=CipType.DINT)
+    path = sub.wire_path(None)
+    assert cip.wrapped_request_size(len(cip.encode_read_request(path, 1))) == read_size
+    write = cip.encode_write_request(path, CipValue(CipType.DINT, [0]))
+    assert cip.wrapped_request_size(len(write)) == write_size
+    client = sc._units["plc"].client
+    client.ensure_connected()
+    messages = []
+    send = client.round_trip
+    monkeypatch.setattr(client, "round_trip", lambda m: messages.append(m) or send(m))
+    with caplog.at_level(logging.INFO, logger="logixscan"):
+        assert sc.plan_info("plc", 1.0) == []
+        assert planned(sc, 1.0).unplannable == [sub]
+        for value in (1, 2, 3):
+            sc.write(sub, value)
+    # one WARNING, from the plan; the flushes send, count and log nothing
+    assert messages == []
+    assert levels(caplog) == [logging.WARNING]
+    assert "does not fit the 64-byte limit" in caplog.records[0].getMessage()
+    assert sc.stats("plc", 1.0).errors == 0
+    assert sub.dirty and sub.quality is Quality.ERROR
+
+
 def test_replace_tag_rescans(sim):
     sc = scanner_for(sim)
     sub = sc.add_tag("plc", "counts[0]", 1.0, elem_type=CipType.DINT)
@@ -516,7 +547,7 @@ def test_short_reply_marks_only_the_missing_cell_error(sim):
     short = cip.CipResponse(cip.READ_DATA | cip.REPLY_FLAG, cip.STATUS_OK, (), payload)
     unit = sc._units["plc"]
     now = time.time()
-    assert sc._absorb_read(unit, unit.lists[1.0], op, short, now)
+    assert sc._absorb_read(unit, unit.lists[1.0], op, short, now, [])
     assert (near.value.elements, near.timestamp, near.quality) == ((7,), now, Quality.OK)
     assert far.quality is Quality.ERROR and far.value is None
 
@@ -545,7 +576,9 @@ def test_plan_routes_targets_by_kind_and_records_output_spans():
         # the write span covers the outputs only, not the inputs around them,
         # and its head is the write of counts[2..3] up to its data
         head = bytes.fromhex("53 05 91 06 636f756e7473 28 02 c400 0200")
-        assert plan.write_spans == {("counts", CipType.DINT): [WriteSpan(2, 3, head)]}
+        assert plan.write_spans == [
+            WriteSpan(("counts", CipType.DINT), range(2, 4), head, [out_lo, out_hi])
+        ]
         sc.scan_once("plc")
         assert sc.value_of(bit_in) is False and sc.value_of(typed_in) == 10
         assert sc._units["plc"].span_cache.keys() == {("counts", CipType.DINT)}
@@ -845,9 +878,10 @@ def test_an_oversize_span_write_is_cut_into_writes_that_fit():
         lo = sc.add_tag("plc", "big[0]", 1.0, direction="out", elem_type=CipType.DINT)
         hi = sc.add_tag("plc", "big[125]", 1.0, direction="out", elem_type=CipType.DINT)
         head = {e: cip.encode_write_head(lo.wire_path(e), CipType.DINT, 1) for e in (0, 125)}
-        assert planned(sc, 1.0).write_spans == {
-            ("big", CipType.DINT): [WriteSpan(0, 0, head[0]), WriteSpan(125, 125, head[125])]
-        }
+        assert planned(sc, 1.0).write_spans == [
+            WriteSpan(("big", CipType.DINT), range(0, 1), head[0], [lo]),
+            WriteSpan(("big", CipType.DINT), range(125, 126), head[125], [hi]),
+        ]
         reads_before = sim.store.service_counts[cip.READ_DATA]
         writes_before = sim.store.service_counts[cip.WRITE_DATA]
         sc.write(lo, -1, immediate=False)
@@ -918,8 +952,10 @@ def test_span_writes_across_a_cut_land_whole():
             sc.add_tag("plc", f"big[{i}]", 1.0, direction="out", elem_type=CipType.DINT)
             for i in (0, 100, 150, 199)
         ]
-        assert [(first, high) for first, high, _head in
-                planned(sc, 1.0).write_spans["big", CipType.DINT]] == [(0, 100), (150, 199)]
+        assert [(key, elements[0], elements[-1], outputs) for key, elements, _head, outputs in
+                planned(sc, 1.0).write_spans] == [
+            (("big", CipType.DINT), 0, 100, subs[:2]), (("big", CipType.DINT), 150, 199, subs[2:])
+        ]
         for sub in subs:
             sc.write(sub, -sub.element - 1, immediate=False)
         reads_before = sim.store.service_counts[cip.READ_DATA]
@@ -982,6 +1018,36 @@ def test_a_drift_callback_that_writes_during_a_flushs_list_read_lands(sim, immed
     assert sim.store.get_tag("counts").elements == (5, 20, 7, 40, 8)
     for sub, value in ((watched, 5), (lo, 7), (hi, 8)):
         assert not sub.dirty and sub.quality is Quality.OK and sc.value_of(sub) == value
+
+
+def test_a_drift_callback_write_is_not_undone_by_the_rest_of_its_cycle():
+    store = make_store()
+    store.define("vals", CipType.DINT, [10, 20, 30, 40])
+    with PlcSim(store) as sim:
+        sc = scanner_for(sim)
+        vals = {}
+
+        def write_one(sub, old, new):
+            sc.write(vals[1], 7)
+
+        sc.add_tag(
+            "plc", "counts[0]", 1.0, direction="out", elem_type=CipType.DINT, on_drift=write_one,
+        )
+        for i in (1, 2, 3):
+            vals[i] = sc.add_tag("plc", f"vals[{i}]", 1.0, direction="out", elem_type=CipType.DINT)
+        # the watched output's read comes first in the one transfer
+        assert sc.plan_info("plc", 1.0) == [2]
+        sc.scan_once("plc")  # the baseline
+        sim.store.set_tag("counts[0]", 99)
+        sc.scan_once("plc")  # drifts: the callback writes vals[1]
+        assert sim.store.get_tag("vals").elements == (10, 7, 30, 40)
+        assert (sc.value_of(vals[1]), vals[1].quality) == (7, Quality.OK)
+        # a span write of vals[1..3] carries vals[1] as the span cache holds it
+        sc.write(vals[2], 8, immediate=False)
+        sc.write(vals[3], 9, immediate=False)
+        sc.flush("plc")
+        assert sim.store.get_tag("vals").elements == (10, 7, 8, 9)
+        assert all(sc.value_of(vals[i]) == v for i, v in ((1, 7), (2, 8), (3, 9)))
 
 
 def test_no_coalesce_writes_each_element(sim):
@@ -1377,6 +1443,9 @@ def test_a_planned_flush_encodes_no_path(monkeypatch):
             sc.add_tag("plc", f"bout[{i}]", 1.0, direction="out", bool_array=True)
             for i in range(64)
         ]
+        solo = sc.add_tag(
+            "plc", "TEST", 1.0, direction="out", elem_type=CipType.REAL, coalesce=False
+        )
         sc.scan_once("plc")  # plans, and warms the span cache
         encoded = []
         encode_epath = cip.encode_epath
@@ -1385,6 +1454,7 @@ def test_a_planned_flush_encodes_no_path(monkeypatch):
         )
         staged = [(words[i], -i) for i in range(0, 40, 4)]
         staged += [(bits[i], True) for i in range(0, 64, 4)]  # both DINT words
+        staged += [(solo, 2.5)]  # a lone output: its head too is planned
         for sub, value in staged:
             sc.write(sub, value, immediate=False)
         sc.flush("plc")
