@@ -22,7 +22,10 @@ same packer.  Every request is encoded once, when its op is built, and each
 transfer is planned as the bytes it sends; each write, a run's or a lone
 output's, is planned with the outputs it carries and its encoded head, so a
 flush builds at most one write per planned write and only packs the
-elements behind its head.
+elements behind its head.  Each read also holds the plain lists of the
+subscriptions its reply stores, and the plan a slot per transfer for the
+scanner to keep its last Multi-Request reply in, so a repeated reply is
+neither split nor routed again; a new plan starts with nothing kept.
 
 A member needs only its addressing and its routing: `group`, `element`,
 `bit`, `wire_type()`, `wire_path()`, `coalesce`, `direction` and
@@ -64,15 +67,21 @@ class ReadOp:
     start_element: int | None = None
     # targets split by how a reply element reaches the cell, inputs and
     # unwatched outputs alike: BOOL bits into the shared bit cells, and
-    # typed elements into a value of their own
+    # typed elements into a value of their own; with the plain lists of
+    # their subscriptions, which a reply that covers them all restamps
     bit_targets: list[tuple[object, int, int]] = field(init=False)
     typed_targets: list[tuple[object, int]] = field(init=False)
+    bit_subs: list = field(init=False)
+    typed_subs: list = field(init=False)
+    # the elements a reply must carry to cover every target
+    reach: int = field(init=False)
     # outputs with a drift callback
     checked_targets: list[tuple[object, int, int | None]] = field(init=False)
-    # the last accepted reply: its payload, and what it decoded to (type,
-    # elements, and per typed target its value, or None past the reply);
-    # a new plan starts without one
-    last_reply: tuple[bytes, CipType, tuple, list] | None = field(default=None, init=False)
+    # the last accepted reply: its payload, type and elements, and the cells
+    # it stores: the typed targets it covers with their values, the bit
+    # targets it covers with their bits, and the targets past it, which
+    # fail; a new plan starts without one
+    last_reply: tuple | None = field(default=None, init=False)
     # whether a reply of another type than expected was logged
     mismatch_logged: bool = field(default=False, init=False)
 
@@ -88,6 +97,9 @@ class ReadOp:
             else:
                 typed_targets.append((sub, offset))
         self.bit_targets, self.typed_targets = bit_targets, typed_targets
+        self.bit_subs = [sub for sub, _offset, _bit in bit_targets]
+        self.typed_subs = [sub for sub, _offset in typed_targets]
+        self.reach = 1 + max(offset for _sub, offset, _bit in self.targets)
         self.checked_targets = checked_targets
         if not any(sub.direction is output for sub, _offset, _bit in self.targets):
             self.cache_key = None
@@ -125,6 +137,12 @@ class ScanPlan:
     write_spans: list[WriteSpan]
     # one read per member of unknown type, unpacked: sent before the transfers
     discovery: list[ReadOp]
+    # per transfer, its last Multi-Request reply and the embedded replies
+    # it was split into (None: none yet); a new plan starts with none
+    replies: list = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.replies = [None] * len(self.transfers)
 
 
 def group(subs) -> tuple[dict[GroupKey, list], list]:
@@ -172,9 +190,10 @@ def cut(subs: list, wire_type: CipType, limit: int) -> tuple[list[list], list]:
     # the last run's first element, and its first output element with the
     # size of its span write's head
     first, out = 0, None
+    out_direction = Direction.OUTPUT  # an enum member lookup is not free
     for sub in sorted(subs, key=lambda s: s.element):
         element = sub.element
-        output = sub.direction is Direction.OUTPUT
+        output = sub.direction is out_direction
         if runs and element - first < most:
             writes = (out or _span_head(sub, wire_type)) if output else None
             if writes is None or _write_fits(wire_type, limit, writes, element):

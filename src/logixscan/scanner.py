@@ -22,30 +22,37 @@ transfer as the bytes it sends, encoded once, each read's routing of reply
 elements into cells (an output without `on_drift` is stored as an input
 is), and each planned write, a run's span or a lone output's, with its
 encoded head, so a cycle only sends, decodes and stores.  Each planned read
-keeps the payload of its last accepted reply and the values it decoded to:
-a reply whose bytes are the same again is not decoded, and its cells take
-the same immutable values with this cycle's timestamp.  Outputs are written
-on demand and read back every cycle, with drift notifications for watched
-outputs when the PLC side changed, run once the step's replies are all
-stored.  A flush walks the plan's writes and builds, with no I/O, one write
-for each that carries a dirty output, from the staged values and the span
-cache that the list's reads fill: the whole span when two or more of its
-elements are dirty, the one dirty element alone otherwise.  An output the
-plan left out (unplannable, or of a type still unknown) is in no planned
-write, so no flush sends it.  If a write builds on an element the cache
-lacks (a cold cache, or a BOOL word to modify), the flush sends the list's
-own planned reads once, through the same transfer loop and the same reply
-handling as a cycle, then builds every write again; a write that still
-lacks an element fails, its outputs ERROR and still dirty.  The writes are
-packed in order with the planner's packer; each embedded write lands and
-settles to its elements as packed, or fails and stays dirty, alone, and an
-output whose staged value cannot be encoded fails alone, unwritten.  Once a
-step loses the session, the later steps' requests fail unsent, so the loss
-counts one error.  A list logs a WARNING with the cause when a cycle first
-fails and an INFO when one succeeds again; a reply of another type than
-declared, and a member that no request under the buffer limit can carry,
-count an error each cycle but log once per plan.  Scan config files are
-parsed and applied by `config`.
+keeps the payload of its last accepted reply and the cells it decoded to: a
+reply whose bytes are the same again is not decoded, and its cells take the
+same immutable values with this cycle's timestamp, stored from lists built
+once.  Each planned transfer of two or more reads keeps its last
+Multi-Request reply and the embedded replies it was split into, so a reply
+equal to it is not split again: a cycle whose transfers repeat whole costs
+one comparison per transfer before its cells are stored.  Discovery reads
+and a flush's writes keep nothing, and a new plan starts with nothing kept.
+Outputs are written on demand and read back every cycle, with drift
+notifications for watched outputs when the PLC side changed, run once the
+step's replies are all stored.  A flush walks the plan's writes and builds,
+with no I/O, one write for each that carries a dirty output, from the
+staged values and the span cache that the list's reads fill: the whole span
+when two or more of its elements are dirty, the one dirty element alone
+otherwise.  An output the plan left out (unplannable, or of a type still
+unknown) is in no planned write, so no flush sends it.  If a write builds
+on an element the cache lacks (a cold cache, or a BOOL word to modify), the
+flush sends the list's own planned reads once, through the same transfer
+loop and the same reply handling as a cycle, then builds every write again;
+a write that still lacks an element fails, its outputs ERROR and still
+dirty.  The writes are packed in order with the planner's packer; each
+embedded write lands and settles to its elements as packed, or fails and
+stays dirty, alone, and an output whose staged value cannot be encoded
+fails alone, unwritten.  Once a step loses the session, the later steps'
+requests fail unsent, so the loss counts one error.  A list keeps its
+failing state per cause (not connected, a transfer failed, a member's read
+failed) and logs a WARNING when it starts failing for a cause and an INFO
+when it recovers from it, so a member that always fails hides no session
+loss; a reply of another type than declared, and a member that no request
+under the buffer limit can carry, count an error each cycle but log once
+per plan.  Scan config files are parsed and applied by `config`.
 """
 
 from __future__ import annotations
@@ -77,6 +84,10 @@ _UNENCODABLE = (cip.CipError, TypeError, ValueError, OverflowError)
 
 # a BOOL word to modify that the span cache does not hold
 _LACKING = object()
+
+# why a list fails, in the order a cycle meets them: a cycle that fails for
+# one did not run (all of) the steps behind the later ones
+_CAUSES = ("not connected", "transfer failed", "read failed")
 
 
 class Quality(enum.Enum):
@@ -204,10 +215,10 @@ class ScanList:
     stats: TransferStats = field(default_factory=TransferStats)
     plan: ScanPlan | None = None
     next_tick: float | None = None
-    # why the list is failing (None: it is not), and the first error of
-    # the cycle under way, which the cycle's end makes the fault
-    fault: str | None = None
-    cause: str | None = None
+    # why the list is failing, by cause, and the first error of each cause
+    # in the cycle under way, which the cycle's end makes its fault
+    faults: dict[str, str] = field(default_factory=dict)
+    causes: dict[str, str] = field(default_factory=dict)
 
 
 class _PlcUnit:
@@ -449,7 +460,7 @@ class TagScanner:
                     sl.plan = None
                 except cip.CipError as exc:
                     log.log(level, "read failed on %s: %s", unit.name, exc)
-                    self._error(sl, f"read failed: {exc}")
+                    self._error(sl, "read failed", exc)
                     op.fail()
             plan = self._plan(unit, sl)
         for sub in plan.unplannable:
@@ -473,22 +484,29 @@ class TagScanner:
         self._submit(unit, run)
 
     def _scan_list(self, unit: _PlcUnit, sl: ScanList) -> None:
-        """One cycle of a list; a list that starts failing logs a WARNING
-        with the cause, and one that recovers an INFO."""
-        sl.cause = None
+        """One cycle of a list.  Each cause logs a WARNING when the list
+        starts failing for it, and an INFO when a cycle that ran its step
+        is clear of it; a cycle that fails for one cause keeps the state of
+        the later ones, whose steps it did not all run."""
+        sl.causes = {}
         self._read_list(unit, sl)
-        fault, cause = sl.fault, sl.cause
-        if fault is None and cause is not None:
-            log.warning("%s: list %g s failing: %s", unit.name, sl.period_s, cause)
-        elif fault is not None and cause is None:
-            log.info("%s: list %g s recovered from: %s", unit.name, sl.period_s, fault)
-        sl.fault = cause
+        if not (sl.faults or sl.causes):
+            return
+        for cause in _CAUSES:
+            fault, error = sl.faults.pop(cause, None), sl.causes.get(cause)
+            if error is not None:
+                if fault is None:
+                    log.warning("%s: list %g s failing: %s", unit.name, sl.period_s, error)
+                sl.faults[cause] = error
+                break
+            if fault is not None:
+                log.info("%s: list %g s recovered from: %s", unit.name, sl.period_s, fault)
 
     def _read_list(self, unit: _PlcUnit, sl: ScanList) -> None:
         now = time.time()
         client = unit.client
         if not client.ensure_connected():
-            self._error(sl, f"not connected: {client.connect_error or 'reconnect paced'}")
+            self._error(sl, "not connected", client.connect_error or "reconnect paced")
             for sub in sl.members:
                 sub.fail()
             return
@@ -498,7 +516,7 @@ class TagScanner:
             self._error(sl)
         any_ok = False
         drifts: list = []
-        for op, resp in self._send(unit, sl, plan.transfers):
+        for op, resp in self._send(unit, sl, plan.transfers, kept=plan.replies):
             if self._absorb_read(unit, sl, op, resp, now, drifts):
                 any_ok = True
         duration = time.monotonic() - started
@@ -511,22 +529,25 @@ class TagScanner:
                 )
         _notify_drift(drifts)
 
-    def _error(self, sl: ScanList, cause: str | None = None) -> None:
-        """Count one error of the list; a cycle's first with a cause is its
-        cause (a fault without one, such as a member's, fails no list)."""
+    def _error(self, sl: ScanList, cause: str | None = None, detail=None) -> None:
+        """Count one error of the list; the cycle's first of a cause is kept
+        with its detail (a fault without a cause, such as a member's, fails
+        no list)."""
         with self._stats_lock:
             sl.stats.errors += 1
-        if sl.cause is None:
-            sl.cause = cause
+        if cause is not None and cause not in sl.causes:
+            sl.causes[cause] = f"{cause}: {detail}"
 
     def _send(
         self, unit: _PlcUnit, sl: ScanList, transfers: list,
-        level: int = logging.DEBUG,
+        level: int = logging.DEBUG, kept: list | None = None,
     ):
         """Send transfers in order; yield (op, reply) for each op of each
         transfer that got a reply, and fail the ops of each that did not.
         Once the session is gone, lost here or in an earlier step, the
-        transfers left fail unsent and uncounted: its loss counted once."""
+        transfers left fail unsent and uncounted: its loss counted once.
+        With `kept`, a plan's `replies`, a Multi-Request reply equal to the
+        last one its transfer was split into is not split again."""
         for i, (ops, message) in enumerate(transfers):
             if unit.client.phase is Phase.DISCONNECTED:
                 for lost, _message in transfers[i:]:
@@ -537,11 +558,15 @@ class TagScanner:
                 reply = unit.client.round_trip(message)
                 if len(ops) == 1:
                     responses = [reply]
+                elif kept is not None and kept[i] is not None and kept[i][0] == reply:
+                    responses = kept[i][1]  # the same reply: the same embedded ones
                 else:
                     responses = cip.split_multi_response(reply, len(ops))
+                    if kept is not None:
+                        kept[i] = (reply, responses)
             except (PlcError, cip.CipError) as exc:
                 log.log(level, "transfer failed on %s: %s", unit.name, exc)
-                self._error(sl, f"transfer failed: {exc}")
+                self._error(sl, "transfer failed", exc)
                 for op in ops:
                     op.fail()
                 continue
@@ -564,7 +589,7 @@ class TagScanner:
                 value_type, elements = cip.parse_read_reply(resp)
             except cip.CipError as exc:
                 log.log(level, "read failed on %s: %s", unit.name, exc)
-                self._error(sl, f"read failed: {exc}")
+                self._error(sl, "read failed", exc)
                 op.fail()
                 return False
             if value_type is not op.expected_type:
@@ -579,11 +604,19 @@ class TagScanner:
                     )
                 return False
             count = len(elements)
-            last = op.last_reply = (resp.payload, value_type, elements, [
-                CipValue(value_type, (elements[offset],)) if offset < count else None
-                for _sub, offset in op.typed_targets
-            ])
-        _payload, value_type, elements, values = last
+            typed, bits = op.typed_targets, op.bit_targets
+            typed_subs, bit_subs, past = op.typed_subs, op.bit_subs, []
+            if count < op.reach:  # a short reply: only the targets it covers are stored
+                past = [t[0] for t in typed + bits if t[1] >= count]
+                typed = [t for t in typed if t[1] < count]
+                bits = [t for t in bits if t[1] < count]
+                typed_subs, bit_subs = [t[0] for t in typed], [t[0] for t in bits]
+            last = op.last_reply = (
+                resp.payload, value_type, elements,
+                typed_subs, [CipValue(value_type, (elements[o],)) for _sub, o in typed],
+                bit_subs, [(elements[o] >> bit) & 1 for _sub, o, bit in bits], past,
+            )
+        _payload, value_type, elements, typed_subs, values, bit_subs, bits, past = last
         count = len(elements)
         if op.cache_key is not None:
             start = op.start_element
@@ -591,18 +624,14 @@ class TagScanner:
                 zip(range(start, start + count), elements)
             )
         ok = Quality.OK
-        if op.bit_targets:
-            bit_cells = ((_BOOL_CELLS[0], now, ok), (_BOOL_CELLS[1], now, ok))
-            for sub, offset, bit in op.bit_targets:
-                if offset >= count:
-                    sub.fail()
-                    continue
-                sub.cell = bit_cells[(elements[offset] >> bit) & 1]
-        for (sub, _offset), value in zip(op.typed_targets, values):
-            if value is None:
-                sub.fail()
-                continue
+        for sub, value in zip(typed_subs, values):
             sub.cell = (value, now, ok)
+        if bits:
+            bit_cells = ((_BOOL_CELLS[0], now, ok), (_BOOL_CELLS[1], now, ok))
+            for sub, bit in zip(bit_subs, bits):
+                sub.cell = bit_cells[bit]
+        for sub in past:  # a short reply: the targets past it fail
+            sub.fail()
         for sub, offset, bit in op.checked_targets:
             if offset >= count:
                 sub.fail()
@@ -661,7 +690,9 @@ class TagScanner:
                 # write carries a gap just read over a write staged before it
                 now = time.time()
                 drifts: list = []
-                for op, resp in self._send(unit, sl, plan.transfers, logging.WARNING):
+                for op, resp in self._send(
+                    unit, sl, plan.transfers, logging.WARNING, plan.replies
+                ):
                     self._absorb_read(unit, sl, op, resp, now, drifts, logging.WARNING)
                 _notify_drift(drifts)
                 ops, lacking = self._build_flush(unit, sl)

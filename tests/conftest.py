@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from logixscan.cip import CipType
@@ -14,6 +16,15 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance")
         for line in VERDICTS:
             terminalreporter.write_line(line)
+
+
+def offset_table(items):
+    """Item count, offsets and items, packed independently of cip."""
+    offsets, pos = [], 2 + 2 * len(items)
+    for item in items:
+        offsets.append(pos)
+        pos += len(item)
+    return struct.pack(f"<{1 + len(items)}H", len(items), *offsets) + b"".join(items)
 
 
 def make_store(limit: int = 500) -> TagStore:

@@ -1,12 +1,17 @@
-"""A read op that restamps a repeated reply against one that remembers nothing.
+"""Read ops and transfers that reuse a repeated reply, against ones that
+remember nothing.
 
 Two copies of the same subscriptions absorb the same sequence of replies:
 one through a single op, which keeps the last reply it accepted, the other
 through a fresh op built for every reply.  Replies repeat, come short,
 carry error statuses, another service's reply flag, another type, or a
-malformed payload.  After every reply both copies must hold the same cells
-(values compared by their wire bytes, so NaN payloads and -0.0 count), the
-same span cache, drift events and error count.
+malformed payload.  In the same way, a transfer of two reads that keeps its
+last Multi-Request reply is fed the same outer replies as one that splits
+every reply with fresh ops: repeated, with one embedded reply changed, with
+an embedded error, a wrong item count, a truncated offset table or an
+embedded reply cut short.  After every reply both copies must hold the same
+cells (values compared by their wire bytes, so NaN payloads and -0.0
+count), the same span cache, drift events and error count.
 """
 
 import struct
@@ -16,9 +21,12 @@ from hypothesis import strategies as st
 
 from logixscan import cip, plan
 from logixscan.cip import CipResponse, CipType
+from logixscan.client import Phase
 from logixscan.plan import Direction
 from logixscan.scanner import Quality, ScanList, Subscription, TagScanner, _PlcUnit, _notify_drift
 from logixscan.tags import parse_tag
+
+from conftest import offset_table
 
 PROPERTIES = settings(
     max_examples=200, deadline=None, derandomize=True, database=None,
@@ -108,13 +116,23 @@ def cached(unit):
     }
 
 
-class Side:
-    """One copy of the layout's subscriptions, its unit, list and events."""
+class ReplayClient:
+    """A client whose every round trip returns the reply it was last given."""
 
-    def __init__(self, layout):
+    phase = Phase.REGISTERED
+    reply = None
+
+    def round_trip(self, message):
+        return self.reply
+
+
+class Side:
+    """One copy of the layouts' subscriptions, its unit, list and events."""
+
+    def __init__(self, *layouts):
         self.events = []
-        self.subs = subscriptions(layout, self.events)
-        self.unit = _PlcUnit("plc", None)
+        self.subs = [sub for layout in layouts for sub in subscriptions(layout, self.events)]
+        self.unit = _PlcUnit("plc", ReplayClient())
         self.sl = ScanList(1.0, list(self.subs))
         self.scanner = TagScanner()
 
@@ -124,6 +142,15 @@ class Side:
         stored = self.scanner._absorb_read(self.unit, self.sl, op, resp, now, drifts)
         _notify_drift(drifts)
         return stored
+
+    def transfer(self, ops, reply, now, kept=None):
+        """Send one transfer of ops, answered by `reply`, as a cycle does."""
+        self.unit.client.reply = reply
+        drifts = []
+        message = cip.encode_multi_request([op.encoded for op in ops])
+        for op, resp in self.scanner._send(self.unit, self.sl, [(ops, message)], kept=kept):
+            self.scanner._absorb_read(self.unit, self.sl, op, resp, now, drifts)
+        _notify_drift(drifts)
 
     def state(self):
         cells = [(wire(s.value), s.timestamp, s.quality) for s in self.subs]
@@ -157,3 +184,74 @@ def test_a_repeated_reply_reuses_the_values_it_built():
     for sub, before in zip(side.subs, first):
         assert sub.timestamp == 2.0 and sub.quality is Quality.OK
         assert sub.value is before  # the watched output keeps its value too
+
+
+# how a Multi-Request reply is malformed, if it is
+MALFORMED = [None] * 4 + ["item count", "offset table", "short item", "outer status"]
+transfer_specs = st.tuples(reply_specs, reply_specs, st.sampled_from(MALFORMED))
+# each step: the same reply again (None), one embedded reply changed (its
+# index and its spec), or a new reply
+steps = st.one_of(
+    st.none(),
+    st.tuples(st.integers(0, 1), reply_specs),
+    transfer_specs,
+)
+transfer_cases = st.tuples(
+    st.lists(payload_specs, min_size=1, max_size=3),
+    st.lists(steps, min_size=1, max_size=16),
+)
+
+
+def multi_reply(ops, payloads, spec):
+    """The outer reply to a Multi-Request of ops, as wire bytes decode to."""
+    *items, malformed = spec
+    embedded = [
+        cip.encode_response(
+            CipResponse(service, status, (), payload(op, payloads[index % len(payloads)]))
+        )
+        for op, (index, status, service) in zip(ops, items)
+    ]
+    if malformed == "item count":
+        embedded = embedded[:1]
+    elif malformed == "short item":
+        embedded[-1] = embedded[-1][:3]
+    ok = all(item[2:3] == bytes((cip.STATUS_OK,)) for item in embedded)
+    general = cip.STATUS_OK if ok else cip.STATUS_EMBEDDED_SERVICE_ERROR
+    body = offset_table(embedded)
+    if malformed == "offset table":
+        body = body[:3]
+    elif malformed == "outer status":  # the same items under an error status
+        general = cip.STATUS_SERVICE_NOT_SUPPORTED
+    # each reply in a buffer of its own, as every round trip decodes one
+    return cip.decode_response(bytes(bytearray(
+        bytes((cip.MULTI_REQUEST | cip.REPLY_FLAG, 0, general, 0)) + body
+    )))
+
+
+def transfer_ops(side):
+    """One read per layout of a two-layout side, in layout order."""
+    reals = len(LAYOUTS["reals"])
+    return [fresh_op(side.subs[:reals]), fresh_op(side.subs[reals:])]
+
+
+@PROPERTIES
+@given(transfer_cases)
+def test_a_remembering_transfer_stores_what_a_splitting_one_stores(case):
+    payloads, changes = case
+    kept, fresh = Side("reals", "bits"), Side("reals", "bits")
+    ops = transfer_ops(kept)
+    replies = [None]  # the remembering transfer's slot of a plan's `replies`
+    good = (0, cip.STATUS_OK, cip.READ_REPLY)
+    spec = (good, good, None)
+    for step, change in enumerate(changes):
+        if change is not None and len(change) == 2:  # one embedded reply changed
+            items = list(spec[:2])
+            items[change[0]] = change[1]
+            spec = (*items, None)
+        elif change is not None:
+            spec = change
+        now = 1000.0 + step
+        kept.transfer(ops, multi_reply(ops, payloads, spec), now, replies)
+        fresh_ops = transfer_ops(fresh)
+        fresh.transfer(fresh_ops, multi_reply(fresh_ops, payloads, spec), now)
+        assert kept.state() == fresh.state()

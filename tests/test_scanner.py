@@ -1,5 +1,6 @@
 """Scan planning, batching, coalescing, writes, stats, config parsing."""
 
+import gc
 import logging
 import math
 import os
@@ -21,7 +22,7 @@ from logixscan.plcsim import FaultPlan, PlcSim, TagStore
 from logixscan.scanner import Direction, Quality, TagScanner
 from logixscan.tags import bool_remap, parse_tag, to_epath
 
-from conftest import connect_to, make_store
+from conftest import connect_to, make_store, offset_table
 
 
 _SCANNERS: list[TagScanner] = []
@@ -264,7 +265,7 @@ def test_unplannable_tag_is_error(sim, caplog):
     assert levels(caplog) == [logging.WARNING]
     message = caplog.records[0].getMessage()
     assert long_chain in message and "64" in message and "failing" not in message
-    assert sc._units["plc"].lists[1.0].fault is None
+    assert sc._units["plc"].lists[1.0].faults == {}
 
 
 @pytest.mark.parametrize("tag, read_size, write_size", [
@@ -447,20 +448,29 @@ def test_cached_requests_match_fresh_encoding_mixed_list():
     assert sent(plan) == [wire_bytes(t) for t in mixed_reads()]
 
 
-def test_a_planned_scan_cycle_encodes_nothing(monkeypatch):
+def mixed_sim():
+    """A sim holding the [4, 13] mixed list's tags."""
     store = make_store()
     for name in MIXED_NAMES:
         store.define(name, CipType.DINT, [7])
     store.define("rspan", CipType.REAL, [0.5] * 100)
     store.define("bits", CipType.BOOL, [True] * 352)
-    with PlcSim(store) as sim:
+    return PlcSim(store)
+
+
+def add_mixed_list(sc):
+    """Subscribe the [4, 13] mixed list at 1 s; returns its subscriptions."""
+    subs = [sc.add_tag("plc", name, 1.0, elem_type=CipType.DINT) for name in MIXED_NAMES]
+    subs += [sc.add_tag("plc", f"rspan[{i}]", 1.0, elem_type=CipType.REAL) for i in range(100)]
+    subs += [sc.add_tag("plc", f"bits[{i}]", 1.0, bool_array=True) for i in range(352)]
+    assert sc.plan_info("plc", 1.0) == [4, 13]
+    return subs
+
+
+def test_a_planned_scan_cycle_encodes_nothing(monkeypatch):
+    with mixed_sim() as sim:
         sc = scanner_for(sim)
-        subs = [sc.add_tag("plc", name, 1.0, elem_type=CipType.DINT) for name in MIXED_NAMES]
-        subs += [
-            sc.add_tag("plc", f"rspan[{i}]", 1.0, elem_type=CipType.REAL) for i in range(100)
-        ]
-        subs += [sc.add_tag("plc", f"bits[{i}]", 1.0, bool_array=True) for i in range(352)]
-        assert sc.plan_info("plc", 1.0) == [4, 13]
+        subs = add_mixed_list(sc)
         encoded = []
         encode_request = cip.encode_request
         monkeypatch.setattr(
@@ -471,13 +481,61 @@ def test_a_planned_scan_cycle_encodes_nothing(monkeypatch):
         assert all(sub.quality is Quality.OK for sub in subs)
 
 
-def offset_table(items):
-    """Item count, offsets and items, packed independently of cip."""
-    offsets, pos = [], 2 + 2 * len(items)
-    for item in items:
-        offsets.append(pos)
-        pos += len(item)
-    return struct.pack(f"<{1 + len(items)}H", len(items), *offsets) + b"".join(items)
+def test_a_repeated_scan_cycle_splits_and_decodes_no_embedded_reply(monkeypatch):
+    with mixed_sim() as sim:
+        sc = scanner_for(sim)
+        subs = add_mixed_list(sc)
+        sc.scan_once("plc", 1.0)
+        calls, scanning = [], threading.current_thread()
+
+        def counted(name, fn):
+            def call(*args):
+                if threading.current_thread() is scanning:  # not the sim's calls
+                    calls.append(name)
+                return fn(*args)
+            return call
+
+        for name in ("split_multi_response", "decode_response"):
+            monkeypatch.setattr(cip, name, counted(name, getattr(cip, name)))
+        started = time.time()
+        sc.scan_once("plc", 1.0)
+        # the client decodes each transfer's outer reply, and that is all
+        assert calls == ["decode_response"] * 2
+        assert all(sub.quality is Quality.OK and sub.timestamp >= started for sub in subs)
+        sim.store.set_tag("rspan[3]", 2.5)  # one embedded reply changes
+        sc.scan_once("plc", 1.0)
+        rspan_3 = subs[len(MIXED_NAMES) + 3]
+        assert calls.count("split_multi_response") == 1 and sc.value_of(rspan_3) == 2.5
+
+
+def test_a_thousand_flushes_leave_no_state_behind(sim):
+    sc = scanner_for(sim)
+    outs = [
+        sc.add_tag("plc", f"counts[{i}]", 1.0, direction="out", elem_type=CipType.DINT)
+        for i in (0, 2, 4)
+    ]
+    test = sc.add_tag("plc", "TEST", 1.0, direction="out", elem_type=CipType.REAL)
+    sc.scan_once("plc")
+    unit = sc._units["plc"]
+
+    def held():
+        """What the scanner holds that a flush could add to."""
+        gc.collect()
+        replies = sum(isinstance(o, cip.CipResponse) for o in gc.get_objects())
+        return replies, len(unit.lists[1.0].plan.replies), {
+            key: len(cache) for key, cache in unit.span_cache.items()
+        }
+
+    for value in range(1000):
+        for sub in outs:
+            sc.write(sub, value, immediate=False)
+        sc.write(test, value, immediate=False)
+        sc.flush("plc")  # one Multi-Request: the span write and TEST's
+        if value == 9:
+            before = held()
+    assert held() == before
+    assert sim.store.get_tag("counts").elements == (999, 20, 999, 40, 999)
+    assert sim.store.get_tag("TEST").elements == (999.0,)
 
 
 def test_multi_builders_lay_out_c06_and_mixed_list_byte_for_byte():
@@ -546,10 +604,10 @@ def test_short_reply_marks_only_the_missing_cell_error(sim):
     payload = struct.pack("<H", CipType.DINT) + cip.pack_elements(CipType.DINT, [7, 8, 9])
     short = cip.CipResponse(cip.READ_DATA | cip.REPLY_FLAG, cip.STATUS_OK, (), payload)
     unit = sc._units["plc"]
-    now = time.time()
-    assert sc._absorb_read(unit, unit.lists[1.0], op, short, now, [])
-    assert (near.value.elements, near.timestamp, near.quality) == ((7,), now, Quality.OK)
-    assert far.quality is Quality.ERROR and far.value is None
+    for now in (time.time(), time.time() + 1):  # the second time, a repeated reply
+        assert sc._absorb_read(unit, unit.lists[1.0], op, short, now, [])
+        assert (near.value.elements, near.timestamp, near.quality) == ((7,), now, Quality.OK)
+        assert far.quality is Quality.ERROR and far.value is None
 
 
 def test_plan_routes_targets_by_kind_and_records_output_spans():
@@ -674,6 +732,30 @@ def test_a_list_whose_session_keeps_dropping_warns_once_and_recovers_once(sim, c
             sc.scan_once("plc")
     assert sub.quality is Quality.OK
     assert levels(caplog) == [logging.WARNING, logging.INFO]
+
+
+def test_a_list_with_a_failing_member_still_logs_a_session_loss_and_its_recovery(sim, caplog):
+    sc = scanner_for(sim, reconnect_period=0.05)
+    missing = sc.add_tag("plc", "missing", 1.0)
+    counts = sc.add_tag("plc", "counts[0]", 1.0)
+    with caplog.at_level(logging.INFO, logger="logixscan"):
+        sc.scan_once("plc")
+        assert levels(caplog) == [logging.WARNING]
+        assert "failing: read failed" in caplog.records[0].getMessage()
+        sim.faults.drop_after = 1  # every session drops on its next data request
+        for _cycle in range(4):
+            sc.scan_once("plc")
+            time.sleep(0.06)  # past reconnect_period: every cycle connects again
+        assert counts.quality is Quality.ERROR
+        assert levels(caplog) == [logging.WARNING] * 2
+        assert "failing: transfer failed" in caplog.records[1].getMessage()
+        sim.faults.drop_after = None
+        for _cycle in range(3):
+            sc.scan_once("plc")
+    # the member still fails, and the session's recovery is logged alone
+    assert sc.value_of(counts) == 10 and missing.quality is Quality.ERROR
+    assert levels(caplog) == [logging.WARNING] * 2 + [logging.INFO]
+    assert "recovered from: transfer failed" in caplog.records[2].getMessage()
 
 
 def test_a_type_mismatch_warns_once_per_plan(sim, caplog):
