@@ -157,14 +157,7 @@ def _encode_segment(seg: Segment) -> bytes:
             out += b"\x00"
         return out
     if isinstance(seg, Element):
-        idx = seg.index
-        if not 0 <= idx <= 0xFFFFFFFF:
-            raise CipError(f"element index {idx} out of 32-bit range")
-        if idx <= 0xFF:
-            return bytes((0x28, idx))
-        if idx <= 0xFFFF:
-            return b"\x29\x00" + struct.pack("<H", idx)
-        return b"\x2A\x00" + struct.pack("<I", idx)
+        return encode_element(seg.index)
     if isinstance(seg, PortLink):
         if not 1 <= seg.port <= 14:
             raise CipError(f"port {seg.port} outside single-byte form")
@@ -172,6 +165,17 @@ def _encode_segment(seg: Segment) -> bytes:
             raise CipError(f"link {seg.link} out of 8-bit range")
         return bytes((seg.port, seg.link))
     raise CipError(f"unknown path segment {seg!r}")
+
+
+def encode_element(index: int) -> bytes:
+    """An element segment, in the narrowest of its 8-, 16- and 32-bit forms."""
+    if not 0 <= index <= 0xFFFFFFFF:
+        raise CipError(f"element index {index} out of 32-bit range")
+    if index <= 0xFF:
+        return bytes((0x28, index))
+    if index <= 0xFFFF:
+        return b"\x29\x00" + struct.pack("<H", index)
+    return b"\x2A\x00" + struct.pack("<I", index)
 
 
 def encode_epath(path: Epath) -> bytes:

@@ -20,9 +20,12 @@ in order, into Multi-Requests until either the wrapped request or the
 estimated reply would cross the limit; a flush packs its writes with the
 same packer.  Every request is encoded once, when its op is built, and each
 transfer is planned as the bytes it sends; each write, a run's or a lone
-output's, is planned with the outputs it carries and its encoded head, so a
-flush builds at most one write per planned write and only packs the
-elements behind its head.  Each read also holds the plain lists of the
+output's, is planned with the outputs it carries and its encoded head.  A
+flush builds at most one write per planned write, from its first dirty
+output to its last: `WriteSpan.part` composes that range's head from the
+planned one, whose service, symbol segments and type it keeps, with a new
+element segment and count, so a flush encodes no path and only packs the
+elements behind the head.  Each read also holds the plain lists of the
 subscriptions its reply stores, and the plan a slot per transfer for the
 scanner to keep its last Multi-Request reply in, so a repeated reply is
 neither split nor routed again; a new plan starts with nothing kept.
@@ -126,6 +129,29 @@ class WriteSpan(NamedTuple):
     head: bytes
     # the outputs it carries, in element order
     outputs: list
+
+    def part(self, first: int | None, high: int | None) -> tuple[range | tuple, bytes]:
+        """The elements and head of a write of this span's elements from
+        `first` to `high`.  The head is the planned one with only its
+        element segment and count new: its service, symbol segments and
+        type are kept, so no path is encoded.  It is never longer than the
+        planned write, so it fits wherever that does: one that a wider
+        element segment would make longer (a one-byte type starting just
+        past 255 or 65535) starts where the planned one does."""
+        elements, head = self.elements, self.head
+        if first == elements[0] and high == elements[-1]:
+            return elements, head
+        planned = cip.encode_element(elements[0])
+        element = cip.encode_element(first)
+        grown = len(element) - len(planned)
+        if grown > self.key[1].width * (len(elements) - (high - first + 1)):
+            first, element, grown = elements[0], planned, 0
+        # service, path size in words, symbol segments | element | type, count
+        symbols = head[2:len(head) - 4 - len(planned)]
+        return range(first, high + 1), (
+            bytes((head[0], head[1] + grown // 2)) + symbols + element
+            + head[-4:-2] + (high - first + 1).to_bytes(2, "little")
+        )
 
 
 @dataclass

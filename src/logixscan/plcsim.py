@@ -3,7 +3,8 @@
 Sessions, Connection Manager routing, tag reads/writes with type and bounds
 checks, Multi-Request dispatch, buffer-limit enforcement, and a small fault
 plan (latency, dropped connections, refused sessions, injected error
-statuses) so the failure paths can be tested without hardware.
+statuses, malformed read replies) so the failure paths can be tested
+without hardware.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ class FaultPlan:
     refuse_sessions: bool = False
     close_idle_after_s: float | None = None  # stale connected sessions die
     error_inject: dict[int, int] = field(default_factory=dict)  # service -> status
+    # every read reply, well framed and OK, loses its last data byte: data
+    # that is not whole elements (of a one-byte type, one element short)
+    malformed_reads: bool = False
 
 
 class TagStore:
@@ -333,6 +337,8 @@ class CipEngine:
             return _error(req.service, result)
         payload = struct.pack("<H", int(result.type))
         payload += cip.pack_elements(result.type, result.elements)
+        if self.faults.malformed_reads:
+            payload = payload[:-1]
         return CipResponse(req.service | cip.REPLY_FLAG, cip.STATUS_OK, (), payload)
 
     def _write(self, req: CipRequest) -> CipResponse:

@@ -33,19 +33,21 @@ and a flush's writes keep nothing, and a new plan starts with nothing kept.
 Outputs are written on demand and read back every cycle, with drift
 notifications for watched outputs when the PLC side changed, run once the
 step's replies are all stored.  A flush walks the plan's writes and builds,
-with no I/O, one write for each that carries a dirty output, from the
-staged values and the span cache that the list's reads fill: the whole span
-when two or more of its elements are dirty, the one dirty element alone
-otherwise.  An output the plan left out (unplannable, or of a type still
-unknown) is in no planned write, so no flush sends it.  If a write builds
-on an element the cache lacks (a cold cache, or a BOOL word to modify), the
-flush sends the list's own planned reads once, through the same transfer
-loop and the same reply handling as a cycle, then builds every write again;
-a write that still lacks an element fails, its outputs ERROR and still
-dirty.  The writes are packed in order with the planner's packer; each
-embedded write lands and settles to its elements as packed, or fails and
-stays dirty, alone, and an output whose staged value cannot be encoded
-fails alone, unwritten.  Once a step loses the session, the later steps'
+with no I/O, one write for each that carries a dirty output, from its first
+dirty element to its last: staged values on the dirty elements, and the
+span cache that the list's reads fill on the gaps between them, so no
+element outside that range is written.  Its head is the planned one with a
+new element segment and count, so a flush encodes no path.  An output the
+plan left out (unplannable, or of a type still unknown) is in no planned
+write, so no flush sends it.  If a write builds on an element the cache
+lacks (a gap not yet read, or a BOOL word to modify), the flush sends the
+list's own planned reads once, through the same transfer loop and the same
+reply handling as a cycle, then builds every write again; a write that
+still lacks an element fails, its outputs ERROR and still dirty.  The
+writes are packed in order with the planner's packer; each embedded write
+lands and settles to its elements as packed, or fails and stays dirty,
+alone, and an output whose staged value cannot be encoded fails alone,
+unwritten.  Once a step loses the session, the later steps'
 requests fail unsent, so the loss counts one error.  A list keeps its
 failing state per cause (not connected, a transfer failed, a member's read
 failed) and logs a WARNING when it starts failing for a cause and an INFO
@@ -402,10 +404,26 @@ class TagScanner:
             return replace(sl.stats)
 
     def stat_value(self, path: str):
-        """Pseudo-tag access:
-        <plc>/<period_ms>/count|errors|overruns|last_ms|min_ms|max_ms."""
+        """Pseudo-tag access, per list:
+        <plc>/<period_ms>/count|errors|overruns|last_ms|min_ms|max_ms;
+        and per PLC, the state of its session: <plc>/phase (its `Phase`
+        value: "disconnected", "registered" or "connected"),
+        <plc>/reconnects (connection attempts, the first included) and
+        <plc>/consecutive_errors (round trips failed since the last that
+        succeeded or the last connect)."""
+        parts = path.split("/")
+        if len(parts) == 2:
+            plc_name, item = parts
+            client = self._unit(plc_name).client
+            if item == "phase":
+                return client.phase.value
+            if item == "reconnects":
+                return client.reconnect_attempts
+            if item == "consecutive_errors":
+                return client.consecutive_errors
+            raise KeyError(f"unknown stats item {item!r}")
         try:
-            plc_name, period_ms, item = path.split("/")
+            plc_name, period_ms, item = parts
             period_s = float(period_ms) / 1000.0
         except ValueError:
             raise KeyError(f"bad stats path {path!r}") from None
@@ -728,11 +746,11 @@ class TagScanner:
         dirty: list[Subscription], ops: list[WriteOp],
     ) -> list[Subscription]:
         """Build the write of one planned write's dirty outputs into `ops`,
-        from their staged values and the span cache: the whole span when two
-        or more of its elements are dirty, the one dirty element alone
-        otherwise.  Returns the outputs, unbuilt, if it builds on an element
-        the cache lacks.  An output whose own staged value cannot be encoded
-        fails alone, and the write is built without it."""
+        from its first dirty element to its last: staged values on dirty
+        elements, the span cache on the gaps between them.  Returns the
+        outputs, unbuilt, if it builds on an element the cache lacks.  An
+        output whose own staged value cannot be encoded fails alone, and the
+        write is built without it."""
         wire_type = span.key[1]
         cache = unit.span_cache.setdefault(span.key, {})
 
@@ -752,11 +770,7 @@ class TagScanner:
                     word &= ~(1 << sub.bit)
             pending[element] = word
 
-        head, covered = span.head, span.elements
-        if len(pending) == 1 and len(covered) > 1:
-            # a lone dirty element inside a span: its own head, encoded now
-            covered = tuple(pending)
-            head = cip.encode_write_head(dirty[0].wire_path(covered[0]), wire_type, 1)
+        covered, head = span.part(dirty[0].element, dirty[-1].element)
         elements = [pending[e] if e in pending else cache.get(e, _LACKING) for e in covered]
         if _LACKING in elements:
             return dirty

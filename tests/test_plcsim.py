@@ -199,6 +199,15 @@ def test_error_injection():
     assert resp.general_status == cip.STATUS_PATH_UNKNOWN
 
 
+def test_malformed_reads_fault_cuts_a_read_replys_last_data_byte():
+    eng = engine(malformed_reads=True)
+    raw = serve_cip(eng, build_read_request(to_epath(parse_tag("counts[1]")), 2))
+    # a well-framed OK reply whose data is not whole DINTs
+    assert raw == bytes.fromhex("cc 00 00 00 c4 00 14000000 1e0000")
+    with pytest.raises(cip.CipError, match="not a multiple"):
+        parse_read_response(decode_response(raw))
+
+
 def test_unconnected_send_is_transparent():
     eng = engine()
     inner = build_read_request(to_epath(parse_tag("TEST")), 1)

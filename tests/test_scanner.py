@@ -758,6 +758,31 @@ def test_a_list_with_a_failing_member_still_logs_a_session_loss_and_its_recovery
     assert "recovered from: transfer failed" in caplog.records[2].getMessage()
 
 
+def test_a_malformed_read_reply_fails_its_cells_warns_once_and_recovers_once(sim, caplog):
+    sc = scanner_for(sim)
+    counts = [sc.add_tag("plc", f"counts[{i}]", 1.0, elem_type=CipType.DINT) for i in range(3)]
+    test = sc.add_tag("plc", "TEST", 1.0, elem_type=CipType.REAL)
+    subs = counts + [test]
+    sc.scan_once("plc")
+    sc.scan_once("plc")  # the same reply again: kept, and not decoded
+    with caplog.at_level(logging.INFO, logger="logixscan"):
+        sim.faults.malformed_reads = True  # each read's data loses its last byte
+        for _cycle in range(3):
+            sc.scan_once("plc")
+            assert all(sub.quality is Quality.ERROR for sub in subs)
+        assert sc.stats("plc", 1.0).errors == 6  # two reads a cycle
+        assert levels(caplog) == [logging.WARNING]
+        assert "failing: read failed" in caplog.records[0].getMessage()
+        sim.faults.malformed_reads = False
+        sc.scan_once("plc")
+    assert [(sc.value_of(sub), sub.quality) for sub in counts] == [
+        (10, Quality.OK), (20, Quality.OK), (30, Quality.OK)
+    ]
+    assert test.quality is Quality.OK
+    assert levels(caplog) == [logging.WARNING, logging.INFO]
+    assert "recovered from: read failed" in caplog.records[1].getMessage()
+
+
 def test_a_type_mismatch_warns_once_per_plan(sim, caplog):
     sc = scanner_for(sim)
     sub = sc.add_tag("plc", "counts[0]", 1.0, elem_type=CipType.REAL)
@@ -950,6 +975,87 @@ def test_span_write_uses_scan_cache(sim):
     sc.flush("plc")
     assert sim.store.service_counts[cip.READ_DATA] == reads_before  # no extra read
     assert sim.store.get_tag("counts").elements == (7, 20, 30, 40, 8)
+
+
+def big_outputs(sc, count=100):
+    """Every element of `big`, a DINT[count], as an output of one list."""
+    return [
+        sc.add_tag("plc", f"big[{i}]", 1.0, direction="out", elem_type=CipType.DINT)
+        for i in range(count)
+    ]
+
+
+def big_sim(count=100):
+    store = make_store()
+    store.define("big", CipType.DINT, list(range(count)))
+    store.define("bout", CipType.BOOL, [False] * 32)
+    return PlcSim(store)
+
+
+def test_a_plc_side_change_outside_the_dirty_range_survives_a_flush():
+    with big_sim() as sim:
+        sc = scanner_for(sim)
+        subs = big_outputs(sc)
+        sc.scan_once("plc")  # the span cache holds every element
+        sim.store.set_tag("big[50]", 999)  # changed on the PLC after the read
+        sc.write(subs[10], -10, immediate=False)
+        sc.write(subs[12], -12, immediate=False)
+        sc.flush("plc")
+        landed = sim.store.get_tag("big").elements
+        assert landed[10:13] == (-10, 11, -12)  # the gap from the cache
+        assert landed[50] == 999
+        assert landed[:10] + landed[13:50] + landed[51:] == tuple(
+            i for i in range(100) if i not in (10, 11, 12, 50)
+        )
+
+
+def test_a_warm_flush_of_two_of_a_hundred_outputs_writes_three_elements(monkeypatch):
+    with big_sim() as sim:
+        sc = scanner_for(sim)
+        subs = big_outputs(sc)
+        sc.scan_once("plc")
+        client = sc._units["plc"].client
+        messages = []
+        round_trip = client.round_trip
+        monkeypatch.setattr(
+            client, "round_trip", lambda message: messages.append(message) or round_trip(message)
+        )
+        sc.write(subs[10], -10, immediate=False)
+        sc.write(subs[12], -12, immediate=False)
+        sc.flush("plc")
+        # Write_Data, big[10] (4 path words), DINT, 3 elements, the gap as read
+        assert messages == [bytes.fromhex(
+            "53 04 9103 626967 00 280a c400 0300 f6ffffff 0b000000 f4ffffff"
+        )]
+        assert [(sc.value_of(sub), sub.quality, sub.dirty) for sub in subs[10:13:2]] == [
+            (-10, Quality.OK, False), (-12, Quality.OK, False)
+        ]
+
+
+@pytest.mark.parametrize("tags, reads_first", [
+    (("big[10]", "big[11]", "big[12]"), False),  # contiguous: nothing to read
+    (("big[10]", "big[12]"), True),  # big[11] is a gap: the list is read first
+    (("bout[3]",), True),  # a BOOL bit: its word is read first
+])
+def test_a_cold_flush_reads_its_list_only_for_a_gap_or_a_bit(tags, reads_first):
+    with big_sim() as sim:
+        sc = scanner_for(sim)
+        outputs = {f"big[{i}]": sub for i, sub in enumerate(big_outputs(sc))}
+        outputs.update({
+            f"bout[{i}]": sc.add_tag("plc", f"bout[{i}]", 1.0, direction="out", bool_array=True)
+            for i in range(32)
+        })
+        sc._units["plc"].client.ensure_connected()
+        staged = [outputs[tag] for tag in tags]
+        for sub in staged:
+            sc.write(sub, 1, immediate=False)
+        before = sim.store.round_trips
+        reads = sim.store.service_counts[cip.READ_DATA]
+        sc.flush("plc")
+        # one packed write, after one packed read of the list if it must
+        assert sim.store.round_trips == before + 1 + reads_first
+        assert (sim.store.service_counts[cip.READ_DATA] > reads) is reads_first
+        assert all(sc.value_of(sub) == 1 and not sub.dirty for sub in staged)
 
 
 def test_an_oversize_span_write_is_cut_into_writes_that_fit():
@@ -1626,6 +1732,29 @@ def test_stats_and_pseudo_tags(sim):
         sc.stat_value("plc/500/bogus")
     with pytest.raises(KeyError):
         sc.stat_value("nope/500/errors")
+
+
+def test_client_state_stat_paths_follow_a_dropping_session():
+    with PlcSim(make_store(), FaultPlan(drop_after=2)) as sim:
+        sc = scanner_for(sim, reconnect_period=0.05)
+        sc.add_tag("plc", "counts[0]", 1.0, elem_type=CipType.DINT)
+
+        def client_state():
+            return [sc.stat_value(f"plc/{item}")
+                    for item in ("phase", "reconnects", "consecutive_errors")]
+
+        assert client_state() == ["disconnected", 0, 0]
+        sc.scan_once("plc")  # connects; the session's first data request lands
+        assert client_state() == ["registered", 1, 0]
+        sc.scan_once("plc")  # its second drops the session
+        assert client_state() == ["disconnected", 1, 1]
+        time.sleep(0.06)
+        sc.scan_once("plc")  # connects again, and lands
+        assert client_state() == ["registered", 2, 0]
+        with pytest.raises(KeyError):
+            sc.stat_value("plc/bogus")
+        with pytest.raises(KeyError):
+            sc.stat_value("nope/phase")
 
 
 def test_stats_copy_is_detached(sim):
