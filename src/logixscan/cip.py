@@ -318,6 +318,10 @@ def pack_elements(elem_type: CipType, elements) -> bytes:
     """
     if elem_type is CipType.BOOL:
         return bytes([0xFF if v else 0x00 for v in elements])
+    try:  # values in the type's own range and kind pack as they are
+        return _elements_layout(elem_type, _WIDTHS[elem_type] * len(elements)).pack(*elements)
+    except (TypeError, OverflowError, struct.error):
+        pass
     elements = tuple(elements)
     half = 1 << (8 * _WIDTHS[elem_type] - 1)
     try:
@@ -365,11 +369,6 @@ def decode_typed_elements(payload: bytes) -> tuple[CipType, tuple]:
     if not layout.size:
         raise CipError("typed data carries no elements")
     return elem_type, layout.unpack_from(payload, 2)
-
-
-def decode_typed_data(payload: bytes) -> CipValue:
-    """Decode a type-code-prefixed data block as one value."""
-    return CipValue(*decode_typed_elements(payload))
 
 
 _BOOL_LITERALS = {"1": True, "true": True, "on": True, "0": False, "false": False, "off": False}
@@ -474,10 +473,6 @@ def _read_count(element_count: int) -> bytes:
     if element_count > MAX_ELEMENT_COUNT:
         raise CipError("element count exceeds 16 bits")
     return _COUNT.pack(element_count)
-
-
-def build_read_request(path: Epath, element_count: int) -> CipRequest:
-    return CipRequest(READ_DATA, path, _read_count(element_count))
 
 
 def encode_read_request(path: Epath | bytes, element_count: int) -> bytes:
@@ -586,13 +581,6 @@ def encode_unconnected_send(message: bytes, slot: int) -> bytes:
     route = bytes((0, 1, 0, BACKPLANE_PORT, slot) if size % 2 else (1, 0, BACKPLANE_PORT, slot))
     timing = _UCMM_TIMING.pack(UCMM_PRIORITY_TICK, UCMM_TIMEOUT_TICKS, size)
     return _UNCONNECTED_SEND_HEAD + timing + message + route
-
-
-def wrap_unconnected_send(inner: CipRequest, slot: int) -> CipRequest:
-    """Embed a request for routing across the backplane to the given slot."""
-    wire = encode_unconnected_send(encode_request(inner), slot)
-    payload = wire[len(_UNCONNECTED_SEND_HEAD):]
-    return CipRequest(UNCONNECTED_SEND, connection_manager_path(), payload)
 
 
 def parse_unconnected_send(req: CipRequest) -> tuple[bytes, PortLink]:

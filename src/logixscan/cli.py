@@ -262,8 +262,9 @@ def _cmd_sim(args) -> int:
     faults = _parse_faults(args.faults, args.latency_ms)
     sim = plcsim.PlcSim(store=store, faults=faults, host=args.host, port=args.port)
     sim.start()
-    print(f"listening on {sim.host}:{sim.port}", flush=True)
     try:
+        # a SIGINT as soon as the line is out still stops the sim
+        print(f"listening on {sim.host}:{sim.port}", flush=True)
         while True:
             time.sleep(0.2)
     except KeyboardInterrupt:

@@ -10,6 +10,7 @@ subscription per element.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .cip import CipType
@@ -166,8 +167,10 @@ def _parse_tag_line(args: list[str]) -> TagSpec:
                 raise ConfigError("elements must be at least 1")
         else:
             raise ConfigError(f"unknown tag option {word!r}")
-    if period_ms is None or period_ms <= 0:
+    if period_ms is None:
         raise ConfigError("tag line missing period=<ms>")
+    if period_ms <= 0:
+        raise ConfigError(f"period must be positive, not {period_ms:g}")
     if direction is None:
         raise ConfigError("tag line missing dir=<in|out>")
     try:
@@ -190,9 +193,12 @@ def _int_option(word: str) -> int:
 def _float_option(word: str) -> float:
     key, _, value = word.partition("=")
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"{key} needs a number, not {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} needs a finite number, not {value!r}")
+    return number
 
 
 def apply_scan_config(scanner: TagScanner, config: ScanConfig) -> list[Subscription]:

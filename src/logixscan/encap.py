@@ -107,23 +107,6 @@ def decode_header(data: bytes) -> EncapsHeader:
     return EncapsHeader(command, length, session, status, context, options)
 
 
-def decode_packet(data: bytes) -> tuple[EncapsHeader, bytes]:
-    """Split one framed packet into (header, payload).
-
-    Strict: the buffer must contain exactly the declared payload, no more.
-    """
-    if len(data) < HEADER_SIZE:
-        raise EncapError(f"truncated header: {len(data)} of {HEADER_SIZE} bytes")
-    command, length, session, status, context, options = _HEADER.unpack_from(data)
-    end = HEADER_SIZE + length
-    if len(data) < end:
-        raise EncapError(f"payload truncated: have {len(data) - HEADER_SIZE}, declared {length}")
-    if len(data) > end:
-        raise EncapError(f"{len(data) - end} trailing bytes after declared payload")
-    header = EncapsHeader(command, length, session, status, context, options)
-    return header, data[HEADER_SIZE:end]
-
-
 def build_register_session(sender_context: bytes = ZERO_CONTEXT) -> bytes:
     """RegisterSession request: protocol version 1, options 0."""
     payload = struct.pack("<HH", PROTOCOL_VERSION, 0)

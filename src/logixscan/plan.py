@@ -21,14 +21,19 @@ estimated reply would cross the limit; a flush packs its writes with the
 same packer.  Every request is encoded once, when its op is built, and each
 transfer is planned as the bytes it sends; each write, a run's or a lone
 output's, is planned with the outputs it carries and its encoded head.  A
-flush builds at most one write per planned write, from its first dirty
-output to its last: `WriteSpan.part` composes that range's head from the
-planned one, whose service, symbol segments and type it keeps, with a new
-element segment and count, so a flush encodes no path and only packs the
-elements behind the head.  Each read also holds the plain lists of the
-subscriptions its reply stores, and the plan a slot per transfer for the
-scanner to keep its last Multi-Request reply in, so a repeated reply is
-neither split nor routed again; a new plan starts with nothing kept.
+flush cuts each planned write's dirty outputs into parts
+(`WriteSpan.parts`) at every gap whose elements cost more bytes than a
+write of its own adds, and `cut_writes` keeps the cut only where the
+batched writes then pack into no more transfers and no more bytes than one
+write per planned write; unbatched, nothing is cut.  Each part is one
+write, from its first dirty output to its last: `WriteSpan.part` composes
+its head from the planned one, whose service, symbol segments and type it
+keeps, with a new element segment and count, so a flush encodes no path
+and only packs the elements behind the head.  Each read also holds the
+plain lists of the subscriptions its reply stores, and the plan a slot per
+transfer for the scanner to keep its last Multi-Request reply in, so a
+repeated reply is neither split nor routed again; a new plan starts with
+nothing kept.
 
 A member needs only its addressing and its routing: `group`, `element`,
 `bit`, `wire_type()`, `wire_path()`, `coalesce`, `direction` and
@@ -134,24 +139,74 @@ class WriteSpan(NamedTuple):
         """The elements and head of a write of this span's elements from
         `first` to `high`.  The head is the planned one with only its
         element segment and count new: its service, symbol segments and
-        type are kept, so no path is encoded.  It is never longer than the
-        planned write, so it fits wherever that does: one that a wider
-        element segment would make longer (a one-byte type starting just
-        past 255 or 65535) starts where the planned one does."""
+        type are kept, so no path is encoded."""
         elements, head = self.elements, self.head
         if first == elements[0] and high == elements[-1]:
             return elements, head
-        planned = cip.encode_element(elements[0])
-        element = cip.encode_element(first)
-        grown = len(element) - len(planned)
-        if grown > self.key[1].width * (len(elements) - (high - first + 1)):
-            first, element, grown = elements[0], planned, 0
+        first, element, grown = self._start(first, high)
         # service, path size in words, symbol segments | element | type, count
-        symbols = head[2:len(head) - 4 - len(planned)]
+        symbols = head[2:len(head) - 4 - len(element) + grown]
         return range(first, high + 1), (
             bytes((head[0], head[1] + grown // 2)) + symbols + element
             + head[-4:-2] + (high - first + 1).to_bytes(2, "little")
         )
+
+    def size(self, first: int | None, high: int | None) -> int:
+        """The encoded size of the write `part` composes, head and data."""
+        elements, width = self.elements, self.key[1].width
+        if first == elements[0] and high == elements[-1]:
+            return len(self.head) + width * len(elements)
+        first, _element, grown = self._start(first, high)
+        return len(self.head) + grown + width * (high - first + 1)
+
+    def _start(self, first: int, high: int) -> tuple[int, bytes, int]:
+        """The element a write from `first` to `high` starts at, its
+        element segment, and how many bytes longer than the planned head
+        its head is.  It is never longer than the planned write, so it fits
+        wherever that does: one that a wider element segment would make
+        longer (a one-byte type starting just past 255 or 65535) starts
+        where the planned one does."""
+        elements = self.elements
+        planned = cip.encode_element(elements[0])
+        element = cip.encode_element(first)
+        grown = len(element) - len(planned)
+        if grown > self.key[1].width * (len(elements) - (high - first + 1)):
+            return elements[0], planned, 0
+        return first, element, grown
+
+    def parts(self, dirty: list, reply: int) -> list[list]:
+        """Cut this span's dirty outputs, in element order, into the outputs
+        of the writes that carry them: at every gap whose elements cost more
+        bytes than a write of its own adds to a Multi-Request and its reply
+        (its head, its reply of `reply` bytes, and an offset for each).  On
+        a tie the gap stays joined.  A write after a cut starts at its
+        first output, because its element segment costs less than the gap
+        it skips."""
+        if len(dirty) == 1 or dirty[-1].element - dirty[0].element < 2:
+            return [dirty]  # no gap
+        width = self.key[1].width
+        # what a write of its own adds, but for its element segment: its
+        # head's service, path size, symbols, type and count, one offset
+        # in the request, and its reply with an offset in the reply
+        adds = (
+            len(self.head) - len(cip.encode_element(self.elements[0]))
+            + cip.multi_request_size([0]) - cip.multi_request_size([])
+            + cip.multi_response_size([reply]) - cip.multi_response_size([])
+        )
+        last = dirty[0].element
+        if width * (dirty[-1].element - last - 1) <= adds:
+            return [dirty]  # no gap can cost more
+        parts, start = [], 0
+        for i, sub in enumerate(dirty):
+            element = sub.element
+            gap = width * (element - last - 1)
+            # (the first test spares encoding the segment of a short gap)
+            if gap > adds and gap > adds + len(cip.encode_element(element)):
+                parts.append(dirty[start:i])
+                start = i
+            last = element
+        parts.append(dirty[start:])
+        return parts
 
 
 @dataclass
@@ -296,20 +351,79 @@ def pack(ops: list, limit: int, batching: bool) -> list[Transfer]:
     """Group read or write ops (anything with `encoded` and
     `response_estimate`), in order, into transfers under the limit; without
     batching, every op is its own transfer."""
-    packed: list[list] = []
-    for op in ops:
-        if packed and batching and _fits(packed[-1] + [op], limit):
-            packed[-1].append(op)
+    transfers = []
+    for first, end in _group([(len(op.encoded), op.response_estimate) for op in ops],
+                             limit, batching):
+        t = ops[first:end]
+        transfers.append(
+            (t, t[0].encoded if len(t) == 1 else cip.encode_multi_request([op.encoded for op in t]))
+        )
+    return transfers
+
+
+def cut_writes(writes: list, limit: int, batching: bool, reply: int) -> list:
+    """The writes a flush sends: `writes` holds each planned write that
+    carries dirty outputs with those outputs, in plan order, and each
+    (planned write, outputs) returned is one write, from its first output
+    to its last.  Batched, each planned write is cut into its
+    `WriteSpan.parts`, unless the cut writes would pack into more transfers,
+    or more request and reply bytes, than one write per planned write (say
+    a lone write that cutting would turn into a Multi-Request); unbatched,
+    every write is a round trip of its own, so none is cut."""
+    if not batching:
+        return writes
+    cut = [(span, part) for span, dirty in writes for part in span.parts(dirty, reply)]
+    if len(cut) == len(writes):
+        return writes
+    if len(writes) > 1 and _fits(
+        [(len(span.head) + span.key[1].width * len(span.elements), reply) for span, _ in writes],
+        limit,
+    ):
+        # the planned writes fit one Multi-Request, so the ones from first
+        # to last dirty output, never longer, do too, and so do the cut
+        # ones, whose requests are smaller still; there every cut saves at
+        # least the byte a first part can add (a one-byte type starting
+        # just past element 255, where one write would start a byte lower)
+        return cut
+    whole_sizes = [(span.size(dirty[0].element, dirty[-1].element), reply)
+                   for span, dirty in writes]
+    cut_sizes = [(span.size(part[0].element, part[-1].element), reply) for span, part in cut]
+    transfers, size = _cost(cut_sizes, limit)
+    whole_transfers, whole_size = _cost(whole_sizes, limit)
+    return cut if transfers <= whole_transfers and size <= whole_size else writes
+
+
+def _cost(sizes: list[tuple[int, int]], limit: int) -> tuple[int, int]:
+    """The transfers a batched packer groups ops, as (request, reply)
+    sizes, into, and their request and reply bytes."""
+    groups = _group(sizes, limit, True)
+    total = 0
+    for first, end in groups:
+        if end - first == 1:  # a lone op: its request and its reply
+            total += sum(sizes[first])
         else:
-            packed.append([op])
-    return [
-        (t, t[0].encoded if len(t) == 1 else cip.encode_multi_request([op.encoded for op in t]))
-        for t in packed
-    ]
+            requests, replies = zip(*sizes[first:end])
+            total += cip.multi_request_size(requests) + cip.multi_response_size(replies)
+    return len(groups), total
 
 
-def _fits(ops: list, limit: int) -> bool:
-    """Whether one Multi-Request of ops, and its reply, fit the limit."""
-    request_size = cip.multi_request_size([len(op.encoded) for op in ops])
-    reply_size = cip.multi_response_size([op.response_estimate for op in ops])
-    return cip.wrapped_request_size(request_size) <= limit and reply_size <= limit
+def _group(sizes: list[tuple[int, int]], limit: int, batching: bool) -> list[list[int]]:
+    """Group ops, as (request, reply) sizes, in order, into transfers under
+    the limit: each the [first, end) of its ops."""
+    groups: list[list[int]] = []
+    for i in range(len(sizes)):
+        if groups and batching and _fits(sizes[groups[-1][0]:i + 1], limit):
+            groups[-1][1] = i + 1
+        else:
+            groups.append([i, i + 1])
+    return groups
+
+
+def _fits(sizes: list[tuple[int, int]], limit: int) -> bool:
+    """Whether one Multi-Request of ops, as (request, reply) sizes, and its
+    reply fit the limit."""
+    requests, replies = zip(*sizes)
+    return (
+        cip.wrapped_request_size(cip.multi_request_size(requests)) <= limit
+        and cip.multi_response_size(replies) <= limit
+    )

@@ -411,8 +411,21 @@ class _SimTcpServer(socketserver.ThreadingTCPServer):
         self.active: set[socket.socket] = set()
         super().__init__(addr, handler)
 
+    def process_request(self, request, client_address):
+        # kept from accept, before its handler thread runs, so that once
+        # serving has stopped every accepted session is here to be severed
+        with self.active_lock:
+            self.active.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self.active_lock:
+            self.active.discard(request)
+        super().shutdown_request(request)
+
     def close_all_sessions(self) -> None:
-        """Sever established sessions so a stopped sim looks dead to peers."""
+        """Sever every accepted session, so a stopped sim looks dead to its
+        peers and every handler thread returns."""
         with self.active_lock:
             sessions = list(self.active)
         for sock in sessions:
@@ -428,12 +441,6 @@ class _SessionHandler(socketserver.BaseRequestHandler):
         self.session_handle = 0
         self.connections: dict[int, _Connection] = {}
         self.data_requests = 0
-        with self.server.active_lock:
-            self.server.active.add(self.request)
-
-    def finish(self):
-        with self.server.active_lock:
-            self.server.active.discard(self.request)
 
     def handle(self):
         while True:
@@ -580,7 +587,8 @@ class PlcSim:
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
+        if self._thread is not None:  # shutdown() waits for serving to stop
+            self._server.shutdown()
         self._server.close_all_sessions()
         self._server.server_close()
         if self._thread is not None:

@@ -32,18 +32,21 @@ one comparison per transfer before its cells are stored.  Discovery reads
 and a flush's writes keep nothing, and a new plan starts with nothing kept.
 Outputs are written on demand and read back every cycle, with drift
 notifications for watched outputs when the PLC side changed, run once the
-step's replies are all stored.  A flush walks the plan's writes and builds,
-with no I/O, one write for each that carries a dirty output, from its first
-dirty element to its last: staged values on the dirty elements, and the
-span cache that the list's reads fill on the gaps between them, so no
-element outside that range is written.  Its head is the planned one with a
-new element segment and count, so a flush encodes no path.  An output the
-plan left out (unplannable, or of a type still unknown) is in no planned
-write, so no flush sends it.  If a write builds on an element the cache
-lacks (a gap not yet read, or a BOOL word to modify), the flush sends the
-list's own planned reads once, through the same transfer loop and the same
-reply handling as a cycle, then builds every write again; a write that
-still lacks an element fails, its outputs ERROR and still dirty.  The
+step's replies are all stored.  A flush walks the plan's writes that carry
+dirty outputs and, batched, cuts each at every gap that costs more bytes
+than a write of its own (`plan.cut_writes`: never into more transfers or
+more bytes than one write per planned write).  It builds, with no I/O, one
+write per part, from its first dirty element to its last: staged values on
+the dirty elements, and the span cache that the list's reads fill on the
+short gaps the part keeps, so no element outside a part is written.  Its
+head is the planned one with a new element segment and count, so a flush
+encodes no path.  An output the plan left out (unplannable, or of a type
+still unknown) is in no planned write, so no flush sends it.  If a write
+builds on an element the cache lacks (a gap not yet read, or a BOOL word to
+modify), the flush sends the list's own planned reads once, through the
+same transfer loop and the same reply handling as a cycle, then builds
+every write again; a write that still lacks an element fails, its outputs
+ERROR and still dirty.  The
 writes are packed in order with the planner's packer; each embedded write
 lands and settles to its elements as packed, or fails and stays dirty,
 alone, and an output whose staged value cannot be encoded fails alone,
@@ -62,6 +65,7 @@ from __future__ import annotations
 import enum
 import functools
 import logging
+import math
 import queue
 import threading
 import time
@@ -71,7 +75,7 @@ from dataclasses import dataclass, field, replace
 from . import cip
 from .cip import CipType, CipValue, Element, Epath
 from .client import PlcClient, PlcEndpoint, PlcError, Phase
-from .plan import Direction, ReadOp, ScanPlan, WriteSpan, pack, plan_list
+from .plan import Direction, ReadOp, ScanPlan, WriteSpan, cut_writes, pack, plan_list
 from .tags import BITS_PER_DINT, TagPart, TagRef, format_tag, parse_tag, to_epath
 
 log = logging.getLogger(__name__)
@@ -347,8 +351,8 @@ class TagScanner:
             ref = replace(ref, bool_array=True)
         if isinstance(direction, str):
             direction = Direction(direction)
-        if period_s <= 0:
-            raise ValueError("period must be positive")
+        if not 0 < period_s < math.inf:  # a NaN or infinite period never comes due
+            raise ValueError("period must be positive and finite")
         if ref.bool_array and elem_type not in (None, CipType.BOOL):
             raise ValueError("bool-array tags carry BOOL elements")
         unit = self._unit(plc_name)
@@ -728,25 +732,29 @@ class TagScanner:
                 op.settle()
 
     def _build_flush(self, unit: _PlcUnit, sl: ScanList) -> tuple[list[WriteOp], list]:
-        """One write per planned write that carries a dirty output, built
-        with no I/O, in plan order; and the outputs whose write builds on an
-        element the span cache lacks, unbuilt.  An output the plan left out
-        (unplannable, or of a type still unknown) is in no planned write, so
-        it stays dirty, unwritten."""
-        ops: list[WriteOp] = []
-        lacking = []
+        """The writes of the planned writes that carry dirty outputs, cut
+        by `plan.cut_writes` and built with no I/O, in plan order; and the
+        outputs whose write builds on an element the span cache lacks,
+        unbuilt.  An output the plan left out (unplannable, or of a type
+        still unknown) is in no planned write, so it stays dirty, unwritten."""
+        writes = []
         for span in self._plan(unit, sl).write_spans:
             dirty = [sub for sub in span.outputs if sub.dirty]
             if dirty:
-                lacking += self._build_write(unit, sl, span, dirty, ops)
+                writes.append((span, dirty))
+        ops: list[WriteOp] = []
+        lacking = []
+        limit = unit.client.endpoint.buffer_limit
+        for span, dirty in cut_writes(writes, limit, self.batching, WriteOp.response_estimate):
+            lacking += self._build_write(unit, sl, span, dirty, ops)
         return ops, lacking
 
     def _build_write(
         self, unit: _PlcUnit, sl: ScanList, span: WriteSpan,
         dirty: list[Subscription], ops: list[WriteOp],
     ) -> list[Subscription]:
-        """Build the write of one planned write's dirty outputs into `ops`,
-        from its first dirty element to its last: staged values on dirty
+        """Build one write of a planned write's dirty outputs into `ops`,
+        from the first of them to the last: staged values on dirty
         elements, the span cache on the gaps between them.  Returns the
         outputs, unbuilt, if it builds on an element the cache lacks.  An
         output whose own staged value cannot be encoded fails alone, and the

@@ -23,6 +23,8 @@ from logixscan.cip import (
     Symbol,
 )
 
+from reference import build_read_request, decode_typed_data, wrap_unconnected_send
+
 
 def decode_epath_by_hand(data: bytes) -> list:
     """Independent table-driven decoder for word-count-prefixed paths."""
@@ -151,7 +153,7 @@ def test_fuzz_epath_roundtrip():
 # -- typed values -----------------------------------------------------------
 
 def test_real_decode_golden_bytes():
-    value = cip.decode_typed_data(bytes.fromhex("ca 00 00 80 38 3b"))
+    value = decode_typed_data(bytes.fromhex("ca 00 00 80 38 3b"))
     assert value.type is CipType.REAL
     assert value.scalar == pytest.approx(0.0028152466, abs=1e-9)
 
@@ -184,27 +186,27 @@ def test_bool_wire_form():
 
 def test_typed_data_rejects_garbage():
     with pytest.raises(CipError):
-        cip.decode_typed_data(b"\xc4")
+        decode_typed_data(b"\xc4")
     with pytest.raises(CipError):
-        cip.decode_typed_data(b"\x99\x09\x00")  # unknown type code
+        decode_typed_data(b"\x99\x09\x00")  # unknown type code
     with pytest.raises(CipError):
-        cip.decode_typed_data(b"\xc4\x00\x01\x02")  # partial DINT
+        decode_typed_data(b"\xc4\x00\x01\x02")  # partial DINT
     with pytest.raises(CipError):
-        cip.decode_typed_data(b"\xc4\x00")  # no elements
+        decode_typed_data(b"\xc4\x00")  # no elements
 
 
 def test_bool_decode_reads_any_nonzero_byte_as_true():
     assert cip.unpack_elements(CipType.BOOL, b"\x02\x80\x00") == (True, True, False)
-    value = cip.decode_typed_data(b"\xc1\x00\x80")
+    value = decode_typed_data(b"\xc1\x00\x80")
     assert value.type is CipType.BOOL and value.elements == (True,)
 
 
 def test_decode_different_counts_of_one_type_back_to_back():
     three = cip.pack_elements(CipType.DINT, [1, -2, 3])
     five = cip.pack_elements(CipType.DINT, [5, 6, -7, 8, 9])
-    assert cip.decode_typed_data(b"\xc4\x00" + three).elements == (1, -2, 3)
-    assert cip.decode_typed_data(b"\xc4\x00" + five).elements == (5, 6, -7, 8, 9)
-    assert cip.decode_typed_data(b"\xc4\x00" + three).elements == (1, -2, 3)
+    assert decode_typed_data(b"\xc4\x00" + three).elements == (1, -2, 3)
+    assert decode_typed_data(b"\xc4\x00" + five).elements == (5, 6, -7, 8, 9)
+    assert decode_typed_data(b"\xc4\x00" + three).elements == (1, -2, 3)
 
 
 def test_decode_beyond_the_compiled_layout_cache():
@@ -306,7 +308,7 @@ def test_pack_elements_matches_element_by_element_packing():
 # -- requests / responses --------------------------------------------------
 
 def test_read_request_golden_bytes():
-    req = cip.build_read_request(Epath([Symbol("TEST")]), 1)
+    req = build_read_request(Epath([Symbol("TEST")]), 1)
     encoded = cip.encode_request(req)
     assert encoded == b"\x4c" + SYMBOL_TEST_PATH + b"\x01\x00"
     assert len(encoded) == 10
@@ -363,22 +365,22 @@ def test_short_string_parsing():
 # -- unconnected send -------------------------------------------------------
 
 def test_unconnected_send_wrapping_overhead():
-    inner = cip.build_read_request(Epath([Symbol("TEST")]), 1)
+    inner = build_read_request(Epath([Symbol("TEST")]), 1)
     inner_size = len(cip.encode_request(inner))  # 10, even
-    wrapped = cip.wrap_unconnected_send(inner, slot=3)
+    wrapped = wrap_unconnected_send(inner, slot=3)
     encoded = cip.encode_request(wrapped)
     assert len(encoded) == inner_size + 14
     assert cip.wrapped_request_size(inner_size) == len(encoded)
     # odd inner sizes gain a pad byte
-    odd_inner = cip.build_read_request(Epath([Symbol("abc"), Element(1)]), 1)
+    odd_inner = build_read_request(Epath([Symbol("abc"), Element(1)]), 1)
     odd_size = len(cip.encode_request(odd_inner))
     assert cip.wrapped_request_size(11) == 11 + 14 + 1
     assert odd_size % 2 == 0  # symbol padding keeps real requests even
 
 
 def test_unconnected_send_parse_recovers_inner():
-    inner = cip.build_read_request(Epath([Symbol("TEST")]), 2)
-    wrapped = cip.wrap_unconnected_send(inner, slot=0)
+    inner = build_read_request(Epath([Symbol("TEST")]), 2)
+    wrapped = wrap_unconnected_send(inner, slot=0)
     message, route = cip.parse_unconnected_send(wrapped)
     assert message == cip.encode_request(inner)
     assert route == PortLink(1, 0)
@@ -386,8 +388,8 @@ def test_unconnected_send_parse_recovers_inner():
 
 
 def test_unconnected_send_addressed_to_connection_manager():
-    inner = cip.build_read_request(Epath([Symbol("x")]), 1)
-    encoded = cip.encode_request(cip.wrap_unconnected_send(inner, slot=0))
+    inner = build_read_request(Epath([Symbol("x")]), 1)
+    encoded = cip.encode_request(wrap_unconnected_send(inner, slot=0))
     assert encoded[0] == 0x52
     assert encoded[1:6] == b"\x02\x20\x06\x24\x01"
 
@@ -404,14 +406,14 @@ def unconnected_send_by_hand(message: bytes, slot: int) -> bytes:
 
 
 def test_encode_unconnected_send_matches_the_wrapped_request():
-    even = cip.build_read_request(Epath([Symbol("TEST")]), 1)
+    even = build_read_request(Epath([Symbol("TEST")]), 1)
     odd = CipRequest(cip.READ_DATA, Epath([Symbol("TEST")]), b"\x01")
     for inner in (even, odd):
         message = cip.encode_request(inner)
         for slot in range(17):
             wire = cip.encode_unconnected_send(message, slot)
             assert wire == unconnected_send_by_hand(message, slot)
-            assert wire == cip.encode_request(cip.wrap_unconnected_send(inner, slot))
+            assert wire == cip.encode_request(wrap_unconnected_send(inner, slot))
             assert len(wire) == cip.wrapped_request_size(len(message))
     assert len(cip.encode_request(odd)) % 2 == 1
     with pytest.raises(CipError, match="16-bit size"):
@@ -424,7 +426,7 @@ def test_encode_unconnected_send_matches_the_wrapped_request():
 # -- multi-request ----------------------------------------------------------
 
 def read_req(name: str) -> CipRequest:
-    return cip.build_read_request(Epath([Symbol(name)]), 1)
+    return build_read_request(Epath([Symbol(name)]), 1)
 
 
 def test_multi_request_offsets_golden():

@@ -6,12 +6,13 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
 from logixscan.cli import EXIT_TIMEOUT, _parse_faults, main
-from logixscan.client import PlcClient, PlcEndpoint
+from logixscan.client import PlcClient, PlcEndpoint, PlcError
 from logixscan.plcsim import FaultPlan, PlcSim
 
 from conftest import make_store
@@ -210,6 +211,63 @@ def test_sim_subcommand_serves_clients(tmp_path):
         try:
             proc.wait(timeout=5)
         except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert proc.returncode == 0
+
+
+def test_sim_subcommand_stops_at_sigint_with_sessions_open(tmp_path):
+    # one session registered and idle, one client reading without pause,
+    # and one TCP peer that never registers: SIGINT still stops the sim at
+    # once, and every peer sees its session end
+    tag_file = tmp_path / "tags.txt"
+    tag_file.write_text("counts DINT[3] = 7\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "logixscan", "sim", str(tag_file), "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    endpoint = None
+    stop = threading.Event()
+    reads = []
+
+    def busy():
+        client = PlcClient(endpoint)
+        try:
+            client.connect()
+            while not stop.is_set():
+                reads.append(client.read_tag("counts", count=3).elements)
+        except (PlcError, OSError):
+            pass  # the sim went away under it
+        finally:
+            client.close()
+
+    try:
+        match = re.fullmatch(r"listening on 127\.0\.0\.1:(\d+)", proc.stdout.readline().strip())
+        assert match, proc.stderr.read()
+        port = int(match.group(1))
+        endpoint = PlcEndpoint("127.0.0.1", port=port, request_timeout=2.0)
+        idle = PlcClient(endpoint)
+        idle.connect()
+        peer = socket.create_connection(("127.0.0.1", port), timeout=5)
+        reader = threading.Thread(target=busy)
+        reader.start()
+        deadline = time.monotonic() + 5
+        while not reads and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert reads, "the busy client read nothing"
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=5)  # the same bound as the test above
+        assert peer.recv(1) == b""
+        stop.set()
+        reader.join(5)
+        assert not reader.is_alive()
+        peer.close()
+        idle.close()
+    finally:
+        stop.set()
+        if proc.poll() is None:
             proc.kill()
             proc.wait()
         proc.stdout.close()

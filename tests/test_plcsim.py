@@ -3,11 +3,12 @@
 import random
 import socket
 import struct
+import threading
 import time
 
 import pytest
 
-from logixscan import cip, encap
+from logixscan import cip, encap, plcsim
 from logixscan.cip import (
     Attribute,
     CipRequest,
@@ -18,7 +19,6 @@ from logixscan.cip import (
     ObjectClass,
     Symbol,
     build_get_attribute_single,
-    build_read_request,
     decode_response,
     encode_request,
     parse_read_response,
@@ -36,6 +36,7 @@ from logixscan.plcsim import (
 from logixscan.tags import parse_tag, to_epath
 
 from conftest import make_store
+from reference import build_read_request, wrap_unconnected_send
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +213,14 @@ def test_unconnected_send_is_transparent():
     eng = engine()
     inner = build_read_request(to_epath(parse_tag("TEST")), 1)
     bare = serve_cip(eng, inner)
-    wrapped = serve_cip(eng, cip.wrap_unconnected_send(inner, slot=0))
+    wrapped = serve_cip(eng, wrap_unconnected_send(inner, slot=0))
     assert wrapped == bare
 
 
 def test_unconnected_send_bad_slot():
     eng = engine()
     inner = build_read_request(to_epath(parse_tag("TEST")), 1)
-    resp = decode_response(serve_cip(eng, cip.wrap_unconnected_send(inner, slot=3)))
+    resp = decode_response(serve_cip(eng, wrap_unconnected_send(inner, slot=3)))
     assert resp.general_status == cip.STATUS_CONNECTION_FAILURE
     assert resp.extended_status == (cip.EXT_INVALID_LINK,)
 
@@ -228,7 +229,7 @@ def test_route_depth_guard():
     eng = engine()
     req = build_read_request(to_epath(parse_tag("TEST")), 1)
     for _ in range(6):
-        req = cip.wrap_unconnected_send(req, slot=0)
+        req = wrap_unconnected_send(req, slot=0)
     resp = decode_response(serve_cip(eng, req))
     assert resp.general_status == cip.STATUS_NO_RESOURCES
 
@@ -418,7 +419,7 @@ def test_refused_sessions():
 def test_rr_data_round_trip(sim):
     sock, handle = open_session(sim)
     request = encode_request(
-        cip.wrap_unconnected_send(build_read_request(to_epath(parse_tag("TEST")), 1), slot=0)
+        wrap_unconnected_send(build_read_request(to_epath(parse_tag("TEST")), 1), slot=0)
     )
     sock.sendall(encap.build_rr_data(handle, request, b"ctx00001"))
     header, payload = read_packet(sock)
@@ -477,7 +478,7 @@ def test_drop_after_counts_data_requests():
     with PlcSim(make_store(), FaultPlan(drop_after=2)) as sim:
         sock, handle = open_session(sim)
         request = encode_request(
-            cip.wrap_unconnected_send(build_read_request(to_epath(parse_tag("TEST")), 1), slot=0)
+            wrap_unconnected_send(build_read_request(to_epath(parse_tag("TEST")), 1), slot=0)
         )
         sock.sendall(encap.build_rr_data(handle, request))
         header, _ = read_packet(sock)
@@ -491,7 +492,7 @@ def test_latency_fault_delays_data():
     with PlcSim(make_store(), FaultPlan(latency_s=0.1)) as sim:
         sock, handle = open_session(sim)
         request = encode_request(
-            cip.wrap_unconnected_send(build_read_request(to_epath(parse_tag("TEST")), 1), slot=0)
+            wrap_unconnected_send(build_read_request(to_epath(parse_tag("TEST")), 1), slot=0)
         )
         started = time.monotonic()
         sock.sendall(encap.build_rr_data(handle, request))
@@ -504,7 +505,7 @@ def test_round_trip_counter(sim):
     before = sim.store.round_trips
     sock, handle = open_session(sim)
     request = encode_request(
-        cip.wrap_unconnected_send(build_read_request(to_epath(parse_tag("TEST")), 1), slot=0)
+        wrap_unconnected_send(build_read_request(to_epath(parse_tag("TEST")), 1), slot=0)
     )
     for _ in range(3):
         sock.sendall(encap.build_rr_data(handle, request))
@@ -593,3 +594,44 @@ def test_tag_file_errors(line, fragment):
         parse_tag_file("# header\n" + line + "\n")
     assert "line 2" in str(info.value)
     assert fragment in str(info.value)
+
+
+def stopper(sim) -> threading.Thread:
+    """A started thread stopping the sim, left behind if stopping hangs."""
+    thread = threading.Thread(target=sim.stop, daemon=True)
+    thread.start()
+    return thread
+
+
+def test_stop_severs_a_session_whose_handler_has_not_run_yet(monkeypatch):
+    # a connection accepted just before stop() whose handler thread has not
+    # started: stop() severs it too, so the stopped sim looks dead to that
+    # peer and its handler, blocked on the idle peer, returns
+    entered, release = threading.Event(), threading.Event()
+    setup = plcsim._SessionHandler.setup
+
+    def late_setup(handler):
+        entered.set()
+        release.wait(5)
+        setup(handler)
+
+    monkeypatch.setattr(plcsim._SessionHandler, "setup", late_setup)
+    sim = PlcSim(make_store()).start()
+    peer = socket.create_connection(("127.0.0.1", sim.port), timeout=5)
+    try:
+        assert entered.wait(5)
+        stopping = stopper(sim)
+        time.sleep(0.3)  # stop() severs the sessions it knows of
+        release.set()
+        stopping.join(5)
+        assert not stopping.is_alive()
+        assert peer.recv(1) == b""  # the peer sees the session end
+    finally:
+        release.set()
+        peer.close()
+
+
+def test_a_sim_never_started_stops_at_once():
+    stopping = stopper(PlcSim(make_store()))
+    stopping.join(5)
+    assert not stopping.is_alive()

@@ -23,6 +23,7 @@ from logixscan.scanner import Direction, Quality, TagScanner
 from logixscan.tags import bool_remap, parse_tag, to_epath
 
 from conftest import connect_to, make_store, offset_table
+from reference import build_read_request
 
 
 _SCANNERS: list[TagScanner] = []
@@ -71,7 +72,7 @@ def read_of(tag, count, bool_array=False):
     ref = parse_tag(tag, bool_array=bool_array)
     if bool_array:
         ref = bool_remap(ref)[0]
-    return cip.build_read_request(to_epath(ref), count)
+    return build_read_request(to_epath(ref), count)
 
 
 def wire_bytes(requests):
@@ -1058,6 +1059,83 @@ def test_a_cold_flush_reads_its_list_only_for_a_gap_or_a_bit(tags, reads_first):
         assert all(sc.value_of(sub) == 1 and not sub.dirty for sub in staged)
 
 
+def far_outputs(sc):
+    """`big[0]` and `big[100]` of a DINT[200]: one planned write, whose 99
+    elements between them cost 396 bytes, more than the 22 a write of its
+    own adds."""
+    subs = [
+        sc.add_tag("plc", f"big[{i}]", 1.0, direction="out", elem_type=CipType.DINT)
+        for i in (0, 100)
+    ]
+    (span,) = planned(sc, 1.0).write_spans
+    assert (span.elements, span.outputs) == (range(0, 101), subs)
+    return subs
+
+
+def recorded(monkeypatch, sc):
+    """The messages the scanner's client sends from now on."""
+    client = sc._units["plc"].client
+    messages = []
+    round_trip = client.round_trip
+    monkeypatch.setattr(
+        client, "round_trip", lambda message: messages.append(message) or round_trip(message)
+    )
+    return messages
+
+
+def test_a_warm_flush_cuts_a_long_gap_into_writes_of_their_own(monkeypatch):
+    with big_sim(200) as sim:
+        sc = scanner_for(sim)
+        lo, hi = far_outputs(sc)
+        sc.scan_once("plc")
+        messages = recorded(monkeypatch, sc)
+        sc.write(lo, -1, immediate=False)
+        sc.write(hi, -101, immediate=False)
+        sc.flush("plc")
+        # one Multi-Request to the Message Router of two one-element
+        # writes: Write_Data, big[0] and big[100] (4 path words), DINT, 1
+        assert messages == [bytes.fromhex("0a 02 2002 2401") + offset_table([
+            bytes.fromhex("53 04 9103 626967 00 2800 c400 0100 ffffffff"),
+            bytes.fromhex("53 04 9103 626967 00 2864 c400 0100 9bffffff"),
+        ])]
+        assert [(sc.value_of(sub), sub.quality, sub.dirty) for sub in (lo, hi)] == [
+            (-1, Quality.OK, False), (-101, Quality.OK, False)
+        ]
+
+
+def test_a_plc_side_change_inside_a_long_gap_survives_a_flush():
+    with big_sim(200) as sim:
+        sc = scanner_for(sim)
+        lo, hi = far_outputs(sc)
+        sc.scan_once("plc")  # the span cache holds every element
+        sim.store.set_tag("big[50]", 999)  # changed on the PLC after the read
+        sc.write(lo, -1, immediate=False)
+        sc.write(hi, -101, immediate=False)
+        sc.flush("plc")
+        expected = list(range(200))
+        expected[0], expected[50], expected[100] = -1, 999, -101
+        assert sim.store.get_tag("big").elements == tuple(expected)
+
+
+def test_an_unbatched_flush_writes_across_a_long_gap(monkeypatch):
+    # each cut write would cost a round trip of its own: one write, from
+    # the first dirty output to the last, the gap as read
+    with big_sim(200) as sim:
+        sc = scanner_for(sim, batching=False)
+        lo, hi = far_outputs(sc)
+        sc.scan_once("plc")
+        messages = recorded(monkeypatch, sc)
+        sc.write(lo, -1, immediate=False)
+        sc.write(hi, -101, immediate=False)
+        sc.flush("plc")
+        gap = struct.pack("<99i", *range(1, 100))
+        assert messages == [
+            bytes.fromhex("53 04 9103 626967 00 2800 c400 6500 ffffffff")
+            + gap + bytes.fromhex("9bffffff")
+        ]
+        assert sim.store.get_tag("big").elements[:101] == (-1, *range(1, 100), -101)
+
+
 def test_an_oversize_span_write_is_cut_into_writes_that_fit():
     store = make_store()
     store.define("big", CipType.DINT, list(range(126)))
@@ -1149,10 +1227,10 @@ def test_span_writes_across_a_cut_land_whole():
         reads_before = sim.store.service_counts[cip.READ_DATA]
         writes_before = sim.store.service_counts[cip.WRITE_DATA]
         sc.flush("plc")
-        # a cold cache: the list's two reads, then one span write per run,
-        # each carrying its gaps as read
-        assert sim.store.service_counts[cip.READ_DATA] == reads_before + 2
-        assert sim.store.service_counts[cip.WRITE_DATA] == writes_before + 2
+        # a cold cache, but every gap costs more than a write of its own:
+        # one write per output, none with a gap to read first
+        assert sim.store.service_counts[cip.READ_DATA] == reads_before
+        assert sim.store.service_counts[cip.WRITE_DATA] == writes_before + 4
         expected = list(range(200))
         for i in (0, 100, 150, 199):
             expected[i] = -i - 1
@@ -1998,6 +2076,30 @@ def test_tag_line_errors(tagline, fragment):
         parse_scan_config(text)
     assert "line 2" in str(info.value)
     assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("period,fragment", [
+    *((p, "period needs a finite number") for p in ("nan", "NaN", "inf", "-inf", "infinity", "1e999")),
+    ("0", "period must be positive, not 0"),
+    ("-5", "period must be positive, not -5"),
+])
+def test_a_period_that_is_not_positive_and_finite_is_refused(period, fragment):
+    text = f"plc main 1.2.3.4 slot=0\ntag main x period={period} dir=in\n"
+    with pytest.raises(ConfigError) as info:
+        parse_scan_config(text)
+    assert "line 2" in str(info.value)
+    assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("period_s", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_add_tag_refuses_a_period_that_is_not_positive_and_finite(period_s):
+    # a NaN period never comes due again once scanned, and an infinite one
+    # never does: the list would stop scanning with no overrun or error
+    sc = new_scanner()
+    sc.add_plc("plc", PlcEndpoint("127.0.0.1"))
+    with pytest.raises(ValueError, match="period must be positive and finite"):
+        sc.add_tag("plc", "x", period_s)
+    assert sc._units["plc"].lists == {}
 
 
 def test_duplicate_plc_rejected():

@@ -19,6 +19,7 @@ from logixscan.plcsim import PlcSim
 from logixscan.tags import TagError, parse_tag, to_epath
 
 from conftest import connect_to, make_store
+from reference import build_read_request
 
 PROPERTIES = settings(
     max_examples=200, deadline=None, derandomize=True, database=None,
@@ -67,7 +68,7 @@ def test_cached_requests_are_the_uncached_bytes(calls):
         for text, count in calls:
             path = to_epath(parse_tag(text))
             reader.read_tag(text, count)
-            assert reads[-1] == cip.encode_request(cip.build_read_request(path, count))
+            assert reads[-1] == cip.encode_request(build_read_request(path, count))
             value = CipValue(CipType.DINT, tuple(range(count % 7 + 1)))
             writer.write_tag(text, value)
             assert writes[-1] == cip.encode_write_request(path, value)
