@@ -28,8 +28,9 @@ batched writes then pack into no more transfers and no more bytes than one
 write per planned write; unbatched, nothing is cut.  Each part is one
 write, from its first dirty output to its last: `WriteSpan.part` composes
 its head from the planned one, whose service, symbol segments and type it
-keeps, with a new element segment and count, so a flush encodes no path
-and only packs the elements behind the head.  Each read also holds the
+keeps, with a new element segment and count, and the plan keeps each part
+it composed (`ScanPlan.part`), so a flush encodes no path and only packs
+the elements behind the head.  Each read also holds the
 plain lists of the subscriptions its reply stores, and the plan a slot per
 transfer for the scanner to keep its last Multi-Request reply in, so a
 repeated reply is neither split nor routed again; a new plan starts with
@@ -51,6 +52,16 @@ from .cip import CipType
 
 # sizes a discovery read, whose reply fixes its member's type (4 bytes, as DINT)
 UNKNOWN_TYPE_SIZING = CipType.DINT
+
+# the composed writes a plan keeps (`ScanPlan.part`); past it, it starts over
+PARTS_KEPT = 1024
+
+# a Multi-Request and its reply: the size of each with no op, and what each
+# op adds beside its own bytes (its offset)
+_MULTI_REQUEST = cip.multi_request_size([])
+_REQUEST_OFFSET = cip.multi_request_size([0]) - _MULTI_REQUEST
+_MULTI_RESPONSE = cip.multi_response_size([])
+_RESPONSE_OFFSET = cip.multi_response_size([0]) - _MULTI_RESPONSE
 
 GroupKey = tuple[str, CipType]
 
@@ -190,8 +201,7 @@ class WriteSpan(NamedTuple):
         # in the request, and its reply with an offset in the reply
         adds = (
             len(self.head) - len(cip.encode_element(self.elements[0]))
-            + cip.multi_request_size([0]) - cip.multi_request_size([])
-            + cip.multi_response_size([reply]) - cip.multi_response_size([])
+            + _REQUEST_OFFSET + reply + _RESPONSE_OFFSET
         )
         last = dirty[0].element
         if width * (dirty[-1].element - last - 1) <= adds:
@@ -221,9 +231,25 @@ class ScanPlan:
     # per transfer, its last Multi-Request reply and the embedded replies
     # it was split into (None: none yet); a new plan starts with none
     replies: list = field(init=False)
+    # (planned head, first, high) -> `WriteSpan.part(first, high)`: a head
+    # fixes its write's elements, so it keys the write
+    parts: dict = field(init=False)
 
     def __post_init__(self) -> None:
         self.replies = [None] * len(self.transfers)
+        self.parts = {}
+
+    def part(
+        self, span: WriteSpan, first: int | None, high: int | None
+    ) -> tuple[range | tuple, bytes]:
+        """`span.part(first, high)`, composed once per plan."""
+        key = (span.head, first, high)
+        part = self.parts.get(key)
+        if part is None:
+            if len(self.parts) >= PARTS_KEPT:
+                self.parts.clear()
+            part = self.parts[key] = span.part(first, high)
+        return part
 
 
 def group(subs) -> tuple[dict[GroupKey, list], list]:
@@ -409,13 +435,25 @@ def _cost(sizes: list[tuple[int, int]], limit: int) -> tuple[int, int]:
 
 def _group(sizes: list[tuple[int, int]], limit: int, batching: bool) -> list[list[int]]:
     """Group ops, as (request, reply) sizes, in order, into transfers under
-    the limit: each the [first, end) of its ops."""
+    the limit, as `_fits` sizes them: each the [first, end) of its ops."""
     groups: list[list[int]] = []
-    for i in range(len(sizes)):
-        if groups and batching and _fits(sizes[groups[-1][0]:i + 1], limit):
+    # the last group's ops, as a Multi-Request's and its reply's bytes
+    # less their empty size
+    requests = replies = 0
+    for i, (request, reply) in enumerate(sizes):
+        request += _REQUEST_OFFSET
+        reply += _RESPONSE_OFFSET
+        if (
+            groups and batching
+            and cip.wrapped_request_size(_MULTI_REQUEST + requests + request) <= limit
+            and _MULTI_RESPONSE + replies + reply <= limit
+        ):
             groups[-1][1] = i + 1
+            requests += request
+            replies += reply
         else:
             groups.append([i, i + 1])
+            requests, replies = request, reply
     return groups
 
 

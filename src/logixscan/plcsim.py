@@ -3,8 +3,9 @@
 Sessions, Connection Manager routing, tag reads/writes with type and bounds
 checks, Multi-Request dispatch, buffer-limit enforcement, and a small fault
 plan (latency, dropped connections, refused sessions, injected error
-statuses, malformed read replies) so the failure paths can be tested
-without hardware.
+statuses, malformed read replies, replies cut short by a close) so the
+failure paths can be tested without hardware.  `PlcSim.stop()` severs every
+session and waits, bounded, for their handler threads to end.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ log = logging.getLogger(__name__)
 
 DEFAULT_PRODUCT_NAME = "1756-ENET/A "
 MAX_ROUTE_DEPTH = 4
+# how long `PlcSim.stop()` waits in all for severed sessions' handlers to end
+HANDLER_JOIN_S = 2.0
 
 # fixed Identity attribute constants (only the product name is contractual)
 _IDENTITY_ATTRS = {
@@ -66,6 +69,9 @@ class FaultPlan:
     # every read reply, well framed and OK, loses its last data byte: data
     # that is not whole elements (of a one-byte type, one element short)
     malformed_reads: bool = False
+    # every data reply sends its header and half its payload, then the
+    # session closes
+    truncate_replies: bool = False
 
 
 class TagStore:
@@ -409,14 +415,29 @@ class _SimTcpServer(socketserver.ThreadingTCPServer):
     def __init__(self, addr, handler):
         self.active_lock = threading.Lock()
         self.active: set[socket.socket] = set()
+        # the session handler threads not yet ended (`server_close` joins
+        # no daemon thread)
+        self.handlers: set[threading.Thread] = set()
         super().__init__(addr, handler)
 
     def process_request(self, request, client_address):
         # kept from accept, before its handler thread runs, so that once
         # serving has stopped every accepted session is here to be severed
+        # and every handler here to be waited for
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
         with self.active_lock:
             self.active.add(request)
-        super().process_request(request, client_address)
+            self.handlers.add(thread)
+        thread.start()
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self.active_lock:
+                self.handlers.discard(threading.current_thread())
 
     def shutdown_request(self, request):
         with self.active_lock:
@@ -433,6 +454,14 @@ class _SimTcpServer(socketserver.ThreadingTCPServer):
                 sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+
+    def join_handlers(self, timeout: float) -> None:
+        """Wait up to `timeout` seconds in all for every handler to end."""
+        deadline = time.monotonic() + timeout
+        with self.active_lock:
+            handlers = list(self.handlers)
+        for thread in handlers:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
 
 class _SessionHandler(socketserver.BaseRequestHandler):
@@ -522,11 +551,14 @@ class _SessionHandler(socketserver.BaseRequestHandler):
                     self.session_handle, conn.t_to_o_id, sequence,
                     reply_cip, header.sender_context,
                 )
+        truncate = sim.faults.truncate_replies
+        if truncate:
+            packet = packet[:encap.HEADER_SIZE + (len(packet) - encap.HEADER_SIZE) // 2]
         try:
             self.request.sendall(packet)
         except OSError:
             return False
-        return True
+        return not truncate
 
     def _reply(self, header: encap.EncapsHeader, status: int, payload: bytes = b"") -> None:
         reply = encap.EncapsHeader(
@@ -590,6 +622,7 @@ class PlcSim:
         if self._thread is not None:  # shutdown() waits for serving to stop
             self._server.shutdown()
         self._server.close_all_sessions()
+        self._server.join_handlers(HANDLER_JOIN_S)
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=10)

@@ -25,39 +25,45 @@ encoded head, so a cycle only sends, decodes and stores.  Each planned read
 keeps the payload of its last accepted reply and the cells it decoded to: a
 reply whose bytes are the same again is not decoded, and its cells take the
 same immutable values with this cycle's timestamp, stored from lists built
-once.  Each planned transfer of two or more reads keeps its last
+once; a reply that changed but keeps its type and element count builds a
+value only for each element whose wire bytes changed, and the rest keep
+theirs.  Each planned transfer of two or more reads keeps its last
 Multi-Request reply and the embedded replies it was split into, so a reply
 equal to it is not split again: a cycle whose transfers repeat whole costs
 one comparison per transfer before its cells are stored.  Discovery reads
-and a flush's writes keep nothing, and a new plan starts with nothing kept.
-Outputs are written on demand and read back every cycle, with drift
-notifications for watched outputs when the PLC side changed, run once the
-step's replies are all stored.  A flush walks the plan's writes that carry
-dirty outputs and, batched, cuts each at every gap that costs more bytes
-than a write of its own (`plan.cut_writes`: never into more transfers or
-more bytes than one write per planned write).  It builds, with no I/O, one
-write per part, from its first dirty element to its last: staged values on
-the dirty elements, and the span cache that the list's reads fill on the
-short gaps the part keeps, so no element outside a part is written.  Its
-head is the planned one with a new element segment and count, so a flush
-encodes no path.  An output the plan left out (unplannable, or of a type
-still unknown) is in no planned write, so no flush sends it.  If a write
-builds on an element the cache lacks (a gap not yet read, or a BOOL word to
-modify), the flush sends the list's own planned reads once, through the
-same transfer loop and the same reply handling as a cycle, then builds
-every write again; a write that still lacks an element fails, its outputs
-ERROR and still dirty.  The
-writes are packed in order with the planner's packer; each embedded write
-lands and settles to its elements as packed, or fails and stays dirty,
-alone, and an output whose staged value cannot be encoded fails alone,
-unwritten.  Once a step loses the session, the later steps'
-requests fail unsent, so the loss counts one error.  A list keeps its
-failing state per cause (not connected, a transfer failed, a member's read
-failed) and logs a WARNING when it starts failing for a cause and an INFO
-when it recovers from it, so a member that always fails hides no session
-loss; a reply of another type than declared, and a member that no request
-under the buffer limit can carry, count an error each cycle but log once
-per plan.  Scan config files are parsed and applied by `config`.
+keep nothing, and a new plan starts with nothing kept.
+Outputs are staged by `write` (in place, or through the worker's queue from
+another thread while a worker runs), written on demand and read back every
+cycle, with drift notifications for watched outputs when the PLC side
+changed, run once the step's replies are all stored.  A flush walks the
+plan's writes that carry dirty outputs and, batched, cuts each at every gap
+that costs more bytes than a write of its own (`plan.cut_writes`: never
+into more transfers or more bytes than one write per planned write).  It
+builds, with no I/O, one write per part, from its first dirty element to
+its last: staged values on the dirty elements, and the span cache that the
+list's reads fill on the short gaps the part keeps, so no element outside a
+part is written; a BOOL word's dirty bits apply as one mask of bits to set
+and one to clear.  Its head is the planned one with a new element segment
+and count, composed once per plan, so a flush encodes no path.  An output
+the plan left out (unplannable, or of a type still unknown) is in no
+planned write, so no flush sends it.  If a write builds on an element the
+cache lacks (a gap not yet read, or a BOOL word to modify), the flush sends
+the list's own planned reads once, through the same transfer loop and the
+same reply handling as a cycle, then builds every write again; a write that
+still lacks an element fails, its outputs ERROR and still dirty.  The
+writes are packed in order with the planner's packer.  A reply whose writes
+all landed depends only on how many it carries, so it is known by its
+bytes and settles them all with no embedded reply split or decoded; in any
+other, each embedded write lands and settles to its elements as packed, or
+fails and stays dirty, alone.  An output whose staged value cannot be
+encoded fails alone, unwritten.  Once a step loses the session, the later
+steps' requests fail unsent, so the loss counts one error.  A list keeps
+its failing state per cause (not connected, a transfer failed, a member's
+read failed) and logs a WARNING when it starts failing for a cause and an
+INFO when it recovers from it, so a member that always fails hides no
+session loss; a reply of another type than declared, and a member that no
+request under the buffer limit can carry, count an error each cycle but log
+once per plan.  Scan config files are parsed and applied by `config`.
 """
 
 from __future__ import annotations
@@ -90,6 +96,22 @@ _UNENCODABLE = (cip.CipError, TypeError, ValueError, OverflowError)
 
 # a BOOL word to modify that the span cache does not hold
 _LACKING = object()
+
+_SIGN = 1 << (BITS_PER_DINT - 1)  # a DINT word's sign bit
+
+_OUTPUT = Direction.OUTPUT  # an enum member lookup is not free
+
+# what a write that landed replies: its status header alone
+_LANDED = cip.CipResponse(cip.WRITE_DATA | cip.REPLY_FLAG)
+
+
+# n, the writes one transfer holds, stays under 128 at any buffer limit
+@functools.lru_cache(maxsize=128)
+def _all_landed(n: int) -> tuple[cip.CipResponse, tuple]:
+    """The Multi-Request reply to n writes that all landed, which depends
+    on n alone, and the embedded replies it splits into."""
+    return cip.build_multi_response([_LANDED] * n), (_LANDED,) * n
+
 
 # why a list fails, in the order a cycle meets them: a cycle that fails for
 # one did not run (all of) the steps behind the later ones
@@ -261,15 +283,16 @@ class WriteOp:
     def settle(self) -> None:
         """The write landed: each subscription holds what went on the wire
         for it (a bit, from its written word), OK."""
-        now = time.time()
+        now, ok = time.time(), Quality.OK
         first, values = self.first, self.values
         for sub in self.subs:
             raw = values[0 if first is None else sub.element - first]
-            if sub.bit is not None:
-                value = _BOOL_CELLS[(raw >> sub.bit) & 1]
+            bit = sub.bit
+            if bit is not None:
+                value = _BOOL_CELLS[(raw >> bit) & 1]
             else:
                 value = CipValue(sub.elem_type, (raw,))
-            sub.cell = (value, now, Quality.OK)
+            sub.cell = (value, now, ok)
             sub.dirty = False
 
     def fail(self) -> None:
@@ -286,6 +309,16 @@ def _same_wire(a: CipValue, b: CipValue) -> bool:
     return a.type is b.type and (
         cip.pack_elements(a.type, a.elements) == cip.pack_elements(b.type, b.elements)
     )
+
+
+def _wire_words(value_type: CipType, payload: bytes, elements: tuple) -> tuple:
+    """Per element of a read reply, a value that two elements of this type
+    share only if they decode to values of the same wire bytes, as
+    `_same_wire` compares them: a REAL's bits (a NaN equals itself, and
+    -0.0 is not 0.0), any other element itself."""
+    if value_type is CipType.REAL:
+        return cip.unpack_elements(CipType.DINT, payload[2:])
+    return elements
 
 
 def _encoding_error(wire_type: CipType, value) -> Exception | None:
@@ -495,15 +528,12 @@ class TagScanner:
         """Run one cycle of one list (or all lists) synchronously."""
         unit = self._unit(plc_name)
 
-        def run():
-            lists = (
-                [unit.lists[period_s]] if period_s is not None
-                else list(unit.lists.values())
-            )
-            for sl in lists:
-                self._scan_list(unit, sl)
+        self._submit(unit, self._scan_lists, unit, period_s)
 
-        self._submit(unit, run)
+    def _scan_lists(self, unit: _PlcUnit, period_s: float | None) -> None:
+        lists = [unit.lists[period_s]] if period_s is not None else list(unit.lists.values())
+        for sl in lists:
+            self._scan_list(unit, sl)
 
     def _scan_list(self, unit: _PlcUnit, sl: ScanList) -> None:
         """One cycle of a list.  Each cause logs a WARNING when the list
@@ -568,8 +598,10 @@ class TagScanner:
         transfer that got a reply, and fail the ops of each that did not.
         Once the session is gone, lost here or in an earlier step, the
         transfers left fail unsent and uncounted: its loss counted once.
-        With `kept`, a plan's `replies`, a Multi-Request reply equal to the
-        last one its transfer was split into is not split again."""
+        With `kept`, a slot per transfer for a Multi-Request reply and the
+        embedded replies it splits into (a plan's `replies`, or the replies
+        a flush expects), a reply equal to its slot's is not split; one that
+        is not is split and fills the slot."""
         for i, (ops, message) in enumerate(transfers):
             if unit.client.phase is Phase.DISCONNECTED:
                 for lost, _message in transfers[i:]:
@@ -633,9 +665,19 @@ class TagScanner:
                 typed = [t for t in typed if t[1] < count]
                 bits = [t for t in bits if t[1] < count]
                 typed_subs, bit_subs = [t[0] for t in typed], [t[0] for t in bits]
+            if last is not None and last[1] is value_type and len(last[2]) == count:
+                # the kept reply's layout: a typed target whose element has
+                # the same wire bytes keeps the value it decoded to
+                new = _wire_words(value_type, resp.payload, elements)
+                old = _wire_words(value_type, last[0], last[2])
+                values = [
+                    kept if new[o] == old[o] else CipValue(value_type, (elements[o],))
+                    for (_sub, o), kept in zip(typed, last[4])
+                ]
+            else:
+                values = [CipValue(value_type, (elements[o],)) for _sub, o in typed]
             last = op.last_reply = (
-                resp.payload, value_type, elements,
-                typed_subs, [CipValue(value_type, (elements[o],)) for _sub, o in typed],
+                resp.payload, value_type, elements, typed_subs, values,
                 bit_subs, [(elements[o] >> bit) & 1 for _sub, o, bit in bits], past,
             )
         _payload, value_type, elements, typed_subs, values, bit_subs, bits, past = last
@@ -675,24 +717,30 @@ class TagScanner:
     # -- writing --------------------------------------------------------------
 
     def write(self, sub: Subscription, value, immediate: bool = True) -> None:
-        """Queue a value for an output tag; immediate flushes right away."""
-        if sub.direction is not Direction.OUTPUT:
+        """Stage a value for an output tag; immediate flushes right away.
+        A value staged from a thread other than a running worker goes
+        through its queue, so that no flush under way settles a value
+        staged after its writes were built; otherwise it is set in place."""
+        if sub.direction is not _OUTPUT:
             raise ValueError(f"{format_tag(sub.ref)} is not an output")
         unit = self._unit(sub.plc_name)
+        if immediate or (unit.thread is not None and self._queued(unit)):
+            self._submit(unit, self._stage, unit, sub, value, immediate)
+            return
+        sub.pending = value
+        sub.dirty = True
 
-        def stage():
-            sub.pending = value
-            sub.dirty = True
-            if immediate:
-                self._flush_unit(unit)
-
-        self._submit(unit, stage)
+    def _stage(self, unit: _PlcUnit, sub: Subscription, value, immediate: bool) -> None:
+        sub.pending = value
+        sub.dirty = True
+        if immediate:
+            self._flush_unit(unit)
 
     def flush(self, plc_name: str | None = None) -> None:
         """Write out all dirty output values."""
         units = [self._unit(plc_name)] if plc_name else list(self._units.values())
         for unit in units:
-            self._submit(unit, lambda u=unit: self._flush_unit(u))
+            self._submit(unit, self._flush_unit, unit)
 
     def _flush_unit(self, unit: _PlcUnit) -> None:
         if not unit.client.ensure_connected():
@@ -721,14 +769,18 @@ class TagScanner:
                 for sub in lacking:
                     sub.fail()
             transfers = pack(ops, unit.client.endpoint.buffer_limit, self.batching)
-            for op, resp in self._send(unit, sl, transfers, logging.WARNING):
-                try:
-                    cip.parse_write_response(resp)
-                except cip.CipError as exc:
-                    log.warning("write failed on %s: %s", unit.name, exc)
-                    self._error(sl)
-                    op.fail()
-                    continue
+            # a reply whose writes all landed is known by its bytes: it
+            # settles them with no split and no embedded reply decoded
+            landed = [_all_landed(len(writes)) for writes, _message in transfers]
+            for op, resp in self._send(unit, sl, transfers, logging.WARNING, landed):
+                if resp is not _LANDED:
+                    try:
+                        cip.parse_write_response(resp)
+                    except cip.CipError as exc:
+                        log.warning("write failed on %s: %s", unit.name, exc)
+                        self._error(sl)
+                        op.fail()
+                        continue
                 op.settle()
 
     def _build_flush(self, unit: _PlcUnit, sl: ScanList) -> tuple[list[WriteOp], list]:
@@ -737,8 +789,9 @@ class TagScanner:
         outputs whose write builds on an element the span cache lacks,
         unbuilt.  An output the plan left out (unplannable, or of a type
         still unknown) is in no planned write, so it stays dirty, unwritten."""
+        plan = self._plan(unit, sl)
         writes = []
-        for span in self._plan(unit, sl).write_spans:
+        for span in plan.write_spans:
             dirty = [sub for sub in span.outputs if sub.dirty]
             if dirty:
                 writes.append((span, dirty))
@@ -746,11 +799,11 @@ class TagScanner:
         lacking = []
         limit = unit.client.endpoint.buffer_limit
         for span, dirty in cut_writes(writes, limit, self.batching, WriteOp.response_estimate):
-            lacking += self._build_write(unit, sl, span, dirty, ops)
+            lacking += self._build_write(unit, sl, plan, span, dirty, ops)
         return ops, lacking
 
     def _build_write(
-        self, unit: _PlcUnit, sl: ScanList, span: WriteSpan,
+        self, unit: _PlcUnit, sl: ScanList, plan: ScanPlan, span: WriteSpan,
         dirty: list[Subscription], ops: list[WriteOp],
     ) -> list[Subscription]:
         """Build one write of a planned write's dirty outputs into `ops`,
@@ -762,25 +815,40 @@ class TagScanner:
         wire_type = span.key[1]
         cache = unit.span_cache.setdefault(span.key, {})
 
-        # fold pending values into per-element words
+        # staged values per element; a BOOL word's dirty bits fold, in
+        # order, into one mask of bits to set and one of bits to clear
         pending: dict[int | None, object] = {}
+        masks: dict[int, list[int]] = {}
         for sub in dirty:
-            element = sub.element
-            if sub.bit is None:
+            element, bit = sub.element, sub.bit
+            if bit is None:
                 pending[element] = sub.pending
+                if masks:  # a word staged whole after bits of it drops them
+                    masks.pop(element, None)
                 continue
+            mask = masks.get(element)
+            if mask is None:
+                mask = masks[element] = [0, 0]
+            flag = 1 << bit
+            if sub.pending:
+                mask[0] |= flag
+                mask[1] &= ~flag
+            else:
+                mask[1] |= flag
+                mask[0] &= ~flag
+        for element, (set_bits, clear_bits) in masks.items():
             word = pending[element] if element in pending else cache.get(element, _LACKING)
-            if word is not _LACKING:
-                word = int(word) & 0xFFFFFFFF
-                if sub.pending:
-                    word |= 1 << sub.bit
-                else:
-                    word &= ~(1 << sub.bit)
-            pending[element] = word
+            if word is _LACKING:
+                return dirty
+            # kept in the signed DINT range, which packs with no fallback
+            pending[element] = (
+                (((int(word) | set_bits) & ~clear_bits) & 0xFFFFFFFF) ^ _SIGN
+            ) - _SIGN
 
-        covered, head = span.part(dirty[0].element, dirty[-1].element)
-        elements = [pending[e] if e in pending else cache.get(e, _LACKING) for e in covered]
-        if _LACKING in elements:
+        covered, head = plan.part(span, dirty[0].element, dirty[-1].element)
+        try:
+            elements = [pending[e] if e in pending else cache[e] for e in covered]
+        except KeyError:  # a gap the cache lacks
             return dirty
         try:
             data = cip.pack_elements(wire_type, elements)
@@ -798,7 +866,7 @@ class TagScanner:
                 sub.dirty = False
             if len(rest) == len(dirty):
                 raise
-            return self._build_write(unit, sl, span, rest, ops) if rest else []
+            return self._build_write(unit, sl, plan, span, rest, ops) if rest else []
         values = cip.unpack_elements(wire_type, data)
         first = covered[0]
         ops.append(WriteOp(head + data, dirty, cache, first, values))
@@ -863,24 +931,31 @@ class TagScanner:
                 continue
             if item is None:
                 break
-            fn, future = item
+            fn, args, future = item
             try:
-                future.set_result(fn())
+                future.set_result(fn(*args))
             except BaseException as exc:  # propagate to the submitting thread
                 future.set_exception(exc)
 
-    def _submit(self, unit: _PlcUnit, fn):
-        """Run fn on the unit's worker; inline when there is none, or when
-        already on it (a callback calling back in must not wait on itself)."""
+    @staticmethod
+    def _queued(unit: _PlcUnit) -> bool:
+        """Whether a call must go through the unit's worker: it has a live
+        one, and the caller is not on it (a callback calling back in must
+        not wait on itself)."""
         thread = unit.thread
-        if (
-            thread is not None and thread.is_alive()
-            and thread is not threading.current_thread()
-        ):
+        return (
+            thread is not None and thread is not threading.current_thread()
+            and thread.is_alive()
+        )
+
+    def _submit(self, unit: _PlcUnit, fn, *args):
+        """Run fn(*args) on the unit's worker, or inline when the call need
+        not be queued."""
+        if self._queued(unit):
             future: Future = Future()
-            unit.queue.put((fn, future))
+            unit.queue.put((fn, args, future))
             return future.result(timeout=60)
-        return fn()
+        return fn(*args)
 
     def _unit(self, plc_name: str) -> _PlcUnit:
         try:

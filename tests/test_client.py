@@ -134,6 +134,24 @@ def test_peer_close_disconnects():
         c.close()
 
 
+def test_a_reply_cut_short_by_a_close_drops_the_session():
+    # the reply's header and half its payload arrive, then the peer closes:
+    # the receive loop sees the close before the reply's end
+    with PlcSim(make_store(), FaultPlan(truncate_replies=True)) as sim:
+        c = connect_to(sim)  # registering is not a data request: it lands
+        try:
+            with pytest.raises(PlcError, match="closed by peer"):
+                c.read_tag("TEST")
+            assert c.phase is Phase.DISCONNECTED
+            assert c.consecutive_errors == 1
+            sim.faults.truncate_replies = False
+            assert c.ensure_connected()
+            assert c.read_tag("TEST").type is CipType.REAL
+            assert c.consecutive_errors == 0
+        finally:
+            c.close()
+
+
 def test_ensure_connected_pacing():
     # endpoint that can never connect: pacing must hold attempts to one per period
     probe = socket.socket()

@@ -282,6 +282,57 @@ def test_a_batched_flush_packs_no_worse_than_one_write_per_planned_write(case, d
         assert [op.encoded for op in ops] == [write.encoded for write in whole]
 
 
+def reference_pack(writes, limit, batching) -> list[bytes]:
+    """The messages `writes` go out in: in order, each transfer grown while
+    one Multi-Request of its writes and its reply, sized afresh, fit the
+    limit (unbatched, one write each)."""
+    groups: list[list] = []
+    for write in writes:
+        grown = groups[-1] + [write] if groups and batching else None
+        if grown and (
+            cip.wrapped_request_size(cip.multi_request_size([len(w.encoded) for w in grown]))
+            <= limit
+            and cip.multi_response_size([w.response_estimate for w in grown]) <= limit
+        ):
+            groups[-1] = grown
+        else:
+            groups.append([write])
+    return [
+        group[0].encoded if len(group) == 1
+        else cip.encode_multi_request([w.encoded for w in group])
+        for group in groups
+    ]
+
+
+@PROPERTIES
+@given(st.one_of(flush_lists, sparse_lists), st.data())
+def test_a_schedule_of_flushes_sends_the_reference_bytes(case, data):
+    """Warm, each flush of a random schedule sends, message for message,
+    the bytes of its writes encoded afresh by `reference_write` and packed
+    afresh; each lands, so no planned write is left dirty, and the next
+    builds on what it wrote."""
+    specs, limit, batching = case
+    members = members_of(specs)
+    sc, unit, sl, scan_plan = flush_of(members, limit, batching)
+    model = warm(unit, scan_plan)
+    for _flush in range(data.draw(st.integers(1, 5))):
+        draw_dirty(data, members)
+        expected = []
+        writes = cut_writes(dirty_writes(scan_plan), limit, batching, WriteOp.response_estimate)
+        for span, dirty in writes:
+            covered, head, packed = reference_write(span, dirty, model[span.key])
+            expected.append(Write(head + packed, WriteOp.response_estimate))
+            if covered[0] is not None:
+                model[span.key].update(zip(covered, cip.unpack_elements(span.key[1], packed)))
+        ops, lacking = sc._build_flush(unit, sl)
+        assert lacking == []
+        sent = [message for _ops, message in pack(ops, limit, batching)]
+        assert sent == reference_pack(expected, limit, batching)
+        for op in ops:
+            op.settle()
+        assert dirty_writes(scan_plan) == []
+
+
 def test_a_gap_that_costs_exactly_a_write_of_its_own_stays_joined():
     # INT outputs of `big`: a one-element write of its own adds a 14-byte
     # head and 8 bytes of offsets and reply, so a gap of 11 elements (22

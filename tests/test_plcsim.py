@@ -35,7 +35,7 @@ from logixscan.plcsim import (
 )
 from logixscan.tags import parse_tag, to_epath
 
-from conftest import make_store
+from conftest import connect_to, make_store
 from reference import build_read_request, wrap_unconnected_send
 
 
@@ -606,11 +606,14 @@ def stopper(sim) -> threading.Thread:
 def test_stop_severs_a_session_whose_handler_has_not_run_yet(monkeypatch):
     # a connection accepted just before stop() whose handler thread has not
     # started: stop() severs it too, so the stopped sim looks dead to that
-    # peer and its handler, blocked on the idle peer, returns
+    # peer and its handler, blocked on the idle peer, returns before stop()
+    # does
     entered, release = threading.Event(), threading.Event()
     setup = plcsim._SessionHandler.setup
+    handlers = []
 
     def late_setup(handler):
+        handlers.append(threading.current_thread())
         entered.set()
         release.wait(5)
         setup(handler)
@@ -625,10 +628,40 @@ def test_stop_severs_a_session_whose_handler_has_not_run_yet(monkeypatch):
         release.set()
         stopping.join(5)
         assert not stopping.is_alive()
+        assert not handlers[0].is_alive()
         assert peer.recv(1) == b""  # the peer sees the session end
     finally:
         release.set()
         peer.close()
+
+
+def test_stop_waits_for_every_session_handler_to_end(monkeypatch):
+    # each handler takes a while to end once its session is severed; stop()
+    # returns only once none is left running
+    handlers = []
+    setup, finish = plcsim._SessionHandler.setup, plcsim._SessionHandler.finish
+
+    def recorded_setup(handler):
+        handlers.append(threading.current_thread())
+        setup(handler)
+
+    def slow_finish(handler):
+        time.sleep(0.2)
+        finish(handler)
+
+    monkeypatch.setattr(plcsim._SessionHandler, "setup", recorded_setup)
+    monkeypatch.setattr(plcsim._SessionHandler, "finish", slow_finish)
+    sim = PlcSim(make_store()).start()
+    peers = [connect_to(sim) for _ in range(3)]  # registered, and idle
+    try:
+        assert len(handlers) == 3
+        stopping = stopper(sim)
+        stopping.join(5)
+        assert not stopping.is_alive()
+        assert not any(thread.is_alive() for thread in handlers)
+    finally:
+        for peer in peers:
+            peer.close()
 
 
 def test_a_sim_never_started_stops_at_once():

@@ -482,22 +482,30 @@ def test_a_planned_scan_cycle_encodes_nothing(monkeypatch):
         assert all(sub.quality is Quality.OK for sub in subs)
 
 
+def counted_on(thread, monkeypatch, *names):
+    """Calls of the named `cip` functions made on `thread` (not the sim's)."""
+    calls = []
+
+    def counted(name, fn):
+        def call(*args):
+            if threading.current_thread() is thread:
+                calls.append(name)
+            return fn(*args)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(cip, name, counted(name, getattr(cip, name)))
+    return calls
+
+
 def test_a_repeated_scan_cycle_splits_and_decodes_no_embedded_reply(monkeypatch):
     with mixed_sim() as sim:
         sc = scanner_for(sim)
         subs = add_mixed_list(sc)
         sc.scan_once("plc", 1.0)
-        calls, scanning = [], threading.current_thread()
-
-        def counted(name, fn):
-            def call(*args):
-                if threading.current_thread() is scanning:  # not the sim's calls
-                    calls.append(name)
-                return fn(*args)
-            return call
-
-        for name in ("split_multi_response", "decode_response"):
-            monkeypatch.setattr(cip, name, counted(name, getattr(cip, name)))
+        calls = counted_on(
+            threading.current_thread(), monkeypatch, "split_multi_response", "decode_response"
+        )
         started = time.time()
         sc.scan_once("plc", 1.0)
         # the client decodes each transfer's outer reply, and that is all
@@ -507,6 +515,71 @@ def test_a_repeated_scan_cycle_splits_and_decodes_no_embedded_reply(monkeypatch)
         sc.scan_once("plc", 1.0)
         rspan_3 = subs[len(MIXED_NAMES) + 3]
         assert calls.count("split_multi_response") == 1 and sc.value_of(rspan_3) == 2.5
+
+
+def test_a_flush_whose_writes_all_land_splits_no_reply(sim, monkeypatch):
+    sc = scanner_for(sim)
+    outs = [
+        sc.add_tag("plc", f"counts[{i}]", 1.0, direction="out", elem_type=CipType.DINT)
+        for i in (0, 4)
+    ]
+    test = sc.add_tag("plc", "TEST", 1.0, direction="out", elem_type=CipType.REAL)
+    sc.scan_once("plc")  # the span write's gap is cached: no read in the flush
+    calls = counted_on(
+        threading.current_thread(), monkeypatch,
+        "split_multi_response", "decode_response", "parse_write_response",
+    )
+    staged = {outs[0]: 7, outs[1]: -9, test: 2.5}
+    for sub, value in staged.items():
+        sc.write(sub, value, immediate=False)
+    before, started = sim.store.round_trips, time.time()
+    sc.flush("plc")
+    assert sim.store.round_trips == before + 1  # one Multi-Request of the writes
+    # the client decodes the outer reply, and that is all
+    assert calls == ["decode_response"]
+    for sub, value in staged.items():
+        assert not sub.dirty and sub.quality is Quality.OK and sub.timestamp >= started
+        assert sc.value_of(sub) == value
+    assert sim.store.get_tag("counts").elements == (7, 20, 30, 40, -9)
+    assert sim.store.get_tag("TEST").elements == (2.5,)
+
+
+def test_a_changed_read_back_builds_values_only_for_the_elements_that_changed(sim):
+    sc = scanner_for(sim)
+    subs = [sc.add_tag("plc", f"counts[{i}]", 1.0, elem_type=CipType.DINT) for i in range(5)]
+    sc.scan_once("plc")
+    first = [sub.value for sub in subs]
+    sim.store.set_tag("counts[2]", 33)  # one element changes on the PLC side
+    started = time.time()
+    sc.scan_once("plc")
+    assert all(sub.quality is Quality.OK and sub.timestamp >= started for sub in subs)
+    assert [sc.value_of(sub) for sub in subs] == [10, 20, 33, 40, 50]
+    assert [sub.value is value for sub, value in zip(subs, first)] == [
+        True, True, False, True, True
+    ]
+
+
+def test_a_changed_read_back_of_reals_compares_their_wire_bytes():
+    store = make_store()
+    store.define("r", CipType.REAL, [1.0, 0.0, 2.0])
+    with PlcSim(store) as sim:
+        sc = scanner_for(sim)
+        subs = [sc.add_tag("plc", f"r[{i}]", 1.0, elem_type=CipType.REAL) for i in range(3)]
+        sc.scan_once("plc")
+        sim.store.set_tag("r[1]", -0.0)  # equal to 0.0 as a float, not as bytes
+        sim.store.set_tag("r[2]", math.nan)
+        held = [sub.value for sub in subs]
+        sc.scan_once("plc")
+        assert subs[0].value is held[0]
+        assert math.copysign(1.0, sc.value_of(subs[1])) == -1.0
+        assert math.isnan(sc.value_of(subs[2]))
+        sim.store.set_tag("r[0]", 3.0)  # the NaN and the -0.0 repeat beside it
+        held = [sub.value for sub in subs]
+        started = time.time()
+        sc.scan_once("plc")
+        assert sc.value_of(subs[0]) == 3.0
+        assert subs[1].value is held[1] and subs[2].value is held[2]
+        assert all(sub.quality is Quality.OK and sub.timestamp >= started for sub in subs)
 
 
 def test_a_thousand_flushes_leave_no_state_behind(sim):
@@ -733,6 +806,29 @@ def test_a_list_whose_session_keeps_dropping_warns_once_and_recovers_once(sim, c
             sc.scan_once("plc")
     assert sub.quality is Quality.OK
     assert levels(caplog) == [logging.WARNING, logging.INFO]
+
+
+def test_a_reply_cut_short_by_a_close_warns_once_and_recovers_once(sim, caplog):
+    sc = scanner_for(sim, reconnect_period=0.05)
+    sub = sc.add_tag("plc", "counts[0]", 1.0)
+    sc.scan_once("plc")
+    client = sc._units["plc"].client
+    with caplog.at_level(logging.INFO, logger="logixscan"):
+        sim.faults.truncate_replies = True  # half a reply, then the session closes
+        for _cycle in range(3):
+            sc.scan_once("plc")
+            assert client.phase is Phase.DISCONNECTED and client.consecutive_errors == 1
+            time.sleep(0.06)  # past reconnect_period: every cycle connects again
+        assert sub.quality is Quality.ERROR
+        assert sc.stats("plc", 1.0).errors == 3
+        assert levels(caplog) == [logging.WARNING]
+        assert "failing: transfer failed: transport error" in caplog.records[0].getMessage()
+        sim.faults.truncate_replies = False
+        for _cycle in range(3):
+            sc.scan_once("plc")
+    assert sub.quality is Quality.OK and sc.value_of(sub) == 10
+    assert levels(caplog) == [logging.WARNING, logging.INFO]
+    assert "recovered from: transfer failed" in caplog.records[1].getMessage()
 
 
 def test_a_list_with_a_failing_member_still_logs_a_session_loss_and_its_recovery(sim, caplog):
@@ -1901,6 +1997,31 @@ def test_write_while_running(sim):
         assert sim.store.get_tag("counts[1]").scalar == -5
     finally:
         sc.stop()
+
+
+def test_a_value_staged_from_another_thread_during_a_flush_waits_for_the_next():
+    # a flush under way on the worker settles what it built; a newer value
+    # staged meanwhile from another thread must stay dirty, not be settled
+    with PlcSim(make_store(), FaultPlan(latency_s=0.3)) as sim:
+        sc = scanner_for(sim)
+        sub = sc.add_tag("plc", "counts[1]", 10.0, direction="out", elem_type=CipType.DINT)
+        sc.start()
+        try:
+            flushing = threading.Thread(target=sc.write, args=(sub, 1))
+            flushing.start()
+            deadline = time.monotonic() + 5
+            while not sub.dirty:  # staged on the worker: its flush is under way
+                assert time.monotonic() < deadline, "the flush never started"
+                time.sleep(0.001)
+            sc.write(sub, 2, immediate=False)
+            flushing.join(5)
+            assert not flushing.is_alive()
+            assert sim.store.get_tag("counts[1]").scalar == 1
+            assert sub.dirty and sub.pending == 2
+            sc.flush("plc")
+            assert sim.store.get_tag("counts[1]").scalar == 2 and not sub.dirty
+        finally:
+            sc.stop()
 
 
 def test_drift_callback_may_write_back_while_running(sim):
