@@ -278,6 +278,7 @@ _UNPACK_CODES = {
     CipType.REAL: "f",
 }
 _TYPES_BY_CODE = {int(t): t for t in CipType}
+_BOOL = CipType.BOOL  # an enum member lookup is not free
 _UNPACK_CACHE_SIZE = 128  # (type, size) layouts kept compiled
 
 
@@ -316,7 +317,7 @@ def pack_elements(elem_type: CipType, elements) -> bytes:
     One cached struct packs the run.  If that fails, the elements are retried
     one by one, so the error raised is the first offending element's.
     """
-    if elem_type is CipType.BOOL:
+    if elem_type is _BOOL:
         return bytes([0xFF if v else 0x00 for v in elements])
     try:  # values in the type's own range and kind pack as they are
         return _elements_layout(elem_type, _WIDTHS[elem_type] * len(elements)).pack(*elements)

@@ -13,7 +13,19 @@ round trip frames its request in one pass and reads its reply into the one
 receive buffer the session owns, usually with one `recv_into`.  Bytes past
 the reply its header declares are a protocol error that drops the session,
 so they are never read as the start of the next reply; every fault that
-drops the session is counted and raised in one place, `_fail`.
+drops the session is counted and raised in one place, `_fail`.  The socket
+blocks with kernel-side send and receive timeouts (`SO_SNDTIMEO` and
+`SO_RCVTIMEO`, from `request_timeout`), so each send and receive is one
+system call with no poll before it; where their option format is not known
+(any platform but Linux, such as Windows), it keeps a Python timeout.  A
+round trip may be given a transfer's kept reply: an object whose `wire`
+holds the encapsulation payload of the transfer's last accepted reply (None:
+none yet) and whose `resp` holds the CIP reply it decoded to, such as
+`plan.TransferReply`.  When the reply's bytes equal `wire` (a connected
+reply's but for its sequence), the round trip returns `resp`, with no
+carrier parsed and no CIP reply decoded; the header's status, command and
+context, and a connected reply's connection id and sequence, are checked on
+either path, and any other reply is decoded and kept.
 `read_tag` and `write_tag` take tag text or a `TagRef`, and each client
 keeps the encoded paths of the tags it last addressed, so a repeated call
 parses and encodes no path; a failure is never kept.
@@ -26,6 +38,7 @@ import functools
 import logging
 import socket
 import struct
+import sys
 import time
 from dataclasses import dataclass
 from typing import NoReturn
@@ -43,6 +56,25 @@ MAX_SLOT = 16
 
 
 _TAG_PATH_CACHE_SIZE = 256  # encoded tag paths kept per client
+
+# SO_RCVTIMEO and SO_SNDTIMEO take a struct timeval of two C longs on Linux;
+# elsewhere their format may differ (Windows takes milliseconds)
+_KERNEL_TIMEOUTS = sys.platform.startswith("linux")
+_TIMEVAL = struct.Struct("@ll")
+
+
+def _set_timeouts(sock: socket.socket, seconds: float) -> None:
+    """Bound each send and receive on `sock` by `seconds`: in the kernel on
+    a blocking socket, so each is one system call, or else as a Python
+    timeout, which polls before each."""
+    if not _KERNEL_TIMEOUTS:
+        sock.settimeout(seconds)
+        return
+    sock.settimeout(None)
+    # at least a microsecond: a zero timeval would block for ever
+    timeval = _TIMEVAL.pack(*divmod(max(1, round(seconds * 1e6)), 1_000_000))
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
 
 
 def _encode_tag_path(ref: TagRef | str) -> bytes:
@@ -108,6 +140,10 @@ class Phase(enum.Enum):
     CONNECTED = "connected"
 
 
+# an enum member lookup is not free, and round trips test the phase
+_DISCONNECTED, _REGISTERED, _CONNECTED = Phase.DISCONNECTED, Phase.REGISTERED, Phase.CONNECTED
+
+
 class PlcClient:
     """Session to one PLC.  Not thread-safe; owned by a single worker."""
 
@@ -143,7 +179,7 @@ class PlcClient:
             )
         except OSError as exc:
             raise PlcConnectError(f"{self.endpoint.host}: {exc}") from exc
-        sock.settimeout(self.endpoint.request_timeout)
+        _set_timeouts(sock, self.endpoint.request_timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         try:
@@ -205,7 +241,7 @@ class PlcClient:
 
     def ensure_connected(self, now: float | None = None) -> bool:
         """Reconnect when down, at most once per reconnect_period."""
-        if self.phase is not Phase.DISCONNECTED:
+        if self.phase is not _DISCONNECTED:
             return True
         if now is None:
             now = time.monotonic()
@@ -231,11 +267,12 @@ class PlcClient:
 
     # -- round trips -------------------------------------------------------
 
-    def round_trip_unconnected(self, message: bytes) -> CipResponse:
-        """Send one encoded request routed to the slot, return the reply."""
+    def round_trip_unconnected(self, message: bytes, kept=None) -> CipResponse:
+        """Send one encoded request routed to the slot, return the reply
+        (with `kept`, the kept one if its bytes repeat)."""
         self._require_session()
         return self._send_rr_data(
-            self._fit(cip.encode_unconnected_send(message, self.endpoint.slot))
+            self._fit(cip.encode_unconnected_send(message, self.endpoint.slot)), kept
         )
 
     def open_connection(self) -> ConnectionGrant:
@@ -257,9 +294,11 @@ class PlcClient:
         self.phase = Phase.CONNECTED
         return grant
 
-    def round_trip_connected(self, message: bytes) -> CipResponse:
-        """Send one encoded request bare over the open connection."""
-        if self.phase is not Phase.CONNECTED or self.grant is None:
+    def round_trip_connected(self, message: bytes, kept=None) -> CipResponse:
+        """Send one encoded request bare over the open connection, return
+        the reply (with `kept`, the kept one if its bytes repeat but for
+        the sequence)."""
+        if self.phase is not _CONNECTED or self.grant is None:
             raise PlcError("no open connection")
         wire = self._fit(message)
         sequence = self.next_sequence
@@ -271,26 +310,38 @@ class PlcClient:
         started = time.monotonic()
         header, payload = self._exchange(packet, context, expect=encap.CMD_SEND_UNIT_DATA)
         self.last_transfer_s = time.monotonic() - started
-        try:
-            conn_id, seq, reply_bytes = encap.parse_unit_data(payload)
-            resp = cip.decode_response(reply_bytes)
-        except (encap.EncapError, cip.CipError) as exc:
-            self._fail(PlcProtocolError(f"malformed connected reply: {exc}"))
+        repeated = (
+            kept is not None and kept.wire is not None
+            and encap.same_unit_data(payload, kept.wire)
+        )
+        if repeated:
+            conn_id, seq = encap.unit_data_ids(payload)
+            resp = kept.resp
+        else:
+            try:
+                conn_id, seq, reply_bytes = encap.parse_unit_data(payload)
+                resp = cip.decode_response(reply_bytes)
+            except (encap.EncapError, cip.CipError) as exc:
+                self._fail(PlcProtocolError(f"malformed connected reply: {exc}"))
         if conn_id != self.grant.t_to_o_id:
             self._fail(PlcProtocolError(f"reply on unknown connection 0x{conn_id:08X}"))
         if seq != sequence:
             self._fail(PlcProtocolError(f"sequence mismatch: sent {sequence}, got {seq}"))
+        if kept is not None and not repeated:
+            kept.wire, kept.resp = payload, resp
         self.consecutive_errors = 0
         return resp
 
-    def round_trip(self, message: bytes) -> CipResponse:
+    def round_trip(self, message: bytes, kept=None) -> CipResponse:
         """Send one encoded request: connected when preferred, opening the
-        connection first if needed, otherwise unconnected."""
+        connection first if needed, otherwise unconnected.  With `kept`, the
+        transfer's last accepted reply, a reply of the same bytes returns
+        the kept decoded one, and any other is decoded and kept."""
         if self.prefer_connected:
-            if self.phase is Phase.REGISTERED:
+            if self.phase is _REGISTERED:
                 self.open_connection()
-            return self.round_trip_connected(message)
-        return self.round_trip_unconnected(message)
+            return self.round_trip_connected(message, kept)
+        return self.round_trip_unconnected(message, kept)
 
     # -- tag conveniences ---------------------------------------------------
 
@@ -311,7 +362,7 @@ class PlcClient:
     # -- plumbing ------------------------------------------------------------
 
     def _require_session(self) -> None:
-        if self.phase is Phase.DISCONNECTED or self._sock is None:
+        if self.phase is _DISCONNECTED or self._sock is None:
             raise PlcError("not connected")
 
     def _next_context(self) -> bytes:
@@ -332,18 +383,24 @@ class PlcClient:
         self.consecutive_errors += 1
         raise error
 
-    def _send_rr_data(self, message: bytes) -> CipResponse:
+    def _send_rr_data(self, message: bytes, kept=None) -> CipResponse:
         """Frame one unconnected message in SendRRData, exchange it, time it
-        and decode the reply."""
+        and decode the reply (with `kept`: unless its bytes are the kept
+        ones, whose decoded reply it returns)."""
         context = self._next_context()
         packet = encap.build_rr_data(self.session_handle, message, context)
         started = time.monotonic()
         _header, payload = self._exchange(packet, context, expect=encap.CMD_SEND_RR_DATA)
         self.last_transfer_s = time.monotonic() - started
-        try:
-            resp = cip.decode_response(encap.parse_rr_data(payload))
-        except (encap.EncapError, cip.CipError) as exc:
-            self._fail(PlcProtocolError(f"malformed reply: {exc}"))
+        if kept is not None and payload == kept.wire:
+            resp = kept.resp
+        else:
+            try:
+                resp = cip.decode_response(encap.parse_rr_data(payload))
+            except (encap.EncapError, cip.CipError) as exc:
+                self._fail(PlcProtocolError(f"malformed reply: {exc}"))
+            if kept is not None:
+                kept.wire, kept.resp = payload, resp
         self.consecutive_errors = 0
         return resp
 
@@ -368,7 +425,7 @@ class PlcClient:
             if got > end:
                 raise encap.EncapError(f"{got - end} bytes past the declared reply")
             payload = bytes(rx[encap.HEADER_SIZE:end])
-        except socket.timeout:
+        except (socket.timeout, BlockingIOError):  # a Python or a kernel timeout
             self._fail(PlcTimeout(f"no reply within {self.endpoint.request_timeout} s"))
         except OSError as exc:
             self._fail(PlcError(f"transport error: {exc}"))

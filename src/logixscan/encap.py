@@ -10,7 +10,9 @@ Each carrier is framed in one pass: one precompiled struct packs the header,
 the CPF prefix and both item headers ahead of the CIP bytes.  A reply's
 two-item layout is checked on one path, `_two_items`: an item count of 2,
 then an address item of any length, then a data item that ends the payload
-exactly; each carrier then checks its item types and sizes.
+exactly; each carrier then checks its item types and sizes.  A connected
+reply whose bytes repeat an accepted one's but for the sequence is known by
+`same_unit_data`, which parses nothing.
 """
 
 from __future__ import annotations
@@ -189,6 +191,27 @@ def build_unit_data(
         0, 0, 2, ITEM_CONNECTED_ADDRESS, 4, connection_id,
         ITEM_CONNECTED_DATA, 2 + len(cip), sequence & 0xFFFF,
     ) + cip
+
+
+# a SendUnitData payload that `parse_unit_data` accepts has a 4-byte
+# address item, so its connection id, its sequence and its CIP bytes sit at
+# fixed offsets
+_UNIT_IDS = struct.Struct("<12xI4xH")
+_UNIT_SEQUENCE = _UNIT_IDS.size - 2
+
+
+def same_unit_data(payload: bytes, kept: bytes) -> bool:
+    """Whether a SendUnitData payload has the bytes of `kept`, a payload
+    that `parse_unit_data` accepted, but for its sequence."""
+    return (
+        payload[_UNIT_IDS.size:] == kept[_UNIT_IDS.size:]
+        and payload[:_UNIT_SEQUENCE] == kept[:_UNIT_SEQUENCE]
+    )
+
+
+def unit_data_ids(payload: bytes) -> tuple[int, int]:
+    """(connection_id, sequence) of a payload that `same_unit_data` matched."""
+    return _UNIT_IDS.unpack_from(payload)
 
 
 def parse_unit_data(payload: bytes) -> tuple[int, int, bytes]:

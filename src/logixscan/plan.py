@@ -32,8 +32,10 @@ keeps, with a new element segment and count, and the plan keeps each part
 it composed (`ScanPlan.part`), so a flush encodes no path and only packs
 the elements behind the head.  Each read also holds the
 plain lists of the subscriptions its reply stores, and the plan a slot per
-transfer for the scanner to keep its last Multi-Request reply in, so a
-repeated reply is neither split nor routed again; a new plan starts with
+transfer (`TransferReply`) for the scanner to keep its last reply in: the
+bytes it came in and what they decoded to, which the client compares the
+next reply with, and the transfer's flat restamp record, so a repeated
+reply is neither decoded, split nor routed again; a new plan starts with
 nothing kept.
 
 A member needs only its addressing and its routing: `group`, `element`,
@@ -126,6 +128,25 @@ class ReadOp:
     def fail(self) -> None:
         for sub, _offset, _bit in self.targets:
             sub.fail()
+
+
+class TransferReply:
+    """A planned transfer's last accepted reply, as a client round trip
+    keeps it, and its restamp record: built once the same reply came back
+    and every op stored it whole, dropped by any other reply."""
+
+    __slots__ = ("wire", "resp", "restamp")
+
+    def __init__(self):
+        # the encapsulation payload the reply came in (None: none yet), and
+        # the CIP reply it decoded to
+        self.wire: bytes | None = None
+        self.resp: cip.CipResponse | None = None
+        # (typed subscriptions, their values, subscriptions of bits 0, of
+        # bits 1, span-cache refreshes as (key, {element: raw value})): the
+        # cells and cache the transfer's reply stores, in one flat pass;
+        # None: none
+        self.restamp: tuple | None = None
 
 
 # a transfer: its ops, and the encoded message it sends (the one op's
@@ -228,15 +249,15 @@ class ScanPlan:
     write_spans: list[WriteSpan]
     # one read per member of unknown type, unpacked: sent before the transfers
     discovery: list[ReadOp]
-    # per transfer, its last Multi-Request reply and the embedded replies
-    # it was split into (None: none yet); a new plan starts with none
-    replies: list = field(init=False)
+    # per transfer, its last reply and restamp record; a new plan starts
+    # with none
+    replies: list[TransferReply] = field(init=False)
     # (planned head, first, high) -> `WriteSpan.part(first, high)`: a head
     # fixes its write's elements, so it keys the write
     parts: dict = field(init=False)
 
     def __post_init__(self) -> None:
-        self.replies = [None] * len(self.transfers)
+        self.replies = [TransferReply() for _transfer in self.transfers]
         self.parts = {}
 
     def part(

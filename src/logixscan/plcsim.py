@@ -518,8 +518,9 @@ class _SessionHandler(socketserver.BaseRequestHandler):
         if sim.faults.drop_after is not None and self.data_requests >= sim.faults.drop_after:
             log.debug("fault plan: dropping connection on request %d", self.data_requests)
             return False
-        if sim.faults.latency_s > 0:
-            time.sleep(sim.faults.latency_s)
+        # a stopping sim ends a handler in its latency at once
+        if sim.faults.latency_s > 0 and sim.stopping.wait(sim.faults.latency_s):
+            return False
         with sim.store.lock:
             sim.store.round_trips += 1
             if header.command == encap.CMD_SEND_RR_DATA:
@@ -603,6 +604,8 @@ class PlcSim:
         self._server.sim = self
         self.host, self.port = self._server.server_address[:2]
         self._thread: threading.Thread | None = None
+        # set by `stop()`: a session handler waiting out injected latency ends
+        self.stopping = threading.Event()
 
     def allocate_session(self) -> int:
         with self.store.lock:
@@ -619,6 +622,7 @@ class PlcSim:
         return self
 
     def stop(self) -> None:
+        self.stopping.set()
         if self._thread is not None:  # shutdown() waits for serving to stop
             self._server.shutdown()
         self._server.close_all_sessions()

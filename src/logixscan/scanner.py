@@ -21,17 +21,24 @@ stays dirty, unwritten) and is read again next time.  The plan holds each
 transfer as the bytes it sends, encoded once, each read's routing of reply
 elements into cells (an output without `on_drift` is stored as an input
 is), and each planned write, a run's span or a lone output's, with its
-encoded head, so a cycle only sends, decodes and stores.  Each planned read
-keeps the payload of its last accepted reply and the cells it decoded to: a
-reply whose bytes are the same again is not decoded, and its cells take the
-same immutable values with this cycle's timestamp, stored from lists built
-once; a reply that changed but keeps its type and element count builds a
-value only for each element whose wire bytes changed, and the rest keep
-theirs.  Each planned transfer of two or more reads keeps its last
-Multi-Request reply and the embedded replies it was split into, so a reply
-equal to it is not split again: a cycle whose transfers repeat whole costs
-one comparison per transfer before its cells are stored.  Discovery reads
-keep nothing, and a new plan starts with nothing kept.
+encoded head, so a cycle only sends, decodes and stores.  Each planned
+transfer keeps its last reply (`plan.TransferReply`): the client compares
+the next reply's bytes with it and, when they are equal, returns the kept
+decoded reply.  Once the same reply has come back and every read in the
+transfer stored it whole (no short reply, no type mismatch, no drift
+callback), the transfer also keeps a flat restamp record, built from the
+reads' last replies: the typed cells with their values, the bit cells with
+their bits, and the span-cache refreshes of reads of outputs.  The one
+transfer loop, `_send`, used by a cycle and by a flush's list read, stores
+a repeated reply with a record in one pass, with no reply decoded or split
+and no read called; any other reply drops the record and is split and
+stored read by read.  Each planned read keeps the payload of its last
+accepted reply and the cells it decoded to: a reply whose bytes are the
+same again is not decoded, and its cells take the same immutable values
+with this cycle's timestamp; a reply that changed but keeps its type and
+element count builds a value only for each element whose wire bytes
+changed, and the rest keep theirs.  Discovery reads keep nothing, and a
+new plan starts with nothing kept.
 Outputs are staged by `write` (in place, or through the worker's queue from
 another thread while a worker runs), written on demand and read back every
 cycle, with drift notifications for watched outputs when the PLC side
@@ -99,7 +106,9 @@ _LACKING = object()
 
 _SIGN = 1 << (BITS_PER_DINT - 1)  # a DINT word's sign bit
 
-_OUTPUT = Direction.OUTPUT  # an enum member lookup is not free
+# an enum member lookup is not free
+_OUTPUT = Direction.OUTPUT
+_DISCONNECTED = Phase.DISCONNECTED
 
 # what a write that landed replies: its status header alone
 _LANDED = cip.CipResponse(cip.WRITE_DATA | cip.REPLY_FLAG)
@@ -122,6 +131,9 @@ class Quality(enum.Enum):
     STALE = "stale"
     OK = "ok"
     ERROR = "error"
+
+
+_OK = Quality.OK
 
 
 @dataclass
@@ -283,7 +295,7 @@ class WriteOp:
     def settle(self) -> None:
         """The write landed: each subscription holds what went on the wire
         for it (a bit, from its written word), OK."""
-        now, ok = time.time(), Quality.OK
+        now, ok = time.time(), _OK
         first, values = self.first, self.values
         for sub in self.subs:
             raw = values[0 if first is None else sub.element - first]
@@ -319,6 +331,50 @@ def _wire_words(value_type: CipType, payload: bytes, elements: tuple) -> tuple:
     if value_type is CipType.REAL:
         return cip.unpack_elements(CipType.DINT, payload[2:])
     return elements
+
+
+def _restamp_record(ops: list[ReadOp], responses) -> tuple | None:
+    """The restamp record of a transfer whose reply its ops just stored
+    again, built from each op's `last_reply`; None unless every op stored
+    its reply whole: accepted (no error status, no other service, no type
+    mismatch), covering every target, and with no drift callback to run."""
+    typed_subs, values, zeros, ones, refreshes = [], [], [], [], []
+    for op, resp in zip(ops, responses):
+        last = op.last_reply
+        if (
+            op.checked_targets or last is None or last[7] or resp.payload != last[0]
+            or resp.general_status != cip.STATUS_OK or resp.service_reply != cip.READ_REPLY
+        ):
+            return None
+        _payload, _type, elements, subs, op_values, bit_subs, bits, _past = last
+        typed_subs += subs
+        values += op_values
+        for sub, bit in zip(bit_subs, bits):
+            (ones if bit else zeros).append(sub)
+        if op.cache_key is not None:
+            start = op.start_element
+            refreshes.append(
+                (op.cache_key, dict(zip(range(start, start + len(elements)), elements)))
+            )
+    return typed_subs, values, zeros, ones, refreshes
+
+
+def _restamp(unit: _PlcUnit, record: tuple, now: float) -> None:
+    """Store a transfer's repeated reply from its restamp record: the cells
+    and span cache that its ops would store from the same reply, stamped
+    `now`."""
+    typed_subs, values, zeros, ones, refreshes = record
+    ok = _OK
+    for sub, value in zip(typed_subs, values):
+        sub.cell = (value, now, ok)
+    cell = (_BOOL_CELLS[0], now, ok)
+    for sub in zeros:
+        sub.cell = cell
+    cell = (_BOOL_CELLS[1], now, ok)
+    for sub in ones:
+        sub.cell = cell
+    for key, elements in refreshes:
+        unit.span_cache.setdefault(key, {}).update(elements)
 
 
 def _encoding_error(wire_type: CipType, value) -> Exception | None:
@@ -445,9 +501,11 @@ class TagScanner:
         <plc>/<period_ms>/count|errors|overruns|last_ms|min_ms|max_ms;
         and per PLC, the state of its session: <plc>/phase (its `Phase`
         value: "disconnected", "registered" or "connected"),
-        <plc>/reconnects (connection attempts, the first included) and
+        <plc>/reconnects (connection attempts, the first included),
         <plc>/consecutive_errors (round trips failed since the last that
-        succeeded or the last connect)."""
+        succeeded or the last connect) and <plc>/last_transfer_ms (the
+        wall time of the last round trip that got a reply; None before
+        one)."""
         parts = path.split("/")
         if len(parts) == 2:
             plc_name, item = parts
@@ -458,6 +516,9 @@ class TagScanner:
                 return client.reconnect_attempts
             if item == "consecutive_errors":
                 return client.consecutive_errors
+            if item == "last_transfer_ms":
+                seconds = client.last_transfer_s
+                return None if seconds is None else seconds * 1000.0
             raise KeyError(f"unknown stats item {item!r}")
         try:
             plc_name, period_ms, item = parts
@@ -568,8 +629,8 @@ class TagScanner:
             self._error(sl)
         any_ok = False
         drifts: list = []
-        for op, resp in self._send(unit, sl, plan.transfers, kept=plan.replies):
-            if self._absorb_read(unit, sl, op, resp, now, drifts):
+        for op, resp in self._send(unit, sl, plan.transfers, kept=plan.replies, now=now):
+            if op is None or self._absorb_read(unit, sl, op, resp, now, drifts):
                 any_ok = True
         duration = time.monotonic() - started
         if any_ok:
@@ -592,32 +653,50 @@ class TagScanner:
 
     def _send(
         self, unit: _PlcUnit, sl: ScanList, transfers: list,
-        level: int = logging.DEBUG, kept: list | None = None,
+        level: int = logging.DEBUG, kept: list | None = None, now: float | None = None,
+        expect: list | None = None,
     ):
         """Send transfers in order; yield (op, reply) for each op of each
         transfer that got a reply, and fail the ops of each that did not.
         Once the session is gone, lost here or in an earlier step, the
         transfers left fail unsent and uncounted: its loss counted once.
-        With `kept`, a slot per transfer for a Multi-Request reply and the
-        embedded replies it splits into (a plan's `replies`, or the replies
-        a flush expects), a reply equal to its slot's is not split; one that
-        is not is split and fills the slot."""
+        With `kept`, a plan's `replies` for its reads, the client returns a
+        transfer's kept reply when the bytes repeat.  A repeated reply whose
+        slot holds a restamp record is stored from it at `now`, with no op
+        called, and yields (None, None) once; a repeated one without a
+        record is yielded op by op, and then gets a record if every op
+        stored it whole; any other reply drops the record.  With `expect`,
+        per transfer a Multi-Request reply and the embedded replies it
+        splits into (the replies a flush expects), a reply equal to it is
+        not split."""
+        client = unit.client
         for i, (ops, message) in enumerate(transfers):
-            if unit.client.phase is Phase.DISCONNECTED:
+            if client.phase is _DISCONNECTED:
                 for lost, _message in transfers[i:]:
                     for op in lost:
                         op.fail()
                 return
+            repeated = False
             try:
-                reply = unit.client.round_trip(message)
+                if kept is None:
+                    reply = client.round_trip(message)
+                else:
+                    slot = kept[i]
+                    before = slot.resp
+                    reply = client.round_trip(message, slot)
+                    repeated = reply is before
+                    if not repeated:
+                        slot.restamp = None
+                    elif slot.restamp is not None:
+                        _restamp(unit, slot.restamp, now)
+                        yield None, None
+                        continue
                 if len(ops) == 1:
-                    responses = [reply]
-                elif kept is not None and kept[i] is not None and kept[i][0] == reply:
-                    responses = kept[i][1]  # the same reply: the same embedded ones
+                    responses = (reply,)
+                elif expect is not None and expect[i][0] == reply:
+                    responses = expect[i][1]
                 else:
                     responses = cip.split_multi_response(reply, len(ops))
-                    if kept is not None:
-                        kept[i] = (reply, responses)
             except (PlcError, cip.CipError) as exc:
                 log.log(level, "transfer failed on %s: %s", unit.name, exc)
                 self._error(sl, "transfer failed", exc)
@@ -625,6 +704,8 @@ class TagScanner:
                     op.fail()
                 continue
             yield from zip(ops, responses)
+            if repeated:
+                slot.restamp = _restamp_record(ops, responses)
 
     def _absorb_read(
         self, unit: _PlcUnit, sl: ScanList, op: ReadOp, resp: cip.CipResponse, now: float,
@@ -687,7 +768,7 @@ class TagScanner:
             unit.span_cache.setdefault(op.cache_key, {}).update(
                 zip(range(start, start + count), elements)
             )
-        ok = Quality.OK
+        ok = _OK
         for sub, value in zip(typed_subs, values):
             sub.cell = (value, now, ok)
         if bits:
@@ -761,9 +842,10 @@ class TagScanner:
                 now = time.time()
                 drifts: list = []
                 for op, resp in self._send(
-                    unit, sl, plan.transfers, logging.WARNING, plan.replies
+                    unit, sl, plan.transfers, logging.WARNING, plan.replies, now
                 ):
-                    self._absorb_read(unit, sl, op, resp, now, drifts, logging.WARNING)
+                    if op is not None:
+                        self._absorb_read(unit, sl, op, resp, now, drifts, logging.WARNING)
                 _notify_drift(drifts)
                 ops, lacking = self._build_flush(unit, sl)
                 for sub in lacking:
@@ -772,7 +854,7 @@ class TagScanner:
             # a reply whose writes all landed is known by its bytes: it
             # settles them with no split and no embedded reply decoded
             landed = [_all_landed(len(writes)) for writes, _message in transfers]
-            for op, resp in self._send(unit, sl, transfers, logging.WARNING, landed):
+            for op, resp in self._send(unit, sl, transfers, logging.WARNING, expect=landed):
                 if resp is not _LANDED:
                     try:
                         cip.parse_write_response(resp)

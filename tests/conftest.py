@@ -1,7 +1,9 @@
 import struct
+import threading
 
 import pytest
 
+from logixscan import cip
 from logixscan.cip import CipType
 from logixscan.client import PlcClient, PlcEndpoint
 from logixscan.plcsim import FaultPlan, PlcSim, TagStore
@@ -55,3 +57,21 @@ def connect_to(sim, **endpoint_kwargs) -> PlcClient:
     c = PlcClient(PlcEndpoint("127.0.0.1", port=sim.port, **kwargs))
     c.connect()
     return c
+
+
+def counted_on(thread, monkeypatch, *names):
+    """Calls made on `thread` (not the sim's) of the named functions, in
+    order: each name a `cip` function, or an (owner, attribute) pair."""
+    calls = []
+
+    def counted(name, fn):
+        def call(*args):
+            if threading.current_thread() is thread:
+                calls.append(name)
+            return fn(*args)
+        return call
+
+    for name in names:
+        owner, attr = (cip, name) if isinstance(name, str) else name
+        monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
+    return calls

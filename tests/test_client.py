@@ -3,6 +3,7 @@
 import dataclasses
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -20,9 +21,10 @@ from logixscan.client import (
     PlcTimeout,
     RequestTooLarge,
 )
+from logixscan.plan import TransferReply
 from logixscan.plcsim import FaultPlan, PlcSim, TagStore
 
-from conftest import connect_to, make_store
+from conftest import connect_to, counted_on, make_store
 from reference import build_read_request, decode_packet
 
 
@@ -424,3 +426,131 @@ def test_bad_register_reply_drops_the_socket(sim, field, value, fragment):
     assert c.phase is Phase.DISCONNECTED and c._sock is None
     thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+def test_a_reply_in_two_segments_a_tenth_of_a_second_apart_is_read_whole(sim):
+    def in_two(sock, reply):
+        sock.sendall(reply[:30])
+        time.sleep(0.1)
+        sock.sendall(reply[30:])
+
+    port, thread = relay(sim, in_two)
+    c = PlcClient(PlcEndpoint("127.0.0.1", port=port, request_timeout=0.5))
+    c.connect()
+    assert c.read_tag("counts", 5).elements == (10, 20, 30, 40, 50)
+    assert c.phase is Phase.REGISTERED and c.consecutive_errors == 0
+    c.close()
+    thread.join(timeout=5)
+
+
+def test_a_silent_peer_times_out_within_its_request_timeout(sim):
+    def registering_only(sock, reply):
+        if encap.decode_header(reply).command == encap.CMD_REGISTER_SESSION:
+            sock.sendall(reply)
+
+    port, thread = relay(sim, registering_only)
+    c = PlcClient(PlcEndpoint("127.0.0.1", port=port, request_timeout=0.3))
+    c.connect()
+    started = time.monotonic()
+    with pytest.raises(PlcTimeout):
+        c.read_tag("TEST")
+    assert time.monotonic() - started < 1.5 * 0.3
+    assert c.phase is Phase.DISCONNECTED and c._sock is None
+    assert c.consecutive_errors == 1
+    c.close()
+    thread.join(timeout=5)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="timeval layout of Linux")
+def test_the_session_socket_blocks_with_kernel_timeouts(client):
+    sock = client._sock
+    assert sock.gettimeout() is None  # no poll before each send and receive
+    for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+        timeval = sock.getsockopt(socket.SOL_SOCKET, option, struct.calcsize("@ll"))
+        assert struct.unpack("@ll", timeval) == (2, 0)  # request_timeout=2.0
+
+
+def test_a_repeated_connected_reply_returns_the_kept_one_undecoded(sim, monkeypatch):
+    c = connect_to(sim)
+    c.open_connection()
+    request = cip.encode_read_request(cip.encode_epath(cip.Epath((cip.Symbol("counts"),))), 5)
+    kept = TransferReply()
+    first = c.round_trip_connected(request, kept)
+    assert kept.resp is first and kept.wire is not None
+    calls = counted_on(
+        threading.current_thread(), monkeypatch,
+        (encap, "parse_unit_data"), (encap, "parse_rr_data"), "decode_response",
+    )
+    # the same reply but for its sequence: the kept one, with nothing decoded
+    assert c.round_trip_connected(request, kept) is first
+    assert calls == [] and c.next_sequence == 3
+    sim.store.set_tag("counts[1]", 21)
+    changed = c.round_trip_connected(request, kept)
+    assert calls == ["parse_unit_data", "decode_response"]
+    assert cip.parse_read_response(changed).elements == (10, 21, 30, 40, 50)
+    assert kept.resp is changed
+    c.close()
+
+
+def test_a_connected_reply_that_repeats_the_kept_one_with_its_old_sequence_is_refused(sim):
+    replies = []
+
+    def replay_first(sock, reply):
+        # every connected reply after the first is the first's payload again,
+        # old sequence and all, under this reply's header (its context)
+        header = encap.decode_header(reply)
+        if header.command == encap.CMD_SEND_UNIT_DATA:
+            replies.append(reply)
+            reply = reply[:encap.HEADER_SIZE] + replies[0][encap.HEADER_SIZE:]
+        sock.sendall(reply)
+
+    port, thread = relay(sim, replay_first)
+    c = PlcClient(PlcEndpoint("127.0.0.1", port=port, request_timeout=2.0))
+    c.connect()
+    c.open_connection()
+    request = cip.encode_read_request(cip.encode_epath(cip.Epath((cip.Symbol("TEST"),))), 1)
+    kept = TransferReply()
+    c.round_trip_connected(request, kept)
+    with pytest.raises(PlcProtocolError, match="sequence mismatch: sent 2, got 1"):
+        c.round_trip_connected(request, kept)
+    assert c.phase is Phase.DISCONNECTED and c.consecutive_errors == 1
+    c.close()
+    thread.join(timeout=5)
+
+
+def test_a_repeated_unconnected_reply_returns_the_kept_one_undecoded(client, monkeypatch):
+    request = cip.encode_read_request(cip.encode_epath(cip.Epath((cip.Symbol("TEST"),))), 1)
+    kept = TransferReply()
+    first = client.round_trip(request, kept)
+    calls = counted_on(
+        threading.current_thread(), monkeypatch, (encap, "parse_rr_data"), "decode_response",
+    )
+    assert client.round_trip(request, kept) is first and calls == []
+    assert client.round_trip(request) is not first  # nothing kept: decoded
+    assert calls == ["parse_rr_data", "decode_response"]
+
+
+def test_a_reply_that_repeats_the_kept_one_but_for_its_carrier_is_refused(sim):
+    # the second reply carries the same CIP bytes, but its address item is
+    # of the connected type: every byte the carrier's parse reads is compared
+    rr_replies = []
+
+    def retype_second(sock, reply):
+        if encap.decode_header(reply).command == encap.CMD_SEND_RR_DATA:
+            rr_replies.append(reply)
+            if len(rr_replies) == 2:
+                at = encap.HEADER_SIZE + 8  # handle, timeout, item count
+                reply = reply[:at] + struct.pack("<H", encap.ITEM_CONNECTED_ADDRESS) + reply[at + 2:]
+        sock.sendall(reply)
+
+    port, thread = relay(sim, retype_second)
+    c = PlcClient(PlcEndpoint("127.0.0.1", port=port, request_timeout=2.0))
+    c.connect()
+    request = cip.encode_read_request(cip.encode_epath(cip.Epath((cip.Symbol("TEST"),))), 1)
+    kept = TransferReply()
+    c.round_trip(request, kept)
+    with pytest.raises(PlcProtocolError, match="unconnected carrier item types"):
+        c.round_trip(request, kept)
+    assert c.phase is Phase.DISCONNECTED and c.consecutive_errors == 1
+    c.close()
+    thread.join(timeout=5)

@@ -337,3 +337,15 @@ def test_carrier_parsers_accept_and_reject_as_decode_cpf_does():
             assert outcome(encap.parse_unit_data, payload) == expected, payload.hex()
             accepted += expected is not EncapError
     assert accepted > 80  # the damage left some payloads well formed
+
+
+def test_a_connected_reply_repeats_another_only_if_every_byte_but_the_sequence_does():
+    kept = encap.build_unit_data(1, 0x11223344, 7, b"\xcc\x00\x00\x00\x01\x02")[encap.HEADER_SIZE:]
+    conn_id, sequence, _cip = encap.parse_unit_data(kept)
+    assert encap.unit_data_ids(kept) == (conn_id, sequence) == (0x11223344, 7)
+    sequence_at = range(len(kept) - 6 - 2, len(kept) - 6)
+    for i in range(len(kept)):
+        changed = kept[:i] + bytes((kept[i] ^ 0xFF,)) + kept[i + 1:]
+        assert encap.same_unit_data(changed, kept) is (i in sequence_at)
+    assert not encap.same_unit_data(kept + b"\x00", kept)
+    assert not encap.same_unit_data(kept[:-1], kept)

@@ -24,6 +24,7 @@ from logixscan.cip import (
     parse_read_response,
     parse_short_string,
 )
+from logixscan.client import PlcError
 from logixscan.plcsim import (
     CipEngine,
     FaultPlan,
@@ -662,6 +663,31 @@ def test_stop_waits_for_every_session_handler_to_end(monkeypatch):
     finally:
         for peer in peers:
             peer.close()
+
+
+def test_stop_ends_a_handler_waiting_out_injected_latency_at_once():
+    sim = PlcSim(make_store(), FaultPlan(latency_s=2.0)).start()
+    client = connect_to(sim, request_timeout=5.0)
+    failed = []
+
+    def read():
+        try:
+            client.read_tag("TEST")
+        except PlcError as exc:
+            failed.append(exc)
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    try:
+        time.sleep(0.3)  # the request is in the sim's latency
+        started = time.monotonic()
+        sim.stop()
+        assert time.monotonic() - started < 0.5
+        reader.join(5)
+        assert not reader.is_alive() and len(failed) == 1  # the session ended
+    finally:
+        client.close()
+        sim.stop()
 
 
 def test_a_sim_never_started_stops_at_once():

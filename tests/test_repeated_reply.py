@@ -6,27 +6,30 @@ one through a single op, which keeps the last reply it accepted, the other
 through a fresh op built for every reply.  Replies repeat, come short,
 carry error statuses, another service's reply flag, another type, or a
 malformed payload.  In the same way, a transfer of two reads that keeps its
-last Multi-Request reply is fed the same outer replies as one that splits
-every reply with fresh ops: repeated, with one embedded reply changed, with
-an embedded error, a wrong item count, a truncated offset table or an
-embedded reply cut short.  After every reply both copies must hold the same
-cells (values compared by their wire bytes, so NaN payloads and -0.0
-count), the same span cache, drift events and error count.
+last reply, and stores a reply that repeats from its flat restamp record, is
+fed the same outer replies as one that decodes and splits every reply with
+fresh ops: repeated, with one embedded reply changed, with an embedded
+error, a wrong item count, a truncated offset table or an embedded reply cut
+short; between two replies, the outputs' writes may land.  After every
+reply both copies must hold the same cells (values
+compared by their wire bytes, so NaN payloads and -0.0 count), the same span
+cache, drift events and error count.
 """
 
 import struct
+import threading
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from logixscan import cip, plan
+from logixscan import cip, encap, plan
 from logixscan.cip import CipResponse, CipType
-from logixscan.client import Phase
-from logixscan.plan import Direction
+from logixscan.client import Phase, PlcClient, PlcEndpoint
+from logixscan.plan import Direction, TransferReply
 from logixscan.scanner import Quality, ScanList, Subscription, TagScanner, _PlcUnit, _notify_drift
 from logixscan.tags import parse_tag
 
-from conftest import offset_table
+from conftest import counted_on, offset_table
 
 PROPERTIES = settings(
     max_examples=200, deadline=None, derandomize=True, database=None,
@@ -40,6 +43,13 @@ LAYOUTS = {
         ("r[0]", False, CipType.REAL, Direction.INPUT, False),
         ("r[2]", False, CipType.REAL, Direction.OUTPUT, False),
         ("r[3]", False, CipType.REAL, Direction.OUTPUT, True),
+        ("r[5]", False, CipType.REAL, Direction.INPUT, False),
+    ],
+    # the same with no drift callback, so its transfers can restamp flat
+    "plain reals": [
+        ("r[0]", False, CipType.REAL, Direction.INPUT, False),
+        ("r[2]", False, CipType.REAL, Direction.OUTPUT, False),
+        ("r[3]", False, CipType.REAL, Direction.OUTPUT, False),
         ("r[5]", False, CipType.REAL, Direction.INPUT, False),
     ],
     "bits": [
@@ -116,14 +126,20 @@ def cached(unit):
     }
 
 
-class ReplayClient:
-    """A client whose every round trip returns the reply it was last given."""
+class ReplayClient(PlcClient):
+    """A client whose every exchange answers with the CIP reply bytes it was
+    last given, in a SendRRData carrier: its round trips decode and keep
+    replies as a session's do."""
 
-    phase = Phase.REGISTERED
-    reply = None
+    def __init__(self):
+        super().__init__(PlcEndpoint("127.0.0.1"))
+        self.phase = Phase.REGISTERED
+        self._sock = True  # a session that needs no socket
+        self.reply = b""
 
-    def round_trip(self, message):
-        return self.reply
+    def _exchange(self, packet, context, expect=None):
+        # each reply in a buffer of its own, as every exchange reads one
+        return None, bytes(bytearray(encap.build_rr_data(0, self.reply)[encap.HEADER_SIZE:]))
 
 
 class Side:
@@ -144,13 +160,19 @@ class Side:
         return stored
 
     def transfer(self, ops, reply, now, kept=None):
-        """Send one transfer of ops, answered by `reply`, as a cycle does."""
+        """Send one transfer of ops, answered by the CIP bytes `reply`, as a
+        cycle does; returns whether it stored any op's reply."""
         self.unit.client.reply = reply
         drifts = []
         message = cip.encode_multi_request([op.encoded for op in ops])
-        for op, resp in self.scanner._send(self.unit, self.sl, [(ops, message)], kept=kept):
-            self.scanner._absorb_read(self.unit, self.sl, op, resp, now, drifts)
+        stored = False
+        for op, resp in self.scanner._send(
+            self.unit, self.sl, [(ops, message)], kept=kept, now=now
+        ):
+            if op is None or self.scanner._absorb_read(self.unit, self.sl, op, resp, now, drifts):
+                stored = True
         _notify_drift(drifts)
+        return stored
 
     def state(self):
         cells = [(wire(s.value), s.timestamp, s.quality) for s in self.subs]
@@ -189,21 +211,37 @@ def test_a_repeated_reply_reuses_the_values_it_built():
 # how a Multi-Request reply is malformed, if it is
 MALFORMED = [None] * 4 + ["item count", "offset table", "short item", "outer status"]
 transfer_specs = st.tuples(reply_specs, reply_specs, st.sampled_from(MALFORMED))
-# each step: the same reply again (None), one embedded reply changed (its
-# index and its spec), or a new reply
+# each step: the same reply again (None, as often as the others together,
+# so that replies repeat enough to be stored flat), one embedded reply
+# changed (its index and its spec), a new reply, or no reply but the
+# outputs' writes landing between two cycles ("landed")
 steps = st.one_of(
+    st.none(),
     st.none(),
     st.tuples(st.integers(0, 1), reply_specs),
     transfer_specs,
+    st.just("landed"),
+)
+# the first payload, which a transfer's replies carry until a step changes
+# them, is as often as not one that covers every target, so that both reads
+# can store it whole
+whole_payload_specs = st.tuples(
+    st.none(),
+    st.lists(st.sampled_from(SPECIAL_REALS), min_size=WORDS, max_size=WORDS),
+    st.just(b""),
 )
 transfer_cases = st.tuples(
-    st.lists(payload_specs, min_size=1, max_size=3),
+    # with a drift callback, which keeps a record away, or none
+    st.sampled_from(["reals", "plain reals", "plain reals"]),
+    st.tuples(
+        st.one_of(whole_payload_specs, payload_specs), st.lists(payload_specs, max_size=2)
+    ).map(lambda specs: [specs[0], *specs[1]]),
     st.lists(steps, min_size=1, max_size=16),
 )
 
 
 def multi_reply(ops, payloads, spec):
-    """The outer reply to a Multi-Request of ops, as wire bytes decode to."""
+    """The outer reply to a Multi-Request of ops, as its CIP bytes."""
     *items, malformed = spec
     embedded = [
         cip.encode_response(
@@ -222,10 +260,7 @@ def multi_reply(ops, payloads, spec):
         body = body[:3]
     elif malformed == "outer status":  # the same items under an error status
         general = cip.STATUS_SERVICE_NOT_SUPPORTED
-    # each reply in a buffer of its own, as every round trip decodes one
-    return cip.decode_response(bytes(bytearray(
-        bytes((cip.MULTI_REQUEST | cip.REPLY_FLAG, 0, general, 0)) + body
-    )))
+    return bytes((cip.MULTI_REQUEST | cip.REPLY_FLAG, 0, general, 0)) + body
 
 
 def transfer_ops(side):
@@ -234,24 +269,69 @@ def transfer_ops(side):
     return [fresh_op(side.subs[:reals]), fresh_op(side.subs[reals:])]
 
 
+GOOD = (0, cip.STATUS_OK, cip.READ_REPLY)
+WHOLE = (None, [struct.pack("<f", x) for x in range(WORDS)], b"")
+
+
 @PROPERTIES
 @given(transfer_cases)
+# a reply short of the bits' output, repeated: the output fails every cycle,
+# even after its write landed
+@example(("plain reals", [WHOLE, (None, [b"\x01\x00\x00\x00"], b"")], [
+    (GOOD, (1, cip.STATUS_OK, cip.READ_REPLY), None), None, "landed", None,
+]))
 def test_a_remembering_transfer_stores_what_a_splitting_one_stores(case):
-    payloads, changes = case
-    kept, fresh = Side("reals", "bits"), Side("reals", "bits")
+    reals, payloads, changes = case
+    kept, fresh = Side(reals, "bits"), Side(reals, "bits")
     ops = transfer_ops(kept)
-    replies = [None]  # the remembering transfer's slot of a plan's `replies`
-    good = (0, cip.STATUS_OK, cip.READ_REPLY)
-    spec = (good, good, None)
+    replies = [TransferReply()]  # the remembering transfer's slot of a plan's `replies`
+    spec = (GOOD, GOOD, None)
     for step, change in enumerate(changes):
+        now = 1000.0 + step
+        if change == "landed":  # each output holds its value, OK, as a flush settles it
+            for side in (kept, fresh):
+                for sub in side.subs:
+                    if sub.direction is Direction.OUTPUT:
+                        sub.cell = (sub.value, now, Quality.OK)
+            continue
         if change is not None and len(change) == 2:  # one embedded reply changed
             items = list(spec[:2])
             items[change[0]] = change[1]
             spec = (*items, None)
         elif change is not None:
             spec = change
-        now = 1000.0 + step
-        kept.transfer(ops, multi_reply(ops, payloads, spec), now, replies)
         fresh_ops = transfer_ops(fresh)
-        fresh.transfer(fresh_ops, multi_reply(fresh_ops, payloads, spec), now)
+        assert kept.transfer(ops, multi_reply(ops, payloads, spec), now, replies) \
+            == fresh.transfer(fresh_ops, multi_reply(fresh_ops, payloads, spec), now)
         assert kept.state() == fresh.state()
+        if replies[0].restamp is not None:  # only a drift callback keeps a record away
+            assert reals == "plain reals"
+
+
+def test_a_transfer_whose_reply_repeats_is_stored_flat(monkeypatch):
+    kept, fresh = Side("plain reals", "bits"), Side("plain reals", "bits")
+    ops = transfer_ops(kept)
+    replies = [TransferReply()]
+    payloads = [WHOLE]
+    calls = counted_on(
+        threading.current_thread(), monkeypatch, (encap, "parse_rr_data"), "decode_response",
+        "split_multi_response", (TagScanner, "_absorb_read"),
+    )
+    for step in range(4):
+        fresh_ops = transfer_ops(fresh)
+        kept.transfer(ops, multi_reply(ops, payloads, (GOOD, GOOD, None)), 10.0 + step, replies)
+        fresh.transfer(fresh_ops, multi_reply(fresh_ops, payloads, (GOOD, GOOD, None)), 10.0 + step)
+        assert kept.state() == fresh.state()
+        # the fresh side decodes, splits and absorbs all it gets; the kept
+        # side: a new reply, decoded and split; the same again, split to
+        # build its record; then only its record
+        fresh_calls = ["parse_rr_data", "decode_response", "split_multi_response"] \
+            + ["decode_response"] * 2 + ["_absorb_read"] * 2
+        kept_calls = [
+            fresh_calls, fresh_calls[2:], [], [],
+        ][step]
+        assert calls == kept_calls + fresh_calls
+        calls.clear()
+        assert (replies[0].restamp is not None) == (step >= 1)
+    assert all(sub.quality is Quality.OK and sub.timestamp == 13.0 for sub in kept.subs)
+

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from logixscan import cip
+from logixscan import cip, encap
 from logixscan import scanner as scanner_module
 from logixscan.cip import CipType, CipValue
 from logixscan.client import Phase, PlcEndpoint
@@ -20,9 +20,9 @@ from logixscan.config import ConfigError, apply_scan_config, parse_scan_config
 from logixscan.plan import WriteSpan
 from logixscan.plcsim import FaultPlan, PlcSim, TagStore
 from logixscan.scanner import Direction, Quality, TagScanner
-from logixscan.tags import bool_remap, parse_tag, to_epath
+from logixscan.tags import bool_remap, format_tag, parse_tag, to_epath
 
-from conftest import connect_to, make_store, offset_table
+from conftest import connect_to, counted_on, make_store, offset_table
 from reference import build_read_request
 
 
@@ -482,39 +482,112 @@ def test_a_planned_scan_cycle_encodes_nothing(monkeypatch):
         assert all(sub.quality is Quality.OK for sub in subs)
 
 
-def counted_on(thread, monkeypatch, *names):
-    """Calls of the named `cip` functions made on `thread` (not the sim's)."""
-    calls = []
-
-    def counted(name, fn):
-        def call(*args):
-            if threading.current_thread() is thread:
-                calls.append(name)
-            return fn(*args)
-        return call
-
-    for name in names:
-        monkeypatch.setattr(cip, name, counted(name, getattr(cip, name)))
-    return calls
+REPLY_WORK = (
+    (encap, "parse_rr_data"), "decode_response", "split_multi_response",
+    (TagScanner, "_absorb_read"),
+)
 
 
-def test_a_repeated_scan_cycle_splits_and_decodes_no_embedded_reply(monkeypatch):
+def test_a_repeated_scan_cycle_decodes_splits_and_absorbs_nothing(monkeypatch):
     with mixed_sim() as sim:
         sc = scanner_for(sim)
         subs = add_mixed_list(sc)
-        sc.scan_once("plc", 1.0)
-        calls = counted_on(
-            threading.current_thread(), monkeypatch, "split_multi_response", "decode_response"
-        )
-        started = time.time()
-        sc.scan_once("plc", 1.0)
-        # the client decodes each transfer's outer reply, and that is all
-        assert calls == ["decode_response"] * 2
-        assert all(sub.quality is Quality.OK and sub.timestamp >= started for sub in subs)
+        calls = counted_on(threading.current_thread(), monkeypatch, *REPLY_WORK)
+        sc.scan_once("plc", 1.0)  # each reply decoded, split and absorbed
+        assert calls.count("_absorb_read") == 17
+        calls.clear()
+        sc.scan_once("plc", 1.0)  # the same bytes: split and absorbed to be recorded
+        assert "decode_response" in calls and "parse_rr_data" not in calls
+        assert all(reply.restamp is not None for reply in planned(sc, 1.0).replies)
+        calls.clear()
+        for _cycle in range(3):
+            started = time.time()
+            sc.scan_once("plc", 1.0)
+            assert calls == []
+            assert all(sub.quality is Quality.OK and sub.timestamp >= started for sub in subs)
         sim.store.set_tag("rspan[3]", 2.5)  # one embedded reply changes
         sc.scan_once("plc", 1.0)
         rspan_3 = subs[len(MIXED_NAMES) + 3]
         assert calls.count("split_multi_response") == 1 and sc.value_of(rspan_3) == 2.5
+
+
+def test_a_plc_side_change_after_repeated_cycles_shows_in_the_next(monkeypatch):
+    with mixed_sim() as sim:
+        sc = scanner_for(sim)
+        subs = add_mixed_list(sc)
+        for _cycle in range(5):
+            sc.scan_once("plc", 1.0)
+        calls = counted_on(threading.current_thread(), monkeypatch, *REPLY_WORK)
+        scalar, real, bit = subs[4], subs[len(MIXED_NAMES) + 99], subs[-1]
+        # the sim holds a BOOL array as DINT words: bits[351] is bit 31 of word 10
+        for sub, element, stored, value in (
+            (scalar, format_tag(scalar.ref), 8, 8), (real, "rspan[99]", -0.25, -0.25),
+            (bit, "bits[10]", 0x7FFFFFFF, False),
+        ):
+            sim.store.set_tag(element, stored)
+            started = time.time()
+            sc.scan_once("plc", 1.0)
+            assert sc.value_of(sub) == value
+            assert calls.count("split_multi_response") == 1  # only its transfer changed
+            calls.clear()
+            sc.scan_once("plc", 1.0)  # the changed reply repeats: split to be recorded
+            sc.scan_once("plc", 1.0)
+            assert calls.count("split_multi_response") == 1
+            calls.clear()
+            assert all(s.quality is Quality.OK and s.timestamp >= started for s in subs)
+            assert sc.value_of(sub) == value
+
+
+def span_outputs(sc):
+    """counts[0], [2] and [4] as unwatched outputs, and TEST as an input."""
+    outs = [
+        sc.add_tag("plc", f"counts[{i}]", 1.0, direction="out", elem_type=CipType.DINT)
+        for i in (0, 2, 4)
+    ]
+    return outs + [sc.add_tag("plc", "TEST", 1.0, elem_type=CipType.REAL)]
+
+
+def test_a_flush_between_cycles_leaves_the_span_cache_as_the_per_op_path_does(monkeypatch):
+    def run(flat):
+        with PlcSim(make_store()) as sim:
+            sc = scanner_for(sim)
+            if not flat:  # no transfer ever gets a record
+                monkeypatch.setattr(scanner_module, "_restamp_record", lambda ops, resps: None)
+            subs = span_outputs(sc)
+            unit = sc._units["plc"]
+            seen = []
+
+            def look():
+                seen.append((
+                    {key: dict(cache) for key, cache in unit.span_cache.items()},
+                    [(s.value, s.quality, s.dirty) for s in subs],
+                    sc.stats("plc", 1.0).errors,
+                ))
+
+            for _cycle in range(3):
+                sc.scan_once("plc")
+            look()
+            sim.faults.error_inject[cip.WRITE_DATA] = cip.STATUS_PATH_UNKNOWN
+            sc.write(subs[0], -5, immediate=False)
+            sc.write(subs[2], -6, immediate=False)
+            sc.flush("plc")  # refused: the written elements leave the cache
+            look()
+            sc.scan_once("plc")  # the same reply again: read back into the cache
+            look()
+            sim.faults.error_inject.clear()
+            sc.flush("plc")  # lands: the cache holds what was written
+            look()
+            for _cycle in range(3):
+                sc.scan_once("plc")
+            look()
+            monkeypatch.undo()
+            return seen
+
+    flat, per_op = run(True), run(False)
+    assert flat == per_op
+    cache_after_refusal = flat[1][0][("counts", CipType.DINT)]
+    assert 0 not in cache_after_refusal and flat[2][0][("counts", CipType.DINT)][0] == 10
+    assert flat[-1][0][("counts", CipType.DINT)] == {0: -5, 1: 20, 2: 30, 3: 40, 4: -6}
 
 
 def test_a_flush_whose_writes_all_land_splits_no_reply(sim, monkeypatch):
@@ -903,7 +976,9 @@ def test_a_type_mismatch_beside_an_undeclared_member_warns_once(sim, caplog, mon
     client = sc._units["plc"].client
     messages = []
     send = client.round_trip
-    monkeypatch.setattr(client, "round_trip", lambda m: messages.append(m) or send(m))
+    monkeypatch.setattr(
+        client, "round_trip", lambda m, *kept: messages.append(m) or send(m, *kept)
+    )
     with caplog.at_level(logging.INFO, logger="logixscan"):
         sc.scan_once("plc")
         # TEST's type is learned first, so only the plan it leads to reads
@@ -1929,6 +2004,18 @@ def test_client_state_stat_paths_follow_a_dropping_session():
             sc.stat_value("plc/bogus")
         with pytest.raises(KeyError):
             sc.stat_value("nope/phase")
+
+
+def test_last_transfer_stat_path_serves_the_clients_last_round_trip():
+    with PlcSim(make_store(), FaultPlan(latency_s=0.05)) as sim:
+        sc = scanner_for(sim)
+        sc.add_tag("plc", "counts[0]", 1.0, elem_type=CipType.DINT)
+        assert sc.stat_value("plc/last_transfer_ms") is None  # no round trip yet
+        sc.scan_once("plc")
+        client = sc._units["plc"].client
+        last_ms = sc.stat_value("plc/last_transfer_ms")
+        assert last_ms >= 50.0
+        assert last_ms == pytest.approx(client.last_transfer_s * 1000.0)
 
 
 def test_stats_copy_is_detached(sim):
