@@ -3,8 +3,9 @@
 Layers: `encap` (TCP framing and sessions), `cip` (service codec),
 `tags` (address parsing and BOOL-array remapping), `client` (session
 round trips), `plan` (pure scan planning: which transfers a list sends),
-`scanner` (periodic batched scanning and writes), `config` (scan config
-files), `plcsim` (soft PLC), `cli` (command-line tool).
+`cycle` (one transfer loop: sending a step's transfers and storing their
+replies), `scanner` (periodic batched scanning and writes), `config` (scan
+config files), `plcsim` (soft PLC), `cli` (command-line tool).
 """
 
 from .cip import CipError, CipStatusError, CipType, CipValue

@@ -15,13 +15,14 @@ own write, cannot fit is reported unplannable, coalesced or alone.  A
 member whose type is not yet known is kept out of the transfers: the plan
 hands back its discovery read, one element sized as `UNKNOWN_TYPE_SIZING`,
 which the scanner sends before the list's reads or writes and then plans
-the list again with the type the reply carried.  The reads are then packed,
-in order, into Multi-Requests until either the wrapped request or the
-estimated reply would cross the limit; a flush packs its writes with the
-same packer.  Every request is encoded once, when its op is built, and each
-transfer is planned as the bytes it sends; each write, a run's or a lone
-output's, is planned with the outputs it carries and its encoded head.  A
-flush cuts each planned write's dirty outputs into parts
+the list again with the type the reply carried.  The reads, and apart from
+them the discovery reads, are packed in order into Multi-Requests until
+either the wrapped request or the estimated reply would cross the limit; a
+flush packs its writes with the same packer, under the limit and batching
+switch the plan records.  Every request is encoded once, when its op is
+built, and each transfer is planned as the bytes it sends; each write, a
+run's or a lone output's, is planned with the outputs it carries and its
+encoded head.  A flush cuts each planned write's dirty outputs into parts
 (`WriteSpan.parts`) at every gap whose elements cost more bytes than a
 write of its own adds, and `cut_writes` keeps the cut only where the
 batched writes then pack into no more transfers and no more bytes than one
@@ -30,13 +31,10 @@ write, from its first dirty output to its last: `WriteSpan.part` composes
 its head from the planned one, whose service, symbol segments and type it
 keeps, with a new element segment and count, and the plan keeps each part
 it composed (`ScanPlan.part`), so a flush encodes no path and only packs
-the elements behind the head.  Each read also holds the
-plain lists of the subscriptions its reply stores, and the plan a slot per
-transfer (`TransferReply`) for the scanner to keep its last reply in: the
-bytes it came in and what they decoded to, which the client compares the
-next reply with, and the transfer's flat restamp record, so a repeated
-reply is neither decoded, split nor routed again; a new plan starts with
-nothing kept.
+the elements behind the head.  Each read also routes its targets by how
+a reply element reaches the cell, so a reply is stored with no routing
+decided per reply.  A plan holds no reply: what a list keeps of its
+replies is the `cycle` module's.
 
 A member needs only its addressing and its routing: `group`, `element`,
 `bit`, `wire_type()`, `wire_path()`, `coalesce`, `direction` and
@@ -88,23 +86,15 @@ class ReadOp:
     start_element: int | None = None
     # targets split by how a reply element reaches the cell, inputs and
     # unwatched outputs alike: BOOL bits into the shared bit cells, and
-    # typed elements into a value of their own; with the plain lists of
-    # their subscriptions, which a reply that covers them all restamps
+    # typed elements into a value of their own, with their subscriptions,
+    # which a reply that covers them all stores as they are
     bit_targets: list[tuple[object, int, int]] = field(init=False)
     typed_targets: list[tuple[object, int]] = field(init=False)
-    bit_subs: list = field(init=False)
     typed_subs: list = field(init=False)
     # the elements a reply must carry to cover every target
     reach: int = field(init=False)
     # outputs with a drift callback
     checked_targets: list[tuple[object, int, int | None]] = field(init=False)
-    # the last accepted reply: its payload, type and elements, and the cells
-    # it stores: the typed targets it covers with their values, the bit
-    # targets it covers with their bits, and the targets past it, which
-    # fail; a new plan starts without one
-    last_reply: tuple | None = field(default=None, init=False)
-    # whether a reply of another type than expected was logged
-    mismatch_logged: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         output = Direction.OUTPUT
@@ -118,7 +108,6 @@ class ReadOp:
             else:
                 typed_targets.append((sub, offset))
         self.bit_targets, self.typed_targets = bit_targets, typed_targets
-        self.bit_subs = [sub for sub, _offset, _bit in bit_targets]
         self.typed_subs = [sub for sub, _offset in typed_targets]
         self.reach = 1 + max(offset for _sub, offset, _bit in self.targets)
         self.checked_targets = checked_targets
@@ -128,25 +117,6 @@ class ReadOp:
     def fail(self) -> None:
         for sub, _offset, _bit in self.targets:
             sub.fail()
-
-
-class TransferReply:
-    """A planned transfer's last accepted reply, as a client round trip
-    keeps it, and its restamp record: built once the same reply came back
-    and every op stored it whole, dropped by any other reply."""
-
-    __slots__ = ("wire", "resp", "restamp")
-
-    def __init__(self):
-        # the encapsulation payload the reply came in (None: none yet), and
-        # the CIP reply it decoded to
-        self.wire: bytes | None = None
-        self.resp: cip.CipResponse | None = None
-        # (typed subscriptions, their values, subscriptions of bits 0, of
-        # bits 1, span-cache refreshes as (key, {element: raw value})): the
-        # cells and cache the transfer's reply stores, in one flat pass;
-        # None: none
-        self.restamp: tuple | None = None
 
 
 # a transfer: its ops, and the encoded message it sends (the one op's
@@ -247,18 +217,16 @@ class ScanPlan:
     # every planned write, in plan order: each typed output of a planned
     # run or lone member is in exactly one
     write_spans: list[WriteSpan]
-    # one read per member of unknown type, unpacked: sent before the transfers
-    discovery: list[ReadOp]
-    # per transfer, its last reply and restamp record; a new plan starts
-    # with none
-    replies: list[TransferReply] = field(init=False)
+    # one read per member of unknown type, packed as the reads are: sent
+    # before the transfers
+    discovery: list[Transfer]
+    # the buffer limit and batching switch it was planned under, which a
+    # flush cuts and packs its writes by
+    limit: int
+    batching: bool
     # (planned head, first, high) -> `WriteSpan.part(first, high)`: a head
     # fixes its write's elements, so it keys the write
-    parts: dict = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.replies = [TransferReply() for _transfer in self.transfers]
-        self.parts = {}
+    parts: dict = field(default_factory=dict)
 
     def part(
         self, span: WriteSpan, first: int | None, high: int | None
@@ -391,7 +359,10 @@ def plan_list(members: list, limit: int, batching: bool) -> ScanPlan:
             ops.append(op)
             if write is not None:
                 writes.append(write)
-    return ScanPlan(pack(ops, limit, batching), unplannable, writes, discovery)
+    return ScanPlan(
+        pack(ops, limit, batching), unplannable, writes, pack(discovery, limit, batching),
+        limit, batching,
+    )
 
 
 def pack(ops: list, limit: int, batching: bool) -> list[Transfer]:

@@ -1,4 +1,5 @@
-"""Periodic tag scanning: execution, the write path and the worker threads.
+"""Periodic tag scanning: subscriptions, scan lists, the public API and the
+worker threads.
 
 Subscriptions are grouped into per-period scan lists.  Each subscription
 derives its wire address once, when its tag is set: the group it coalesces
@@ -10,72 +11,37 @@ every update replaces whole, so `snapshot()` reads a consistent triple
 without a lock.
 
 A list is planned by `plan.plan_list` before its first cycle and again
-after its membership or a discovered type changes.  A member declared
-without a type is in no transfer until its type is known: before a list's
-reads or writes go out, a cycle and a flush take one discovery step, which
-sends one single-element read per such member, packed like any reads; each
-reply fixes its member's type and the list is planned again.  So a list
-with undeclared members sends one extra packed round trip on its first
-cycle and none after; a member whose read fails reports ERROR (an output
-stays dirty, unwritten) and is read again next time.  The plan holds each
-transfer as the bytes it sends, encoded once, each read's routing of reply
-elements into cells (an output without `on_drift` is stored as an input
-is), and each planned write, a run's span or a lone output's, with its
-encoded head, so a cycle only sends, decodes and stores.  Each planned
-transfer keeps its last reply (`plan.TransferReply`): the client compares
-the next reply's bytes with it and, when they are equal, returns the kept
-decoded reply.  Once the same reply has come back and every read in the
-transfer stored it whole (no short reply, no type mismatch, no drift
-callback), the transfer also keeps a flat restamp record, built from the
-reads' last replies: the typed cells with their values, the bit cells with
-their bits, and the span-cache refreshes of reads of outputs.  The one
-transfer loop, `_send`, used by a cycle and by a flush's list read, stores
-a repeated reply with a record in one pass, with no reply decoded or split
-and no read called; any other reply drops the record and is split and
-stored read by read.  Each planned read keeps the payload of its last
-accepted reply and the cells it decoded to: a reply whose bytes are the
-same again is not decoded, and its cells take the same immutable values
-with this cycle's timestamp; a reply that changed but keeps its type and
-element count builds a value only for each element whose wire bytes
-changed, and the rest keep theirs.  Discovery reads keep nothing, and a
-new plan starts with nothing kept.
+after its membership or a discovered type changes, and each plan gets a
+`cycle.Executor`, which keeps what the list's steps keep of that plan's
+replies, so a new plan starts with nothing kept.  A cycle and a flush are
+each one step (`cycle.Step`), and every transfer of a step goes through
+one loop, `cycle.send`: a step first sends the discovery reads of the
+members whose type is not yet known, packed as reads are, and plans the
+list again when a reply fixed a type; so a list with undeclared members
+sends one extra packed round trip on its first cycle and none after, and a
+member whose discovery read failed reports ERROR (an output stays dirty,
+unwritten) and is read again next time.  A cycle then sends the planned
+reads; a flush (`cycle.flush`) builds and sends its writes.  `cycle`
+describes how each reply is stored and kept.
+
 Outputs are staged by `write` (in place, or through the worker's queue from
 another thread while a worker runs), written on demand and read back every
 cycle, with drift notifications for watched outputs when the PLC side
-changed, run once the step's replies are all stored.  A flush walks the
-plan's writes that carry dirty outputs and, batched, cuts each at every gap
-that costs more bytes than a write of its own (`plan.cut_writes`: never
-into more transfers or more bytes than one write per planned write).  It
-builds, with no I/O, one write per part, from its first dirty element to
-its last: staged values on the dirty elements, and the span cache that the
-list's reads fill on the short gaps the part keeps, so no element outside a
-part is written; a BOOL word's dirty bits apply as one mask of bits to set
-and one to clear.  Its head is the planned one with a new element segment
-and count, composed once per plan, so a flush encodes no path.  An output
-the plan left out (unplannable, or of a type still unknown) is in no
-planned write, so no flush sends it.  If a write builds on an element the
-cache lacks (a gap not yet read, or a BOOL word to modify), the flush sends
-the list's own planned reads once, through the same transfer loop and the
-same reply handling as a cycle, then builds every write again; a write that
-still lacks an element fails, its outputs ERROR and still dirty.  The
-writes are packed in order with the planner's packer.  A reply whose writes
-all landed depends only on how many it carries, so it is known by its
-bytes and settles them all with no embedded reply split or decoded; in any
-other, each embedded write lands and settles to its elements as packed, or
-fails and stays dirty, alone.  An output whose staged value cannot be
-encoded fails alone, unwritten.  Once a step loses the session, the later
-steps' requests fail unsent, so the loss counts one error.  A list keeps
-its failing state per cause (not connected, a transfer failed, a member's
-read failed) and logs a WARNING when it starts failing for a cause and an
-INFO when it recovers from it, so a member that always fails hides no
-session loss; a reply of another type than declared, and a member that no
-request under the buffer limit can carry, count an error each cycle but log
-once per plan.  Scan config files are parsed and applied by `config`.
+changed, run once the step's replies are all stored.  A list's stats take
+each step's errors when the step is done, and a cycle that stored any
+reply records its duration and calls `on_sample`, whose exceptions are
+logged, as a drift callback's are, so the worker keeps scanning.  A list
+keeps its failing state per cause (not connected, a transfer failed, a
+member's read failed) and logs a WARNING when it starts failing for a
+cause and an INFO when it recovers from it, so a member that always fails
+hides no session loss; a reply of another type than declared, and a
+member that no request under the buffer limit can carry, count an error
+each cycle but log once per plan.  Scan config files are parsed and
+applied by `config`.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import logging
 import math
@@ -85,55 +51,21 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 
-from . import cip
 from .cip import CipType, CipValue, Element, Epath
-from .client import PlcClient, PlcEndpoint, PlcError, Phase
-from .plan import Direction, ReadOp, ScanPlan, WriteSpan, cut_writes, pack, plan_list
+from .client import Phase, PlcClient, PlcEndpoint
+from .cycle import Executor, Quality, Step, flush, notify, send
+from .plan import Direction, ScanPlan, plan_list
 from .tags import BITS_PER_DINT, TagPart, TagRef, format_tag, parse_tag, to_epath
 
 log = logging.getLogger(__name__)
 
-# BOOL-array bit cells; values are frozen, so every bit cell shares these
-_BOOL_CELLS = (CipValue(CipType.BOOL, (False,)), CipValue(CipType.BOOL, (True,)))
-
 _BASE_CACHE_SIZE = 1024  # base chains whose address a scanner keeps
 
-# what `cip.pack_elements` raises for an element it cannot encode
-_UNENCODABLE = (cip.CipError, TypeError, ValueError, OverflowError)
-
-# a BOOL word to modify that the span cache does not hold
-_LACKING = object()
-
-_SIGN = 1 << (BITS_PER_DINT - 1)  # a DINT word's sign bit
-
-# an enum member lookup is not free
-_OUTPUT = Direction.OUTPUT
-_DISCONNECTED = Phase.DISCONNECTED
-
-# what a write that landed replies: its status header alone
-_LANDED = cip.CipResponse(cip.WRITE_DATA | cip.REPLY_FLAG)
-
-
-# n, the writes one transfer holds, stays under 128 at any buffer limit
-@functools.lru_cache(maxsize=128)
-def _all_landed(n: int) -> tuple[cip.CipResponse, tuple]:
-    """The Multi-Request reply to n writes that all landed, which depends
-    on n alone, and the embedded replies it splits into."""
-    return cip.build_multi_response([_LANDED] * n), (_LANDED,) * n
-
+_OUTPUT = Direction.OUTPUT  # an enum member lookup is not free
 
 # why a list fails, in the order a cycle meets them: a cycle that fails for
 # one did not run (all of) the steps behind the later ones
 _CAUSES = ("not connected", "transfer failed", "read failed")
-
-
-class Quality(enum.Enum):
-    STALE = "stale"
-    OK = "ok"
-    ERROR = "error"
-
-
-_OK = Quality.OK
 
 
 @dataclass
@@ -254,11 +186,11 @@ class ScanList:
     members: list[Subscription] = field(default_factory=list)
     stats: TransferStats = field(default_factory=TransferStats)
     plan: ScanPlan | None = None
+    # what its cycles and flushes keep of the plan's replies, made with it
+    executor: Executor | None = None
     next_tick: float | None = None
-    # why the list is failing, by cause, and the first error of each cause
-    # in the cycle under way, which the cycle's end makes its fault
+    # why the list is failing, by cause
     faults: dict[str, str] = field(default_factory=dict)
-    causes: dict[str, str] = field(default_factory=dict)
 
 
 class _PlcUnit:
@@ -274,125 +206,6 @@ class _PlcUnit:
         self.queue: queue.Queue = queue.Queue()
         self.thread: threading.Thread | None = None
         self.running = False
-
-
-@dataclass(slots=True)
-class WriteOp:
-    """One write a flush built, and the subscriptions it settles on landing."""
-
-    encoded: bytes
-    subs: list[Subscription]
-    # span-cache elements this write already set, so that later
-    # read-modify-writes of the same flush build on it
-    cache: dict[int, object]
-    # the element the write starts at (None: an unindexed tag, which the
-    # span cache does not hold), and its elements as packed: what the PLC
-    # holds once it lands
-    first: int | None
-    values: tuple
-    response_estimate = 4  # a write reply is its status header alone
-
-    def settle(self) -> None:
-        """The write landed: each subscription holds what went on the wire
-        for it (a bit, from its written word), OK."""
-        now, ok = time.time(), _OK
-        first, values = self.first, self.values
-        for sub in self.subs:
-            raw = values[0 if first is None else sub.element - first]
-            bit = sub.bit
-            if bit is not None:
-                value = _BOOL_CELLS[(raw >> bit) & 1]
-            else:
-                value = CipValue(sub.elem_type, (raw,))
-            sub.cell = (value, now, ok)
-            sub.dirty = False
-
-    def fail(self) -> None:
-        for sub in self.subs:
-            sub.fail()
-        if self.first is not None:  # unknown on the PLC: read again first
-            for element in range(self.first, self.first + len(self.values)):
-                self.cache.pop(element, None)
-
-
-def _same_wire(a: CipValue, b: CipValue) -> bool:
-    """Whether two values go on the wire as the same bytes: a NaN equals
-    itself, and -0.0 is not 0.0."""
-    return a.type is b.type and (
-        cip.pack_elements(a.type, a.elements) == cip.pack_elements(b.type, b.elements)
-    )
-
-
-def _wire_words(value_type: CipType, payload: bytes, elements: tuple) -> tuple:
-    """Per element of a read reply, a value that two elements of this type
-    share only if they decode to values of the same wire bytes, as
-    `_same_wire` compares them: a REAL's bits (a NaN equals itself, and
-    -0.0 is not 0.0), any other element itself."""
-    if value_type is CipType.REAL:
-        return cip.unpack_elements(CipType.DINT, payload[2:])
-    return elements
-
-
-def _restamp_record(ops: list[ReadOp], responses) -> tuple | None:
-    """The restamp record of a transfer whose reply its ops just stored
-    again, built from each op's `last_reply`; None unless every op stored
-    its reply whole: accepted (no error status, no other service, no type
-    mismatch), covering every target, and with no drift callback to run."""
-    typed_subs, values, zeros, ones, refreshes = [], [], [], [], []
-    for op, resp in zip(ops, responses):
-        last = op.last_reply
-        if (
-            op.checked_targets or last is None or last[7] or resp.payload != last[0]
-            or resp.general_status != cip.STATUS_OK or resp.service_reply != cip.READ_REPLY
-        ):
-            return None
-        _payload, _type, elements, subs, op_values, bit_subs, bits, _past = last
-        typed_subs += subs
-        values += op_values
-        for sub, bit in zip(bit_subs, bits):
-            (ones if bit else zeros).append(sub)
-        if op.cache_key is not None:
-            start = op.start_element
-            refreshes.append(
-                (op.cache_key, dict(zip(range(start, start + len(elements)), elements)))
-            )
-    return typed_subs, values, zeros, ones, refreshes
-
-
-def _restamp(unit: _PlcUnit, record: tuple, now: float) -> None:
-    """Store a transfer's repeated reply from its restamp record: the cells
-    and span cache that its ops would store from the same reply, stamped
-    `now`."""
-    typed_subs, values, zeros, ones, refreshes = record
-    ok = _OK
-    for sub, value in zip(typed_subs, values):
-        sub.cell = (value, now, ok)
-    cell = (_BOOL_CELLS[0], now, ok)
-    for sub in zeros:
-        sub.cell = cell
-    cell = (_BOOL_CELLS[1], now, ok)
-    for sub in ones:
-        sub.cell = cell
-    for key, elements in refreshes:
-        unit.span_cache.setdefault(key, {}).update(elements)
-
-
-def _encoding_error(wire_type: CipType, value) -> Exception | None:
-    """Why one staged value cannot be packed as wire_type, or None."""
-    try:
-        cip.pack_elements(wire_type, (value,))
-    except _UNENCODABLE as exc:
-        return exc
-    return None
-
-
-def _notify_drift(drifts: list) -> None:
-    """Run the drift callback of each (sub, old, new), in order."""
-    for sub, old, new in drifts:
-        try:
-            sub.on_drift(sub, old, new)
-        except Exception:
-            log.exception("drift callback failed for %s", format_tag(sub.ref))
 
 
 class TagScanner:
@@ -546,42 +359,37 @@ class TagScanner:
         unit = self._unit(plc_name)
 
         def inspect():
-            plan = self._plan(unit, unit.lists[period_s])
+            plan = self._executor(unit, unit.lists[period_s]).plan
             return [len(ops) for ops, _request in plan.transfers]
 
         return self._submit(unit, inspect)
 
-    def _plan(self, unit: _PlcUnit, sl: ScanList) -> ScanPlan:
-        """The list's plan, planned again after membership or a type changed."""
+    def _executor(self, unit: _PlcUnit, sl: ScanList) -> Executor:
+        """The executor of the list's plan, planned again after membership
+        or a type changed."""
         if sl.plan is None:
             limit = unit.client.endpoint.buffer_limit
             sl.plan = plan_list(sl.members, limit, self.batching)
+            sl.executor = Executor(sl.plan)
             # a configuration fault, not the list failing: logged once per plan
             for sub in sl.plan.unplannable:
                 log.warning("%s: %s does not fit the %d-byte limit",
                             unit.name, format_tag(sub.ref), limit)
-        return sl.plan
+        return sl.executor
 
-    def _discover(self, unit: _PlcUnit, sl: ScanList, level: int = logging.DEBUG) -> ScanPlan:
-        """The list's plan once its members of unknown type have had their
-        discovery reads, sent packed: each reply fixes its member's type and
-        plans the list again, and a member whose read failed reports ERROR
-        and is read again next time.  Unplannable members report ERROR."""
-        plan = self._plan(unit, sl)
-        if plan.discovery:
-            transfers = pack(plan.discovery, unit.client.endpoint.buffer_limit, self.batching)
-            for op, resp in self._send(unit, sl, transfers, level):
-                try:
-                    op.targets[0][0].elem_type = cip.parse_read_reply(resp)[0]
-                    sl.plan = None
-                except cip.CipError as exc:
-                    log.log(level, "read failed on %s: %s", unit.name, exc)
-                    self._error(sl, "read failed", exc)
-                    op.fail()
-            plan = self._plan(unit, sl)
-        for sub in plan.unplannable:
+    def _discover(self, unit: _PlcUnit, sl: ScanList, step: Step) -> Executor:
+        """The list's executor once its members of unknown type have had
+        their discovery reads, sent in the step: a reply that fixes a
+        member's type plans the list again, and a member whose read failed
+        reports ERROR and is read again next time.  Unplannable members
+        report ERROR."""
+        executor = self._executor(unit, sl)
+        if executor.discovery and send(step, executor.discovery, executor.discovery_replies):
+            sl.plan = None
+            executor = self._executor(unit, sl)
+        for sub in executor.plan.unplannable:
             sub.fail()
-        return plan
+        return executor
 
     # -- scanning -------------------------------------------------------------
 
@@ -601,12 +409,11 @@ class TagScanner:
         starts failing for it, and an INFO when a cycle that ran its step
         is clear of it; a cycle that fails for one cause keeps the state of
         the later ones, whose steps it did not all run."""
-        sl.causes = {}
-        self._read_list(unit, sl)
-        if not (sl.faults or sl.causes):
+        causes = self._read_list(unit, sl)
+        if not (sl.faults or causes):
             return
         for cause in _CAUSES:
-            fault, error = sl.faults.pop(cause, None), sl.causes.get(cause)
+            fault, error = sl.faults.pop(cause, None), causes.get(cause)
             if error is not None:
                 if fault is None:
                     log.warning("%s: list %g s failing: %s", unit.name, sl.period_s, error)
@@ -615,185 +422,36 @@ class TagScanner:
             if fault is not None:
                 log.info("%s: list %g s recovered from: %s", unit.name, sl.period_s, fault)
 
-    def _read_list(self, unit: _PlcUnit, sl: ScanList) -> None:
-        now = time.time()
+    def _read_list(self, unit: _PlcUnit, sl: ScanList) -> dict[str, str]:
+        """One cycle's reads, as one step; returns the causes it failed for."""
+        step = Step(unit, logging.DEBUG)
         client = unit.client
-        if not client.ensure_connected():
-            self._error(sl, "not connected", client.connect_error or "reconnect paced")
+        stored = False
+        if client.ensure_connected():
+            started = time.monotonic()
+            executor = self._discover(unit, sl, step)
+            for _sub in executor.plan.unplannable:  # counted each cycle, as a type mismatch is
+                step.error()
+            stored = send(step, executor.transfers, executor.replies)
+            duration = time.monotonic() - started
+        else:
+            step.error("not connected", client.connect_error or "reconnect paced")
             for sub in sl.members:
                 sub.fail()
-            return
-        started = time.monotonic()
-        plan = self._discover(unit, sl)
-        for _sub in plan.unplannable:  # counted each cycle, as a type mismatch is
-            self._error(sl)
-        any_ok = False
-        drifts: list = []
-        for op, resp in self._send(unit, sl, plan.transfers, kept=plan.replies, now=now):
-            if op is None or self._absorb_read(unit, sl, op, resp, now, drifts):
-                any_ok = True
-        duration = time.monotonic() - started
-        if any_ok:
-            with self._stats_lock:
-                sl.stats.record(duration)
-            if self.on_sample is not None:
-                self.on_sample(
-                    int(now * 1000), round(sl.period_s * 1000), duration * 1000.0
-                )
-        _notify_drift(drifts)
-
-    def _error(self, sl: ScanList, cause: str | None = None, detail=None) -> None:
-        """Count one error of the list; the cycle's first of a cause is kept
-        with its detail (a fault without a cause, such as a member's, fails
-        no list)."""
         with self._stats_lock:
-            sl.stats.errors += 1
-        if cause is not None and cause not in sl.causes:
-            sl.causes[cause] = f"{cause}: {detail}"
-
-    def _send(
-        self, unit: _PlcUnit, sl: ScanList, transfers: list,
-        level: int = logging.DEBUG, kept: list | None = None, now: float | None = None,
-        expect: list | None = None,
-    ):
-        """Send transfers in order; yield (op, reply) for each op of each
-        transfer that got a reply, and fail the ops of each that did not.
-        Once the session is gone, lost here or in an earlier step, the
-        transfers left fail unsent and uncounted: its loss counted once.
-        With `kept`, a plan's `replies` for its reads, the client returns a
-        transfer's kept reply when the bytes repeat.  A repeated reply whose
-        slot holds a restamp record is stored from it at `now`, with no op
-        called, and yields (None, None) once; a repeated one without a
-        record is yielded op by op, and then gets a record if every op
-        stored it whole; any other reply drops the record.  With `expect`,
-        per transfer a Multi-Request reply and the embedded replies it
-        splits into (the replies a flush expects), a reply equal to it is
-        not split."""
-        client = unit.client
-        for i, (ops, message) in enumerate(transfers):
-            if client.phase is _DISCONNECTED:
-                for lost, _message in transfers[i:]:
-                    for op in lost:
-                        op.fail()
-                return
-            repeated = False
+            sl.stats.errors += step.errors
+            if stored:
+                sl.stats.record(duration)
+        if stored and self.on_sample is not None:
             try:
-                if kept is None:
-                    reply = client.round_trip(message)
-                else:
-                    slot = kept[i]
-                    before = slot.resp
-                    reply = client.round_trip(message, slot)
-                    repeated = reply is before
-                    if not repeated:
-                        slot.restamp = None
-                    elif slot.restamp is not None:
-                        _restamp(unit, slot.restamp, now)
-                        yield None, None
-                        continue
-                if len(ops) == 1:
-                    responses = (reply,)
-                elif expect is not None and expect[i][0] == reply:
-                    responses = expect[i][1]
-                else:
-                    responses = cip.split_multi_response(reply, len(ops))
-            except (PlcError, cip.CipError) as exc:
-                log.log(level, "transfer failed on %s: %s", unit.name, exc)
-                self._error(sl, "transfer failed", exc)
-                for op in ops:
-                    op.fail()
-                continue
-            yield from zip(ops, responses)
-            if repeated:
-                slot.restamp = _restamp_record(ops, responses)
-
-    def _absorb_read(
-        self, unit: _PlcUnit, sl: ScanList, op: ReadOp, resp: cip.CipResponse, now: float,
-        drifts: list, level: int = logging.DEBUG,
-    ) -> bool:
-        """Store one read's reply; a watched output whose value the PLC
-        changed while it had nothing staged adds (sub, old, new) to `drifts`,
-        for its callback to run once the step's every reply is stored."""
-        last = op.last_reply
-        if (
-            last is None or resp.payload != last[0]
-            or resp.general_status != cip.STATUS_OK or resp.service_reply != cip.READ_REPLY
-        ):
-            # not the bytes of the last accepted reply: decode them
-            try:
-                value_type, elements = cip.parse_read_reply(resp)
-            except cip.CipError as exc:
-                log.log(level, "read failed on %s: %s", unit.name, exc)
-                self._error(sl, "read failed", exc)
-                op.fail()
-                return False
-            if value_type is not op.expected_type:
-                # a configuration fault, not the list failing: logged once per plan
-                self._error(sl)
-                op.fail()
-                if not op.mismatch_logged:
-                    op.mismatch_logged = True
-                    log.warning(
-                        "%s: %s expected %s, PLC sent %s", unit.name,
-                        op.targets[0][0].group, op.expected_type.name, value_type.name,
-                    )
-                return False
-            count = len(elements)
-            typed, bits = op.typed_targets, op.bit_targets
-            typed_subs, bit_subs, past = op.typed_subs, op.bit_subs, []
-            if count < op.reach:  # a short reply: only the targets it covers are stored
-                past = [t[0] for t in typed + bits if t[1] >= count]
-                typed = [t for t in typed if t[1] < count]
-                bits = [t for t in bits if t[1] < count]
-                typed_subs, bit_subs = [t[0] for t in typed], [t[0] for t in bits]
-            if last is not None and last[1] is value_type and len(last[2]) == count:
-                # the kept reply's layout: a typed target whose element has
-                # the same wire bytes keeps the value it decoded to
-                new = _wire_words(value_type, resp.payload, elements)
-                old = _wire_words(value_type, last[0], last[2])
-                values = [
-                    kept if new[o] == old[o] else CipValue(value_type, (elements[o],))
-                    for (_sub, o), kept in zip(typed, last[4])
-                ]
-            else:
-                values = [CipValue(value_type, (elements[o],)) for _sub, o in typed]
-            last = op.last_reply = (
-                resp.payload, value_type, elements, typed_subs, values,
-                bit_subs, [(elements[o] >> bit) & 1 for _sub, o, bit in bits], past,
-            )
-        _payload, value_type, elements, typed_subs, values, bit_subs, bits, past = last
-        count = len(elements)
-        if op.cache_key is not None:
-            start = op.start_element
-            unit.span_cache.setdefault(op.cache_key, {}).update(
-                zip(range(start, start + count), elements)
-            )
-        ok = _OK
-        for sub, value in zip(typed_subs, values):
-            sub.cell = (value, now, ok)
-        if bits:
-            bit_cells = ((_BOOL_CELLS[0], now, ok), (_BOOL_CELLS[1], now, ok))
-            for sub, bit in zip(bit_subs, bits):
-                sub.cell = bit_cells[bit]
-        for sub in past:  # a short reply: the targets past it fail
-            sub.fail()
-        for sub, offset, bit in op.checked_targets:
-            if offset >= count:
-                sub.fail()
-                continue
-            raw = elements[offset]
-            if bit is not None:
-                cell = _BOOL_CELLS[(raw >> bit) & 1]
-            else:
-                cell = CipValue(value_type, (raw,))
-            old = sub.value
-            if old is not None and _same_wire(old, cell):
-                sub.cell = (old, now, ok)
-                continue
-            sub.cell = (cell, now, ok)
-            if old is not None and not sub.dirty:
-                drifts.append((sub, old, cell))
-        return True
+                self.on_sample(
+                    int(step.now * 1000), round(sl.period_s * 1000), duration * 1000.0
+                )
+            except Exception:
+                log.exception("on_sample failed for %s", unit.name)
+        if step.drifts:
+            notify(step.drifts)
+        return step.causes
 
     # -- writing --------------------------------------------------------------
 
@@ -831,130 +489,12 @@ class TagScanner:
                         sub.fail()
             return
         for sl in unit.lists.values():
-            if not any(sub.dirty for sub in sl.members):
-                continue
-            plan = self._discover(unit, sl, logging.WARNING)
-            ops, lacking = self._build_flush(unit, sl)
-            if lacking:
-                # a write builds on an element the span cache lacks: read the
-                # list once, then build every write again, so that no span
-                # write carries a gap just read over a write staged before it
-                now = time.time()
-                drifts: list = []
-                for op, resp in self._send(
-                    unit, sl, plan.transfers, logging.WARNING, plan.replies, now
-                ):
-                    if op is not None:
-                        self._absorb_read(unit, sl, op, resp, now, drifts, logging.WARNING)
-                _notify_drift(drifts)
-                ops, lacking = self._build_flush(unit, sl)
-                for sub in lacking:
-                    sub.fail()
-            transfers = pack(ops, unit.client.endpoint.buffer_limit, self.batching)
-            # a reply whose writes all landed is known by its bytes: it
-            # settles them with no split and no embedded reply decoded
-            landed = [_all_landed(len(writes)) for writes, _message in transfers]
-            for op, resp in self._send(unit, sl, transfers, logging.WARNING, expect=landed):
-                if resp is not _LANDED:
-                    try:
-                        cip.parse_write_response(resp)
-                    except cip.CipError as exc:
-                        log.warning("write failed on %s: %s", unit.name, exc)
-                        self._error(sl)
-                        op.fail()
-                        continue
-                op.settle()
-
-    def _build_flush(self, unit: _PlcUnit, sl: ScanList) -> tuple[list[WriteOp], list]:
-        """The writes of the planned writes that carry dirty outputs, cut
-        by `plan.cut_writes` and built with no I/O, in plan order; and the
-        outputs whose write builds on an element the span cache lacks,
-        unbuilt.  An output the plan left out (unplannable, or of a type
-        still unknown) is in no planned write, so it stays dirty, unwritten."""
-        plan = self._plan(unit, sl)
-        writes = []
-        for span in plan.write_spans:
-            dirty = [sub for sub in span.outputs if sub.dirty]
-            if dirty:
-                writes.append((span, dirty))
-        ops: list[WriteOp] = []
-        lacking = []
-        limit = unit.client.endpoint.buffer_limit
-        for span, dirty in cut_writes(writes, limit, self.batching, WriteOp.response_estimate):
-            lacking += self._build_write(unit, sl, plan, span, dirty, ops)
-        return ops, lacking
-
-    def _build_write(
-        self, unit: _PlcUnit, sl: ScanList, plan: ScanPlan, span: WriteSpan,
-        dirty: list[Subscription], ops: list[WriteOp],
-    ) -> list[Subscription]:
-        """Build one write of a planned write's dirty outputs into `ops`,
-        from the first of them to the last: staged values on dirty
-        elements, the span cache on the gaps between them.  Returns the
-        outputs, unbuilt, if it builds on an element the cache lacks.  An
-        output whose own staged value cannot be encoded fails alone, and the
-        write is built without it."""
-        wire_type = span.key[1]
-        cache = unit.span_cache.setdefault(span.key, {})
-
-        # staged values per element; a BOOL word's dirty bits fold, in
-        # order, into one mask of bits to set and one of bits to clear
-        pending: dict[int | None, object] = {}
-        masks: dict[int, list[int]] = {}
-        for sub in dirty:
-            element, bit = sub.element, sub.bit
-            if bit is None:
-                pending[element] = sub.pending
-                if masks:  # a word staged whole after bits of it drops them
-                    masks.pop(element, None)
-                continue
-            mask = masks.get(element)
-            if mask is None:
-                mask = masks[element] = [0, 0]
-            flag = 1 << bit
-            if sub.pending:
-                mask[0] |= flag
-                mask[1] &= ~flag
-            else:
-                mask[1] |= flag
-                mask[0] &= ~flag
-        for element, (set_bits, clear_bits) in masks.items():
-            word = pending[element] if element in pending else cache.get(element, _LACKING)
-            if word is _LACKING:
-                return dirty
-            # kept in the signed DINT range, which packs with no fallback
-            pending[element] = (
-                (((int(word) | set_bits) & ~clear_bits) & 0xFFFFFFFF) ^ _SIGN
-            ) - _SIGN
-
-        covered, head = plan.part(span, dirty[0].element, dirty[-1].element)
-        try:
-            elements = [pending[e] if e in pending else cache[e] for e in covered]
-        except KeyError:  # a gap the cache lacks
-            return dirty
-        try:
-            data = cip.pack_elements(wire_type, elements)
-        except _UNENCODABLE:
-            rest = []
-            for sub in dirty:
-                error = None if sub.bit is not None else _encoding_error(wire_type, sub.pending)
-                if error is None:
-                    rest.append(sub)
-                    continue
-                log.warning("cannot write %r to %s on %s: %s",
-                            sub.pending, format_tag(sub.ref), unit.name, error)
-                self._error(sl)
-                sub.fail()
-                sub.dirty = False
-            if len(rest) == len(dirty):
-                raise
-            return self._build_write(unit, sl, plan, span, rest, ops) if rest else []
-        values = cip.unpack_elements(wire_type, data)
-        first = covered[0]
-        ops.append(WriteOp(head + data, dirty, cache, first, values))
-        if first is not None:
-            cache.update(zip(covered, values))
-        return []
+            if any(sub.dirty for sub in sl.members):
+                step = Step(unit, logging.WARNING)
+                flush(step, self._discover(unit, sl, step))
+                if step.errors:
+                    with self._stats_lock:
+                        sl.stats.errors += step.errors
 
     # -- worker threads ---------------------------------------------------------
 

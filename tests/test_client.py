@@ -21,7 +21,7 @@ from logixscan.client import (
     PlcTimeout,
     RequestTooLarge,
 )
-from logixscan.plan import TransferReply
+from logixscan.cycle import TransferReply
 from logixscan.plcsim import FaultPlan, PlcSim, TagStore
 
 from conftest import connect_to, counted_on, make_store

@@ -11,6 +11,7 @@ batched flush never packs worse than one write per planned write.
 """
 
 import collections
+import logging
 
 import pytest
 from hypothesis import given
@@ -20,7 +21,8 @@ from logixscan import cip
 from logixscan.cip import CipType
 from logixscan.client import PlcEndpoint
 from logixscan.plan import Direction, cut_writes, pack
-from logixscan.scanner import ScanList, TagScanner, WriteOp
+from logixscan.cycle import Step, WriteOp, build_flush
+from logixscan.scanner import ScanList, TagScanner
 
 from test_plan import PROPERTIES, member, members_of
 
@@ -78,7 +80,12 @@ def flush_of(members, limit=500, batching=True):
     unit = sc._units["plc"]
     sl = ScanList(1.0, list(members))
     unit.lists[1.0] = sl
-    return sc, unit, sl, sc._plan(unit, sl)
+    return sc, unit, sl, sc._executor(unit, sl).plan
+
+
+def build(unit, scan_plan):
+    """A flush's writes and the outputs it left unbuilt, built with no I/O."""
+    return build_flush(Step(unit, logging.WARNING), scan_plan)
 
 
 def cached(element) -> int:
@@ -185,7 +192,7 @@ def test_each_built_write_runs_from_its_first_dirty_output_to_its_last(case, dat
     for key, elements in model.items():
         unit.span_cache[key] = dict(elements)
 
-    ops, lacking = sc._build_flush(unit, sl)
+    ops, lacking = build(unit, scan_plan)
     built, unbuilt = iter(ops), []
     writes = dirty_writes(scan_plan)
     for span, dirty in cut_writes(writes, limit, batching, WriteOp.response_estimate):
@@ -272,7 +279,7 @@ def test_a_batched_flush_packs_no_worse_than_one_write_per_planned_write(case, d
         whole.append(Write(head + packed, WriteOp.response_estimate))
         if covered[0] is not None:  # later writes build on what this one set
             model[span.key].update(zip(covered, cip.unpack_elements(span.key[1], packed)))
-    ops, lacking = sc._build_flush(unit, sl)
+    ops, lacking = build(unit, scan_plan)
     assert lacking == []
     if batching:
         transfers, size = packed_cost(ops, limit)
@@ -324,12 +331,12 @@ def test_a_schedule_of_flushes_sends_the_reference_bytes(case, data):
             expected.append(Write(head + packed, WriteOp.response_estimate))
             if covered[0] is not None:
                 model[span.key].update(zip(covered, cip.unpack_elements(span.key[1], packed)))
-        ops, lacking = sc._build_flush(unit, sl)
+        ops, lacking = build(unit, scan_plan)
         assert lacking == []
         sent = [message for _ops, message in pack(ops, limit, batching)]
         assert sent == reference_pack(expected, limit, batching)
         for op in ops:
-            op.settle()
+            op.settle(0.0)
         assert dirty_writes(scan_plan) == []
 
 
@@ -358,7 +365,7 @@ def test_a_lone_write_is_cut_only_where_the_multi_request_pays(high, writes):
     for sub in outputs:
         sub.pending, sub.dirty = 1, True
     warm(unit, scan_plan)
-    ops, _lacking = sc._build_flush(unit, sl)
+    ops, _lacking = build(unit, scan_plan)
     assert [op.subs for op in ops] == ([outputs] if writes == 1 else [[sub] for sub in outputs])
 
 
@@ -371,6 +378,6 @@ def test_a_write_never_outgrows_its_planned_write():
     (span,) = scan_plan.write_spans
     unit.span_cache[span.key] = {255: 5}
     high.pending, high.dirty = 6, True
-    (op,), lacking = sc._build_flush(unit, sl)
+    (op,), lacking = build(unit, scan_plan)
     assert lacking == [] and op.first == 255 and op.values == (5, 6)
     assert op.encoded == span.head + bytes((5, 6))

@@ -78,6 +78,10 @@ def flat_ops(scan_plan):
     return [op for ops, _request in scan_plan.transfers for op in ops]
 
 
+def discovery_ops(scan_plan):
+    return [op for ops, _request in scan_plan.discovery for op in ops]
+
+
 def sent(scan_plan):
     return [message for _ops, message in scan_plan.transfers]
 
@@ -90,7 +94,7 @@ def test_each_member_is_planned_once_or_unplannable(case):
     specs, limit, batching = case
     members = members_of(specs)
     scan_plan = plan_list(members, limit, batching)
-    ops, discovery = flat_ops(scan_plan), scan_plan.discovery
+    ops, discovery = flat_ops(scan_plan), discovery_ops(scan_plan)
     seen = collections.Counter(id(sub) for op in ops + discovery for sub, _o, _b in op.targets)
     seen.update(id(sub) for sub in scan_plan.unplannable)
     assert seen == collections.Counter(id(sub) for sub in members)
@@ -249,7 +253,7 @@ def test_every_read_and_span_write_fits_and_each_span_lies_in_one_read(case):
     specs, limit, batching = case
     scan_plan = plan_list(members_of(specs), limit, batching)
     ops = flat_ops(scan_plan)
-    for op in ops + scan_plan.discovery:
+    for op in ops + discovery_ops(scan_plan):
         assert cip.wrapped_request_size(len(op.encoded)) <= limit
         assert op.response_estimate <= limit
     for key, covered, head, outputs in scan_plan.write_spans:

@@ -1,14 +1,14 @@
-"""Read ops and transfers that reuse a repeated reply, against ones that
+"""Reads and transfers that reuse a repeated reply, against ones that
 remember nothing.
 
 Two copies of the same subscriptions absorb the same sequence of replies:
-one through a single op, which keeps the last reply it accepted, the other
-through a fresh op built for every reply.  Replies repeat, come short,
+one through a single read, which keeps the last reply it accepted, the
+other through a fresh read built for every reply.  Replies repeat, come short,
 carry error statuses, another service's reply flag, another type, or a
 malformed payload.  In the same way, a transfer of two reads that keeps its
-last reply, and stores a reply that repeats from its flat restamp record, is
+last reply, and stores a reply that repeats from its flat record, is
 fed the same outer replies as one that decodes and splits every reply with
-fresh ops: repeated, with one embedded reply changed, with an embedded
+fresh reads and a fresh slot: repeated, with one embedded reply changed, with an embedded
 error, a wrong item count, a truncated offset table or an embedded reply cut
 short; between two replies, the outputs' writes may land.  After every
 reply both copies must hold the same cells (values
@@ -16,6 +16,7 @@ compared by their wire bytes, so NaN payloads and -0.0 count), the same span
 cache, drift events and error count.
 """
 
+import logging
 import struct
 import threading
 
@@ -25,8 +26,9 @@ from hypothesis import strategies as st
 from logixscan import cip, encap, plan
 from logixscan.cip import CipResponse, CipType
 from logixscan.client import Phase, PlcClient, PlcEndpoint
-from logixscan.plan import Direction, TransferReply
-from logixscan.scanner import Quality, ScanList, Subscription, TagScanner, _PlcUnit, _notify_drift
+from logixscan.cycle import Read, Step, TransferReply, notify, send
+from logixscan.plan import Direction
+from logixscan.scanner import Quality, Subscription, _PlcUnit
 from logixscan.tags import parse_tag
 
 from conftest import counted_on, offset_table
@@ -45,7 +47,7 @@ LAYOUTS = {
         ("r[3]", False, CipType.REAL, Direction.OUTPUT, True),
         ("r[5]", False, CipType.REAL, Direction.INPUT, False),
     ],
-    # the same with no drift callback, so its transfers can restamp flat
+    # the same with no drift callback, so its transfers can be stored flat
     "plain reals": [
         ("r[0]", False, CipType.REAL, Direction.INPUT, False),
         ("r[2]", False, CipType.REAL, Direction.OUTPUT, False),
@@ -102,14 +104,14 @@ def subscriptions(layout, events):
     return subs
 
 
-def fresh_op(subs):
+def fresh_read(subs):
     first = min(s.element for s in subs)
-    return plan.read_op(subs, first, max(s.element for s in subs) - first + 1)
+    return Read(plan.read_op(subs, first, max(s.element for s in subs) - first + 1))
 
 
-def payload(op, spec):
+def payload(read, spec):
     type_code, elements, stray = spec
-    code = op.expected_type if type_code is None else type_code
+    code = read.op.expected_type if type_code is None else type_code
     return struct.pack("<H", code) + b"".join(elements) + stray
 
 
@@ -143,40 +145,45 @@ class ReplayClient(PlcClient):
 
 
 class Side:
-    """One copy of the layouts' subscriptions, its unit, list and events."""
+    """One copy of the layouts' subscriptions, its unit, errors and events."""
 
     def __init__(self, *layouts):
         self.events = []
         self.subs = [sub for layout in layouts for sub in subscriptions(layout, self.events)]
         self.unit = _PlcUnit("plc", ReplayClient())
-        self.sl = ScanList(1.0, list(self.subs))
-        self.scanner = TagScanner()
+        self.errors = 0
 
-    def absorb(self, op, resp, now):
-        """Store one reply, then run its drift callbacks, as a step does."""
-        drifts = []
-        stored = self.scanner._absorb_read(self.unit, self.sl, op, resp, now, drifts)
-        _notify_drift(drifts)
+    def step(self, now):
+        step = Step(self.unit, logging.DEBUG)
+        step.now = now
+        return step
+
+    def done(self, step):
+        """Run the step's drift callbacks and count its errors, as a cycle does."""
+        notify(step.drifts)
+        self.errors += step.errors
+
+    def absorb(self, read, resp, now):
+        """Store one reply in a step of its own."""
+        step = self.step(now)
+        stored = read.absorb(resp, step)
+        self.done(step)
         return stored
 
-    def transfer(self, ops, reply, now, kept=None):
-        """Send one transfer of ops, answered by the CIP bytes `reply`, as a
-        cycle does; returns whether it stored any op's reply."""
+    def transfer(self, reads, reply, now, slot):
+        """Send one transfer of reads with its slot, answered by the CIP
+        bytes `reply`, as a cycle does; returns whether it stored any read's
+        reply."""
         self.unit.client.reply = reply
-        drifts = []
-        message = cip.encode_multi_request([op.encoded for op in ops])
-        stored = False
-        for op, resp in self.scanner._send(
-            self.unit, self.sl, [(ops, message)], kept=kept, now=now
-        ):
-            if op is None or self.scanner._absorb_read(self.unit, self.sl, op, resp, now, drifts):
-                stored = True
-        _notify_drift(drifts)
+        step = self.step(now)
+        message = cip.encode_multi_request([read.op.encoded for read in reads])
+        stored = send(step, [(reads, message)], [slot])
+        self.done(step)
         return stored
 
     def state(self):
         cells = [(wire(s.value), s.timestamp, s.quality) for s in self.subs]
-        return cells, cached(self.unit), self.events, self.sl.stats.errors
+        return cells, cached(self.unit), self.events, self.errors
 
 
 @PROPERTIES
@@ -184,25 +191,25 @@ class Side:
 def test_a_remembering_op_stores_what_a_fresh_op_stores(case):
     layout, payloads, replies = case
     kept, fresh = Side(layout), Side(layout)
-    op = fresh_op(kept.subs)
+    read = fresh_read(kept.subs)
     for step, (index, status, service) in enumerate(replies):
-        data = payload(op, payloads[index % len(payloads)])
+        data = payload(read, payloads[index % len(payloads)])
         now = 1000.0 + step
         # each side its own copy of the reply, so equal bytes are not one object
-        assert kept.absorb(op, CipResponse(service, status, (), bytes(bytearray(data))), now) \
-            == fresh.absorb(fresh_op(fresh.subs), CipResponse(service, status, (), data), now)
+        assert kept.absorb(read, CipResponse(service, status, (), bytes(bytearray(data))), now) \
+            == fresh.absorb(fresh_read(fresh.subs), CipResponse(service, status, (), data), now)
         assert kept.state() == fresh.state()
 
 
 def test_a_repeated_reply_reuses_the_values_it_built():
     side = Side("reals")
-    op = fresh_op(side.subs)
+    read = fresh_read(side.subs)
     data = struct.pack("<H6f", CipType.REAL, *range(6))
-    assert side.absorb(op, CipResponse(cip.READ_REPLY, 0, (), data), 1.0)
+    assert side.absorb(read, CipResponse(cip.READ_REPLY, 0, (), data), 1.0)
     first = [s.value for s in side.subs]
     # an equal payload in another buffer: compared by bytes, not identity
-    assert side.absorb(op, CipResponse(cip.READ_REPLY, 0, (), bytes(bytearray(data))), 2.0)
-    assert len(op.typed_targets) == 3
+    assert side.absorb(read, CipResponse(cip.READ_REPLY, 0, (), bytes(bytearray(data))), 2.0)
+    assert len(read.op.typed_targets) == 3
     for sub, before in zip(side.subs, first):
         assert sub.timestamp == 2.0 and sub.quality is Quality.OK
         assert sub.value is before  # the watched output keeps its value too
@@ -240,14 +247,14 @@ transfer_cases = st.tuples(
 )
 
 
-def multi_reply(ops, payloads, spec):
-    """The outer reply to a Multi-Request of ops, as its CIP bytes."""
+def multi_reply(reads, payloads, spec):
+    """The outer reply to a Multi-Request of reads, as its CIP bytes."""
     *items, malformed = spec
     embedded = [
         cip.encode_response(
-            CipResponse(service, status, (), payload(op, payloads[index % len(payloads)]))
+            CipResponse(service, status, (), payload(read, payloads[index % len(payloads)]))
         )
-        for op, (index, status, service) in zip(ops, items)
+        for read, (index, status, service) in zip(reads, items)
     ]
     if malformed == "item count":
         embedded = embedded[:1]
@@ -263,10 +270,10 @@ def multi_reply(ops, payloads, spec):
     return bytes((cip.MULTI_REQUEST | cip.REPLY_FLAG, 0, general, 0)) + body
 
 
-def transfer_ops(side):
+def transfer_reads(side):
     """One read per layout of a two-layout side, in layout order."""
     reals = len(LAYOUTS["reals"])
-    return [fresh_op(side.subs[:reals]), fresh_op(side.subs[reals:])]
+    return [fresh_read(side.subs[:reals]), fresh_read(side.subs[reals:])]
 
 
 GOOD = (0, cip.STATUS_OK, cip.READ_REPLY)
@@ -283,8 +290,8 @@ WHOLE = (None, [struct.pack("<f", x) for x in range(WORDS)], b"")
 def test_a_remembering_transfer_stores_what_a_splitting_one_stores(case):
     reals, payloads, changes = case
     kept, fresh = Side(reals, "bits"), Side(reals, "bits")
-    ops = transfer_ops(kept)
-    replies = [TransferReply()]  # the remembering transfer's slot of a plan's `replies`
+    reads = transfer_reads(kept)
+    slot = TransferReply()  # the remembering transfer's, kept across replies
     spec = (GOOD, GOOD, None)
     for step, change in enumerate(changes):
         now = 1000.0 + step
@@ -300,38 +307,44 @@ def test_a_remembering_transfer_stores_what_a_splitting_one_stores(case):
             spec = (*items, None)
         elif change is not None:
             spec = change
-        fresh_ops = transfer_ops(fresh)
-        assert kept.transfer(ops, multi_reply(ops, payloads, spec), now, replies) \
-            == fresh.transfer(fresh_ops, multi_reply(fresh_ops, payloads, spec), now)
+        fresh_reads = transfer_reads(fresh)
+        assert kept.transfer(reads, multi_reply(reads, payloads, spec), now, slot) \
+            == fresh.transfer(
+                fresh_reads, multi_reply(fresh_reads, payloads, spec), now, TransferReply()
+            )
         assert kept.state() == fresh.state()
-        if replies[0].restamp is not None:  # only a drift callback keeps a record away
+        if slot.record:  # only a drift callback keeps a record away
             assert reals == "plain reals"
 
 
 def test_a_transfer_whose_reply_repeats_is_stored_flat(monkeypatch):
     kept, fresh = Side("plain reals", "bits"), Side("plain reals", "bits")
-    ops = transfer_ops(kept)
-    replies = [TransferReply()]
+    reads = transfer_reads(kept)
+    slot = TransferReply()
     payloads = [WHOLE]
     calls = counted_on(
         threading.current_thread(), monkeypatch, (encap, "parse_rr_data"), "decode_response",
-        "split_multi_response", (TagScanner, "_absorb_read"),
+        "split_multi_response", (Read, "absorb"),
     )
     for step in range(4):
-        fresh_ops = transfer_ops(fresh)
-        kept.transfer(ops, multi_reply(ops, payloads, (GOOD, GOOD, None)), 10.0 + step, replies)
-        fresh.transfer(fresh_ops, multi_reply(fresh_ops, payloads, (GOOD, GOOD, None)), 10.0 + step)
+        fresh_reads = transfer_reads(fresh)
+        kept.transfer(reads, multi_reply(reads, payloads, (GOOD, GOOD, None)), 10.0 + step, slot)
+        fresh.transfer(
+            fresh_reads, multi_reply(fresh_reads, payloads, (GOOD, GOOD, None)), 10.0 + step,
+            TransferReply(),
+        )
         assert kept.state() == fresh.state()
         # the fresh side decodes, splits and absorbs all it gets; the kept
-        # side: a new reply, decoded and split; the same again, split to
-        # build its record; then only its record
+        # side: a new reply, decoded and split; the same again, its kept
+        # split absorbed read by read to build its record; then only its
+        # record
         fresh_calls = ["parse_rr_data", "decode_response", "split_multi_response"] \
-            + ["decode_response"] * 2 + ["_absorb_read"] * 2
+            + ["decode_response"] * 2 + ["absorb"] * 2
         kept_calls = [
-            fresh_calls, fresh_calls[2:], [], [],
+            fresh_calls, ["absorb"] * 2, [], [],
         ][step]
         assert calls == kept_calls + fresh_calls
         calls.clear()
-        assert (replies[0].restamp is not None) == (step >= 1)
+        assert bool(slot.record) == (step >= 1)
     assert all(sub.quality is Quality.OK and sub.timestamp == 13.0 for sub in kept.subs)
 

@@ -13,9 +13,11 @@ import time
 import pytest
 
 from logixscan import cip, encap
+from logixscan import cycle as cycle_module
 from logixscan import scanner as scanner_module
 from logixscan.cip import CipType, CipValue
 from logixscan.client import Phase, PlcEndpoint
+from logixscan.cycle import Read, Step
 from logixscan.config import ConfigError, apply_scan_config, parse_scan_config
 from logixscan.plan import WriteSpan
 from logixscan.plcsim import FaultPlan, PlcSim, TagStore
@@ -86,6 +88,11 @@ def wire_bytes(requests):
 def sent(plan):
     """What each transfer of a plan sends, encoded."""
     return [message for _ops, message in plan.transfers]
+
+
+def discovery_targets(plan):
+    """The targets of each discovery read of a plan, in packed order."""
+    return [op.targets for ops, _request in plan.discovery for op in ops]
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +202,7 @@ def test_unknown_types_go_solo_then_coalesce_after_discovery(sim):
     b = sc.add_tag("plc", "counts[1]", 1.0)
     # no transfer reads a member of unknown type: each has a discovery read
     assert sc.plan_info("plc", 1.0) == []
-    assert [op.targets for op in planned(sc, 1.0).discovery] == [[(a, 0, None)], [(b, 0, None)]]
+    assert discovery_targets(planned(sc, 1.0)) == [[(a, 0, None)], [(b, 0, None)]]
     before = sim.store.round_trips
     sc.scan_once("plc")
     assert a.elem_type is CipType.DINT and b.elem_type is CipType.DINT
@@ -286,7 +293,9 @@ def test_an_output_whose_own_write_cannot_fit_is_unplannable_and_never_sent(
     client.ensure_connected()
     messages = []
     send = client.round_trip
-    monkeypatch.setattr(client, "round_trip", lambda m: messages.append(m) or send(m))
+    monkeypatch.setattr(
+        client, "round_trip", lambda m, kept: messages.append(m) or send(m, kept)
+    )
     with caplog.at_level(logging.INFO, logger="logixscan"):
         assert sc.plan_info("plc", 1.0) == []
         assert planned(sc, 1.0).unplannable == [sub]
@@ -484,7 +493,7 @@ def test_a_planned_scan_cycle_encodes_nothing(monkeypatch):
 
 REPLY_WORK = (
     (encap, "parse_rr_data"), "decode_response", "split_multi_response",
-    (TagScanner, "_absorb_read"),
+    (Read, "absorb"),
 )
 
 
@@ -494,11 +503,12 @@ def test_a_repeated_scan_cycle_decodes_splits_and_absorbs_nothing(monkeypatch):
         subs = add_mixed_list(sc)
         calls = counted_on(threading.current_thread(), monkeypatch, *REPLY_WORK)
         sc.scan_once("plc", 1.0)  # each reply decoded, split and absorbed
-        assert calls.count("_absorb_read") == 17
+        assert calls.count("absorb") == 17
         calls.clear()
-        sc.scan_once("plc", 1.0)  # the same bytes: split and absorbed to be recorded
-        assert "decode_response" in calls and "parse_rr_data" not in calls
-        assert all(reply.restamp is not None for reply in planned(sc, 1.0).replies)
+        # the same bytes: the kept split absorbed read by read, to be recorded
+        sc.scan_once("plc", 1.0)
+        assert calls == ["absorb"] * 17
+        assert all(reply.record for reply in sc._units["plc"].lists[1.0].executor.replies)
         calls.clear()
         for _cycle in range(3):
             started = time.time()
@@ -530,9 +540,9 @@ def test_a_plc_side_change_after_repeated_cycles_shows_in_the_next(monkeypatch):
             assert sc.value_of(sub) == value
             assert calls.count("split_multi_response") == 1  # only its transfer changed
             calls.clear()
-            sc.scan_once("plc", 1.0)  # the changed reply repeats: split to be recorded
+            sc.scan_once("plc", 1.0)  # the changed reply repeats: its kept split is used
             sc.scan_once("plc", 1.0)
-            assert calls.count("split_multi_response") == 1
+            assert calls.count("split_multi_response") == 0
             calls.clear()
             assert all(s.quality is Quality.OK and s.timestamp >= started for s in subs)
             assert sc.value_of(sub) == value
@@ -552,7 +562,7 @@ def test_a_flush_between_cycles_leaves_the_span_cache_as_the_per_op_path_does(mo
         with PlcSim(make_store()) as sim:
             sc = scanner_for(sim)
             if not flat:  # no transfer ever gets a record
-                monkeypatch.setattr(scanner_module, "_restamp_record", lambda ops, resps: None)
+                monkeypatch.setattr(cycle_module, "_join", lambda ops: False)
             subs = span_outputs(sc)
             unit = sc._units["plc"]
             seen = []
@@ -602,19 +612,55 @@ def test_a_flush_whose_writes_all_land_splits_no_reply(sim, monkeypatch):
         threading.current_thread(), monkeypatch,
         "split_multi_response", "decode_response", "parse_write_response",
     )
+    for sub, value in zip(outs + [test], (1, 2, 0.5)):
+        sc.write(sub, value, immediate=False)
+    sc.flush("plc")
+    # the first reply to two writes: decoded and split, each write settled
+    # on its status alone
+    assert calls == ["decode_response", "split_multi_response"] + ["decode_response"] * 2
+    calls.clear()
     staged = {outs[0]: 7, outs[1]: -9, test: 2.5}
     for sub, value in staged.items():
         sc.write(sub, value, immediate=False)
     before, started = sim.store.round_trips, time.time()
     sc.flush("plc")
     assert sim.store.round_trips == before + 1  # one Multi-Request of the writes
-    # the client decodes the outer reply, and that is all
-    assert calls == ["decode_response"]
+    # the same bytes as the last reply to two writes: nothing decoded or split
+    assert calls == []
     for sub, value in staged.items():
         assert not sub.dirty and sub.quality is Quality.OK and sub.timestamp >= started
         assert sc.value_of(sub) == value
     assert sim.store.get_tag("counts").elements == (7, 20, 30, 40, -9)
     assert sim.store.get_tag("TEST").elements == (2.5,)
+
+
+def test_a_refused_flush_fails_alike_each_time_and_lands_once_cleared(sim, monkeypatch):
+    sc = scanner_for(sim)
+    outs = [
+        sc.add_tag("plc", f"counts[{i}]", 1.0, direction="out", elem_type=CipType.DINT)
+        for i in (0, 1)
+    ]
+    sc.scan_once("plc")
+    sim.faults.error_inject[cip.WRITE_DATA] = cip.STATUS_PATH_UNKNOWN
+    calls = counted_on(threading.current_thread(), monkeypatch, "decode_response")
+    for value, errors in ((5, 1), (6, 2)):  # one write each, refused alike
+        for sub in outs:
+            sc.write(sub, value, immediate=False)
+        sc.flush("plc")
+        assert [(sub.quality, sub.dirty) for sub in outs] == [(Quality.ERROR, True)] * 2
+        assert sc.stats("plc", 1.0).errors == errors
+    # the second refusal repeats the first one's bytes: kept, not decoded
+    assert calls == ["decode_response"]
+    assert sim.store.get_tag("counts").elements == (10, 20, 30, 40, 50)
+    sim.faults.error_inject.clear()
+    started = time.time()
+    sc.flush("plc")
+    assert [(sub.quality, sub.dirty) for sub in outs] == [(Quality.OK, False)] * 2
+    sc.scan_once("plc")
+    for sub in outs:
+        assert (sc.value_of(sub), sub.quality) == (6, Quality.OK) and sub.timestamp >= started
+    assert sim.store.get_tag("counts").elements == (6, 6, 30, 40, 50)
+    assert sc.stats("plc", 1.0).errors == 2
 
 
 def test_a_changed_read_back_builds_values_only_for_the_elements_that_changed(sim):
@@ -669,7 +715,8 @@ def test_a_thousand_flushes_leave_no_state_behind(sim):
         """What the scanner holds that a flush could add to."""
         gc.collect()
         replies = sum(isinstance(o, cip.CipResponse) for o in gc.get_objects())
-        return replies, len(unit.lists[1.0].plan.replies), {
+        executor = unit.lists[1.0].executor
+        return replies, len(executor.replies), len(executor.write_replies), {
             key: len(cache) for key, cache in unit.span_cache.items()
         }
 
@@ -751,10 +798,13 @@ def test_short_reply_marks_only_the_missing_cell_error(sim):
     payload = struct.pack("<H", CipType.DINT) + cip.pack_elements(CipType.DINT, [7, 8, 9])
     short = cip.CipResponse(cip.READ_DATA | cip.REPLY_FLAG, cip.STATUS_OK, (), payload)
     unit = sc._units["plc"]
-    for now in (time.time(), time.time() + 1):  # the second time, a repeated reply
-        assert sc._absorb_read(unit, unit.lists[1.0], op, short, now, [])
-        assert (near.value.elements, near.timestamp, near.quality) == ((7,), now, Quality.OK)
+    read = Read(op)
+    for _time in range(2):  # the second time, a repeated reply
+        step = Step(unit, logging.DEBUG)
+        assert read.absorb(short, step)
+        assert (near.value.elements, near.timestamp, near.quality) == ((7,), step.now, Quality.OK)
         assert far.quality is Quality.ERROR and far.value is None
+        assert read.whole is None  # a short reply is never stored flat
 
 
 def test_plan_routes_targets_by_kind_and_records_output_spans():
@@ -777,7 +827,7 @@ def test_plan_routes_targets_by_kind_and_records_output_spans():
         assert bits.bit_targets == [(bit_in, 0, 8)] and bits.cache_key is None
         # a member of unknown type is in no transfer before its discovery read
         assert unknown not in {sub for op in ops.values() for sub, _o, _b in op.targets}
-        assert [op.targets for op in plan.discovery] == [[(unknown, 0, None)]]
+        assert discovery_targets(plan) == [[(unknown, 0, None)]]
         # the write span covers the outputs only, not the inputs around them,
         # and its head is the write of counts[2..3] up to its data
         head = bytes.fromhex("53 05 91 06 636f756e7473 28 02 c400 0200")
@@ -977,7 +1027,7 @@ def test_a_type_mismatch_beside_an_undeclared_member_warns_once(sim, caplog, mon
     messages = []
     send = client.round_trip
     monkeypatch.setattr(
-        client, "round_trip", lambda m, *kept: messages.append(m) or send(m, *kept)
+        client, "round_trip", lambda m, kept: messages.append(m) or send(m, kept)
     )
     with caplog.at_level(logging.INFO, logger="logixscan"):
         sc.scan_once("plc")
@@ -1190,7 +1240,8 @@ def test_a_warm_flush_of_two_of_a_hundred_outputs_writes_three_elements(monkeypa
         messages = []
         round_trip = client.round_trip
         monkeypatch.setattr(
-            client, "round_trip", lambda message: messages.append(message) or round_trip(message)
+            client, "round_trip",
+            lambda message, kept: messages.append(message) or round_trip(message, kept),
         )
         sc.write(subs[10], -10, immediate=False)
         sc.write(subs[12], -12, immediate=False)
@@ -1249,7 +1300,8 @@ def recorded(monkeypatch, sc):
     messages = []
     round_trip = client.round_trip
     monkeypatch.setattr(
-        client, "round_trip", lambda message: messages.append(message) or round_trip(message)
+        client, "round_trip",
+        lambda message, kept: messages.append(message) or round_trip(message, kept),
     )
     return messages
 
@@ -1599,7 +1651,9 @@ def test_writes_over_the_limit_split_into_transfers():
         client = sc._units["plc"].client
         sent = []
         round_trip = client.round_trip
-        client.round_trip = lambda message: sent.append(message) or round_trip(message)
+        client.round_trip = (
+            lambda message, kept: sent.append(message) or round_trip(message, kept)
+        )
         for sub in subs:
             sc.write(sub, float(sub.element) + 0.5, immediate=False)
         sc.flush("plc")
@@ -1914,7 +1968,7 @@ def test_a_repeated_reply_builds_no_value(monkeypatch):
         subs += [sc.add_tag("plc", f"bits[{i}]", 1.0, bool_array=True) for i in (5, 6, 160)]
         built, decoded = [], []
         monkeypatch.setattr(
-            scanner_module, "CipValue", lambda *args: built.append(args) or CipValue(*args)
+            cycle_module, "CipValue", lambda *args: built.append(args) or CipValue(*args)
         )
         parse_read_reply = cip.parse_read_reply
         monkeypatch.setattr(
@@ -2004,6 +2058,28 @@ def test_client_state_stat_paths_follow_a_dropping_session():
             sc.stat_value("plc/bogus")
         with pytest.raises(KeyError):
             sc.stat_value("nope/phase")
+
+
+def test_a_raising_on_sample_hook_leaves_the_worker_scanning(sim, caplog):
+    sc = scanner_for(sim)
+    sc.add_tag("plc", "counts[0]", 0.05, elem_type=CipType.DINT)
+    samples = []
+
+    def on_sample(wall_ms, period_ms, transfer_ms):
+        samples.append(period_ms)
+        raise RuntimeError("hook failed")
+
+    sc.on_sample = on_sample
+    with caplog.at_level(logging.ERROR, logger="logixscan"):
+        sc.start()
+        deadline = time.monotonic() + 5.0
+        while sc.stats("plc", 0.05).count < 5 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert sc.stats("plc", 0.05).count >= 5  # cycles go on while the hook raises
+        assert sc._units["plc"].thread.is_alive()
+        sc.stop()
+    assert len(samples) >= 5 and set(samples) == {50}
+    assert "on_sample failed" in caplog.text
 
 
 def test_last_transfer_stat_path_serves_the_clients_last_round_trip():
