@@ -3,8 +3,8 @@
 Owns the socket and the encapsulation session, performs single-outstanding
 request/reply round trips (unconnected by default, connected after an
 explicit open), and implements the disconnect-on-error plus paced-reconnect
-policy.  All traffic for one endpoint is expected to flow through one
-owning thread; the class itself does no locking.
+policy.  One thread at a time may use a client; the class itself does no
+locking (the scanner holds one lock per PLC around every use).
 
 Round trips take encoded CIP messages, built once by their callers.  Every
 SendRRData exchange (a routed request, Forward_Open, Forward_Close) goes
@@ -12,7 +12,9 @@ through one helper that frames, exchanges, times and decodes it.  Each
 round trip frames its request in one pass and reads its reply into the one
 receive buffer the session owns, usually with one `recv_into`.  Bytes past
 the reply its header declares are a protocol error that drops the session,
-so they are never read as the start of the next reply; every fault that
+so they are never read as the start of the next reply, and so is a reply
+whose sender context is not its request's, which answers another request
+(one whose reply a call cut short left unread); every fault that
 drops the session is counted and raised in one place, `_fail`.  The socket
 blocks with kernel-side send and receive timeouts (`SO_SNDTIMEO` and
 `SO_RCVTIMEO`, from `request_timeout`), so each send and receive is one
@@ -21,7 +23,7 @@ system call with no poll before it; where their option format is not known
 round trip may be given a transfer's kept reply: an object whose `wire`
 holds the encapsulation payload of the transfer's last accepted reply (None:
 none yet) and whose `resp` holds the CIP reply it decoded to, such as
-`plan.TransferReply`.  When the reply's bytes equal `wire` (a connected
+`cycle.TransferReply`.  When the reply's bytes equal `wire` (a connected
 reply's but for its sequence), the round trip returns `resp`, with no
 carrier parsed and no CIP reply decoded; the header's status, command and
 context, and a connected reply's connection id and sequence, are checked on
@@ -145,7 +147,7 @@ _DISCONNECTED, _REGISTERED, _CONNECTED = Phase.DISCONNECTED, Phase.REGISTERED, P
 
 
 class PlcClient:
-    """Session to one PLC.  Not thread-safe; owned by a single worker."""
+    """Session to one PLC.  Not thread-safe: one thread at a time uses it."""
 
     def __init__(self, endpoint: PlcEndpoint, prefer_connected: bool = False):
         self.endpoint = endpoint
@@ -437,9 +439,9 @@ class PlcClient:
             self._fail(PlcProtocolError(
                 f"expected command 0x{expect:04X}, got 0x{header.command:04X}"
             ))
-        if header.sender_context != context:
-            log.warning(
-                "sender context mismatch: sent %s, got %s",
-                context.hex(), header.sender_context.hex(),
-            )
+        if header.sender_context != context:  # a reply to another request
+            self._fail(PlcProtocolError(
+                f"sender context mismatch: sent {context.hex()}, "
+                f"got {header.sender_context.hex()}"
+            ))
         return header, payload

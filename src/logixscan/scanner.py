@@ -1,5 +1,5 @@
-"""Periodic tag scanning: subscriptions, scan lists, the public API and the
-worker threads.
+"""Periodic tag scanning: subscriptions, scan lists, the public API, and
+each PLC's lock and worker thread.
 
 Subscriptions are grouped into per-period scan lists.  Each subscription
 derives its wire address once, when its tag is set: the group it coalesces
@@ -24,9 +24,14 @@ unwritten) and is read again next time.  A cycle then sends the planned
 reads; a flush (`cycle.flush`) builds and sends its writes.  `cycle`
 describes how each reply is stored and kept.
 
-Outputs are staged by `write` (in place, or through the worker's queue from
-another thread while a worker runs), written on demand and read back every
-cycle, with drift notifications for watched outputs when the PLC side
+Every call on a PLC (`write`, `flush`, `scan_once`, `plan_info`, `add_tag`,
+`replace_tag`) does its work under the PLC's one reentrant lock, on the
+thread that made it; the PLC's worker holds that lock while it scans its
+due lists, and releases it while it waits for the next tick.  So one thread
+at a time uses a PLC's session, a flush under way settles no value staged
+after its writes were built, and a callback may call back into the
+scanner.  Outputs are staged by `write`, written on demand and read back
+every cycle, with drift notifications for watched outputs when the PLC side
 changed, run once the step's replies are all stored.  A list's stats take
 each step's errors when the step is done, and a cycle that stored any
 reply records its duration and calls `on_sample`, whose exceptions are
@@ -45,10 +50,8 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import queue
 import threading
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 
 from .cip import CipType, CipValue, Element, Epath
@@ -116,8 +119,8 @@ class Subscription:
         self.declared_type = elem_type
         self.coalesce = coalesce
         self._on_drift = on_drift
-        # (value, timestamp, quality), replaced whole on every update; one
-        # thread writes it (the PLC's worker, or the caller before start())
+        # (value, timestamp, quality), replaced whole on every update; only
+        # a thread that holds the PLC's lock writes it
         self.cell: tuple[CipValue | None, float | None, Quality] = (
             None, None, Quality.STALE
         )
@@ -194,7 +197,7 @@ class ScanList:
 
 
 class _PlcUnit:
-    """Per-PLC worker state: client, scan lists, caches, command queue."""
+    """Per-PLC state: client, scan lists, caches, lock and worker."""
 
     def __init__(self, name: str, client: PlcClient):
         self.name = name
@@ -203,7 +206,10 @@ class _PlcUnit:
         # (base chain, wire type) -> {element index: raw value}, one per
         # PLC so that every list's writes build on the others'
         self.span_cache: dict[tuple[str, CipType], dict[int, object]] = {}
-        self.queue: queue.Queue = queue.Queue()
+        # held by every call on this PLC and by its worker while it scans;
+        # reentrant, so that a callback may call back into the scanner
+        self.lock = threading.RLock()
+        self.wake = threading.Event()  # a list was added, or the worker stops
         self.thread: threading.Thread | None = None
         self.running = False
 
@@ -263,33 +269,27 @@ class TagScanner:
             CipType.BOOL if ref.bool_array else elem_type,
             coalesce, on_drift, self._base_address,
         )
-
-        def attach():
+        with unit.lock:
             sl = unit.lists.get(period_s)
             if sl is None:
-                sl = ScanList(period_s)
-                unit.lists[period_s] = sl
+                sl = unit.lists[period_s] = ScanList(period_s)
+                unit.wake.set()  # due at once
             sl.members.append(sub)
             sl.plan = None
-            return sub
-
-        return self._submit(unit, attach)
+        return sub
 
     def replace_tag(self, sub: Subscription, new_ref: TagRef | str) -> None:
         """Point an existing subscription at a different tag, in place."""
         if isinstance(new_ref, str):
             new_ref = parse_tag(new_ref, bool_array=sub.ref.bool_array)
         unit = self._unit(sub.plc_name)
-
-        def swap():
+        with unit.lock:
             sub.ref = new_ref
             sub.cell = (None, sub.timestamp, Quality.STALE)
             sub.elem_type = sub.declared_type
             sl = unit.lists.get(sub.period_s)
             if sl is not None:
                 sl.plan = None
-
-        self._submit(unit, swap)
 
     # -- value access ----------------------------------------------------------
 
@@ -357,12 +357,9 @@ class TagScanner:
         """Reads per planned transfer for one list (planning it if needed);
         a member of unknown type is in none until its discovery read."""
         unit = self._unit(plc_name)
-
-        def inspect():
+        with unit.lock:
             plan = self._executor(unit, unit.lists[period_s]).plan
             return [len(ops) for ops, _request in plan.transfers]
-
-        return self._submit(unit, inspect)
 
     def _executor(self, unit: _PlcUnit, sl: ScanList) -> Executor:
         """The executor of the list's plan, planned again after membership
@@ -394,15 +391,12 @@ class TagScanner:
     # -- scanning -------------------------------------------------------------
 
     def scan_once(self, plc_name: str, period_s: float | None = None) -> None:
-        """Run one cycle of one list (or all lists) synchronously."""
+        """Run one cycle of one list (or all lists) on the calling thread."""
         unit = self._unit(plc_name)
-
-        self._submit(unit, self._scan_lists, unit, period_s)
-
-    def _scan_lists(self, unit: _PlcUnit, period_s: float | None) -> None:
-        lists = [unit.lists[period_s]] if period_s is not None else list(unit.lists.values())
-        for sl in lists:
-            self._scan_list(unit, sl)
+        with unit.lock:
+            lists = [unit.lists[period_s]] if period_s is not None else list(unit.lists.values())
+            for sl in lists:
+                self._scan_list(unit, sl)
 
     def _scan_list(self, unit: _PlcUnit, sl: ScanList) -> None:
         """One cycle of a list.  Each cause logs a WARNING when the list
@@ -456,30 +450,25 @@ class TagScanner:
     # -- writing --------------------------------------------------------------
 
     def write(self, sub: Subscription, value, immediate: bool = True) -> None:
-        """Stage a value for an output tag; immediate flushes right away.
-        A value staged from a thread other than a running worker goes
-        through its queue, so that no flush under way settles a value
-        staged after its writes were built; otherwise it is set in place."""
+        """Stage a value for an output tag; immediate flushes right away,
+        on the calling thread.  The value is staged under the PLC's lock, so
+        a flush under way settles it only if it was staged before that
+        flush built its writes."""
         if sub.direction is not _OUTPUT:
             raise ValueError(f"{format_tag(sub.ref)} is not an output")
         unit = self._unit(sub.plc_name)
-        if immediate or (unit.thread is not None and self._queued(unit)):
-            self._submit(unit, self._stage, unit, sub, value, immediate)
-            return
-        sub.pending = value
-        sub.dirty = True
-
-    def _stage(self, unit: _PlcUnit, sub: Subscription, value, immediate: bool) -> None:
-        sub.pending = value
-        sub.dirty = True
-        if immediate:
-            self._flush_unit(unit)
+        with unit.lock:
+            sub.pending = value
+            sub.dirty = True
+            if immediate:
+                self._flush_unit(unit)
 
     def flush(self, plc_name: str | None = None) -> None:
         """Write out all dirty output values."""
         units = [self._unit(plc_name)] if plc_name else list(self._units.values())
         for unit in units:
-            self._submit(unit, self._flush_unit, unit)
+            with unit.lock:
+                self._flush_unit(unit)
 
     def _flush_unit(self, unit: _PlcUnit) -> None:
         if not unit.client.ensure_connected():
@@ -507,7 +496,7 @@ class TagScanner:
         self._started = False
         for unit in self._units.values():
             unit.running = False
-            unit.queue.put(None)
+            unit.wake.set()
         for unit in self._units.values():
             if unit.thread is not None:
                 unit.thread.join(timeout=10)
@@ -524,60 +513,27 @@ class TagScanner:
         unit.thread.start()
 
     def _worker(self, unit: _PlcUnit) -> None:
+        """Scan each list as it comes due, under the PLC's lock; wait for
+        the next tick, or for a list added meanwhile, without it."""
         while unit.running:
-            now = time.monotonic()
-            due: list[ScanList] = []
-            next_due = now + 0.2
-            for sl in unit.lists.values():
-                if sl.next_tick is None:
-                    sl.next_tick = now
-                if sl.next_tick <= now:
-                    due.append(sl)
-                else:
+            unit.wake.clear()
+            with unit.lock:
+                now = time.monotonic()
+                next_due = now + 0.2
+                for sl in list(unit.lists.values()):
+                    if sl.next_tick is None:
+                        sl.next_tick = now
+                    if sl.next_tick <= now:
+                        self._scan_list(unit, sl)
+                        sl.next_tick += sl.period_s
+                        finished = time.monotonic()
+                        if sl.next_tick <= finished:
+                            missed = int((finished - sl.next_tick) // sl.period_s) + 1
+                            with self._stats_lock:
+                                sl.stats.overruns += missed
+                            sl.next_tick += missed * sl.period_s
                     next_due = min(next_due, sl.next_tick)
-            for sl in due:
-                self._scan_list(unit, sl)
-                sl.next_tick += sl.period_s
-                finished = time.monotonic()
-                if sl.next_tick <= finished:
-                    missed = int((finished - sl.next_tick) // sl.period_s) + 1
-                    with self._stats_lock:
-                        sl.stats.overruns += missed
-                    sl.next_tick += missed * sl.period_s
-            if due:
-                continue  # membership may have changed timing; recompute
-            timeout = max(0.0, min(next_due - time.monotonic(), 0.2))
-            try:
-                item = unit.queue.get(timeout=timeout)
-            except queue.Empty:
-                continue
-            if item is None:
-                break
-            fn, args, future = item
-            try:
-                future.set_result(fn(*args))
-            except BaseException as exc:  # propagate to the submitting thread
-                future.set_exception(exc)
-
-    @staticmethod
-    def _queued(unit: _PlcUnit) -> bool:
-        """Whether a call must go through the unit's worker: it has a live
-        one, and the caller is not on it (a callback calling back in must
-        not wait on itself)."""
-        thread = unit.thread
-        return (
-            thread is not None and thread is not threading.current_thread()
-            and thread.is_alive()
-        )
-
-    def _submit(self, unit: _PlcUnit, fn, *args):
-        """Run fn(*args) on the unit's worker, or inline when the call need
-        not be queued."""
-        if self._queued(unit):
-            future: Future = Future()
-            unit.queue.put((fn, args, future))
-            return future.result(timeout=60)
-        return fn(*args)
+            unit.wake.wait(max(0.0, next_due - time.monotonic()))
 
     def _unit(self, plc_name: str) -> _PlcUnit:
         try:

@@ -404,6 +404,30 @@ def test_bytes_past_the_declared_reply_drop_the_session(sim):
     thread.join(timeout=5)
 
 
+def test_a_reply_to_another_request_drops_the_session(sim):
+    # a reply whose sender context is not the request's answers some other
+    # request (one left unread, say), so its payload must not be used
+    rewritten = []
+
+    def other_context(sock, reply):
+        header, payload = decode_packet(reply)
+        if header.command == encap.CMD_SEND_RR_DATA and not rewritten:
+            rewritten.append(header.sender_context)
+            header = dataclasses.replace(header, sender_context=b"stranger")
+            reply = encap.encode_packet(header, payload)
+        sock.sendall(reply)
+
+    port, thread = relay(sim, other_context)
+    c = PlcClient(PlcEndpoint("127.0.0.1", port=port, request_timeout=2.0))
+    c.connect()
+    with pytest.raises(PlcProtocolError, match="sender context mismatch"):
+        c.read_tag("counts[3]")
+    assert rewritten and c.phase is Phase.DISCONNECTED and c._sock is None
+    assert c.consecutive_errors == 1
+    c.close()
+    thread.join(timeout=5)
+
+
 @pytest.mark.parametrize("field,value,fragment", [
     ("session_handle", 0, "session handle 0"),
     ("version", 2, "protocol version mismatch"),

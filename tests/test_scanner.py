@@ -2188,7 +2188,8 @@ def test_a_value_staged_from_another_thread_during_a_flush_waits_for_the_next():
 
 
 def test_drift_callback_may_write_back_while_running(sim):
-    # the callback runs on the worker thread, and write() submits to it
+    # the callback runs on the worker thread, which holds the PLC's lock
+    # that write() takes again
     sc = scanner_for(sim)
     restored = threading.Event()
 
@@ -2212,6 +2213,92 @@ def test_drift_callback_may_write_back_while_running(sim):
         assert sc.value_of(sub) == 30
     finally:
         sc.stop()
+
+
+def run_together(*jobs, timeout=30.0):
+    """Run each job on a thread of its own, all released at once and
+    switching often; returns the exceptions they raised."""
+    start = threading.Barrier(len(jobs), timeout=timeout)
+    raised = []
+
+    def run(job):
+        try:
+            start.wait()
+            job()
+        except Exception as exc:
+            raised.append(exc)
+
+    threads = [threading.Thread(target=run, args=(job,)) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return raised
+
+
+def test_two_threads_scanning_two_lists_of_one_plc_store_only_their_own_replies():
+    # with no worker started, each scan_once runs on its caller's thread,
+    # and the two threads share the PLC's one session
+    with PlcSim(make_store(), FaultPlan(latency_s=0.005)) as sim:
+        sc = scanner_for(sim)
+        first = sc.add_tag("plc", "counts[0]", 1.0, elem_type=CipType.DINT)
+        fourth = sc.add_tag("plc", "counts[3]", 2.0, elem_type=CipType.DINT)
+        wrong = []
+
+        def scan(period_s, sub, expected):
+            for _ in range(30):
+                sc.scan_once("plc", period_s)
+                value, _stamp, quality = sc.snapshot(sub)
+                if quality is not Quality.OK or value.scalar != expected:
+                    wrong.append((format_tag(sub.ref), value, quality))
+
+        assert run_together(
+            lambda: scan(1.0, first, 10), lambda: scan(2.0, fourth, 40)
+        ) == []
+        assert wrong == []
+        for period_s in (1.0, 2.0):
+            stats = sc.stats("plc", period_s)
+            assert (stats.count, stats.errors) == (30, 0)
+
+
+def test_user_threads_write_flush_and_scan_beside_the_worker(sim):
+    sc = scanner_for(sim)
+    now = sc.add_tag("plc", "counts[0]", 0.01, direction="out", elem_type=CipType.DINT)
+    staged = sc.add_tag("plc", "counts[1]", 0.01, direction="out", elem_type=CipType.DINT)
+    sc.add_tag("plc", "counts[4]", 0.02, elem_type=CipType.DINT)
+    lost = []
+
+    def write_now():
+        for value in range(100, 130):
+            sc.write(now, value)
+            if sim.store.get_tag("counts[0]").scalar != value:
+                lost.append(("counts[0]", value))
+
+    def stage_and_flush():
+        for value in range(200, 230):
+            sc.write(staged, value, immediate=False)
+            sc.flush("plc")
+            if sim.store.get_tag("counts[1]").scalar != value:
+                lost.append(("counts[1]", value))
+
+    def scan():
+        for _ in range(30):
+            sc.scan_once("plc")
+
+    sc.start()
+    assert run_together(write_now, stage_and_flush, scan) == []
+    assert lost == []
+    assert sc.stat_value("plc/consecutive_errors") == 0
+    sc.scan_once("plc")
+    assert (sc.value_of(now), sc.value_of(staged)) == (129, 229)
+    assert not (now.dirty or staged.dirty)
+    assert sc.stats("plc", 0.01).errors == sc.stats("plc", 0.02).errors == 0
 
 
 def test_snapshot_is_consistent_under_contention():
