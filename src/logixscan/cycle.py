@@ -7,11 +7,11 @@ log level, the drift events its reads found, and the errors it counted,
 with the first of each cause.  Every transfer of every step goes through
 one loop, `send(step, transfers, slots)`.  Each op kind stores its own
 reply in `absorb(resp, step)`, or fails its targets in `fail()`, and the
-loop calls them directly: a planned read (`Read`, the plan's `ReadOp` with
-what it keeps), a discovery read of a member of unknown type
-(`Discovery`), whose reply fixes the member's type, and a flush's write
-(`WriteOp`).  Once a step loses the session, the transfers left fail
-unsent, so the loss counts one error.
+loop calls them directly: a read (`Read`, the plan's `ReadOp` with what it
+keeps) and a flush's write (`WriteOp`).  A read of a member of unknown type
+(a discovery read, its op expecting no type) is a `Read` too: its reply
+fixes the member's type and stores nothing.  Once a step loses the
+session, the transfers left fail unsent, so the loss counts one error.
 
 Every transfer keeps its last reply in a slot (`TransferReply`).  A plan's
 `Executor` holds its reads and discovery reads as op kinds, one slot per
@@ -22,22 +22,24 @@ when they are equal, returns the kept decoded reply; the loop then hands
 out the embedded replies that reply split into, so a repeated reply is
 neither decoded nor split twice, whether its ops stored it or refused it.
 A failed transfer keeps no reply.  When a read transfer's reply repeats
-and each of its reads stored it whole (no short reply, no type mismatch,
-no drift callback), the slot also keeps a flat record, its reads' records
+and each of its reads stored it (no refused reply, no type mismatch, no
+drift callback), the slot also keeps a flat record, its reads' records
 joined; from then on the repeated reply is stored from that record in one
 pass, with no read called, and any other reply drops it.
 
 A read stores its reply through the same routine, `store`, from a record
 of its own: the typed cells with their values, the bit cells of the bits
 that are 0 and of those that are 1, and the span-cache elements of a read
-of outputs.  It keeps its last accepted reply: the payload, type and
-elements, that record, and the targets a short reply missed.  A reply whose
-payload is the same again is not decoded, and its cells take the same
-immutable values with this step's time; one that changed but keeps its
-type and element count builds a value only for each element whose wire
-bytes changed.  A watched output whose value the PLC changed while it had
-nothing staged adds a drift event; the events run once the step's replies
-are all stored (`notify`).
+of outputs.  A reply is stored whole or refused: one that does not carry
+exactly the elements its read asked for fails every target of the read
+with one `read failed` error, as an error reply does, and stores nothing.
+A read keeps its last accepted reply: the payload and elements, and that
+record.  A reply whose payload is the same again is not decoded, and its
+cells take the same immutable values with this step's time; one that
+changed builds a value only for each element whose wire bytes changed.  A
+watched output whose value the PLC changed while it had nothing staged
+adds a drift event; the events run once the step's replies are all stored
+(`notify`).
 
 A flush (`flush`) builds its writes with no I/O (`build_flush`): it walks
 the plan's writes that carry dirty outputs, cut by `plan.cut_writes` at
@@ -239,11 +241,14 @@ def _wire_words(value_type: CipType, payload: bytes, elements: tuple) -> tuple:
 
 @dataclass(slots=True)
 class Read:
-    """A planned read as steps run it, with its last accepted reply."""
+    """A read as steps run it, with its last accepted reply: a planned read,
+    or the discovery read of a member whose type is not yet known (its op
+    expects no type), whose reply fixes the member's type and stores
+    nothing, so the list is planned again."""
 
     op: ReadOp
-    # the last accepted reply: its payload, type and elements, its record
-    # (as `store` takes one) and the targets past it, which fail
+    # the last accepted reply: its payload and elements, and its record
+    # (as `store` takes one)
     last_reply: tuple | None = None
     # the record of the reply just absorbed, if the read stored it whole
     whole: tuple | None = None
@@ -255,7 +260,8 @@ class Read:
         self.op.fail()
 
     def refuse(self, exc: cip.CipError, step: Step) -> bool:
-        """The reply is an error, or no read reply: every target fails."""
+        """The reply is an error, or no read reply, or does not carry the
+        elements the read asked for: every target fails."""
         log.log(step.level, "read failed on %s: %s", step.unit.name, exc)
         step.error("read failed", exc)
         self.fail()
@@ -264,19 +270,21 @@ class Read:
     def absorb(self, resp: cip.CipResponse, step: Step) -> bool:
         """Store this read's reply through `store`: from the last record if
         its payload is the last accepted one's, otherwise from a record of
-        the decoded reply.  The targets a short reply misses fail, and a
-        watched output whose value the PLC changed while it had nothing
-        staged adds a drift event to the step."""
+        the decoded reply.  A reply is stored whole or refused: one that
+        does not carry exactly the elements the read asked for is refused,
+        as an error reply is.  A watched output whose value the PLC changed
+        while it had nothing staged adds a drift event to the step."""
         op, last = self.op, self.last_reply
+        value_type = op.expected_type
         if (
             last is None or resp.payload != last[0]
             or resp.general_status != cip.STATUS_OK or resp.service_reply != cip.READ_REPLY
         ):
             try:
-                value_type, elements = cip.parse_read_reply(resp)
+                reply_type, elements = cip.parse_read_reply(resp)
             except cip.CipError as exc:
                 return self.refuse(exc, step)
-            if value_type is not op.expected_type:
+            if value_type is not None and reply_type is not value_type:
                 # a configuration fault, not the list failing: logged once per plan
                 step.error()
                 self.fail()
@@ -284,27 +292,30 @@ class Read:
                     self.mismatch_logged = True
                     log.warning(
                         "%s: %s expected %s, PLC sent %s", step.unit.name,
-                        op.targets[0][0].group, op.expected_type.name, value_type.name,
+                        op.targets[0][0].group, value_type.name, reply_type.name,
                     )
                 return False
             count = len(elements)
-            typed, bits, typed_subs, past = op.typed_targets, op.bit_targets, op.typed_subs, ()
-            if count < op.reach:  # a short reply: only the targets it covers are stored
-                past = [t[0] for t in typed + bits if t[1] >= count]
-                typed = [t for t in typed if t[1] < count]
-                bits = [t for t in bits if t[1] < count]
-                typed_subs = [t[0] for t in typed]
-            if last is not None and last[1] is value_type and len(last[2]) == count:
-                # the kept reply's layout: a typed target whose element has
-                # the same wire bytes keeps the value it decoded to
+            if count != op.count:
+                return self.refuse(
+                    cip.CipError(f"{count} elements for a read of {op.count}"), step
+                )
+            if value_type is None:  # a discovery read
+                op.targets[0][0].elem_type = reply_type
+                return True
+            typed = op.typed_targets
+            if last is not None:
+                # a typed target whose element has the same wire bytes as
+                # in the kept reply keeps the value it decoded to
                 new = _wire_words(value_type, resp.payload, elements)
-                old = _wire_words(value_type, last[0], last[2])
+                old = _wire_words(value_type, last[0], last[1])
                 values = [
                     kept if new[o] == old[o] else CipValue(value_type, (elements[o],))
-                    for (_sub, o), kept in zip(typed, last[3][1])
+                    for (_sub, o), kept in zip(typed, last[2][1])
                 ]
             else:
                 values = [CipValue(value_type, (elements[o],)) for _sub, o in typed]
+            bits = op.bit_targets
             zeros = ones = ()
             if bits:
                 zeros = [sub for sub, o, bit in bits if not (elements[o] >> bit) & 1]
@@ -312,20 +323,14 @@ class Read:
             key, start = op.cache_key, op.start_element
             refresh = () if key is None else ((key, range(start, start + count), elements),)
             last = self.last_reply = (
-                resp.payload, value_type, elements,
-                (typed_subs, values, zeros, ones, refresh), past,
+                resp.payload, elements, (op.typed_subs, values, zeros, ones, refresh),
             )
-        _payload, value_type, elements, record, past = last
+        _payload, elements, record = last
         store(record, step)
-        for sub in past:
-            sub.fail()
         checked = op.checked_targets
-        self.whole = None if past or checked else record
+        self.whole = None if checked else record
         now, ok = step.now, _OK
         for sub, offset, bit in checked:
-            if offset >= len(elements):
-                sub.fail()
-                continue
             raw = elements[offset]
             if bit is not None:
                 cell = _BOOL_CELLS[(raw >> bit) & 1]
@@ -341,18 +346,6 @@ class Read:
         return True
 
 
-class Discovery(Read):
-    """A discovery read of a member whose type is not yet known: its reply
-    fixes the member's type, so the list is planned again."""
-
-    def absorb(self, resp: cip.CipResponse, step: Step) -> bool:
-        try:
-            self.op.targets[0][0].elem_type = cip.parse_read_reply(resp)[0]
-        except cip.CipError as exc:
-            return self.refuse(exc, step)
-        return True
-
-
 class Executor:
     """What a list's steps keep for one plan: its reads and discovery reads
     as steps run them, and a slot for the last reply of each of their
@@ -362,7 +355,7 @@ class Executor:
     def __init__(self, plan: ScanPlan):
         self.plan = plan
         self.transfers = [([Read(op) for op in ops], m) for ops, m in plan.transfers]
-        self.discovery = [([Discovery(op) for op in ops], m) for ops, m in plan.discovery]
+        self.discovery = [([Read(op) for op in ops], m) for ops, m in plan.discovery]
         self.replies = [TransferReply() for _transfer in self.transfers]
         self.discovery_replies = [TransferReply() for _transfer in self.discovery]
         self.write_replies: defaultdict[int, TransferReply] = defaultdict(TransferReply)
@@ -467,14 +460,15 @@ def _build_write(
     cache = step.unit.span_cache.setdefault(span.key, {})
 
     # staged values per element; a BOOL word's dirty bits fold, in
-    # order, into one mask of bits to set and one of bits to clear
+    # subscription order, into one mask of bits to set and one of bits
+    # to clear
     pending: dict[int | None, object] = {}
     masks: dict[int, list[int]] = {}
     for sub in dirty:
         element, bit = sub.element, sub.bit
         if bit is None:
             pending[element] = sub.pending
-            if masks:  # a word staged whole after bits of it drops them
+            if masks:  # a word subscribed after bits of it drops them
                 masks.pop(element, None)
             continue
         mask = masks.get(element)

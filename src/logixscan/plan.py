@@ -77,9 +77,12 @@ class ReadOp:
 
     encoded: bytes
     response_estimate: int
+    # None: a discovery read, whose reply fixes its member's type
     expected_type: CipType | None
     # (subscription, element offset within the read, bit index or None)
     targets: list[tuple[object, int, int | None]]
+    # the elements the read asks for, which its reply must carry
+    count: int
     # span cache key; kept only when an output reads here, since the
     # cache serves the flush's writes alone
     cache_key: GroupKey | None = None
@@ -87,12 +90,10 @@ class ReadOp:
     # targets split by how a reply element reaches the cell, inputs and
     # unwatched outputs alike: BOOL bits into the shared bit cells, and
     # typed elements into a value of their own, with their subscriptions,
-    # which a reply that covers them all stores as they are
+    # which a reply stores as they are
     bit_targets: list[tuple[object, int, int]] = field(init=False)
     typed_targets: list[tuple[object, int]] = field(init=False)
     typed_subs: list = field(init=False)
-    # the elements a reply must carry to cover every target
-    reach: int = field(init=False)
     # outputs with a drift callback
     checked_targets: list[tuple[object, int, int | None]] = field(init=False)
 
@@ -109,7 +110,6 @@ class ReadOp:
                 typed_targets.append((sub, offset))
         self.bit_targets, self.typed_targets = bit_targets, typed_targets
         self.typed_subs = [sub for sub, _offset in typed_targets]
-        self.reach = 1 + max(offset for _sub, offset, _bit in self.targets)
         self.checked_targets = checked_targets
         if not any(sub.direction is output for sub, _offset, _bit in self.targets):
             self.cache_key = None
@@ -265,7 +265,7 @@ def read_op(subs: list, first: int | None, count: int) -> ReadOp:
     targets = [(s, 0 if first is None else s.element - first, s.bit) for s in subs]
     known = first is not None and wire_type is not None
     return ReadOp(
-        encoded, cip.estimate_response_size(sizing, count), wire_type, targets,
+        encoded, cip.estimate_response_size(sizing, count), wire_type, targets, count,
         cache_key=(head.group, wire_type) if known else None,
         start_element=first,
     )

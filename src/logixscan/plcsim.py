@@ -639,16 +639,6 @@ class PlcSim:
         self.stop()
 
 
-def serve(
-    host: str = "127.0.0.1",
-    port: int = encap.DEFAULT_PORT,
-    store: TagStore | None = None,
-    faults: FaultPlan | None = None,
-) -> PlcSim:
-    """Bind and start a simulator; returns the running handle."""
-    return PlcSim(store=store, faults=faults, host=host, port=port).start()
-
-
 # ---------------------------------------------------------------------------
 # tag definition files
 

@@ -16,13 +16,16 @@ after its membership or a discovered type changes, and each plan gets a
 replies, so a new plan starts with nothing kept.  A cycle and a flush are
 each one step (`cycle.Step`), and every transfer of a step goes through
 one loop, `cycle.send`: a step first sends the discovery reads of the
-members whose type is not yet known, packed as reads are, and plans the
-list again when a reply fixed a type; so a list with undeclared members
-sends one extra packed round trip on its first cycle and none after, and a
-member whose discovery read failed reports ERROR (an output stays dirty,
-unwritten) and is read again next time.  A cycle then sends the planned
-reads; a flush (`cycle.flush`) builds and sends its writes.  `cycle`
-describes how each reply is stored and kept.
+members whose type is not yet known (reads that expect no type), packed as
+reads are, and plans the list again when a reply fixed a type; so a list
+with undeclared members sends one extra packed round trip on its first
+cycle and none after, and a member whose discovery read failed reports
+ERROR (an output stays dirty, unwritten) and is read again next time.  A
+cycle then sends the planned reads; a flush (`cycle.flush`) builds and
+sends its writes.  Every read's reply is stored whole or refused: one that
+does not carry exactly the elements its read asked for fails every target
+of the read, as an error reply does.  `cycle` describes how each reply is
+stored and kept.
 
 Every call on a PLC (`write`, `flush`, `scan_once`, `plan_info`, `add_tag`,
 `replace_tag`) does its work under the PLC's one reentrant lock, on the

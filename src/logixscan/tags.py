@@ -48,11 +48,6 @@ class TagRef:
         parts = self.parts[:-1] + (TagPart(self.parts[-1].symbol, element),)
         return replace(self, parts=parts)
 
-    def base(self) -> "TagRef":
-        """The same chain without the final subscript."""
-        parts = self.parts[:-1] + (TagPart(self.parts[-1].symbol, None),)
-        return TagRef(parts, False)
-
     def __str__(self) -> str:
         return format_tag(self)
 

@@ -3,8 +3,8 @@ remember nothing.
 
 Two copies of the same subscriptions absorb the same sequence of replies:
 one through a single read, which keeps the last reply it accepted, the
-other through a fresh read built for every reply.  Replies repeat, come short,
-carry error statuses, another service's reply flag, another type, or a
+other through a fresh read built for every reply.  Replies repeat, come short
+or long, carry error statuses, another service's reply flag, another type, or a
 malformed payload.  In the same way, a transfer of two reads that keeps its
 last reply, and stores a reply that repeats from its flat record, is
 fed the same outer replies as one that decodes and splits every reply with
@@ -58,9 +58,12 @@ LAYOUTS = {
         ("b[1]", True, None, Direction.INPUT, False),
         ("b[40]", True, None, Direction.OUTPUT, False),
         ("b[70]", True, None, Direction.INPUT, False),
+        ("b[170]", True, None, Direction.INPUT, False),
     ],
 }
-WORDS = 6  # elements the REAL read asks for (r[0] to r[5]); bits: 3 words
+# elements each read asks for: r[0] to r[5], and the bits' words 0 to 5, so
+# that one payload can be whole for both
+WORDS = 6
 
 SPECIAL_REALS = [
     struct.pack("<f", x) for x in (0.0, -0.0, 1.0, float("inf"))
@@ -68,12 +71,15 @@ SPECIAL_REALS = [
     bytes.fromhex(h) for h in ("0000c07f", "0100c07f", "0000c0ff", "0100807f")
 ]
 
-# a few distinct payloads: (type code, None as read; elements; stray byte)
+# a few distinct payloads: (type code, None as read; elements; stray byte);
+# as often as not, as many elements as a read asks for, since a reply of
+# any other count is refused whole
+element_specs = st.one_of(st.sampled_from(SPECIAL_REALS), st.binary(min_size=4, max_size=4))
 payload_specs = st.tuples(
     st.sampled_from([None] * 5 + [CipType.DINT, CipType.REAL, CipType.INT]),
-    st.lists(
-        st.one_of(st.sampled_from(SPECIAL_REALS), st.binary(min_size=4, max_size=4)),
-        min_size=0, max_size=WORDS + 1,
+    st.one_of(
+        st.lists(element_specs, min_size=WORDS, max_size=WORDS),
+        st.lists(element_specs, min_size=0, max_size=WORDS + 1),
     ),
     st.sampled_from([b""] * 7 + [b"\x00"]),  # a stray byte: a malformed payload
 )

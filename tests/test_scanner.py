@@ -406,7 +406,7 @@ def test_wire_address_matches_bool_remap():
     for text, element in (("counts[3]", 3), ("motor.speed", None), ("a[1].b[7]", 7)):
         sub = sc.add_tag("plc", text, 1.0, elem_type=CipType.DINT)
         assert (sub.element, sub.bit) == (element, None)
-        assert sub.group == str(sub.ref.base())
+        assert sub.group == str(sub.ref.with_final_element(None))
         assert sub.wire_path(sub.element) == to_epath(sub.ref)
 
 
@@ -788,23 +788,87 @@ def test_real_negative_zero_and_nan_pass_through():
         sc.stop()
 
 
-def test_short_reply_marks_only_the_missing_cell_error(sim):
+def dint_reply(*elements):
+    """An OK read reply of DINT elements."""
+    payload = struct.pack("<H", CipType.DINT) + cip.pack_elements(CipType.DINT, elements)
+    return cip.CipResponse(cip.READ_DATA | cip.REPLY_FLAG, cip.STATUS_OK, (), payload)
+
+
+def test_a_short_reply_fails_every_target_of_its_read(sim):
     sc = scanner_for(sim)
     near = sc.add_tag("plc", "counts[0]", 1.0, elem_type=CipType.DINT)
     far = sc.add_tag("plc", "counts[4]", 1.0, elem_type=CipType.DINT)
     (op,), _request = planned(sc, 1.0).transfers[0]
-    assert [offset for _s, offset, _b in op.targets] == [0, 4]
-    # a reply carrying three of the five requested elements
-    payload = struct.pack("<H", CipType.DINT) + cip.pack_elements(CipType.DINT, [7, 8, 9])
-    short = cip.CipResponse(cip.READ_DATA | cip.REPLY_FLAG, cip.STATUS_OK, (), payload)
+    assert [offset for _s, offset, _b in op.targets] == [0, 4] and op.count == 5
     unit = sc._units["plc"]
     read = Read(op)
-    for _time in range(2):  # the second time, a repeated reply
+    # a reply carrying three of the five requested elements, then the same again
+    for _time in range(2):
         step = Step(unit, logging.DEBUG)
-        assert read.absorb(short, step)
-        assert (near.value.elements, near.timestamp, near.quality) == ((7,), step.now, Quality.OK)
-        assert far.quality is Quality.ERROR and far.value is None
-        assert read.whole is None  # a short reply is never stored flat
+        assert not read.absorb(dint_reply(7, 8, 9), step)
+        assert all(s.quality is Quality.ERROR and s.value is None for s in (near, far))
+        assert step.errors == 1
+        assert step.causes == {"read failed": "read failed: 3 elements for a read of 5"}
+        assert read.whole is None and read.last_reply is None
+    # the next whole reply stores every target
+    step = Step(unit, logging.DEBUG)
+    assert read.absorb(dint_reply(7, 8, 9, 10, 11), step)
+    assert [(s.value.elements, s.timestamp, s.quality) for s in (near, far)] == [
+        ((7,), step.now, Quality.OK), ((11,), step.now, Quality.OK),
+    ]
+    assert step.errors == 0 and read.whole is not None
+
+
+def test_a_long_reply_is_refused_and_caches_nothing_past_its_read():
+    store = make_store()
+    store.define("w", CipType.DINT, [0, 1, 2, 3, 4, 5])
+    with PlcSim(store) as sim:
+        sc = scanner_for(sim)
+        low = [
+            sc.add_tag("plc", f"w[{i}]", 1.0, direction="out", elem_type=CipType.DINT)
+            for i in (0, 2)
+        ]
+        high = [
+            sc.add_tag("plc", f"w[{i}]", 2.0, direction="out", elem_type=CipType.DINT)
+            for i in (3, 5)
+        ]
+        (op,), _request = planned(sc, 1.0).transfers[0]
+        assert op.count == 3
+        unit = sc._units["plc"]
+        step = Step(unit, logging.DEBUG)
+        # five elements for a read of w[0..2]
+        assert not Read(op).absorb(dint_reply(10, 11, 12, 13, 14), step)
+        assert step.causes == {"read failed": "read failed: 5 elements for a read of 3"}
+        assert all(sub.quality is Quality.ERROR for sub in low)
+        assert unit.span_cache.get(("w", CipType.DINT), {}) == {}
+        # the other list's cold flush of w[3] and w[5] lacks w[4]: it reads
+        # its list first and writes the PLC's own w[4] back
+        sc.write(high[0], 30, immediate=False)
+        sc.write(high[1], 50, immediate=False)
+        reads = sim.store.service_counts[cip.READ_DATA]
+        sc.flush("plc")
+        assert sim.store.service_counts[cip.READ_DATA] == reads + 1
+        assert sim.store.get_tag("w").elements == (0, 1, 2, 30, 4, 50)
+        assert all(sub.quality is Quality.OK and not sub.dirty for sub in high)
+
+
+def test_a_discovery_reply_of_two_elements_is_refused(sim):
+    sc = scanner_for(sim)
+    sub = sc.add_tag("plc", "counts[1]", 1.0)
+    # the one op kind a plan's executor runs, discovery reads included
+    executor = cycle_module.Executor(planned(sc, 1.0))
+    ((read,), _request), = executor.discovery
+    assert type(read) is Read and read.op.count == 1
+    unit = sc._units["plc"]
+    step = Step(unit, logging.DEBUG)
+    assert not read.absorb(dint_reply(20, 30), step)
+    assert step.causes == {"read failed": "read failed: 2 elements for a read of 1"}
+    assert sub.elem_type is None and sub.quality is Quality.ERROR
+    # one element fixes the type, and stores nothing
+    step = Step(unit, logging.DEBUG)
+    assert read.absorb(dint_reply(20), step)
+    assert step.errors == 0
+    assert sub.elem_type is CipType.DINT and sub.value is None
 
 
 def test_plan_routes_targets_by_kind_and_records_output_spans():
@@ -1716,6 +1780,26 @@ def test_session_drop_mid_flush_fails_unsent_writes_until_reconnect(sim):
         assert not sub.dirty and sub.quality is Quality.OK
 
 
+def test_a_flush_with_no_session_fails_its_dirty_outputs_and_lands_once_accepted():
+    with PlcSim(make_store(), FaultPlan(refuse_sessions=True)) as sim:
+        sc = scanner_for(sim, reconnect_period=0.05)
+        dirty = sc.add_tag("plc", "counts[1]", 1.0, direction="out", elem_type=CipType.DINT)
+        clean = sc.add_tag("plc", "counts[3]", 2.0, direction="out", elem_type=CipType.DINT)
+        sc.write(dirty, 7)
+        assert dirty.dirty and dirty.quality is Quality.ERROR
+        assert clean.quality is Quality.STALE
+        time.sleep(0.06)  # past reconnect_period: the flush tries again
+        sc.flush("plc")
+        assert dirty.dirty and dirty.quality is Quality.ERROR
+        assert sim.store.service_counts[cip.WRITE_DATA] == 0
+        assert sim.store.get_tag("counts").elements == (10, 20, 30, 40, 50)
+        sim.faults.refuse_sessions = False
+        time.sleep(0.06)
+        sc.flush("plc")
+        assert sim.store.get_tag("counts").elements == (10, 7, 30, 40, 50)
+        assert not dirty.dirty and dirty.quality is Quality.OK and sc.value_of(dirty) == 7
+        assert clean.quality is Quality.STALE
+
 def test_read_modify_writes_of_one_word_in_one_flush_keep_each_bit():
     with PlcSim(bits_store()) as sim:
         sc = scanner_for(sim)
@@ -1749,6 +1833,26 @@ def test_read_modify_writes_from_two_scan_lists_keep_each_bit():
         assert fast.quality is Quality.OK and slow.quality is Quality.OK
         assert sc.value_of(fast) is True and sc.value_of(slow) is True
 
+
+def test_a_words_staged_value_and_its_bits_apply_in_subscription_order():
+    # bout[3] staged True, then its DINT word bout[0] staged 1, in one
+    # flush: the subscription added later applies last
+    for word_first, held in ((True, 0b1001), (False, 0b0001)):
+        with big_sim() as sim:
+            sim.store.set_tag("bout[0]", 0b100000)  # the word, as the PLC holds it
+            sc = scanner_for(sim)
+            tags = [("bout[0]", dict(elem_type=CipType.DINT)), ("bout[3]", dict(bool_array=True))]
+            subs = {
+                tag: sc.add_tag("plc", tag, 1.0, direction="out", **kwargs)
+                for tag, kwargs in (tags if word_first else tags[::-1])
+            }
+            word, bit = subs["bout[0]"], subs["bout[3]"]
+            sc.scan_once("plc")
+            sc.write(bit, True, immediate=False)
+            sc.write(word, 1, immediate=False)
+            sc.flush("plc")
+            assert sim.store.get_tag("bout").elements == (held,), word_first
+            assert not word.dirty and not bit.dirty
 
 def test_no_coalesce_write_updates_its_groups_span_cache():
     store = make_store()
@@ -1846,6 +1950,53 @@ def test_a_nan_written_to_a_watched_output_does_not_drift():
         assert len(events) == 2 and math.isnan(events[0][0])
         assert events[0][1] == 1.0 and events[1] == (1.0, 2.0)
 
+
+def test_a_watched_bool_array_output_drifts_on_a_plc_side_change_only():
+    events = []
+    with PlcSim(bits_store()) as sim:
+        sc = scanner_for(sim)
+        sub = sc.add_tag(
+            "plc", "bits[3]", 1.0, direction="out", bool_array=True,
+            on_drift=lambda s, old, new: events.append((s, old, new)),
+        )
+        sc.scan_once("plc")  # the first read-back is just a baseline
+        assert sc.value_of(sub) is False and events == []
+        sim.store.set_tag("bits[0]", 0b1001)  # bit 3 set on the PLC side
+        sc.scan_once("plc")
+        false, true = CipValue(CipType.BOOL, (False,)), CipValue(CipType.BOOL, (True,))
+        assert events == [(sub, false, true)]
+        assert sc.value_of(sub) is True and sub.quality is Quality.OK
+        sc.write(sub, False)  # its own write lands: no drift
+        sc.scan_once("plc")
+        assert sim.store.get_tag("bits").elements[0] == 0b0001
+        assert events == [(sub, false, true)]
+        assert sc.value_of(sub) is False and sub.quality is Quality.OK
+
+
+def test_a_drift_callback_that_raises_is_logged_and_the_later_ones_run(sim, caplog):
+    events = []
+
+    def raising(sub, old, new):
+        raise RuntimeError("callback bug")
+
+    sc = scanner_for(sim)
+    first = sc.add_tag(
+        "plc", "counts[1]", 1.0, direction="out", elem_type=CipType.DINT, on_drift=raising,
+    )
+    second = sc.add_tag(
+        "plc", "counts[2]", 1.0, direction="out", elem_type=CipType.DINT,
+        on_drift=lambda s, old, new: events.append((s, old.scalar, new.scalar)),
+    )
+    sc.scan_once("plc")
+    sim.store.set_tag("counts", [10, 21, 31, 40, 50])
+    with caplog.at_level(logging.INFO, logger="logixscan"):
+        sc.scan_once("plc")
+    assert events == [(second, 30, 31)]
+    (record,) = caplog.records
+    assert record.levelno == logging.ERROR
+    assert record.getMessage() == "drift callback failed for counts[1]"
+    assert record.exc_info[0] is RuntimeError
+    assert sc.value_of(first) == 21 and first.quality is Quality.OK
 
 def test_duplicate_output_subscriptions_settle_to_the_value_written(sim):
     sc = scanner_for(sim)
@@ -2136,6 +2287,28 @@ def test_slow_plc_counts_overruns():
             sc.stop()
 
 
+class ParkedWake(threading.Event):
+    """A worker's wake event that holds the worker at its first wait until
+    `release()`, then records whether that wait was woken."""
+
+    def __init__(self):
+        super().__init__()
+        self.parked = threading.Event()
+        self.released = threading.Event()
+        self.woken = None
+
+    def wait(self, timeout=None):
+        if self.parked.is_set():
+            return super().wait(timeout)
+        self.parked.set()
+        self.released.wait(5.0)
+        self.woken = super().wait(timeout)
+        return self.woken
+
+    def release(self):
+        self.released.set()
+
+
 def test_add_tag_while_running(sim):
     sc = scanner_for(sim)
     sc.add_tag("plc", "counts[0]", 0.05, elem_type=CipType.DINT)
@@ -2147,6 +2320,26 @@ def test_add_tag_while_running(sim):
             assert time.monotonic() < deadline, "late tag never scanned"
             time.sleep(0.01)
         assert sc.value_of(late) == 50
+    finally:
+        sc.stop()
+
+
+def test_a_list_added_while_the_worker_waits_is_scanned_at_once(sim):
+    sc = scanner_for(sim)
+    sc.add_tag("plc", "counts[0]", 10.0, elem_type=CipType.DINT)
+    wake = sc._units["plc"].wake = ParkedWake()
+    sc.start()
+    try:
+        assert wake.parked.wait(5.0), "the worker never waited"
+        late = sc.add_tag("plc", "counts[4]", 0.05, elem_type=CipType.DINT)  # a new list
+        wake.release()
+        deadline = time.monotonic() + 2.0
+        while sc.value_of(late) is None:
+            assert time.monotonic() < deadline, "late list never scanned"
+            time.sleep(0.01)
+        # the new list cut the worker's wait short: it did not wait out its
+        # timeout first
+        assert wake.woken is True
     finally:
         sc.stop()
 

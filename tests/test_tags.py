@@ -136,13 +136,6 @@ def test_dint_span_for_bools():
         dint_span_for_bools(0)
 
 
-def test_tagref_base_strips_subscript_and_flag():
-    ref = parse_tag("a.b[7]", bool_array=True)
-    base = ref.base()
-    assert format_tag(base) == "a.b"
-    assert not base.bool_array
-
-
 def test_with_final_element():
     ref = parse_tag("a.b[7]")
     assert format_tag(ref.with_final_element(9)) == "a.b[9]"
