@@ -214,9 +214,6 @@ class _Connection:
     last_used: float = field(default_factory=time.monotonic)
 
 
-_ids = itertools.count(0x1001)
-
-
 def _error(service: int, general: int, extended: tuple[int, ...] = ()) -> CipResponse:
     return CipResponse((service | cip.REPLY_FLAG) & 0xFF, general, extended)
 
@@ -227,6 +224,7 @@ class CipEngine:
     def __init__(self, store: TagStore, faults: FaultPlan):
         self.store = store
         self.faults = faults
+        self._ids = itertools.count(0x1001)  # O->T connection ids, per engine
 
     def handle(self, data: bytes, connections: dict | None = None, depth: int = 0) -> bytes:
         """Process one message, enforcing the buffer limit on it and its reply."""
@@ -376,7 +374,7 @@ class CipEngine:
         if connections is None:
             return _error(req.service, cip.STATUS_NO_RESOURCES)
         conn = _Connection(
-            o_to_t_id=next(_ids),
+            o_to_t_id=next(self._ids),
             t_to_o_id=parsed.t_to_o_id,
             serial=parsed.serial,  # a controller echoes the originator's serial
             vendor=parsed.vendor,

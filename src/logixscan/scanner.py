@@ -29,23 +29,29 @@ stored and kept.
 
 Every call on a PLC (`write`, `flush`, `scan_once`, `plan_info`, `add_tag`,
 `replace_tag`) does its work under the PLC's one reentrant lock, on the
-thread that made it; the PLC's worker holds that lock while it scans its
-due lists, and releases it while it waits for the next tick.  So one thread
-at a time uses a PLC's session, a flush under way settles no value staged
-after its writes were built, and a callback may call back into the
-scanner.  Outputs are staged by `write`, written on demand and read back
-every cycle, with drift notifications for watched outputs when the PLC side
-changed, run once the step's replies are all stored.  A list's stats take
-each step's errors when the step is done, and a cycle that stored any
-reply records its duration and calls `on_sample`, whose exceptions are
-logged, as a drift callback's are, so the worker keeps scanning.  A list
-keeps its failing state per cause (not connected, a transfer failed, a
-member's read failed) and logs a WARNING when it starts failing for a
-cause and an INFO when it recovers from it, so a member that always fails
-hides no session loss; a reply of another type than declared, and a
-member that no request under the buffer limit can carry, count an error
-each cycle but log once per plan.  Scan config files are parsed and
-applied by `config`.
+thread that made it.  So one thread at a time uses a PLC's session, a flush
+under way settles no value staged after its writes were built, and a
+callback may call back into the scanner.  The schedule lives in one
+method, `run_due`, a function of a clock its caller passes: under the lock
+it scans each list that is due, counts an overrun for each tick a slow
+cycle missed and skips them, and returns when the next list comes due.
+The PLC's worker only calls it and waits, without the lock, until then; a
+PLC with no list waits with no timeout, so an idle worker does not poll,
+and only a new list or `stop()` wakes it.  Outputs are staged by `write`,
+written on demand and read back every cycle, with drift notifications for
+watched outputs when the PLC side changed, run once the step's replies are
+all stored.  A list's stats take each step's errors when the step is done,
+and a cycle that stored any reply records its duration and calls
+`on_sample`, whose exceptions are logged, as a drift callback's are, so the
+worker keeps scanning.  A list keeps its failing state per cause (not
+connected, a transfer failed, a member's read failed) and logs a WARNING
+when it starts failing for a cause and an INFO when it recovers from it, so
+a member that always fails hides no session loss; a reply of another type
+than declared, and a member that no request under the buffer limit can
+carry, count an error each cycle but log once per plan.  A flush with no
+session counts one `not connected` error for each list whose outputs it
+fails, and logs one WARNING.  Scan config files are parsed and applied by
+`config`.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .cip import CipType, CipValue, Element, Epath
-from .client import Phase, PlcClient, PlcEndpoint
+from .client import PlcClient, PlcEndpoint
 from .cycle import Executor, Quality, Step, flush, notify, send
 from .plan import Direction, ScanPlan, plan_list
 from .tags import BITS_PER_DINT, TagPart, TagRef, format_tag, parse_tag, to_epath
@@ -197,6 +203,13 @@ class ScanList:
     next_tick: float | None = None
     # why the list is failing, by cause
     faults: dict[str, str] = field(default_factory=dict)
+
+
+def _fail_unconnected(step: Step, subs) -> None:
+    """Count the step's `not connected` error, with why, and fail `subs`."""
+    step.error("not connected", step.unit.client.connect_error or "reconnect paced")
+    for sub in subs:
+        sub.fail()
 
 
 class _PlcUnit:
@@ -353,9 +366,6 @@ class TagScanner:
             return None if seconds is None else seconds * 1000.0
         raise KeyError(f"unknown stats item {item!r}")
 
-    def connection_phase(self, plc_name: str) -> Phase:
-        return self._unit(plc_name).client.phase
-
     def plan_info(self, plc_name: str, period_s: float) -> list[int]:
         """Reads per planned transfer for one list (planning it if needed);
         a member of unknown type is in none until its discovery read."""
@@ -432,9 +442,7 @@ class TagScanner:
             stored = send(step, executor.transfers, executor.replies)
             duration = time.monotonic() - started
         else:
-            step.error("not connected", client.connect_error or "reconnect paced")
-            for sub in sl.members:
-                sub.fail()
+            _fail_unconnected(step, sl.members)
         with self._stats_lock:
             sl.stats.errors += step.errors
             if stored:
@@ -474,16 +482,20 @@ class TagScanner:
                 self._flush_unit(unit)
 
     def _flush_unit(self, unit: _PlcUnit) -> None:
-        if not unit.client.ensure_connected():
-            for sl in unit.lists.values():
-                for sub in sl.members:
-                    if sub.dirty:
-                        sub.fail()
-            return
+        """Flush each list's dirty outputs, as one step per list.  With no
+        session, each list they are in counts one `not connected` error,
+        and the flush logs one WARNING."""
+        connected = unit.client.ensure_connected()
+        if not connected and any(sub.dirty for sl in unit.lists.values() for sub in sl.members):
+            log.warning("flush failed on %s: not connected: %s", unit.name,
+                        unit.client.connect_error or "reconnect paced")
         for sl in unit.lists.values():
             if any(sub.dirty for sub in sl.members):
                 step = Step(unit, logging.WARNING)
-                flush(step, self._discover(unit, sl, step))
+                if connected:
+                    flush(step, self._discover(unit, sl, step))
+                else:
+                    _fail_unconnected(step, [sub for sub in sl.members if sub.dirty])
                 if step.errors:
                     with self._stats_lock:
                         sl.stats.errors += step.errors
@@ -515,28 +527,43 @@ class TagScanner:
         )
         unit.thread.start()
 
+    def run_due(self, plc_name: str, clock=time.monotonic) -> float | None:
+        """Scan, under the PLC's lock, each of its lists that is due at
+        `clock()`; return when the next list comes due (None: the PLC has
+        no list).  A list's first tick is the first call that sees it.  A
+        list still scanning at its next tick counts an overrun for each
+        tick it missed, read from `clock()` once it is done, and skips
+        them.  `clock` is any monotonic clock in seconds; a test may pass
+        a fake one."""
+        unit = self._unit(plc_name)
+        with unit.lock:
+            now = clock()
+            lists = list(unit.lists.values())
+            for sl in lists:
+                if sl.next_tick is None:
+                    sl.next_tick = now
+                if sl.next_tick <= now:
+                    self._scan_list(unit, sl)
+                    sl.next_tick += sl.period_s
+                    finished = clock()
+                    if sl.next_tick <= finished:
+                        missed = int((finished - sl.next_tick) // sl.period_s) + 1
+                        with self._stats_lock:
+                            sl.stats.overruns += missed
+                        sl.next_tick += missed * sl.period_s
+            return min((sl.next_tick for sl in lists), default=None)
+
     def _worker(self, unit: _PlcUnit) -> None:
-        """Scan each list as it comes due, under the PLC's lock; wait for
-        the next tick, or for a list added meanwhile, without it."""
+        """Run the PLC's due lists (`run_due`), then wait, without the
+        lock, until the next comes due.  A PLC with no list waits with no
+        timeout: only a new list or `stop()` wakes it, so an idle worker
+        does not poll."""
         while unit.running:
+            next_due = self.run_due(unit.name)
+            unit.wake.wait(None if next_due is None else max(0.0, next_due - time.monotonic()))
+            # cleared before `running` and the lists are read again, so no
+            # stop() and no new list that comes after is missed
             unit.wake.clear()
-            with unit.lock:
-                now = time.monotonic()
-                next_due = now + 0.2
-                for sl in list(unit.lists.values()):
-                    if sl.next_tick is None:
-                        sl.next_tick = now
-                    if sl.next_tick <= now:
-                        self._scan_list(unit, sl)
-                        sl.next_tick += sl.period_s
-                        finished = time.monotonic()
-                        if sl.next_tick <= finished:
-                            missed = int((finished - sl.next_tick) // sl.period_s) + 1
-                            with self._stats_lock:
-                                sl.stats.overruns += missed
-                            sl.next_tick += missed * sl.period_s
-                    next_due = min(next_due, sl.next_tick)
-            unit.wake.wait(max(0.0, next_due - time.monotonic()))
 
     def _unit(self, plc_name: str) -> _PlcUnit:
         try:

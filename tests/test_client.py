@@ -10,6 +10,7 @@ import time
 import pytest
 
 from logixscan import cip, encap, plcsim
+from logixscan import client as client_module
 from logixscan.cip import CipType, CipValue
 from logixscan.client import (
     Phase,
@@ -492,6 +493,27 @@ def test_the_session_socket_blocks_with_kernel_timeouts(client):
     for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
         timeval = sock.getsockopt(socket.SOL_SOCKET, option, struct.calcsize("@ll"))
         assert struct.unpack("@ll", timeval) == (2, 0)  # request_timeout=2.0
+
+
+# the branch a platform with no known timeval layout (such as Windows) takes,
+# forced here on any platform
+
+def test_without_kernel_timeouts_a_round_trip_runs_under_a_python_timeout(sim, monkeypatch):
+    monkeypatch.setattr(client_module, "_KERNEL_TIMEOUTS", False)
+    c = connect_to(sim)
+    try:
+        assert c._sock.gettimeout() == 2.0  # request_timeout=2.0
+        assert c.read_tag("counts", 5).elements == (10, 20, 30, 40, 50)
+        assert c.phase is Phase.REGISTERED and c.consecutive_errors == 0
+    finally:
+        c.close()
+
+
+def test_without_kernel_timeouts_a_silent_peer_times_out_within_its_request_timeout(
+    sim, monkeypatch
+):
+    monkeypatch.setattr(client_module, "_KERNEL_TIMEOUTS", False)
+    test_a_silent_peer_times_out_within_its_request_timeout(sim)
 
 
 def test_a_repeated_connected_reply_returns_the_kept_one_undecoded(sim, monkeypatch):

@@ -694,3 +694,14 @@ def test_a_sim_never_started_stops_at_once():
     stopping = stopper(PlcSim(make_store()))
     stopping.join(5)
     assert not stopping.is_alive()
+
+
+def test_each_sim_grants_its_own_first_connection_id():
+    # the ids a sim grants depend on no other sim that ran in the process
+    for _sim in range(2):
+        with PlcSim(make_store()) as sim:
+            c = connect_to(sim)
+            try:
+                assert [c.open_connection().o_to_t_id for _ in range(2)] == [0x1001, 0x1002]
+            finally:
+                c.close()

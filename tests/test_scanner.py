@@ -921,7 +921,7 @@ def test_session_drop_mid_cycle_marks_unsent_transfers_error(sim):
     sim.faults.drop_after = 5
     started = time.time()
     sc.scan_once("plc")
-    assert sc.connection_phase("plc") is Phase.DISCONNECTED
+    assert sc.stat_value("plc/phase") == "disconnected"
     assert subs[0].quality is Quality.OK and subs[0].timestamp >= started
     assert subs[1].quality is Quality.ERROR
     # never sent this cycle: its value was not refreshed, so it is not OK
@@ -1130,7 +1130,7 @@ def test_a_session_lost_in_a_flushs_list_read_counts_one_error(sim):
         sc.write(sub, value, immediate=False)
     sim.faults.drop_after = 1  # the read the span write needs loses the session
     sc.flush("plc")
-    assert sc.connection_phase("plc") is Phase.DISCONNECTED
+    assert sc.stat_value("plc/phase") == "disconnected"
     assert sc.stats("plc", 1.0).errors == 1
     for sub in (lo, hi, solo):
         assert sub.dirty and sub.quality is Quality.ERROR
@@ -1166,7 +1166,7 @@ def test_unreachable_plc_marks_all_error():
     sc.scan_once("plc")
     assert sub.quality is Quality.ERROR
     assert sc.stats("plc", 1.0).errors == 1
-    assert sc.connection_phase("plc") is Phase.DISCONNECTED
+    assert sc.stat_value("plc/phase") == "disconnected"
 
 
 def test_scan_uses_connected_messaging_when_asked(sim):
@@ -1179,7 +1179,7 @@ def test_scan_uses_connected_messaging_when_asked(sim):
     sub = sc.add_tag("plc", "counts[0]", 1.0, elem_type=CipType.DINT)
     sc.scan_once("plc")
     assert sc.value_of(sub) == 10
-    assert sc.connection_phase("plc") is Phase.CONNECTED
+    assert sc.stat_value("plc/phase") == "connected"
 
 
 # ---------------------------------------------------------------------------
@@ -1766,7 +1766,7 @@ def test_session_drop_mid_flush_fails_unsent_writes_until_reconnect(sim):
     for i, sub in enumerate(subs):
         sc.write(sub, 100 + i, immediate=False)
     sc.flush("plc")
-    assert sc.connection_phase("plc") is Phase.DISCONNECTED
+    assert sc.stat_value("plc/phase") == "disconnected"
     assert not subs[0].dirty and subs[0].quality is Quality.OK
     for sub in subs[1:]:
         assert sub.dirty and sub.quality is Quality.ERROR
@@ -1799,6 +1799,27 @@ def test_a_flush_with_no_session_fails_its_dirty_outputs_and_lands_once_accepted
         assert sim.store.get_tag("counts").elements == (10, 7, 30, 40, 50)
         assert not dirty.dirty and dirty.quality is Quality.OK and sc.value_of(dirty) == 7
         assert clean.quality is Quality.STALE
+
+
+def test_a_flush_with_no_session_counts_one_error_per_list_it_fails(caplog):
+    with PlcSim(make_store(), FaultPlan(refuse_sessions=True)) as sim:
+        sc = scanner_for(sim, reconnect_period=0.05)
+        out = sc.add_tag("plc", "counts[1]", 1.0, direction="out", elem_type=CipType.DINT)
+        other = sc.add_tag("plc", "counts[3]", 2.0, direction="out", elem_type=CipType.DINT)
+        sc.add_tag("plc", "counts[4]", 3.0, direction="out", elem_type=CipType.DINT)
+        with caplog.at_level(logging.INFO, logger="logixscan"):
+            for value in (1, 2, 3):  # each an immediate flush
+                sc.write(out, value)
+                assert out.dirty and out.quality is Quality.ERROR
+            assert sc.stats("plc", 1.0).errors == 3
+            assert levels(caplog) == [logging.WARNING] * 3
+            assert all("not connected: register failed" in r.getMessage() for r in caplog.records)
+            # one flush failing two lists' outputs: an error for each, one line
+            sc.write(other, 5, immediate=False)
+            sc.flush("plc")
+        assert [sc.stats("plc", period).errors for period in (1.0, 2.0, 3.0)] == [4, 1, 0]
+        assert levels(caplog) == [logging.WARNING] * 4
+        assert sim.store.service_counts[cip.WRITE_DATA] == 0
 
 def test_read_modify_writes_of_one_word_in_one_flush_keep_each_bit():
     with PlcSim(bits_store()) as sim:
