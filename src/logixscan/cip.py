@@ -518,15 +518,15 @@ def parse_write_response(resp: CipResponse) -> None:
         raise CipError(f"not a write reply: service 0x{resp.service_reply:02X}")
 
 
-def decode_write_payload(payload: bytes) -> CipValue:
-    """Server-side decode of a write request's type+count+data payload."""
+def split_write_payload(payload: bytes) -> tuple[CipType, bytes]:
+    """Server-side check of a write request's type+count+data payload: its
+    type, and its data, which holds exactly `count` packed elements."""
     if len(payload) < 4:
         raise CipError("write payload shorter than type code + element count")
-    code, count = struct.unpack_from("<HH", payload)
-    try:
-        elem_type = CipType(code)
-    except ValueError:
-        raise CipError(f"unknown type code 0x{code:04X}") from None
+    code, count = _WRITE_TYPE_COUNT.unpack_from(payload)
+    elem_type = _TYPES_BY_CODE.get(code)
+    if elem_type is None:
+        raise CipError(f"unknown type code 0x{code:04X}")
     if count < 1:
         raise CipError("write element count must be at least 1")
     data = payload[4:]
@@ -534,7 +534,7 @@ def decode_write_payload(payload: bytes) -> CipValue:
         raise CipError(
             f"write payload holds {len(data)} data bytes, expected {count * elem_type.width}"
         )
-    return CipValue(elem_type, unpack_elements(elem_type, data))
+    return elem_type, data
 
 
 def build_get_attribute_single(cls: int, instance: int, attribute: int) -> CipRequest:
@@ -615,7 +615,7 @@ def parse_unconnected_send(req: CipRequest) -> tuple[bytes, PortLink]:
 # ---------------------------------------------------------------------------
 # Multi-Request
 
-def _offset_table(items: list[bytes]) -> bytes:
+def offset_table(items: list[bytes]) -> bytes:
     """Item count, offset table and items: a Multi-Request body or its reply's."""
     n = len(items)
     offsets = []
@@ -634,10 +634,11 @@ def encode_multi_request(items: list[bytes]) -> bytes:
     """The encoded Multi-Request around inner requests that are already encoded."""
     if not items:
         raise CipError("multi-request needs at least one inner request")
-    return _MULTI_REQUEST_HEAD + _offset_table(items)
+    return _MULTI_REQUEST_HEAD + offset_table(items)
 
 
-def _split_offset_table(payload: bytes) -> list[bytes]:
+def split_offset_table(payload: bytes) -> list[bytes]:
+    """The items of a Multi-Request body or its reply's, as `offset_table` lays them out."""
     if len(payload) < 2:
         raise CipError("multi payload missing item count")
     (count,) = struct.unpack_from("<H", payload)
@@ -658,11 +659,11 @@ def split_multi_request(req: CipRequest) -> list[CipRequest]:
     """Server-side split of a Multi-Request into its inner requests."""
     if req.service != MULTI_REQUEST:
         raise CipError(f"not a multi-request: service 0x{req.service:02X}")
-    return [decode_request(item) for item in _split_offset_table(req.payload)]
+    return [decode_request(item) for item in split_offset_table(req.payload)]
 
 
 def build_multi_response(replies: list[CipResponse]) -> CipResponse:
-    payload = _offset_table([encode_response(r) for r in replies])
+    payload = offset_table([encode_response(r) for r in replies])
     general = STATUS_OK if all(r.ok for r in replies) else STATUS_EMBEDDED_SERVICE_ERROR
     return CipResponse(MULTI_REQUEST | REPLY_FLAG, general, (), payload)
 
@@ -673,7 +674,7 @@ def split_multi_response(resp: CipResponse, n: int) -> list[CipResponse]:
         raise CipError(f"not a multi reply: service 0x{resp.service_reply:02X}")
     if resp.general_status not in (STATUS_OK, STATUS_EMBEDDED_SERVICE_ERROR):
         resp.raise_for_status()
-    items = _split_offset_table(resp.payload)
+    items = split_offset_table(resp.payload)
     if len(items) != n:
         raise CipError(f"multi reply carries {len(items)} items, expected {n}")
     return [decode_response(item) for item in items]

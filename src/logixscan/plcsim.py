@@ -6,6 +6,22 @@ plan (latency, dropped connections, refused sessions, injected error
 statuses, malformed read replies, replies cut short by a close) so the
 failure paths can be tested without hardware.  `PlcSim.stop()` severs every
 session and waits, bounded, for their handler threads to end.
+
+The sim serves a request the way the client handles a reply: what depends
+only on bytes it has seen before is worked out once, and nothing is decoded
+only to be encoded again.  Each tag is held as wire
+bytes: its type, its element count and one array of its packed elements (a
+BOOL array as DINT words), so a read reply is the type code and a slice of
+that array, and a write whose type, count and bounds check out splices the
+request's data in; a REAL keeps the bits it was written with.  What a
+request path names depends only on its bytes, so `CipEngine` decodes each
+distinct path once and keeps what it names in a table of PATH_TABLE_SIZE
+entries, emptied when full; service counts, injected errors, buffer limits,
+route slots, tag lookup and bounds are checked for every request.  Replies
+are built as bytes, and an Unconnected Send answers with its embedded reply
+as built.  A session handler receives a request that arrives whole with one
+receive into the session's buffer, and keeps any bytes past it for the next
+request, so a peer's pipelined requests are served in order.
 """
 
 from __future__ import annotations
@@ -33,7 +49,7 @@ from .cip import (
     ObjectClass,
     Symbol,
 )
-from .tags import BITS_PER_DINT, dint_span_for_bools, parse_tag
+from .tags import dint_span_for_bools, parse_tag
 
 log = logging.getLogger(__name__)
 
@@ -74,6 +90,31 @@ class FaultPlan:
     truncate_replies: bool = False
 
 
+_TYPE_CODE = struct.Struct("<H")
+# any nonzero BOOL byte is true, and is stored as a packed true is
+_BOOL_BYTES = bytes((0,)) + bytes((0xFF,)) * 255
+
+
+class _Tag:
+    """A tag as the store holds it: its type, its element count and its
+    elements packed as on the wire, in one array that writes splice."""
+
+    __slots__ = ("type", "count", "code", "data")
+
+    def __init__(self, elem_type: CipType, data: bytes):
+        self.type = elem_type
+        self.count = len(data) // elem_type.width
+        self.code = _TYPE_CODE.pack(elem_type)  # as a read reply carries it
+        self.data = bytearray(data)
+
+    def value(self, element: int | None = None) -> CipValue:
+        """The whole tag, or one element of it, unpacked."""
+        data, width = self.data, self.type.width
+        if element is not None:
+            data = data[element * width:(element + 1) * width]
+        return CipValue(self.type, cip.unpack_elements(self.type, data))
+
+
 class TagStore:
     """Shared tag state plus counters; one lock covers a whole request."""
 
@@ -89,7 +130,7 @@ class TagStore:
         self.lock = threading.RLock()
         self.round_trips = 0
         self.service_counts: Counter = Counter()
-        self._tags: dict[str, CipValue] = {}
+        self._tags: dict[str, _Tag] = {}
 
     # -- definition and out-of-band access --------------------------------
 
@@ -100,52 +141,48 @@ class TagStore:
         if not values:
             raise SimError(f"{name}: a tag needs at least one element")
         if elem_type is CipType.BOOL and len(values) > 1:
-            stored = CipValue(CipType.DINT, _pack_bits(values))
+            tag = _Tag(CipType.DINT, _pack_bits(values))
         else:
-            stored = CipValue(elem_type, _normalize(elem_type, values))
+            tag = _Tag(elem_type, cip.pack_elements(elem_type, values))
         with self.lock:
-            self._tags[key] = stored
+            self._tags[key] = tag
 
     def set_tag(self, name: str, value) -> None:
         """Direct mutation for tests: whole tag, or one element via name[i]."""
         key, element = self._split_name(name)
         with self.lock:
-            stored = self._tags.get(key)
-            if stored is None:
-                raise SimError(f"unknown tag {name!r}")
+            tag = self._tag(name, key, element)
             if element is None:
                 if isinstance(value, CipValue):
-                    if value.type is not stored.type:
+                    if value.type is not tag.type:
                         raise SimError(
-                            f"{name}: stored {stored.type.name}, got {value.type.name}"
+                            f"{name}: stored {tag.type.name}, got {value.type.name}"
                         )
                     new = value.elements
                 else:
                     new = tuple(value) if isinstance(value, (list, tuple)) else (value,)
-                if len(new) != len(stored.elements):
-                    raise SimError(
-                        f"{name}: stored {len(stored.elements)} elements, got {len(new)}"
-                    )
-                self._tags[key] = CipValue(stored.type, _normalize(stored.type, new))
+                if len(new) != tag.count:
+                    raise SimError(f"{name}: stored {tag.count} elements, got {len(new)}")
+                tag.data[:] = cip.pack_elements(tag.type, new)
             else:
-                if not 0 <= element < len(stored.elements):
-                    raise SimError(f"{name}: element out of range")
                 scalar = value.scalar if isinstance(value, CipValue) else value
-                elements = list(stored.elements)
-                elements[element] = _normalize(stored.type, (scalar,))[0]
-                self._tags[key] = CipValue(stored.type, elements)
+                width = tag.type.width
+                tag.data[element * width:(element + 1) * width] = cip.pack_elements(
+                    tag.type, (scalar,)
+                )
 
     def get_tag(self, name: str) -> CipValue:
         key, element = self._split_name(name)
         with self.lock:
-            stored = self._tags.get(key)
-            if stored is None:
-                raise SimError(f"unknown tag {name!r}")
-            if element is None:
-                return stored
-            if not 0 <= element < len(stored.elements):
-                raise SimError(f"{name}: element out of range")
-            return CipValue(stored.type, (stored.elements[element],))
+            return self._tag(name, key, element).value(element)
+
+    def _tag(self, name: str, key: str, element: int | None) -> _Tag:
+        tag = self._tags.get(key)
+        if tag is None:
+            raise SimError(f"unknown tag {name!r}")
+        if element is not None and not 0 <= element < tag.count:
+            raise SimError(f"{name}: element out of range")
+        return tag
 
     @staticmethod
     def _key_for(name: str) -> str:
@@ -163,45 +200,52 @@ class TagStore:
 
     # -- wire-facing access (caller holds the lock) -------------------------
 
-    def read(self, key: str, start: int | None, count: int) -> CipValue | int:
-        stored = self._tags.get(key)
-        if stored is None:
+    def read(self, key: str, start: int | None, count: int) -> bytes | int:
+        """A read reply's data: the tag's type code and `count` packed
+        elements from `start`; or the error status."""
+        tag = self._tags.get(key)
+        if tag is None:
             return cip.STATUS_PATH_UNKNOWN
         begin = start or 0
-        if begin + count > len(stored.elements) or count < 1:
+        if begin + count > tag.count or count < 1:
             return cip.STATUS_PATH_SEGMENT_ERROR
-        return CipValue(stored.type, stored.elements[begin:begin + count])
+        width = tag.type.width
+        return tag.code + tag.data[begin * width:(begin + count) * width]
 
-    def write(self, key: str, start: int | None, value: CipValue) -> int:
-        stored = self._tags.get(key)
-        if stored is None:
+    def write(self, key: str, start: int | None, elem_type: CipType, data: bytes) -> int:
+        """Splice packed elements of `elem_type` into a tag from `start`;
+        returns the status.  A BOOL byte is stored as 0x00 or 0xFF."""
+        tag = self._tags.get(key)
+        if tag is None:
             return cip.STATUS_PATH_UNKNOWN
-        if value.type is not stored.type:
+        if elem_type is not tag.type:
             return cip.STATUS_INVALID_PARAMETER
-        begin = start or 0
-        if begin + len(value.elements) > len(stored.elements):
+        begin = (start or 0) * elem_type.width
+        end = begin + len(data)
+        if end > len(tag.data):
             return cip.STATUS_PATH_SEGMENT_ERROR
-        elements = list(stored.elements)
-        elements[begin:begin + len(value.elements)] = value.elements
-        self._tags[key] = CipValue(stored.type, elements)
+        if elem_type is CipType.BOOL:
+            data = data.translate(_BOOL_BYTES)
+        tag.data[begin:end] = data
         return cip.STATUS_OK
 
 
-def _normalize(elem_type: CipType, values) -> tuple:
-    """Snap values to their wire representation (REALs become float32)."""
-    return cip.unpack_elements(elem_type, cip.pack_elements(elem_type, values))
-
-
-def _pack_bits(bits) -> tuple[int, ...]:
-    words = [0] * dint_span_for_bools(len(bits))
+def _pack_bits(bits) -> bytearray:
+    """Bits packed into little-endian DINT words: bit i is bit i % 8 of byte i // 8."""
+    data = bytearray(4 * dint_span_for_bools(len(bits)))
     for i, bit in enumerate(bits):
         if bit:
-            words[i // BITS_PER_DINT] |= 1 << (i % BITS_PER_DINT)
-    return tuple(w - (1 << 32) if w >= 1 << 31 else w for w in words)
+            data[i // 8] |= 1 << (i % 8)
+    return data
 
 
 # ---------------------------------------------------------------------------
 # CIP dispatch
+
+# distinct request paths an engine keeps resolved; the table is emptied when
+# full, so traffic that never repeats a path cannot grow it
+PATH_TABLE_SIZE = 1024
+
 
 @dataclass
 class _Connection:
@@ -214,85 +258,150 @@ class _Connection:
     last_used: float = field(default_factory=time.monotonic)
 
 
-def _error(service: int, general: int, extended: tuple[int, ...] = ()) -> CipResponse:
-    return CipResponse((service | cip.REPLY_FLAG) & 0xFF, general, extended)
+@dataclass(frozen=True, slots=True)
+class _Target:
+    """What a request path names, worked out once per distinct path: the
+    decoded path, and the tag key and element it addresses, if any."""
+
+    path: Epath
+    tag: str | None = None
+    element: int | None = None
+
+
+def _target(path: Epath) -> _Target:
+    names: list[str] = []
+    element: int | None = None
+    for seg in path.segments:
+        if isinstance(seg, Symbol):
+            if element is not None:
+                return _Target(path)  # subscripts only on the final part
+            names.append(seg.name)
+        elif isinstance(seg, Element):
+            if element is not None or not names:
+                return _Target(path)
+            element = seg.index
+        else:
+            return _Target(path)
+    if not names:
+        return _Target(path)
+    return _Target(path, ".".join(names), element)
+
+
+def _error(service: int, general: int, extended: tuple[int, ...] = ()) -> bytes:
+    return cip.encode_response(CipResponse((service | cip.REPLY_FLAG) & 0xFF, general, extended))
+
+
+def _ok(service: int, payload: bytes = b"") -> bytes:
+    return bytes((service | cip.REPLY_FLAG, 0, cip.STATUS_OK, 0)) + payload
+
+
+_READ_OK = _ok(cip.READ_DATA)
+_WRITE_OK = _ok(cip.WRITE_DATA)
+_COUNT = struct.Struct("<H")
 
 
 class CipEngine:
-    """Serves CIP messages against a TagStore; transport-independent."""
+    """Serves CIP messages against a TagStore; transport-independent.
+
+    Every reply is built as wire bytes.  What a request's path names
+    depends only on its bytes, so it is worked out once per distinct path
+    and kept in a table of PATH_TABLE_SIZE entries; everything that depends
+    on state (service counts, injected errors, buffer limits, route slots,
+    tag lookup and bounds) runs for every request."""
 
     def __init__(self, store: TagStore, faults: FaultPlan):
         self.store = store
         self.faults = faults
         self._ids = itertools.count(0x1001)  # O->T connection ids, per engine
+        self._targets: dict[bytes, _Target] = {}  # path bytes, size byte first
 
     def handle(self, data: bytes, connections: dict | None = None, depth: int = 0) -> bytes:
         """Process one message, enforcing the buffer limit on it and its reply."""
         service = data[0] if data else 0
-        if len(data) > self.store.limit:
-            return cip.encode_response(_error(service, cip.STATUS_REQUEST_TOO_LARGE))
-        resp = self._dispatch(data, connections, depth)
-        encoded = cip.encode_response(resp)
-        if len(encoded) > self.store.limit and resp.ok:
-            encoded = cip.encode_response(_error(service, cip.STATUS_REPLY_TOO_LARGE))
-        return encoded
-
-    def _dispatch(self, data: bytes, connections, depth: int) -> CipResponse:
+        limit = self.store.limit
+        if len(data) > limit:
+            return _error(service, cip.STATUS_REQUEST_TOO_LARGE)
         try:
-            req = cip.decode_request(data)
+            request = self._split(data)
         except cip.CipError:
-            service = data[0] if data else 0
             return _error(service, cip.STATUS_NOT_ENOUGH_DATA)
-        return self._serve(req, connections, depth)
+        reply = self._serve(*request, connections, depth)
+        if len(reply) > limit and reply[2] == cip.STATUS_OK:
+            return _error(service, cip.STATUS_REPLY_TOO_LARGE)
+        return reply
 
-    def _serve(self, req: CipRequest, connections, depth: int) -> CipResponse:
-        self.store.service_counts[req.service] += 1
-        injected = self.faults.error_inject.get(req.service)
+    def _split(self, data: bytes) -> tuple[int, _Target, bytes]:
+        """A request's service, what its path names, and its payload; raises
+        CipError for bytes that do not decode as a request."""
+        if len(data) < 2:
+            raise cip.CipError("request shorter than service byte + path size")
+        service = data[0]
+        if service & cip.REPLY_FLAG:
+            raise cip.CipError(f"service byte 0x{service:02X} has the reply flag set")
+        end = 2 + 2 * data[1]
+        path = data[1:end]
+        target = self._targets.get(path)
+        if target is None:
+            target = _target(cip.decode_epath(path)[0])
+            if len(self._targets) >= PATH_TABLE_SIZE:
+                self._targets.clear()
+            self._targets[path] = target
+        return service, target, data[end:]
+
+    def _serve(self, service: int, target: _Target, payload: bytes, connections,
+               depth: int) -> bytes:
+        self.store.service_counts[service] += 1
+        injected = self.faults.error_inject.get(service)
         if injected:
-            return _error(req.service, injected)
-        if req.service == cip.UNCONNECTED_SEND:
-            return self._unconnected_send(req, connections, depth)
-        if req.service == cip.MULTI_REQUEST:
-            return self._multi(req, connections, depth)
-        if req.service == cip.GET_ATTRIBUTE_SINGLE:
-            return self._get_attribute(req)
-        if req.service == cip.READ_DATA:
-            return self._read(req)
-        if req.service == cip.WRITE_DATA:
-            return self._write(req)
-        if req.service == cip.FORWARD_OPEN:
-            return self._forward_open(req, connections)
-        if req.service == cip.FORWARD_CLOSE:
-            return self._forward_close(req, connections)
-        return _error(req.service, cip.STATUS_SERVICE_NOT_SUPPORTED)
+            return _error(service, injected)
+        if service == cip.READ_DATA:
+            return self._read(target, payload)
+        if service == cip.WRITE_DATA:
+            return self._write(target, payload)
+        if service == cip.MULTI_REQUEST:
+            return self._multi(payload, connections, depth)
+        if service == cip.UNCONNECTED_SEND:
+            return self._unconnected_send(target, payload, connections, depth)
+        if service == cip.GET_ATTRIBUTE_SINGLE:
+            return self._get_attribute(target)
+        if service == cip.FORWARD_OPEN:
+            return self._forward_open(CipRequest(service, target.path, payload), connections)
+        if service == cip.FORWARD_CLOSE:
+            return self._forward_close(CipRequest(service, target.path, payload), connections)
+        return _error(service, cip.STATUS_SERVICE_NOT_SUPPORTED)
 
-    def _unconnected_send(self, req: CipRequest, connections, depth: int) -> CipResponse:
+    def _unconnected_send(self, target: _Target, payload: bytes, connections,
+                          depth: int) -> bytes:
+        service = cip.UNCONNECTED_SEND
         if depth >= MAX_ROUTE_DEPTH:
-            return _error(req.service, cip.STATUS_NO_RESOURCES)
+            return _error(service, cip.STATUS_NO_RESOURCES)
         try:
-            message, route = cip.parse_unconnected_send(req)
-        except cip.CipError:
-            return _error(req.service, cip.STATUS_NOT_ENOUGH_DATA)
-        if route.port != cip.BACKPLANE_PORT or route.link not in self.store.route_slots:
-            return _error(
-                req.service, cip.STATUS_CONNECTION_FAILURE, (cip.EXT_INVALID_LINK,)
+            message, route = cip.parse_unconnected_send(
+                CipRequest(service, target.path, payload)
             )
-        # the router is transparent: the embedded reply goes back bare
-        reply = self.handle(message, connections, depth + 1)
-        return cip.decode_response(reply)
-
-    def _multi(self, req: CipRequest, connections, depth: int) -> CipResponse:
-        try:
-            items = cip.split_multi_request(req)
         except cip.CipError:
-            return _error(req.service, cip.STATUS_NOT_ENOUGH_DATA)
+            return _error(service, cip.STATUS_NOT_ENOUGH_DATA)
+        if route.port != cip.BACKPLANE_PORT or route.link not in self.store.route_slots:
+            return _error(service, cip.STATUS_CONNECTION_FAILURE, (cip.EXT_INVALID_LINK,))
+        # the router is transparent: the embedded reply goes back bare
+        return self.handle(message, connections, depth + 1)
+
+    def _multi(self, payload: bytes, connections, depth: int) -> bytes:
         # items already passed the limit check as part of their envelope, and
         # are served as decoded: every item decodes before any one runs
-        replies = [self._serve(item, connections, depth + 1) for item in items]
-        return cip.build_multi_response(replies)
+        try:
+            items = [self._split(item) for item in cip.split_offset_table(payload)]
+        except cip.CipError:
+            return _error(cip.MULTI_REQUEST, cip.STATUS_NOT_ENOUGH_DATA)
+        replies = [self._serve(*item, connections, depth + 1) for item in items]
+        ok = all(reply[2] == cip.STATUS_OK for reply in replies)
+        general = cip.STATUS_OK if ok else cip.STATUS_EMBEDDED_SERVICE_ERROR
+        head = bytes((cip.MULTI_REQUEST | cip.REPLY_FLAG, 0, general, 0))
+        return head + cip.offset_table(replies)
 
-    def _get_attribute(self, req: CipRequest) -> CipResponse:
-        segments = req.path.segments
+    def _get_attribute(self, target: _Target) -> bytes:
+        service = cip.GET_ATTRIBUTE_SINGLE
+        segments = target.path.segments
         if (
             len(segments) == 3
             and segments[0] == ObjectClass(cip.CLASS_IDENTITY)
@@ -302,64 +411,39 @@ class CipEngine:
             attr = segments[2].id
             if attr == cip.ATTR_PRODUCT_NAME:
                 name = self.store.product_name.encode("ascii")
-                payload = bytes((len(name),)) + name
-                return CipResponse(req.service | cip.REPLY_FLAG, cip.STATUS_OK, (), payload)
+                return _ok(service, bytes((len(name),)) + name)
             fixed = _IDENTITY_ATTRS.get(attr)
             if fixed is not None:
-                return CipResponse(req.service | cip.REPLY_FLAG, cip.STATUS_OK, (), fixed)
-            return _error(req.service, cip.STATUS_ATTRIBUTE_NOT_SUPPORTED)
-        return _error(req.service, cip.STATUS_PATH_UNKNOWN)
+                return _ok(service, fixed)
+            return _error(service, cip.STATUS_ATTRIBUTE_NOT_SUPPORTED)
+        return _error(service, cip.STATUS_PATH_UNKNOWN)
 
-    def _resolve(self, path: Epath) -> tuple[str, int | None] | None:
-        names: list[str] = []
-        element: int | None = None
-        for seg in path.segments:
-            if isinstance(seg, Symbol):
-                if element is not None:
-                    return None  # subscripts only on the final part
-                names.append(seg.name)
-            elif isinstance(seg, Element):
-                if element is not None or not names:
-                    return None
-                element = seg.index
-            else:
-                return None
-        if not names:
-            return None
-        return ".".join(names), element
-
-    def _read(self, req: CipRequest) -> CipResponse:
-        resolved = self._resolve(req.path)
-        if resolved is None:
-            return _error(req.service, cip.STATUS_PATH_UNKNOWN)
-        if len(req.payload) < 2:
-            return _error(req.service, cip.STATUS_NOT_ENOUGH_DATA)
-        (count,) = struct.unpack_from("<H", req.payload)
-        key, element = resolved
-        result = self.store.read(key, element, count)
-        if isinstance(result, int):
-            return _error(req.service, result)
-        payload = struct.pack("<H", int(result.type))
-        payload += cip.pack_elements(result.type, result.elements)
+    def _read(self, target: _Target, payload: bytes) -> bytes:
+        if target.tag is None:
+            return _error(cip.READ_DATA, cip.STATUS_PATH_UNKNOWN)
+        if len(payload) < 2:
+            return _error(cip.READ_DATA, cip.STATUS_NOT_ENOUGH_DATA)
+        (count,) = _COUNT.unpack_from(payload)
+        data = self.store.read(target.tag, target.element, count)
+        if data.__class__ is int:
+            return _error(cip.READ_DATA, data)
         if self.faults.malformed_reads:
-            payload = payload[:-1]
-        return CipResponse(req.service | cip.REPLY_FLAG, cip.STATUS_OK, (), payload)
+            data = data[:-1]
+        return _READ_OK + data
 
-    def _write(self, req: CipRequest) -> CipResponse:
-        resolved = self._resolve(req.path)
-        if resolved is None:
-            return _error(req.service, cip.STATUS_PATH_UNKNOWN)
+    def _write(self, target: _Target, payload: bytes) -> bytes:
+        if target.tag is None:
+            return _error(cip.WRITE_DATA, cip.STATUS_PATH_UNKNOWN)
         try:
-            value = cip.decode_write_payload(req.payload)
+            elem_type, data = cip.split_write_payload(payload)
         except cip.CipError:
-            return _error(req.service, cip.STATUS_NOT_ENOUGH_DATA)
-        key, element = resolved
-        status = self.store.write(key, element, value)
+            return _error(cip.WRITE_DATA, cip.STATUS_NOT_ENOUGH_DATA)
+        status = self.store.write(target.tag, target.element, elem_type, data)
         if status != cip.STATUS_OK:
-            return _error(req.service, status)
-        return CipResponse(req.service | cip.REPLY_FLAG, cip.STATUS_OK)
+            return _error(cip.WRITE_DATA, status)
+        return _WRITE_OK
 
-    def _forward_open(self, req: CipRequest, connections) -> CipResponse:
+    def _forward_open(self, req: CipRequest, connections) -> bytes:
         try:
             parsed = cip.parse_forward_open_request(req)
         except cip.CipError:
@@ -381,16 +465,16 @@ class CipEngine:
             originator_serial=parsed.originator_serial,
         )
         connections[conn.o_to_t_id] = conn
-        return cip.build_forward_open_reply(
+        return cip.encode_response(cip.build_forward_open_reply(
             conn.o_to_t_id,
             conn.t_to_o_id,
             conn.serial,
             conn.vendor,
             conn.originator_serial,
             parsed.update_interval_us,
-        )
+        ))
 
-    def _forward_close(self, req: CipRequest, connections) -> CipResponse:
+    def _forward_close(self, req: CipRequest, connections) -> bytes:
         try:
             identity = cip.parse_forward_close(req)
         except cip.CipError:
@@ -399,8 +483,8 @@ class CipEngine:
             for conn_id, conn in list(connections.items()):
                 if (conn.serial, conn.vendor, conn.originator_serial) == identity:
                     del connections[conn_id]
-        payload = req.payload[2:10] + bytes((0, 0))  # serial, vendor, originator serial
-        return CipResponse(req.service | cip.REPLY_FLAG, cip.STATUS_OK, (), payload)
+        # serial, vendor, originator serial
+        return _ok(req.service, req.payload[2:10] + bytes((0, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -468,21 +552,42 @@ class _SessionHandler(socketserver.BaseRequestHandler):
         self.session_handle = 0
         self.connections: dict[int, _Connection] = {}
         self.data_requests = 0
+        # what has arrived and is not yet served: any request fits whole
+        self.rx = bytearray(encap.HEADER_SIZE + encap.MAX_PAYLOAD)
+        self.view = memoryview(self.rx)
+        self.got = 0
 
     def handle(self):
         while True:
             try:
-                raw = self._recv_exact(encap.HEADER_SIZE)
-                if raw is None:
-                    return
-                header = encap.decode_header(raw)
-                payload = self._recv_exact(header.payload_length)
-                if payload is None:
-                    return
-            except (OSError, encap.EncapError):
+                request = self._receive()
+            except OSError:
                 return
-            if not self._serve_packet(header, payload):
+            if request is None or not self._serve_packet(*request):
                 return
+
+    def _receive(self) -> tuple[encap.EncapsHeader, bytes] | None:
+        """The next request, receiving into the session buffer until it is
+        whole: one receive for a request that arrives in one piece, none for
+        one a pipelining peer already sent.  Bytes past it stay for the next
+        request.  None: the peer closed or the session was severed."""
+        got, end = self.got, encap.HEADER_SIZE
+        header = None
+        while True:
+            if header is None and got >= encap.HEADER_SIZE:
+                header = encap.decode_header(self.rx)
+                end += header.payload_length
+            if header is not None and got >= end:
+                break
+            n = self.request.recv_into(self.view[got:])
+            if not n:
+                return None
+            got += n
+        payload = bytes(self.view[encap.HEADER_SIZE:end])
+        self.got = got - end
+        if self.got:
+            self.rx[:self.got] = self.rx[end:got]
+        return header, payload
 
     def _serve_packet(self, header: encap.EncapsHeader, payload: bytes) -> bool:
         sim = self.sim
@@ -570,18 +675,6 @@ class _SessionHandler(socketserver.BaseRequestHandler):
             self.request.sendall(encap.encode_packet(reply, payload))
         except OSError:
             pass
-
-    def _recv_exact(self, n: int) -> bytes | None:
-        buf = bytearray()
-        while len(buf) < n:
-            try:
-                chunk = self.request.recv(n - len(buf))
-            except OSError:
-                return None
-            if not chunk:
-                return None
-            buf += chunk
-        return bytes(buf)
 
 
 class PlcSim:

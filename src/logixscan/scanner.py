@@ -49,8 +49,9 @@ when it starts failing for a cause and an INFO when it recovers from it, so
 a member that always fails hides no session loss; a reply of another type
 than declared, and a member that no request under the buffer limit can
 carry, count an error each cycle but log once per plan.  A flush with no
-session counts one `not connected` error for each list whose outputs it
-fails, and logs one WARNING.  Scan config files are parsed and applied by
+session, at its start or once an earlier list's step lost it, counts one
+`not connected` error for each list whose outputs it fails, and logs one
+WARNING.  Scan config files are parsed and applied by
 `config`.
 """
 
@@ -64,7 +65,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .cip import CipType, CipValue, Element, Epath
-from .client import PlcClient, PlcEndpoint
+from .client import Phase, PlcClient, PlcEndpoint
 from .cycle import Executor, Quality, Step, flush, notify, send
 from .plan import Direction, ScanPlan, plan_list
 from .tags import BITS_PER_DINT, TagPart, TagRef, format_tag, parse_tag, to_epath
@@ -73,7 +74,9 @@ log = logging.getLogger(__name__)
 
 _BASE_CACHE_SIZE = 1024  # base chains whose address a scanner keeps
 
-_OUTPUT = Direction.OUTPUT  # an enum member lookup is not free
+# enum member lookups are not free
+_OUTPUT = Direction.OUTPUT
+_DISCONNECTED = Phase.DISCONNECTED
 
 # why a list fails, in the order a cycle meets them: a cycle that fails for
 # one did not run (all of) the steps behind the later ones
@@ -483,18 +486,23 @@ class TagScanner:
 
     def _flush_unit(self, unit: _PlcUnit) -> None:
         """Flush each list's dirty outputs, as one step per list.  With no
-        session, each list they are in counts one `not connected` error,
-        and the flush logs one WARNING."""
-        connected = unit.client.ensure_connected()
-        if not connected and any(sub.dirty for sl in unit.lists.values() for sub in sl.members):
-            log.warning("flush failed on %s: not connected: %s", unit.name,
-                        unit.client.connect_error or "reconnect paced")
+        session, at the start or once an earlier list's step lost it, each
+        list they are in counts one `not connected` error, and the flush
+        logs one WARNING."""
+        client = unit.client
+        connected = client.ensure_connected()
+        warned = False
         for sl in unit.lists.values():
             if any(sub.dirty for sub in sl.members):
                 step = Step(unit, logging.WARNING)
                 if connected:
                     flush(step, self._discover(unit, sl, step))
+                    connected = client.phase is not _DISCONNECTED
                 else:
+                    if not warned:
+                        log.warning("flush failed on %s: not connected: %s", unit.name,
+                                    client.connect_error or "reconnect paced")
+                        warned = True
                     _fail_unconnected(step, [sub for sub in sl.members if sub.dirty])
                 if step.errors:
                     with self._stats_lock:

@@ -345,13 +345,12 @@ def test_write_request_payload_layout():
         Epath([Symbol("counts"), Element(1)]), CipValue(CipType.DINT, [7, -7])
     ))
     assert req.payload == b"\xc4\x00\x02\x00" + struct.pack("<ii", 7, -7)
-    decoded = cip.decode_write_payload(req.payload)
-    assert decoded == CipValue(CipType.DINT, (7, -7))
+    assert cip.split_write_payload(req.payload) == (CipType.DINT, struct.pack("<ii", 7, -7))
 
 
 def test_write_payload_rejects_length_mismatch():
     with pytest.raises(CipError):
-        cip.decode_write_payload(b"\xc4\x00\x02\x00" + b"\x00" * 4)
+        cip.split_write_payload(b"\xc4\x00\x02\x00" + b"\x00" * 4)
 
 
 def test_short_string_parsing():

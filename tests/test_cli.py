@@ -186,13 +186,38 @@ def test_parse_faults():
         _parse_faults("jitter=5", 0.0)
 
 
+def start_sim_child(tag_file):
+    """`logixscan sim` in a child process with faulthandler on, so that a
+    SIGABRT makes it write every thread's stack to its stderr."""
+    return subprocess.Popen(
+        [sys.executable, "-X", "faulthandler", "-m", "logixscan", "sim", str(tag_file),
+         "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def wait_or_dump(proc, timeout: float) -> None:
+    """Wait for the child to exit; one still running after `timeout` is
+    sent SIGABRT, then killed, and the test fails with the child's stderr,
+    its threads' stacks included."""
+    try:
+        proc.wait(timeout=timeout)
+        return
+    except subprocess.TimeoutExpired:
+        pass
+    proc.send_signal(signal.SIGABRT)
+    try:
+        _out, err = proc.communicate(timeout=5)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        _out, err = proc.communicate()
+    pytest.fail(f"sim still running {timeout} s after SIGINT; its stderr:\n{err}")
+
+
 def test_sim_subcommand_serves_clients(tmp_path):
     tag_file = tmp_path / "tags.txt"
     tag_file.write_text("speed REAL = 2.5\ncounts DINT[3] = 7\n")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "logixscan", "sim", str(tag_file), "--port", "0"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
+    proc = start_sim_child(tag_file)
     try:
         line = proc.stdout.readline().strip()
         if not line:
@@ -209,12 +234,10 @@ def test_sim_subcommand_serves_clients(tmp_path):
     finally:
         proc.send_signal(signal.SIGINT)
         try:
-            proc.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()
-        proc.stderr.close()
+            wait_or_dump(proc, timeout=5)
+        finally:
+            proc.stdout.close()
+            proc.stderr.close()
     assert proc.returncode == 0
 
 
@@ -224,10 +247,7 @@ def test_sim_subcommand_stops_at_sigint_with_sessions_open(tmp_path):
     # once, and every peer sees its session end
     tag_file = tmp_path / "tags.txt"
     tag_file.write_text("counts DINT[3] = 7\n")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "logixscan", "sim", str(tag_file), "--port", "0"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
+    proc = start_sim_child(tag_file)
     endpoint = None
     stop = threading.Event()
     reads = []
@@ -258,7 +278,7 @@ def test_sim_subcommand_stops_at_sigint_with_sessions_open(tmp_path):
             time.sleep(0.01)
         assert reads, "the busy client read nothing"
         proc.send_signal(signal.SIGINT)
-        proc.wait(timeout=5)  # the same bound as the test above
+        wait_or_dump(proc, timeout=5)  # the same bound as the test above
         assert peer.recv(1) == b""
         stop.set()
         reader.join(5)

@@ -7,6 +7,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from logixscan import cip, encap, plcsim
 from logixscan.cip import (
@@ -102,11 +104,12 @@ def test_store_read_write_statuses():
     store = make_store()
     assert store.read("nope", None, 1) == cip.STATUS_PATH_UNKNOWN
     assert store.read("counts", 4, 2) == cip.STATUS_PATH_SEGMENT_ERROR
-    assert store.write("counts", None, CipValue(CipType.REAL, (1.0,))) == \
+    assert store.read("counts", 1, 2) == b"\xc4\x00" + struct.pack("<ii", 20, 30)
+    assert store.write("counts", None, CipType.REAL, struct.pack("<f", 1.0)) == \
         cip.STATUS_INVALID_PARAMETER
-    assert store.write("counts", 3, CipValue(CipType.DINT, (7, 8, 9))) == \
+    assert store.write("counts", 3, CipType.DINT, struct.pack("<iii", 7, 8, 9)) == \
         cip.STATUS_PATH_SEGMENT_ERROR
-    assert store.write("counts", 3, CipValue(CipType.DINT, (7, 8))) == cip.STATUS_OK
+    assert store.write("counts", 3, CipType.DINT, struct.pack("<ii", 7, 8)) == cip.STATUS_OK
     assert store.get_tag("counts").elements == (10, 20, 30, 7, 8)
 
 
@@ -352,20 +355,127 @@ def test_forward_open_and_close_manage_connections():
     assert connections == {}
 
 
-def test_garbage_never_crashes_engine():
-    eng = engine()
-    rng = random.Random(0xD15EA5E)
-    good = encode_request(build_read_request(to_epath(parse_tag("TEST")), 1))
-    for _ in range(2000):
+def mutants(rng, good: bytes, n: int):
+    """n inputs: random bytes, or `good` with one to three bytes replaced."""
+    for _ in range(n):
         if rng.random() < 0.5:
-            data = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 40)))
+            yield bytes(rng.randrange(256) for _ in range(rng.randrange(0, 40)))
         else:
             mutated = bytearray(good)
             for _ in range(rng.randrange(1, 4)):
                 mutated[rng.randrange(len(mutated))] = rng.randrange(256)
-            data = bytes(mutated)
+            yield bytes(mutated)
+
+
+def test_garbage_never_crashes_engine():
+    eng = engine()
+    read = encode_request(build_read_request(to_epath(parse_tag("TEST")), 1))
+    write = cip.encode_write_request(to_epath(parse_tag("counts[1]")), CipValue(CipType.DINT, (-7,)))
+    multi = cip.encode_multi_request(
+        [read, write, cip.encode_read_request(to_epath(parse_tag("counts")), 5)]
+    )
+    envelopes = [multi, cip.encode_unconnected_send(read, 0), cip.encode_unconnected_send(multi, 0)]
+    inputs = list(mutants(random.Random(0xD15EA5E), read, 2000))
+    for seed, good in enumerate(envelopes):
+        inputs += mutants(random.Random(seed), good, 1000)
+    for data in inputs:
         raw = eng.handle(data, {})
         decode_response(raw)  # reply is always a parseable CIP response
+        assert eng.handle(data, {}) == raw  # and the same when served again
+        assert len(eng._targets) <= plcsim.PATH_TABLE_SIZE
+
+
+def test_each_distinct_path_is_decoded_once(monkeypatch):
+    eng = engine()
+    decoded = []
+    decode_epath = cip.decode_epath
+    monkeypatch.setattr(cip, "decode_epath", lambda data: decoded.append(1) or decode_epath(data))
+    reads = [cip.encode_read_request(to_epath(parse_tag(t)), 1) for t in ("TEST", "counts", "flag")]
+    multi = cip.encode_multi_request(reads)
+    for message in (multi, multi, cip.encode_unconnected_send(multi, 0), *reads):
+        assert decode_response(eng.handle(message, {})).ok
+    # the Multi-Request's path, each read's, the Unconnected Send's
+    assert len(decoded) == 1 + len(reads) + 1
+    assert eng.store.service_counts[cip.READ_DATA] == 4 * len(reads)
+
+
+def test_the_path_table_is_emptied_when_full():
+    eng = engine()
+    for i in range(plcsim.PATH_TABLE_SIZE + 5):
+        eng.handle(cip.encode_read_request(to_epath(parse_tag(f"counts[{i}]")), 1), {})
+        assert len(eng._targets) <= plcsim.PATH_TABLE_SIZE
+    assert len(eng._targets) == 5
+    for i, value in enumerate((10, 20, 30, 40, 50)):
+        raw = eng.handle(cip.encode_read_request(to_epath(parse_tag(f"counts[{i}]")), 1), {})
+        assert parse_read_response(decode_response(raw)).elements == (value,)
+
+
+def test_a_real_is_stored_with_the_bits_it_was_written_with():
+    eng = engine()
+    signalling_nan = struct.pack("<I", 0x7F800001)  # a float64 round trip quiets it
+    path = to_epath(parse_tag("TEST"))
+    write = cip.encode_write_head(path, CipType.REAL, 1) + signalling_nan
+    assert decode_response(eng.handle(write, {})).ok
+    raw = eng.handle(cip.encode_read_request(path, 1), {})
+    assert raw == bytes.fromhex("cc 00 00 00 ca 00") + signalling_nan
+
+
+def test_a_bool_written_with_any_nonzero_byte_is_stored_true():
+    eng = engine()
+    path = to_epath(parse_tag("flag"))
+    for sent, stored in ((b"\x00", b"\x00"), (b"\x01", b"\xff"), (b"\x80", b"\xff")):
+        write = cip.encode_write_head(path, CipType.BOOL, 1) + sent
+        assert decode_response(eng.handle(write, {})).ok
+        raw = eng.handle(cip.encode_read_request(path, 1), {})
+        assert raw == bytes.fromhex("cc 00 00 00 c1 00") + stored
+
+
+# a few paths that requests repeat: whole tags, elements in and out of
+# range, a missing tag, a member of a missing structure
+PATHS = ["TEST", "counts", "counts[1]", "counts[4]", "counts[9]", "flag", "nope", "a.b"]
+WIDTHS = {CipType.DINT: 4, CipType.REAL: 4, CipType.BOOL: 1}
+
+
+def write_request(tag: str, elem_type: CipType, words: list[int]) -> bytes:
+    """A write of raw element bits: each word's low bytes, as wide as the type."""
+    width = WIDTHS[elem_type]
+    data = b"".join(word.to_bytes(4, "little")[:width] for word in words)
+    return cip.encode_write_head(to_epath(parse_tag(tag)), elem_type, len(words)) + data
+
+
+def envelope(items: list[bytes], routed: bool) -> bytes:
+    message = items[0] if len(items) == 1 else cip.encode_multi_request(items)
+    return cip.encode_unconnected_send(message, 0) if routed else message
+
+
+tag_requests = st.one_of(
+    st.builds(
+        lambda tag, count: cip.encode_read_request(to_epath(parse_tag(tag)), count),
+        st.sampled_from(PATHS), st.integers(1, 6),
+    ),
+    st.builds(
+        write_request, st.sampled_from(PATHS), st.sampled_from(list(WIDTHS)),
+        st.lists(st.integers(0, 0xFFFFFFFF), min_size=1, max_size=6),
+    ),
+)
+requests = st.builds(envelope, st.lists(tag_requests, min_size=1, max_size=4), st.booleans())
+
+
+@settings(
+    max_examples=100, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.lists(requests, min_size=1, max_size=30))
+def test_a_warm_engine_replies_as_a_fresh_one(history):
+    """An engine that has served the history so far replies to each request
+    with the same bytes as a fresh engine over an equal store."""
+    warm, cold_store = engine(), make_store()
+    for data in history:
+        reply = warm.handle(data, {})
+        assert CipEngine(cold_store, FaultPlan()).handle(data, {}) == reply
+        assert len(warm._targets) <= plcsim.PATH_TABLE_SIZE
+    for name in ("TEST", "counts", "flag"):
+        assert warm.store.read(name, None, 1) == cold_store.read(name, None, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +538,30 @@ def test_rr_data_round_trip(sim):
     assert header.sender_context == b"ctx00001"
     value = parse_read_response(decode_response(encap.parse_rr_data(payload)))
     assert value.type is CipType.REAL
+    sock.close()
+
+
+def test_pipelined_and_fragmented_requests_are_served_in_order(sim):
+    sock, handle = open_session(sim)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    contexts = [b"pipe%04d" % i for i in range(3)]
+    packets = [
+        encap.build_rr_data(
+            handle, cip.encode_read_request(to_epath(parse_tag(f"counts[{i}]")), 1), context
+        )
+        for i, context in enumerate(contexts)
+    ]
+    sock.sendall(packets[0] + packets[1])  # two requests in one send
+    for byte in packets[2]:  # and one a byte at a time
+        sock.sendall(bytes((byte,)))
+        time.sleep(0.001)
+    replies = [read_packet(sock) for _ in contexts]
+    assert [header.sender_context for header, _payload in replies] == contexts
+    values = [
+        parse_read_response(decode_response(encap.parse_rr_data(payload))).elements
+        for _header, payload in replies
+    ]
+    assert values == [(10,), (20,), (30,)]
     sock.close()
 
 

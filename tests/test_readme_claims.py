@@ -13,7 +13,7 @@ README = ROOT / "README.md"
 CLAIM = re.compile(r"\(test:\s+([^)]*)\)")
 TEST_ID = re.compile(r"tests/[\w/]+\.py::\w+")
 # the module bullets whose every behaviour sentence names a test
-NAMED_BULLETS = ("scanner", "cycle")
+NAMED_BULLETS = ("scanner", "cycle", "plcsim")
 
 
 def named_tests(text: str) -> list[str]:

@@ -1821,6 +1821,22 @@ def test_a_flush_with_no_session_counts_one_error_per_list_it_fails(caplog):
         assert levels(caplog) == [logging.WARNING] * 4
         assert sim.store.service_counts[cip.WRITE_DATA] == 0
 
+
+def test_a_flush_that_loses_the_session_counts_one_error_for_each_later_list(caplog):
+    with PlcSim(make_store(), FaultPlan(drop_after=1)) as sim:
+        sc = scanner_for(sim)
+        first = sc.add_tag("plc", "counts[1]", 1.0, direction="out", elem_type=CipType.DINT)
+        later = sc.add_tag("plc", "counts[3]", 2.0, direction="out", elem_type=CipType.DINT)
+        sc.write(first, 5, immediate=False)
+        sc.write(later, 6, immediate=False)
+        with caplog.at_level(logging.WARNING, logger="logixscan"):
+            sc.flush("plc")
+        assert [sc.stats("plc", period).errors for period in (1.0, 2.0)] == [1, 1]
+        assert all(sub.dirty and sub.quality is Quality.ERROR for sub in (first, later))
+        assert any("not connected" in r.getMessage() for r in caplog.records)
+        assert sim.store.get_tag("counts").elements == (10, 20, 30, 40, 50)
+
+
 def test_read_modify_writes_of_one_word_in_one_flush_keep_each_bit():
     with PlcSim(bits_store()) as sim:
         sc = scanner_for(sim)
